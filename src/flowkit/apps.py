@@ -109,31 +109,35 @@ class Poset:
     closure is taken on ingest).  Raises NotPartialOrder on cycles.
     """
 
-    __slots__ = ("elements", "less", "bottom", "top")
+    __slots__ = ("elements", "less", "bottom", "top", "_order")
 
     def __init__(self, elements, relation, bottom=None, top=None):
         self.elements = tuple(elements)
         order = {e: i for i, e in enumerate(self.elements)}
         if len(order) != len(self.elements):
             raise NotPartialOrder("duplicate elements")
-        less = set()
+        above = {e: set() for e in self.elements}
         for (a, b) in relation:
             if a not in order or b not in order:
                 raise NotPartialOrder(f"unknown element in pair ({a}, {b})")
             if a == b:
                 raise NotPartialOrder(f"reflexive pair ({a}, {b})")
-            less.add((a, b))
-        changed = True
-        while changed:
-            changed = False
-            for (a, b) in list(less):
-                for (c, d) in list(less):
-                    if b == c and (a, d) not in less:
-                        less.add((a, d))
-                        changed = True
-        if any((b, a) in less for (a, b) in less):
-            raise NotPartialOrder("relation contains a cycle")
+            above[a].add(b)
+        # transitive closure: one depth-first search per element
+        less = set()
+        for a in self.elements:
+            seen = set()
+            stack = list(above[a])
+            while stack:
+                b = stack.pop()
+                if b not in seen:
+                    seen.add(b)
+                    stack.extend(above[b])
+            if a in seen:
+                raise NotPartialOrder("relation contains a cycle")
+            less.update((a, b) for b in seen)
         self.less = frozenset(less)
+        self._order = order
         self.bottom = bottom if bottom is not None else self._find_bottom()
         self.top = top if top is not None else self._find_top()
 
@@ -150,8 +154,8 @@ class Poset:
     def covers(self):
         """Pairs (a, b) with a < b and nothing strictly between."""
         out = []
-        for (a, b) in sorted(self.less, key=lambda p: (self.elements.index(p[0]),
-                                                       self.elements.index(p[1]))):
+        order = self._order
+        for (a, b) in sorted(self.less, key=lambda p: (order[p[0]], order[p[1]])):
             if not any((a, z) in self.less and (z, b) in self.less for z in self.elements):
                 out.append((a, b))
         return out

@@ -8,19 +8,17 @@ the source in the residual graph.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .network import (
     Cut,
-    FlowAssignment,
     InvalidFlow,
     NetworkError,
     residual_graph,
     validate,
 )
-from .solvers import _push, _residual
+from .solvers import InvariantViolation, _bfs, _Residual
 
 
 class NotMaximal(NetworkError):
@@ -78,20 +76,10 @@ def decompose(net, f):
     components = []
     # source-to-sink paths while the source still emits flow
     while any(g.get((s, v), 0) > 0 for v in list(out[s])):
-        parent = {s: None}
-        queue = deque([s])
-        while queue and t not in parent:
-            u = queue.popleft()
-            for v in sorted(out[u]):
-                if v not in parent:
-                    parent[v] = u
-                    queue.append(v)
-        if t not in parent:
-            raise AssertionError("positive outflow with no path to the sink")
-        path = [t]
-        while parent[path[-1]] is not None:
-            path.append(parent[path[-1]])
-        path.reverse()
+        path, _ = _bfs(s, {t}, lambda u: sorted(out[u]))
+        if path is None:
+            raise InvariantViolation("flow", f"component {len(components) + 1}",
+                                     ["positive outflow with no path to the sink"])
         amount = min(g[(path[i], path[i + 1])] for i in range(len(path) - 1))
         for i in range(len(path) - 1):
             drop(path[i], path[i + 1], amount)
@@ -127,41 +115,11 @@ def min_cut_from_flow(net, f):
     bad = validate(net, f, "flow")
     if bad:
         raise InvalidFlow(bad)
-    res = residual_graph(net, f)
-    s, t = net.source, net.sink
-    parent = {s: None}
-    queue = deque([s])
-    while queue:
-        u = queue.popleft()
-        for v in res.out_neighbors(u):
-            if v not in parent:
-                parent[v] = u
-                queue.append(v)
-    if t in parent:
-        path = [t]
-        while parent[path[-1]] is not None:
-            path.append(parent[path[-1]])
-        raise NotMaximal(reversed(path))
-    return Cut(frozenset(parent))
-
-
-def _residual_path(net, f, origin, targets):
-    """Breadth-first residual path from origin to the nearest target set member."""
-    parent = {origin: None}
-    queue = deque([origin])
-    while queue:
-        u = queue.popleft()
-        if u in targets:
-            path = [u]
-            while parent[path[-1]] is not None:
-                path.append(parent[path[-1]])
-            path.reverse()
-            return path
-        for v in sorted(set(net.out_neighbors(u)) | set(net.in_neighbors(u))):
-            if v not in parent and _residual(net, f, u, v) > 0:
-                parent[v] = u
-                queue.append(v)
-    return None
+    # the public residual graph, because it admits UNBOUNDED capacities
+    path, reached = _bfs(net.source, {net.sink}, residual_graph(net, f).out_neighbors)
+    if path is not None:
+        raise NotMaximal(path)
+    return Cut(frozenset(reached))
 
 
 def recover_flow(gst, pseudoflow, tree):
@@ -173,54 +131,29 @@ def recover_flow(gst, pseudoflow, tree):
     strong side to the weak side stay saturated, so the recovered value
     equals the capacity of the strong/weak cut.
     """
-    s, t = gst.source, gst.sink
-    strong = set(tree.strong_vertices())
+    res = _Residual(gst, pseudoflow)
     weak = set(tree.weak_vertices())
-    f = {}
-    for (u, v) in pseudoflow.support_pairs():
-        x = pseudoflow.value(u, v)
-        if x != 0:
-            f[(u, v)] = x
-            f[(v, u)] = -x
-
-    for a in sorted(strong):
-        for b in sorted(weak):
-            if _residual(gst, f, a, b) > 0:
+    for a in tree.strong_vertices():
+        for b in res.successors(a):
+            if b in weak:
                 raise NotOptimal(f"residual arc ({a}, {b}) runs from strong to weak")
 
-    excess = {v: tree.excess[v] for v in tree.branch_roots()}
-    for v in sorted(r for r in excess if excess[r] > 0):
-        while excess[v] > 0:
-            path = _residual_path(gst, f, v, {s})
+    # strong roots drain to the source first, then the sink serves weak roots
+    excess = {v: tree.excess[v] for v in tree.branch_roots() if tree.excess[v] != 0}
+    for v in sorted(excess, key=lambda v: (excess[v] < 0, v)):
+        sign = 1 if excess[v] > 0 else -1
+        origin, target = (v, gst.source) if sign > 0 else (gst.sink, v)
+        while excess[v] != 0:
+            path = res.path(origin, {target})
             if path is None:
-                raise AssertionError(f"no residual path from strong root {v} to the source")
-            amount = min(excess[v],
-                         min(_residual(gst, f, path[i], path[i + 1])
-                             for i in range(len(path) - 1)))
-            for i in range(len(path) - 1):
-                _push(f, path[i], path[i + 1], amount)
-            excess[v] -= amount
-    for v in sorted(r for r in excess if excess[r] < 0):
-        while excess[v] < 0:
-            path = _residual_path(gst, f, t, {v})
-            if path is None:
-                raise AssertionError(f"no residual path from the sink to weak root {v}")
-            amount = min(-excess[v],
-                         min(_residual(gst, f, path[i], path[i + 1])
-                             for i in range(len(path) - 1)))
-            for i in range(len(path) - 1):
-                _push(f, path[i], path[i + 1], amount)
-            excess[v] += amount
+                raise InvariantViolation("recovery", f"root {v}",
+                                         [f"no residual path from {origin} to {target}"])
+            excess[v] -= sign * res.augment(path, sign * excess[v])
 
-    values = {}
-    for (u, v) in gst.arcs:
-        x = f.get((u, v), Fraction(0))
-        if x != 0:
-            values[(u, v)] = x
-    flow = FlowAssignment(values, "flow")
+    flow = res.flow()
     bad = validate(gst, flow, "flow")
     if bad:
-        raise AssertionError(f"recovery produced an invalid flow: {bad}")
+        raise InvariantViolation("recovery", "end", bad)
     return flow
 
 

@@ -8,7 +8,17 @@
 
 All solvers work in exact rational arithmetic and return identical optimal
 values.  Instrumented mode re-checks the per-step invariants (valid
-preflow/labeling, normalized-tree conditions) and is meant for tests.
+preflow/labeling, normalized-tree conditions) and is meant for tests; a
+broken invariant raises :class:`InvariantViolation`, also under ``-O``.
+
+Every routine here and in :mod:`flowkit.decompose` works on one residual
+state: the residual capacity ``r(u, v) = cbar(u, v) - f(u, v)`` of every
+arc and of its reverse, stored directly, so that a lookup is one dict read.
+Pushing delta along (u, v) lowers r(u, v) and raises r(v, u) by the same
+amount, which keeps ``r(u, v) + r(v, u) = cbar(u, v) + cbar(v, u)`` for
+every pair; the flow is read back as ``cbar - r`` on the arcs.  Paths are
+found by one breadth-first search that scans neighbours in increasing
+index order, so every solver breaks ties by lowest index.
 """
 
 from __future__ import annotations
@@ -29,6 +39,20 @@ from .values import exact, is_unbounded
 ROOT = 0  # parent sentinel: branch hangs directly off the contracted root
 
 
+class InvariantViolation(RuntimeError):
+    """An instrumented check or an internal consistency check failed.
+
+    Names the invariant, the step at which it broke and the violations.
+    Not a :class:`NetworkError`: the input was fine, the algorithm was not.
+    """
+
+    def __init__(self, invariant, step, violations):
+        self.invariant = invariant
+        self.step = step
+        self.violations = violations
+        super().__init__(f"{invariant} invariant broken at {step}: {violations}")
+
+
 @dataclass
 class MaxflowResult:
     flow: FlowAssignment
@@ -42,26 +66,77 @@ def _require_finite(net):
         raise NetworkError("solver requires finite capacities")
 
 
-def _push(f, u, v, delta):
-    f[(u, v)] = f.get((u, v), Fraction(0)) + delta
-    f[(v, u)] = f.get((v, u), Fraction(0)) - delta
+def _bfs(origin, targets, successors):
+    """Breadth-first search from `origin`; `successors(u)` lists the
+    admissible heads of u in increasing index order.
+
+    Returns the path to the first target reached (None when none is
+    reachable) and the dict of reached vertices, each mapped to its parent.
+    """
+    parent = {origin: None}
+    queue = deque([origin])
+    while queue:
+        u = queue.popleft()
+        for v in successors(u):
+            if v not in parent:
+                parent[v] = u
+                if v in targets:
+                    path = [v]
+                    while u is not None:
+                        path.append(u)
+                        u = parent[u]
+                    path.reverse()
+                    return path, parent
+                queue.append(v)
+    return None, parent
 
 
-def _residual(net, f, u, v):
-    return net.cbar(u, v) - f.get((u, v), Fraction(0))
+class _Residual:
+    """Residual capacities of a flow-like assignment under mutation."""
 
+    __slots__ = ("net", "r", "nbrs")
 
-def _residual_neighbors(net, v):
-    return sorted(set(net.out_neighbors(v)) | set(net.in_neighbors(v)))
+    def __init__(self, net, flow=None):
+        self.net = net
+        r = dict(zip(net.arcs, net.capacities()))
+        for (u, v) in net.arcs:
+            r.setdefault((v, u), Fraction(0))
+        if flow is not None:
+            for (u, v) in r:
+                r[(u, v)] = net.cbar(u, v) - flow.value(u, v)
+        self.r = r
+        self.nbrs = {v: tuple(sorted(set(net.out_neighbors(v)) | set(net.in_neighbors(v))))
+                     for v in net.vertices()}
 
+    def push(self, u, v, delta):
+        self.r[(u, v)] -= delta
+        self.r[(v, u)] += delta
 
-def _as_flow(net, f, role="flow"):
-    values = {}
-    for (u, v) in net.arcs:
-        x = f.get((u, v), Fraction(0))
-        if x != 0:
-            values[(u, v)] = x
-    return FlowAssignment(values, role)
+    def successors(self, u):
+        r = self.r
+        return [v for v in self.nbrs[u] if r[(u, v)] > 0]
+
+    def path(self, origin, targets):
+        """Lowest-index breadth-first residual path to the nearest target."""
+        return _bfs(origin, targets, self.successors)[0]
+
+    def augment(self, path, limit=None):
+        """Push the bottleneck (at most `limit`) along the path; returns it."""
+        arcs = list(zip(path, path[1:]))
+        amount = min(self.r[a] for a in arcs)
+        if limit is not None and limit < amount:
+            amount = limit
+        for (u, v) in arcs:
+            self.push(u, v, amount)
+        return amount
+
+    def flow(self, role="flow"):
+        values = {}
+        for a, c in zip(self.net.arcs, self.net.capacities()):
+            x = c - self.r[a]
+            if x != 0:
+                values[a] = x
+        return FlowAssignment(values, role)
 
 
 # -- shortest augmenting paths -------------------------------------------
@@ -70,50 +145,28 @@ def _as_flow(net, f, role="flow"):
 def edmonds_karp(net, instrumented=False):
     """Maximum flow by shortest augmenting paths; terminates on rational input."""
     _require_finite(net)
-    s, t = net.source, net.sink
-    f = {}
+    res = _Residual(net)
     value = Fraction(0)
     augmentations = 0
     while True:
-        parent = {s: None}
-        queue = deque([s])
-        while queue and t not in parent:
-            u = queue.popleft()
-            for v in _residual_neighbors(net, u):
-                if v not in parent and _residual(net, f, u, v) > 0:
-                    parent[v] = u
-                    queue.append(v)
-        if t not in parent:
+        path = res.path(net.source, {net.sink})
+        if path is None:
             break
-        path = [t]
-        while parent[path[-1]] is not None:
-            path.append(parent[path[-1]])
-        path.reverse()
-        bottleneck = min(_residual(net, f, path[i], path[i + 1]) for i in range(len(path) - 1))
-        for i in range(len(path) - 1):
-            _push(f, path[i], path[i + 1], bottleneck)
-        value += bottleneck
+        value += res.augment(path)
         augmentations += 1
         if instrumented:
-            bad = validate(net, _as_flow(net, f), "flow")
-            assert not bad, f"invalid intermediate flow: {bad}"
-    flow = _as_flow(net, f)
-    return MaxflowResult(flow, value, {"augmentations": augmentations, "value": value})
+            bad = validate(net, res.flow(), "flow")
+            if bad:
+                raise InvariantViolation("flow", f"augmentation {augmentations}", bad)
+    return MaxflowResult(res.flow(), value, {"augmentations": augmentations, "value": value})
 
 
 # -- FIFO preflow-push ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LabelFunction:
-    """Distance labels d(v); valid when d(s)=n, d(t)=0 and every residual
-    arc (u, v) satisfies d(u) <= d(v) + 1."""
-
-    labels: dict
-
-
-def labeling_violations(net, f, lab):
-    labels = lab.labels if isinstance(lab, LabelFunction) else lab
+def labeling_violations(net, f, labels):
+    """Distance labels d(v) are valid when d(s)=n, d(t)=0 and every
+    residual arc (u, v) satisfies d(u) <= d(v) + 1."""
     bad = []
     if labels.get(net.source) != net.n:
         bad.append(("source_label", net.source))
@@ -123,12 +176,11 @@ def labeling_violations(net, f, lab):
         d = labels.get(v, math.inf)
         if d != math.inf and (d < 0 or d != int(d)):
             bad.append(("label_range", v))
-    fa = f if isinstance(f, FlowAssignment) else FlowAssignment(f, "preflow")
+    res = _Residual(net, f)
     for u in net.vertices():
-        for v in _residual_neighbors(net, u):
-            if net.cbar(u, v) - fa.value(u, v) > 0:
-                if labels.get(u, math.inf) > labels.get(v, math.inf) + 1:
-                    bad.append(("residual_edge", (u, v)))
+        for v in res.successors(u):
+            if labels.get(u, math.inf) > labels.get(v, math.inf) + 1:
+                bad.append(("residual_edge", (u, v)))
     return bad
 
 
@@ -142,14 +194,15 @@ def push_relabel(net, instrumented=False):
     """
     _require_finite(net)
     n, s, t = net.n, net.source, net.sink
-    f = {}
+    res = _Residual(net)
+    r, nbrs = res.r, res.nbrs
     excess = {v: Fraction(0) for v in net.vertices()}
     d = {v: 0 for v in net.vertices()}
     d[s] = n
     for v in net.out_neighbors(s):
         c = net.capacity(s, v)
         if c > 0:
-            _push(f, s, v, c)
+            res.push(s, v, c)
             excess[v] += c
             excess[s] -= c
     queue = deque(v for v in sorted(net.vertices())
@@ -158,22 +211,24 @@ def push_relabel(net, instrumented=False):
     pushes = relabels = 0
 
     def checkpoint():
-        bad = validate(net, _as_flow(net, f, "preflow"), "preflow")
-        bad += labeling_violations(net, _as_flow(net, f, "preflow"), d)
-        assert not bad, f"push-relabel invariant broken: {bad}"
+        preflow = res.flow("preflow")
+        bad = validate(net, preflow, "preflow") + labeling_violations(net, preflow, d)
+        if bad:
+            raise InvariantViolation("preflow+labeling",
+                                     f"operation {pushes + relabels}", bad)
 
     while queue:
         v = queue.popleft()
         queued.discard(v)
         while excess[v] > 0:
             pushed = False
-            for w in _residual_neighbors(net, v):
+            for w in nbrs[v]:
                 if excess[v] == 0:
                     break
-                r = _residual(net, f, v, w)
-                if r > 0 and d[v] == d[w] + 1:
-                    delta = min(excess[v], r)
-                    _push(f, v, w, delta)
+                rv = r[(v, w)]
+                if rv > 0 and d[v] == d[w] + 1:
+                    delta = min(excess[v], rv)
+                    res.push(v, w, delta)
                     excess[v] -= delta
                     excess[w] += delta
                     pushes += 1
@@ -186,18 +241,16 @@ def push_relabel(net, instrumented=False):
             if excess[v] == 0:
                 break
             if not pushed:
-                d[v] = min(d[w] + 1 for w in _residual_neighbors(net, v)
-                           if _residual(net, f, v, w) > 0)
+                d[v] = min(d[w] + 1 for w in res.successors(v))
                 relabels += 1
                 if instrumented:
                     checkpoint()
 
-    flow = _as_flow(net, f)
     value = excess[t]
-    result = MaxflowResult(flow, value, {"pushes": pushes, "relabels": relabels,
-                                         "value": value})
+    result = MaxflowResult(res.flow(), value, {"pushes": pushes, "relabels": relabels,
+                                               "value": value})
     if instrumented:
-        result.debug = {"labels": LabelFunction(dict(d))}
+        result.debug = {"labels": dict(d)}
     return result
 
 
@@ -316,12 +369,13 @@ def _pseudoflow_core(net, instrumented=False):
     iteration count."""
     s, t = net.source, net.sink
     internal = sorted(v for v in net.vertices() if v not in (s, t))
-    f = {}
+    res = _Residual(net)
+    r, nbrs = res.r, res.nbrs
     for v in net.out_neighbors(s):
-        _push(f, s, v, net.capacity(s, v))
+        res.push(s, v, net.capacity(s, v))
     for v in net.in_neighbors(t):
         if v != s:  # a direct (s, t) arc is already saturated
-            _push(f, v, t, net.capacity(v, t))
+            res.push(v, t, net.capacity(v, t))
     parent = {v: ROOT for v in internal}
     children = {v: set() for v in internal}
     excess = {v: net.cbar(s, v) - net.cbar(v, t) for v in internal}
@@ -351,14 +405,14 @@ def _pseudoflow_core(net, instrumented=False):
         if not strong_roots:
             return None
         strong = set()
-        for r in strong_roots:
-            strong.update(subtree(r))
-        for r in strong_roots:
-            for a in sorted(subtree(r)):
-                for b in _residual_neighbors(net, a):
+        for root in strong_roots:
+            strong.update(subtree(root))
+        for root in strong_roots:
+            for a in sorted(subtree(root)):
+                for b in nbrs[a]:
                     if b in (s, t) or b in strong:
                         continue
-                    if _residual(net, f, a, b) > 0:
+                    if r[(a, b)] > 0:
                         return (a, b)
         return None
 
@@ -392,25 +446,26 @@ def _pseudoflow_core(net, instrumented=False):
         i = 0
         while i < len(path) - 1 and delta > 0:
             u, u2 = path[i], path[i + 1]
-            r = _residual(net, f, u, u2)
-            if delta > r:
+            room = r[(u, u2)]
+            if delta > room:
                 # split: the tail keeps the excess that could not cross
                 children[u2].discard(u)
                 parent[u] = ROOT
-                excess[u] = delta - r
-                if r > 0:
-                    _push(f, u, u2, r)
-                delta = r
+                excess[u] = delta - room
+                if room > 0:
+                    res.push(u, u2, room)
+                delta = room
             else:
-                _push(f, u, u2, delta)
+                res.push(u, u2, delta)
             i += 1
         if delta > 0:
             excess[path[-1]] += delta
         if instrumented:
-            bad = normalized_tree_violations(net, _as_flow(net, f, "pseudoflow"), snapshot())
-            assert not bad, f"normalized tree broken after iteration {iterations}: {bad}"
+            bad = normalized_tree_violations(net, res.flow("pseudoflow"), snapshot())
+            if bad:
+                raise InvariantViolation("normalized tree", f"iteration {iterations}", bad)
 
-    return snapshot(), _as_flow(net, f, "pseudoflow"), iterations, initial_tree
+    return snapshot(), res.flow("pseudoflow"), iterations, initial_tree
 
 
 @dataclass

@@ -24,6 +24,7 @@ from flowkit.network import (
     zero_flow,
 )
 from flowkit.solvers import (
+    InvariantViolation,
     NormalizedTree,
     ROOT,
     WeightedGraph,
@@ -138,6 +139,17 @@ def test_recover_rejects_non_optimal_tree():
     tree = NormalizedTree(ROOT, {2: ROOT, 3: ROOT}, {2: Fraction(2), 3: Fraction(-1)})
     with pytest.raises(NotOptimal):
         recover_flow(net, pf, tree)
+
+
+def test_recover_reports_an_invalid_result(monkeypatch):
+    import flowkit.decompose
+
+    gst = build_gst(WeightedGraph(2, {1: 2, 2: -1}, {(1, 2): 3}))
+    tree, pf, _, _ = _pseudoflow_core(gst)
+    monkeypatch.setattr(flowkit.decompose, "validate", lambda *args: ["fake"])
+    with pytest.raises(InvariantViolation) as err:
+        recover_flow(gst, pf, tree)
+    assert (err.value.invariant, err.value.violations) == ("recovery", ["fake"])
 
 
 def test_component_serialization_round_trip(rng):

@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 
 from conftest import make_random_network
-from flowkit.network import build_network, validate
+from flowkit import solvers
+from flowkit.network import NetworkError, Violation, build_network, validate
 from flowkit.solvers import (
     ROOT,
+    InvariantViolation,
     WeightedGraph,
     build_gst,
     edmonds_karp,
@@ -74,6 +76,22 @@ def test_push_relabel_instrumented_invariants(rng):
         result = push_relabel(net, instrumented=True)
         labels = result.debug["labels"]
         assert labeling_violations(net, result.flow.with_role("preflow"), labels) == []
+
+
+@pytest.mark.parametrize("solver, invariant, step", [
+    (edmonds_karp, "flow", "augmentation 1"),
+    (push_relabel, "preflow+labeling", "operation 1"),
+    (hochbaum_maxflow, "normalized tree", "iteration 1"),
+])
+def test_instrumented_check_raises_typed_error(monkeypatch, g1, solver, invariant, step):
+    # a raised error, not an assert, so the check survives `python -O`
+    fake = [Violation("capacity", (1, 2), Fraction(1))]
+    monkeypatch.setattr(solvers, "validate", lambda *args: fake)
+    with pytest.raises(InvariantViolation) as err:
+        solver(g1, instrumented=True)
+    assert (err.value.invariant, err.value.step) == (invariant, step)
+    assert err.value.violations and f"{invariant} invariant broken at {step}" in str(err.value)
+    assert not isinstance(err.value, NetworkError)  # the CLI maps those to exit 2
 
 
 def test_push_relabel_operation_bound(rng):
