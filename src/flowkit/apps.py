@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .decompose import decompose, min_cut_from_flow
-from .network import NetworkError, build_network, cut_capacity
+from .network import InvariantViolation, NetworkError, build_network, cut_capacity
 from .solvers import edmonds_karp
 from .values import exact
 
@@ -188,7 +188,8 @@ def max_disjoint_chains(p):
     names = {i: e for e, i in index.items()}
     chains = []
     for comp in components:
-        assert comp.kind == "path" and comp.amount == 1  # unit caps on a DAG
+        if comp.kind != "path" or comp.amount != 1:  # unit caps on a DAG
+            raise InvariantViolation("unit path", "max_disjoint_chains", [comp])
         chains.append(tuple(names[v] for v in comp.vertices))
     return chains
 
@@ -344,7 +345,9 @@ def segment_image(img):
     cut = min_cut_from_flow(net, result.flow)
     foreground = frozenset(p for p in pixels if pid[p] in cut.source_side)
     cost = segmentation_cost(img, foreground)
-    assert cost == cut_capacity(net, cut) == result.value
+    if not cost == cut_capacity(net, cut) == result.value:
+        raise InvariantViolation("cut cost", "segment_image",
+                                 [cost, cut_capacity(net, cut), result.value])
     return Segmentation(foreground, segmentation_score(img, foreground),
                         cost, img.total_mass())
 

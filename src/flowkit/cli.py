@@ -2,7 +2,8 @@
 
 Results go to stdout (or --output); diagnostics and per-run statistics go
 to stderr as `key=value` lines, so stdout stays machine-consumable.
-Exit codes: 0 success, 1 infeasible/violation result, 2 input error.
+Exit codes: 0 success, 1 infeasible/violation result, 2 input error,
+3 internal error (a broken invariant: a bug in flowkit, not in the input).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import argparse
 import sys
 
 from . import apps, decompose, lp, network, simplicial, solvers
-from .values import format_value, is_unbounded, parse_value
+from .values import format_value, parse_value
 
 DIMACS_GRAMMAR = """\
 network file (maximum-flow problem):
@@ -205,16 +206,17 @@ def cmd_hcut(args):
         except ValueError:
             _diag(f"error: --sprime expects comma-separated face indices, got {args.sprime!r}")
             return 2
+        unknown = sorted(set(indices) - set(range(len(faces))))
+        if unknown:
+            _diag(f"error: --sprime names unknown face indices {unknown}")
+            return 2
         s_side = frozenset(f for i, f in enumerate(faces) if i not in set(indices))
         cut = simplicial.make_hcut(hnet.complex, s_side)
         cap, point = simplicial.hcut_capacity(hnet, cut)
     else:
-        best = None
-        for candidate in simplicial.all_hcuts(hnet.complex, budget=args.budget):
-            cap, point = simplicial.hcut_capacity(hnet, candidate)
-            if best is None or _cap_less(cap, best[0]):
-                best = (cap, point, candidate)
-        cap, point, cut = best
+        cap, point = min((simplicial.hcut_capacity(hnet, candidate)
+                          for candidate in simplicial.all_hcuts(hnet.complex, budget=args.budget)),
+                         key=lambda pair: pair[0])
     lines = []
     for i, face in enumerate(faces):
         lines.append(f"lambda {i} {format_value(point.lam[face])}")
@@ -223,14 +225,6 @@ def cmd_hcut(args):
     lines.append(f"cap {format_value(cap)}")
     _emit(args, "\n".join(lines) + "\n")
     return 0
-
-
-def _cap_less(a, b):
-    if is_unbounded(b):
-        return not is_unbounded(a)
-    if is_unbounded(a):
-        return False
-    return a < b
 
 
 def cmd_conjecture_probe(args):
@@ -311,7 +305,7 @@ def build_parser():
     p.add_argument("--budget", type=int, default=4096)
 
     p = add("conjecture-probe", cmd_conjecture_probe,
-            "randomized search for augmentation/LP gaps on 2-complexes",
+            "compare the augmentation fixpoint with the LP optimum on random 2-complexes",
             "report: one `trial ...` line per instance; discrepancy instances\n"
             "are embedded as `inst <trial> <line>` records and re-runnable.")
     p.add_argument("--seed", type=int, default=0)
@@ -336,6 +330,9 @@ def main(argv=None):
             simplicial.ComplexError) as exc:
         _diag(f"error: {exc}")
         return 2
+    except network.InvariantViolation as exc:
+        _diag(f"error: internal: {exc}")
+        return 3
 
 
 if __name__ == "__main__":

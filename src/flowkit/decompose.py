@@ -14,11 +14,12 @@ from fractions import Fraction
 from .network import (
     Cut,
     InvalidFlow,
+    InvariantViolation,
     NetworkError,
-    residual_graph,
+    ResidualGraph,
+    _bfs,
     validate,
 )
-from .solvers import InvariantViolation, _bfs, _Residual
 
 
 class NotMaximal(NetworkError):
@@ -115,8 +116,7 @@ def min_cut_from_flow(net, f):
     bad = validate(net, f, "flow")
     if bad:
         raise InvalidFlow(bad)
-    # the public residual graph, because it admits UNBOUNDED capacities
-    path, reached = _bfs(net.source, {net.sink}, residual_graph(net, f).out_neighbors)
+    path, reached = _bfs(net.source, {net.sink}, ResidualGraph(net, f).out_neighbors)
     if path is not None:
         raise NotMaximal(path)
     return Cut(frozenset(reached))
@@ -131,10 +131,10 @@ def recover_flow(gst, pseudoflow, tree):
     strong side to the weak side stay saturated, so the recovered value
     equals the capacity of the strong/weak cut.
     """
-    res = _Residual(gst, pseudoflow)
+    res = ResidualGraph(gst, pseudoflow)
     weak = set(tree.weak_vertices())
     for a in tree.strong_vertices():
-        for b in res.successors(a):
+        for b in res.out_neighbors(a):
             if b in weak:
                 raise NotOptimal(f"residual arc ({a}, {b}) runs from strong to weak")
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .network import Cut, cut_capacity, incidence_matrix
-from .values import UNBOUNDED, cap_add, is_unbounded
+from .network import Cut, InvariantViolation, all_cuts, cut_capacity, incidence_matrix
+from .values import is_unbounded
 
 
 class Malformed(Exception):
@@ -175,7 +175,8 @@ def solve_standard(objective, ub_rows=(), ub_bounds=(), eq_rows=(), eq_bounds=()
             obj1[c] = Fraction(-1)
         rows = [reduced_row(obj1), reduced_row(obj2)]
         status = _bland_loop(tableau, basis, rows, range(total))
-        assert status == "optimal"  # phase 1 is bounded by zero
+        if status != "optimal":  # phase 1 is bounded by zero
+            raise InvariantViolation("phase 1", "simplex", [status])
         if rows[0][-1] != 0:
             return "infeasible", None
         # drive surviving artificials out of the basis
@@ -344,11 +345,8 @@ def dual_violations(net, point):
 
 
 def dual_objective(net, point):
-    total = Fraction(0)
-    for k, cap in enumerate(net.capacities()):
-        if point.e[k] != 0:
-            total = cap_add(total, cap * point.e[k] if not is_unbounded(cap) else UNBOUNDED)
-    return total
+    return sum((c if is_unbounded(c) else c * x
+                for c, x in zip(net.capacities(), point.e) if x != 0), Fraction(0))
 
 
 def cut_from_dual(net, point):
@@ -366,31 +364,20 @@ def cut_from_dual(net, point):
     for vertex, val in point.v.items():
         if Fraction(-1) < val < Fraction(0):
             candidates.add(val)
-    best_cut = None
-    best_cap = None
+    cuts = []
     for chi in sorted(candidates):
         side = frozenset(v for v in net.vertices() if point.v[v] <= chi)
-        if net.sink in side or net.source not in side:
-            continue
-        cut = Cut(side)
-        cap = cut_capacity(net, cut)
-        if best_cap is None or (not is_unbounded(cap) and (is_unbounded(best_cap) or cap < best_cap)):
-            best_cut, best_cap = cut, cap
-    assert best_cut is not None
-    return best_cut
+        if net.source in side and net.sink not in side:
+            cuts.append(Cut(side))
+    if not cuts:  # chi = -1 keeps the source and drops the sink
+        raise InvariantViolation("dual rounding", "threshold sweep", ["no cut"])
+    return min(cuts, key=lambda cut: cut_capacity(net, cut))
 
 
 def min_cut_by_enumeration(net):
     """Brute-force minimum cut over all 2^(n-2) partitions (desk scale)."""
-    from .network import all_cuts
-
-    best = None
-    best_cap = None
-    for cut in all_cuts(net):
-        cap = cut_capacity(net, cut)
-        if best_cap is None or (not is_unbounded(cap) and (is_unbounded(best_cap) or cap < best_cap)):
-            best, best_cap = cut, cap
-    return best, best_cap
+    return min(((cut, cut_capacity(net, cut)) for cut in all_cuts(net)),
+               key=lambda pair: pair[1])
 
 
 # -- total unimodularity ----------------------------------------------------

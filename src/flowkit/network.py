@@ -12,22 +12,26 @@ Flow-like assignments are antisymmetric functions on vertex pairs
 * ``flow``       capacity + conservation at every vertex except s, t
 * ``preflow``    capacity + non-negative excess at every vertex except s
 * ``pseudoflow`` capacity only
+
+Every solver, flow recovery, decomposition and cut extraction works on one
+residual state, :class:`ResidualGraph`: the residual capacity
+``r(u, v) = cbar(u, v) - f(u, v)`` of every arc and of its reverse, stored
+directly, so that a lookup is one dict read.  Pushing delta along (u, v)
+lowers r(u, v) and raises r(v, u) by the same amount, which keeps
+``r(u, v) + r(v, u) = cbar(u, v) + cbar(v, u)`` for every pair; the flow is
+read back as ``cbar - r`` on the arcs.  An UNBOUNDED arc keeps an UNBOUNDED
+residual capacity.  Paths are found by one breadth-first search that scans
+neighbours in increasing index order, so every solver breaks ties by
+lowest index.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .values import (
-    UNBOUNDED,
-    cap_add,
-    cap_le,
-    exact,
-    format_value,
-    is_unbounded,
-    parse_value,
-)
+from .values import exact, format_value, is_unbounded, parse_value
 
 ROLES = ("flow", "preflow", "pseudoflow")
 
@@ -54,6 +58,20 @@ class InvalidFlow(NetworkError):
     def __init__(self, violations):
         self.violations = violations
         super().__init__(f"invalid flow: {violations[:3]}{'...' if len(violations) > 3 else ''}")
+
+
+class InvariantViolation(RuntimeError):
+    """An instrumented check or an internal consistency check failed.
+
+    Names the invariant, the step at which it broke and the violations.
+    Not a :class:`NetworkError`: the input was fine, the algorithm was not.
+    """
+
+    def __init__(self, invariant, step, violations):
+        self.invariant = invariant
+        self.step = step
+        self.violations = violations
+        super().__init__(f"{invariant} invariant broken at {step}: {violations}")
 
 
 class ParseError(NetworkError):
@@ -306,41 +324,96 @@ def all_cuts(net):
             yield Cut(frozenset((net.source,) + extra))
 
 
+def _bfs(origin, targets, successors):
+    """Breadth-first search from `origin`; `successors(u)` lists the
+    admissible heads of u in increasing index order.
+
+    Returns the path to the first target reached (None when none is
+    reachable) and the dict of reached vertices, each mapped to its parent.
+    """
+    parent = {origin: None}
+    queue = deque([origin])
+    while queue:
+        u = queue.popleft()
+        for v in successors(u):
+            if v not in parent:
+                parent[v] = u
+                if v in targets:
+                    path = [v]
+                    while u is not None:
+                        path.append(u)
+                        u = parent[u]
+                    path.reverse()
+                    return path, parent
+                queue.append(v)
+    return None, parent
+
+
 class ResidualGraph:
-    """Pairs with strictly positive residual capacity `c_f = cbar - f`."""
+    """Residual capacities `c_f = cbar - f` of a flow-like assignment
+    (the zero flow when none is given), under mutation."""
 
-    __slots__ = ("n", "arcs", "_out")
+    __slots__ = ("net", "r", "nbrs")
 
-    def __init__(self, n, arcs):
-        self.n = n
-        self.arcs = dict(arcs)
-        out = {v: [] for v in range(1, n + 1)}
-        for (u, v) in self.arcs:
-            out[u].append(v)
-        self._out = {v: tuple(sorted(ws)) for v, ws in out.items()}
+    def __init__(self, net, flow=None):
+        self.net = net
+        r = dict(zip(net.arcs, net.capacities()))
+        for (u, v) in net.arcs:
+            r.setdefault((v, u), Fraction(0))
+        if flow is not None:
+            for (u, v) in r:
+                r[(u, v)] = net.cbar(u, v) - flow.value(u, v)
+        self.r = r
+        self.nbrs = {v: tuple(sorted(set(net.out_neighbors(v)) | set(net.in_neighbors(v))))
+                     for v in net.vertices()}
+
+    @property
+    def n(self):
+        return self.net.n
+
+    @property
+    def arcs(self):
+        """Pairs with strictly positive residual capacity."""
+        return {a: x for a, x in self.r.items() if x > 0}
 
     def capacity(self, u, v):
-        return self.arcs.get((u, v), Fraction(0))
+        return self.r.get((u, v), Fraction(0))
 
-    def out_neighbors(self, v):
-        return self._out[v]
+    def out_neighbors(self, u):
+        r = self.r
+        return [v for v in self.nbrs[u] if r[(u, v)] > 0]
+
+    def push(self, u, v, delta):
+        self.r[(u, v)] -= delta
+        self.r[(v, u)] += delta
+
+    def path(self, origin, targets):
+        """Lowest-index breadth-first residual path to the nearest target."""
+        return _bfs(origin, targets, self.out_neighbors)[0]
+
+    def augment(self, path, limit=None):
+        """Push the bottleneck (at most `limit`) along the path; returns it."""
+        arcs = list(zip(path, path[1:]))
+        amount = min(self.r[a] for a in arcs)
+        if limit is not None and limit < amount:
+            amount = limit
+        for (u, v) in arcs:
+            self.push(u, v, amount)
+        return amount
+
+    def flow(self, role="flow"):
+        """The assignment `cbar - r` on the arcs; needs finite capacities."""
+        values = {}
+        for a, c in zip(self.net.arcs, self.net.capacities()):
+            x = c - self.r[a]
+            if x != 0:
+                values[a] = x
+        return FlowAssignment(values, role)
 
 
 def residual_graph(net, f):
     """Residual graph of a flow/preflow/pseudoflow (same formula for all roles)."""
-    arcs = {}
-    candidates = set(net.arcs)
-    candidates.update((v, u) for (u, v) in net.arcs)
-    candidates.update(f.support_pairs())
-    for (u, v) in candidates:
-        c = net.cbar(u, v)
-        if is_unbounded(c):
-            arcs[(u, v)] = UNBOUNDED
-            continue
-        r = c - f.value(u, v)
-        if r > 0:
-            arcs[(u, v)] = r
-    return ResidualGraph(net.n, arcs)
+    return ResidualGraph(net, f)
 
 
 def validate(net, f, role=None):
@@ -357,7 +430,7 @@ def validate(net, f, role=None):
 
     for (u, v) in sorted(f.support_pairs()):
         x = f.value(u, v)
-        if not cap_le(x, net.cbar(u, v)):
+        if x > net.cbar(u, v):
             violations.append(Violation("capacity", (u, v), x - net.cbar(u, v)))
 
     if role == "flow":
@@ -403,11 +476,8 @@ def flow_across_cut(net, f, cut):
 def cut_capacity(net, cut):
     """Sum of the capacities of the arcs directed from S to S-bar."""
     side = cut.source_side
-    total = Fraction(0)
-    for i, (u, v) in enumerate(net.arcs):
-        if u in side and v not in side:
-            total = cap_add(total, net.capacities()[i])
-    return total
+    return sum((c for (u, v), c in zip(net.arcs, net.capacities())
+                if u in side and v not in side), Fraction(0))
 
 
 def incidence_matrix(net):

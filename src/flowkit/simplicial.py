@@ -22,6 +22,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .lp import BudgetExceeded, make_lp, solve_standard
+from .network import InvariantViolation, ParseError
 from .values import UNBOUNDED, exact, format_value, is_unbounded, parse_value
 
 
@@ -268,8 +269,7 @@ def hflow_violations(hnet, flow):
     for j, x in enumerate(values):
         if x < 0:
             bad.append(("negative", j))
-        c = hnet.capacity(j)
-        if not is_unbounded(c) and x > c:
+        if x > hnet.capacity(j):
             bad.append(("capacity", j))
     ok, residuals = is_weighted_cycle(hnet.complex, values)
     bad.extend(("cycle", face) for face in sorted(residuals))
@@ -342,7 +342,8 @@ def hmaxflow_lp(hnet):
     status, point = solve_standard(objective, ub_rows, ub_bounds, eq_rows, eq_bounds)
     if status == "unbounded":
         return HMaxflowResult("unbounded", None, None)
-    assert status == "optimal"  # the zero flow is always feasible
+    if status != "optimal":  # the zero flow is always feasible
+        raise InvariantViolation("feasible zero flow", "hmaxflow_lp", [status])
     flow = HFlow(tuple(point))
     return HMaxflowResult("optimal", flow, point[hnet.t_index])
 
@@ -363,11 +364,9 @@ class ResidualFacet:
 def residual_complex(hnet, values):
     out = []
     for j in range(hnet.facet_count()):
-        c = hnet.capacity(j)
-        if is_unbounded(c):
-            out.append(ResidualFacet(j, True, UNBOUNDED))
-        elif c - values[j] > 0:
-            out.append(ResidualFacet(j, True, c - values[j]))
+        r = hnet.capacity(j) - values[j]
+        if r > 0:
+            out.append(ResidualFacet(j, True, r))
         if values[j] > 0:
             out.append(ResidualFacet(j, False, values[j]))
     return out
@@ -414,7 +413,8 @@ def find_augmenting_cycle(hnet, values):
     status, point = solve_standard(objective, eq_rows=eq_rows, eq_bounds=eq_bounds)
     if status == "infeasible":
         return None
-    assert status == "optimal"  # objective bounded above by zero
+    if status != "optimal":  # objective bounded above by zero
+        raise InvariantViolation("bounded cycle LP", "find_augmenting_cycle", [status])
     scale = 1
     for y in point:
         scale = scale * y.denominator // math.gcd(scale, y.denominator)
@@ -447,28 +447,26 @@ def hmaxflow_augment(hnet, max_rounds=500, instrumented=False):
         if cycle is None:
             flow = HFlow(tuple(values))
             return HMaxflowResult("optimal", flow, values[hnet.t_index], trace)
-        amount = None
+        where = f"augmentation {len(trace) + 1}"
+        bottlenecks = []
         for (j, direction, coeff) in cycle.terms:
-            if direction > 0:
-                r = hnet.capacity(j)
-                if not is_unbounded(r):
-                    r = r - values[j]
-            else:
-                r = values[j]
+            r = hnet.capacity(j) - values[j] if direction > 0 else values[j]
             if not is_unbounded(r):
-                step = Fraction(r, coeff)
-                amount = step if amount is None or step < amount else amount
-        assert amount is not None and amount > 0
+                bottlenecks.append(Fraction(r, coeff))
+        amount = min(bottlenecks, default=None)
+        if amount is None or amount <= 0:
+            raise InvariantViolation("positive bottleneck", where, [amount])
         before = values[hnet.t_index]
         for (j, direction, coeff) in cycle.terms:
             values[j] += direction * coeff * amount
         gain = values[hnet.t_index] - before
         if gain <= 0:
-            raise AssertionError("augmenting cycle failed to increase the carried amount")
+            raise InvariantViolation("carried amount increases", where, [gain])
         trace.append(AugmentationStep(cycle, amount, gain))
         if instrumented:
             bad = hflow_violations(hnet, HFlow(tuple(values)))
-            assert not bad, f"augmentation produced an infeasible flow: {bad}"
+            if bad:
+                raise InvariantViolation("hflow", where, bad)
     raise BudgetExceeded(f"no fixpoint within {max_rounds} augmentations")
 
 
@@ -652,8 +650,6 @@ def write_hnet(hnet):
 
 
 def read_hnet(text):
-    from .network import ParseError
-
     dim = None
     facets = []
     caps = {}
@@ -705,9 +701,8 @@ def write_hflow(hnet, flow):
 
 
 def read_hflow(hnet, text):
-    from .network import ParseError
-
     values = [Fraction(0)] * hnet.facet_count()
+    seen = set()
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
         if not line:
@@ -717,9 +712,15 @@ def read_hflow(hnet, text):
             if len(fields) != 3:
                 raise ParseError("expected `hf <facet-index> <value>`", line_no)
             try:
-                values[int(fields[1])] = parse_value(fields[2])
-            except (ValueError, IndexError) as exc:
+                j, x = int(fields[1]), parse_value(fields[2])
+            except ValueError as exc:
                 raise ParseError(str(exc), line_no)
+            if not 0 <= j < len(values):
+                raise ParseError(f"no facet with index {j}", line_no)
+            if j in seen:
+                raise ParseError(f"duplicate value for facet {j}", line_no)
+            seen.add(j)
+            values[j] = x
         elif fields[0] == "s":
             continue
         else:
@@ -791,9 +792,16 @@ def random_hnetwork(rng, max_facets=8, max_vertices=6, max_cap=5):
 
 
 def conjecture_probe(seed, trials, max_facets=8):
-    """Search for instances where the augmentation fixpoint falls short of
-    the LP optimum.  The report states per-instance facts only; zero
-    discrepancies does not settle anything."""
+    """Compare the augmentation fixpoint with the LP optimum on random
+    instances and report any instance where the fixpoint falls short.
+
+    :func:`find_augmenting_cycle` admits any non-negative rational
+    combination of residual copies.  At a feasible x below the optimum x*,
+    (x* - x) / (x*_T - x_T) is therefore feasible for its LP, so the
+    fixpoint provably equals the LP optimum and this probe cannot report a
+    discrepancy; it is a consistency check of the two solvers.  The open
+    question concerns unit-coefficient (+-1) cycles, which this relaxation
+    does not model."""
     records = []
     for i in range(trials):
         rng = random.Random(f"{seed}:{i}")

@@ -10,15 +10,7 @@ All solvers work in exact rational arithmetic and return identical optimal
 values.  Instrumented mode re-checks the per-step invariants (valid
 preflow/labeling, normalized-tree conditions) and is meant for tests; a
 broken invariant raises :class:`InvariantViolation`, also under ``-O``.
-
-Every routine here and in :mod:`flowkit.decompose` works on one residual
-state: the residual capacity ``r(u, v) = cbar(u, v) - f(u, v)`` of every
-arc and of its reverse, stored directly, so that a lookup is one dict read.
-Pushing delta along (u, v) lowers r(u, v) and raises r(v, u) by the same
-amount, which keeps ``r(u, v) + r(v, u) = cbar(u, v) + cbar(v, u)`` for
-every pair; the flow is read back as ``cbar - r`` on the arcs.  Paths are
-found by one breadth-first search that scans neighbours in increasing
-index order, so every solver breaks ties by lowest index.
+Every solver works on :class:`flowkit.network.ResidualGraph`.
 """
 
 from __future__ import annotations
@@ -28,29 +20,19 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .decompose import recover_flow
 from .network import (
     FlowAssignment,
+    InvariantViolation,
     NetworkError,
+    ResidualGraph,
     build_network,
+    net_flow,
     validate,
 )
 from .values import exact, is_unbounded
 
 ROOT = 0  # parent sentinel: branch hangs directly off the contracted root
-
-
-class InvariantViolation(RuntimeError):
-    """An instrumented check or an internal consistency check failed.
-
-    Names the invariant, the step at which it broke and the violations.
-    Not a :class:`NetworkError`: the input was fine, the algorithm was not.
-    """
-
-    def __init__(self, invariant, step, violations):
-        self.invariant = invariant
-        self.step = step
-        self.violations = violations
-        super().__init__(f"{invariant} invariant broken at {step}: {violations}")
 
 
 @dataclass
@@ -66,86 +48,13 @@ def _require_finite(net):
         raise NetworkError("solver requires finite capacities")
 
 
-def _bfs(origin, targets, successors):
-    """Breadth-first search from `origin`; `successors(u)` lists the
-    admissible heads of u in increasing index order.
-
-    Returns the path to the first target reached (None when none is
-    reachable) and the dict of reached vertices, each mapped to its parent.
-    """
-    parent = {origin: None}
-    queue = deque([origin])
-    while queue:
-        u = queue.popleft()
-        for v in successors(u):
-            if v not in parent:
-                parent[v] = u
-                if v in targets:
-                    path = [v]
-                    while u is not None:
-                        path.append(u)
-                        u = parent[u]
-                    path.reverse()
-                    return path, parent
-                queue.append(v)
-    return None, parent
-
-
-class _Residual:
-    """Residual capacities of a flow-like assignment under mutation."""
-
-    __slots__ = ("net", "r", "nbrs")
-
-    def __init__(self, net, flow=None):
-        self.net = net
-        r = dict(zip(net.arcs, net.capacities()))
-        for (u, v) in net.arcs:
-            r.setdefault((v, u), Fraction(0))
-        if flow is not None:
-            for (u, v) in r:
-                r[(u, v)] = net.cbar(u, v) - flow.value(u, v)
-        self.r = r
-        self.nbrs = {v: tuple(sorted(set(net.out_neighbors(v)) | set(net.in_neighbors(v))))
-                     for v in net.vertices()}
-
-    def push(self, u, v, delta):
-        self.r[(u, v)] -= delta
-        self.r[(v, u)] += delta
-
-    def successors(self, u):
-        r = self.r
-        return [v for v in self.nbrs[u] if r[(u, v)] > 0]
-
-    def path(self, origin, targets):
-        """Lowest-index breadth-first residual path to the nearest target."""
-        return _bfs(origin, targets, self.successors)[0]
-
-    def augment(self, path, limit=None):
-        """Push the bottleneck (at most `limit`) along the path; returns it."""
-        arcs = list(zip(path, path[1:]))
-        amount = min(self.r[a] for a in arcs)
-        if limit is not None and limit < amount:
-            amount = limit
-        for (u, v) in arcs:
-            self.push(u, v, amount)
-        return amount
-
-    def flow(self, role="flow"):
-        values = {}
-        for a, c in zip(self.net.arcs, self.net.capacities()):
-            x = c - self.r[a]
-            if x != 0:
-                values[a] = x
-        return FlowAssignment(values, role)
-
-
 # -- shortest augmenting paths -------------------------------------------
 
 
 def edmonds_karp(net, instrumented=False):
     """Maximum flow by shortest augmenting paths; terminates on rational input."""
     _require_finite(net)
-    res = _Residual(net)
+    res = ResidualGraph(net)
     value = Fraction(0)
     augmentations = 0
     while True:
@@ -176,9 +85,9 @@ def labeling_violations(net, f, labels):
         d = labels.get(v, math.inf)
         if d != math.inf and (d < 0 or d != int(d)):
             bad.append(("label_range", v))
-    res = _Residual(net, f)
+    res = ResidualGraph(net, f)
     for u in net.vertices():
-        for v in res.successors(u):
+        for v in res.out_neighbors(u):
             if labels.get(u, math.inf) > labels.get(v, math.inf) + 1:
                 bad.append(("residual_edge", (u, v)))
     return bad
@@ -194,7 +103,7 @@ def push_relabel(net, instrumented=False):
     """
     _require_finite(net)
     n, s, t = net.n, net.source, net.sink
-    res = _Residual(net)
+    res = ResidualGraph(net)
     r, nbrs = res.r, res.nbrs
     excess = {v: Fraction(0) for v in net.vertices()}
     d = {v: 0 for v in net.vertices()}
@@ -241,7 +150,7 @@ def push_relabel(net, instrumented=False):
             if excess[v] == 0:
                 break
             if not pushed:
-                d[v] = min(d[w] + 1 for w in res.successors(v))
+                d[v] = min(d[w] + 1 for w in res.out_neighbors(v))
                 relabels += 1
                 if instrumented:
                     checkpoint()
@@ -369,7 +278,7 @@ def _pseudoflow_core(net, instrumented=False):
     iteration count."""
     s, t = net.source, net.sink
     internal = sorted(v for v in net.vertices() if v not in (s, t))
-    res = _Residual(net)
+    res = ResidualGraph(net)
     r, nbrs = res.r, res.nbrs
     for v in net.out_neighbors(s):
         res.push(s, v, net.capacity(s, v))
@@ -495,8 +404,6 @@ def hochbaum_maxflow(net, instrumented=False):
     Runs on the reversed network when the total sink-arc capacity is the
     smaller side, so the iteration count is governed by min(M+, M-).
     """
-    from .decompose import recover_flow
-
     _require_finite(net)
     m_plus = sum((net.capacity(net.source, v) for v in net.out_neighbors(net.source)),
                  Fraction(0))
@@ -508,8 +415,6 @@ def hochbaum_maxflow(net, instrumented=False):
     flow = recover_flow(work, pf, tree)
     if reverse:
         flow = FlowAssignment({(v, u): x for (u, v), x in flow.raw.items()}, "flow")
-    from .network import net_flow
-
     value = net_flow(net, flow)
     result = MaxflowResult(flow, value, {"iterations": iterations, "value": value})
     if instrumented:

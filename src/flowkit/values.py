@@ -1,8 +1,19 @@
 """Exact value helpers shared across the toolkit.
 
 All quantities (capacities, flows, LP entries) are `fractions.Fraction`.
-A single distinguished UNBOUNDED value stands in for an infinite capacity;
-it is absorbing under addition and compares greater than every rational.
+A single distinguished UNBOUNDED value stands in for an infinite capacity.
+It supports exactly what a capacity sum or comparison needs:
+
+* ``<``, ``<=``, ``>``, ``>=`` against ints, Fractions and itself: it lies
+  above every rational and equals only itself, so ``min``, ``max`` and
+  ``sorted`` treat it as +infinity;
+* ``+`` with an int, a Fraction or itself is UNBOUNDED (so ``sum`` works);
+* ``UNBOUNDED - x`` is UNBOUNDED for a finite x, which makes the residual
+  capacity of an unbounded arc unbounded.
+
+Everything else raises ``TypeError``: ``x - UNBOUNDED``,
+``UNBOUNDED - UNBOUNDED``, negation, multiplication, division, comparison
+with floats, and ``exact(UNBOUNDED)``.
 """
 
 from __future__ import annotations
@@ -23,8 +34,33 @@ class Unbounded:
     def __repr__(self):
         return "UNBOUNDED"
 
+    def __lt__(self, other):
+        return False if _operand(other) else NotImplemented
+
+    def __le__(self, other):
+        return other is self if _operand(other) else NotImplemented
+
+    def __gt__(self, other):
+        return other is not self if _operand(other) else NotImplemented
+
+    def __ge__(self, other):
+        return True if _operand(other) else NotImplemented
+
+    def __add__(self, other):
+        return self if _operand(other) else NotImplemented
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self if isinstance(other, (int, Fraction)) else NotImplemented
+
 
 UNBOUNDED = Unbounded()
+
+
+def _operand(x) -> bool:
+    """An int, a Fraction or UNBOUNDED itself."""
+    return x is UNBOUNDED or isinstance(x, (int, Fraction))
 
 
 def is_unbounded(x) -> bool:
@@ -35,30 +71,6 @@ def as_fraction(x) -> Fraction:
     if is_unbounded(x):
         raise ValueError("expected a finite value, got UNBOUNDED")
     return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def cap_add(a, b):
-    """Sum of two capacities; UNBOUNDED absorbs."""
-    if is_unbounded(a) or is_unbounded(b):
-        return UNBOUNDED
-    return a + b
-
-
-def cap_min(a, b):
-    if is_unbounded(a):
-        return b
-    if is_unbounded(b):
-        return a
-    return a if a <= b else b
-
-
-def cap_le(a, b) -> bool:
-    """a <= b with UNBOUNDED as the top element."""
-    if is_unbounded(b):
-        return True
-    if is_unbounded(a):
-        return False
-    return a <= b
 
 
 def exact(x) -> Fraction:

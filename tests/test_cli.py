@@ -171,3 +171,23 @@ def test_output_flag(capsys, net_file, tmp_path):
     code, out, _ = run(capsys, "maxflow", net_file, "-o", str(target))
     assert code == 0 and out == ""
     assert target.read_text().strip().splitlines()[-1] == "s 5"
+
+
+def test_hcut_rejects_unknown_face_indices(capsys, tetra_file):
+    code, out, err = run(capsys, "hcut", tetra_file, "--sprime", "0,99")
+    assert code == 2 and out == ""
+    assert "error: --sprime names unknown face indices [99]" in err
+    code, _, _ = run(capsys, "hcut", tetra_file, "--sprime", "-1")
+    assert code == 2
+
+
+def test_internal_failure_has_its_own_exit_code(capsys, monkeypatch, net_file):
+    from flowkit import solvers
+
+    def broken(net):
+        raise solvers.InvariantViolation("flow", "augmentation 1", ["fake"])
+
+    monkeypatch.setitem(solvers.ALGORITHMS, "ek", broken)
+    code, out, err = run(capsys, "maxflow", net_file)
+    assert code == 3 and out == ""
+    assert err == "error: internal: flow invariant broken at augmentation 1: ['fake']\n"

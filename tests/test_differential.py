@@ -1,0 +1,82 @@
+"""Differential check against networkx on networks with a few hundred vertices.
+
+networkx is an optional test dependency (the ``test`` extra); the module is
+skipped when it is missing.  Capacities are integers, so its maximum flow
+value is exact.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from flowkit.decompose import min_cut_from_flow
+from flowkit.network import FlowAssignment, build_network, cut_capacity, validate
+from flowkit.solvers import ALGORITHMS
+from flowkit.values import UNBOUNDED
+
+nx = pytest.importorskip("networkx")
+
+
+def network_spec(seed):
+    """n in 150..250, s = 1, t = n: the source feeds and the sink drains an
+    eighth of the inner vertices, a path 2 -> 3 -> ... -> n runs through
+    every inner vertex, and each inner vertex has two more random out-arcs.
+    No antiparallel pairs."""
+    rng = random.Random(f"differential:{seed}")
+    n = rng.randint(150, 250)
+    inner = range(2, n)
+    arcs = {}
+    for v in rng.sample(inner, n // 8):
+        arcs[(1, v)] = rng.randint(1, 30)
+    for v in rng.sample(inner, n // 8):
+        arcs[(v, n)] = rng.randint(1, 30)
+    for u in inner:
+        arcs[(u, u + 1)] = rng.randint(1, 30)
+        for _ in range(2):
+            v = rng.randint(2, n - 1)
+            if v != u and (u, v) not in arcs and (v, u) not in arcs:
+                arcs[(u, v)] = rng.randint(1, 30)
+    return n, arcs
+
+
+def nx_graph(n, arcs):
+    """An arc whose capacity is UNBOUNDED gets no capacity attribute, which
+    networkx reads as infinite."""
+    g = nx.DiGraph()
+    g.add_nodes_from(range(1, n + 1))
+    for (u, v), c in arcs.items():
+        if c is UNBOUNDED:
+            g.add_edge(u, v)
+        else:
+            g.add_edge(u, v, capacity=c)
+    return g
+
+
+def as_network(n, arcs):
+    return build_network(n, 1, n, [(u, v, c) for (u, v), c in arcs.items()])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_every_solver_matches_networkx(seed):
+    n, arcs = network_spec(seed)
+    net = as_network(n, arcs)
+    want = nx.maximum_flow_value(nx_graph(n, arcs), 1, n)
+    assert want > 0
+    for name, solve in ALGORITHMS.items():
+        result = solve(net)
+        assert result.value == want, name
+        assert cut_capacity(net, min_cut_from_flow(net, result.flow)) == want, name
+
+
+def test_min_cut_of_a_networkx_flow_with_unbounded_arcs():
+    n, arcs = network_spec(0)
+    for u in range(2, n, 10):  # the source arcs stay finite: the value is finite
+        arcs[(u, u + 1)] = UNBOUNDED
+    net = as_network(n, arcs)
+    value, flow_dict = nx.maximum_flow(nx_graph(n, arcs), 1, n)
+    flow = FlowAssignment({(u, v): Fraction(x) for u, out in flow_dict.items()
+                           for v, x in out.items() if x})
+    assert validate(net, flow) == []
+    cut = min_cut_from_flow(net, flow)
+    assert cut_capacity(net, cut) == value

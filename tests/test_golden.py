@@ -38,6 +38,16 @@ CLI_CASES = {
     "segment": ["segment", "gradient.pgm"],
     "matching": ["matching", "matching.txt"],
     "chains": ["chains", "poset.txt"],
+    "lp-dual": ["lp-dual", "net.dimacs"],
+    "hflow-lp-tetra": ["hflow", "--algo=lp", "tetra.hnet"],
+    "hflow-augment-tetra": ["hflow", "--algo=augment", "tetra.hnet"],
+    "hflow-all-tetra": ["hflow", "--algo=all", "tetra.hnet"],
+    "hflow-lp-double-tetra": ["hflow", "--algo=lp", "double-tetra.hnet"],
+    "hflow-augment-double-tetra": ["hflow", "--algo=augment", "double-tetra.hnet"],
+    "hflow-all-double-tetra": ["hflow", "--algo=all", "double-tetra.hnet"],
+    "hcut-tetra": ["hcut", "tetra.hnet"],
+    "hcut-double-tetra": ["hcut", "double-tetra.hnet"],
+    "hcut-sprime-tetra": ["hcut", "--sprime", "0,2,5", "tetra.hnet"],
 }
 
 

@@ -1,12 +1,20 @@
 """Oriented complexes, boundary matrices, higher-dimensional flows."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import make_random_network
 from flowkit.lp import is_totally_unimodular, simplex_solve
-from flowkit.network import all_cuts, build_network, cut_capacity, incidence_matrix
+from flowkit.network import (
+    InvariantViolation,
+    ParseError,
+    all_cuts,
+    build_network,
+    cut_capacity,
+    incidence_matrix,
+)
 from flowkit.simplicial import (
     BudgetExceeded,
     ComplexError,
@@ -434,3 +442,42 @@ def test_min_cut_capacity_attained_on_sphere_fixtures(tetra_net, double_net):
             if not is_unbounded(cap) and (best is None or cap < best):
                 best = cap
         assert best == hmaxflow_lp(hnet).value
+
+
+@pytest.mark.parametrize("text, line", [
+    ("hf -1 1\n", 1),              # would silently set the source facet
+    ("hf 0 1\nhf 4 1\n", 2),        # tetra has facets 0..3
+    ("hf 0 1\n\nhf 0 1\n", 3),      # duplicate: the last one would win
+])
+def test_read_hflow_rejects_bad_facet_indices(tetra_net, text, line):
+    with pytest.raises(ParseError) as err:
+        read_hflow(tetra_net, text)
+    assert err.value.line_no == line
+
+
+def test_augmentation_fixpoint_is_the_lp_optimum():
+    # find_augmenting_cycle admits any non-negative combination of residual
+    # copies, so below the optimum x* the direction x* - x is always
+    # feasible for its LP: a cycle exists at x*/2 and none at x*
+    positive = 0
+    for i in range(60):
+        hnet = random_hnetwork(random.Random(f"vacuity:{i}"))
+        optimum = hmaxflow_lp(hnet)
+        if optimum.value == 0:
+            continue
+        positive += 1
+        x_star = list(optimum.flow.values)
+        half = [x / 2 for x in x_star]
+        cycle = find_augmenting_cycle(hnet, half)
+        assert cycle is not None and cycle.source_coefficient(hnet.t_index) > 0
+        assert find_augmenting_cycle(hnet, x_star) is None
+    assert positive >= 10
+
+
+def test_instrumented_augmentation_raises_typed_error(monkeypatch, tetra_net):
+    import flowkit.simplicial
+
+    monkeypatch.setattr(flowkit.simplicial, "hflow_violations", lambda *args: ["fake"])
+    with pytest.raises(InvariantViolation) as err:
+        hmaxflow_augment(tetra_net, instrumented=True)
+    assert (err.value.invariant, err.value.step) == ("hflow", "augmentation 1")

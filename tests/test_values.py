@@ -1,0 +1,78 @@
+"""UNBOUNDED behaves as +infinity for ordering and addition, and nothing else."""
+
+from fractions import Fraction
+
+import pytest
+
+from flowkit.decompose import min_cut_from_flow
+from flowkit.network import (
+    FlowAssignment,
+    NetworkError,
+    build_network,
+    cut_capacity,
+    make_cut,
+    residual_graph,
+    validate,
+)
+from flowkit.solvers import ALGORITHMS
+from flowkit.values import UNBOUNDED, exact
+
+FINITE = [0, 7, -3, Fraction(0), Fraction(10**30, 7), Fraction(-5, 2)]
+
+
+@pytest.mark.parametrize("x", FINITE)
+def test_unbounded_is_above_every_rational(x):
+    assert UNBOUNDED > x and UNBOUNDED >= x and x < UNBOUNDED and x <= UNBOUNDED
+    assert not (UNBOUNDED < x or UNBOUNDED <= x or x > UNBOUNDED or x >= UNBOUNDED)
+    assert UNBOUNDED != x and x != UNBOUNDED
+
+
+def test_unbounded_equals_only_itself():
+    assert UNBOUNDED == UNBOUNDED and UNBOUNDED <= UNBOUNDED and UNBOUNDED >= UNBOUNDED
+    assert not (UNBOUNDED < UNBOUNDED or UNBOUNDED > UNBOUNDED)
+    assert min(Fraction(3), UNBOUNDED) == 3 and max(UNBOUNDED, 9) is UNBOUNDED
+    assert sorted([UNBOUNDED, Fraction(1, 2), 0]) == [0, Fraction(1, 2), UNBOUNDED]
+
+
+@pytest.mark.parametrize("x", FINITE)
+def test_unbounded_absorbs_addition(x):
+    assert UNBOUNDED + x is UNBOUNDED and x + UNBOUNDED is UNBOUNDED
+    assert UNBOUNDED - x is UNBOUNDED
+    assert UNBOUNDED + UNBOUNDED is UNBOUNDED
+    assert sum([Fraction(1), UNBOUNDED, Fraction(2)], Fraction(0)) is UNBOUNDED
+
+
+@pytest.mark.parametrize("op", [
+    lambda: Fraction(1) - UNBOUNDED,
+    lambda: 1 - UNBOUNDED,
+    lambda: UNBOUNDED - UNBOUNDED,
+    lambda: -UNBOUNDED,
+    lambda: UNBOUNDED * 2,
+    lambda: Fraction(2) * UNBOUNDED,
+    lambda: UNBOUNDED / 2,
+    lambda: UNBOUNDED < 1.5,
+    lambda: UNBOUNDED + 1.5,
+    lambda: exact(UNBOUNDED),
+])
+def test_every_other_operation_is_refused(op):
+    with pytest.raises(TypeError):
+        op()
+
+
+def test_unbounded_arc_in_cuts_and_residuals():
+    net = build_network(4, 1, 4, [(1, 2, UNBOUNDED), (2, 3, 4), (3, 4, 3), (1, 3, 1)])
+    assert cut_capacity(net, make_cut(net, {1})) is UNBOUNDED
+    assert cut_capacity(net, make_cut(net, {1, 2})) == 5
+    flow = FlowAssignment({(1, 2): 2, (2, 3): 2, (1, 3): 1, (3, 4): 3})
+    assert validate(net, flow) == []
+    res = residual_graph(net, flow)
+    assert res.capacity(1, 2) is UNBOUNDED and res.capacity(2, 1) == 2
+    cut = min_cut_from_flow(net, flow)
+    assert cut.source_side == {1, 2, 3} and cut_capacity(net, cut) == 3
+
+
+@pytest.mark.parametrize("algo", sorted(ALGORITHMS))
+def test_solvers_refuse_unbounded(algo):
+    net = build_network(3, 1, 3, [(1, 2, UNBOUNDED), (2, 3, 4)])
+    with pytest.raises(NetworkError):
+        ALGORITHMS[algo](net)
