@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 from .decompose import decompose, min_cut_from_flow
-from .network import InvariantViolation, NetworkError, build_network, cut_capacity
+from .network import InvariantViolation, NetworkError, ParseError, build_network, cut_capacity
 from .solvers import edmonds_karp
 from .values import exact
 
@@ -91,8 +91,6 @@ def perfect_matching(g):
 
 def matching_exists_by_enumeration(g):
     """n!-enumeration oracle for small instances."""
-    from itertools import permutations
-
     edge_set = set(g.edges)
     indices = list(range(1, g.n + 1))
     return any(all((i, sigma[i - 1]) in edge_set for i in indices)
@@ -369,8 +367,6 @@ def best_segmentation_by_enumeration(img):
 
 def read_pgm(text):
     """Plain (P2) grayscale image; returns (width, height, maxval, rows)."""
-    from .network import ParseError
-
     tokens = []
     for line in text.splitlines():
         body = line.split("#", 1)[0]
@@ -419,8 +415,6 @@ def write_poset(p):
 
 
 def read_poset(text):
-    from .network import ParseError
-
     elements = []
     pairs = []
     bottom = top = None
@@ -447,8 +441,6 @@ def read_poset(text):
 
 def read_bipartite(text):
     """`p matching <n> <m>` header and `e <i> <j>` edge lines."""
-    from .network import ParseError
-
     n = m = None
     edges = []
     for line_no, raw_line in enumerate(text.splitlines(), start=1):

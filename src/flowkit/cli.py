@@ -158,7 +158,12 @@ def cmd_chains(args):
 
 
 def cmd_segment(args):
-    img = apps.image_from_pgm(_read(args.image), parse_value(args.penalty))
+    try:
+        penalty = parse_value(args.penalty)
+    except ValueError as exc:
+        _diag(f"error: --penalty: {exc}")
+        return 2
+    img = apps.image_from_pgm(_read(args.image), penalty)
     seg = apps.segment_image(img)
     _diag(f"score={format_value(seg.score)} cost={format_value(seg.cost)} "
           f"mass={format_value(seg.total_mass)}")

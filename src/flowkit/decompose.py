@@ -16,10 +16,12 @@ from .network import (
     InvalidFlow,
     InvariantViolation,
     NetworkError,
+    ParseError,
     ResidualGraph,
     _bfs,
     validate,
 )
+from .values import format_value, parse_value
 
 
 class NotMaximal(NetworkError):
@@ -162,8 +164,6 @@ def recover_flow(gst, pseudoflow, tree):
 
 def write_components(components):
     """`path <amount> v1 .. vk` / `cycle <amount> v1 .. vk v1`, one per line."""
-    from .values import format_value
-
     lines = []
     for comp in components:
         verts = " ".join(str(v) for v in comp.vertices)
@@ -172,9 +172,6 @@ def write_components(components):
 
 
 def read_components(text):
-    from .network import ParseError
-    from .values import parse_value
-
     components = []
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()

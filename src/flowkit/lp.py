@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .network import Cut, InvariantViolation, all_cuts, cut_capacity, incidence_matrix
-from .values import is_unbounded
+from .network import Cut, InvariantViolation, ParseError, all_cuts, cut_capacity, incidence_matrix
+from .values import format_value, is_unbounded, parse_value
 
 
 class Malformed(Exception):
@@ -236,6 +236,22 @@ def simplex_solve(lp):
 # -- the maximum-flow program and its dual ---------------------------------
 
 
+def flow_program(balance, capacities, objective):
+    """The flow program `max objective.x : [A; -A; I] x <= [0; 0; c]`.
+
+    `balance` is A, one row per conserved quantity, written as both
+    inequality directions of A x = 0; then one row x_j <= c_j per finite
+    capacity, in column order (UNBOUNDED capacities get no row).
+    """
+    rows = [list(r) for r in balance] + [[-x for x in r] for r in balance]
+    bounds = [0] * len(rows)
+    for j, cap in enumerate(capacities):
+        if not is_unbounded(cap):
+            rows.append([1 if i == j else 0 for i in range(len(objective))])
+            bounds.append(cap)
+    return make_lp("max", objective, rows, bounds)
+
+
 def build_primal(net):
     """LP over one variable per arc whose optimum is the maximum flow value.
 
@@ -244,26 +260,7 @@ def build_primal(net):
     one capacity row per finitely-capacitated arc.
     """
     phi = incidence_matrix(net)
-    m = net.m
-    internal = phi[1:-1]
-    rows = []
-    bounds = []
-    for r in internal:
-        rows.append([Fraction(x) for x in r])
-        bounds.append(Fraction(0))
-    for r in internal:
-        rows.append([Fraction(-x) for x in r])
-        bounds.append(Fraction(0))
-    for j in range(m):
-        cap = net.capacities()[j]
-        if is_unbounded(cap):
-            continue
-        row = [Fraction(0)] * m
-        row[j] = Fraction(1)
-        rows.append(row)
-        bounds.append(cap)
-    objective = [Fraction(x) for x in phi[0]] if phi else []
-    return make_lp("max", objective, rows, bounds)
+    return flow_program(phi[1:-1], net.capacities(), phi[0])
 
 
 def build_dual(lp):
@@ -452,8 +449,6 @@ def is_totally_unimodular(matrix, budget=200_000):
 
 
 def write_lp(lp):
-    from .values import format_value
-
     lines = [lp.sense, " ".join(format_value(x) for x in lp.objective)]
     for row, b in zip(lp.rows, lp.bounds):
         lines.append(" ".join(format_value(x) for x in row) + " | " + format_value(b))
@@ -462,9 +457,6 @@ def write_lp(lp):
 
 
 def read_lp(text):
-    from .network import ParseError
-    from .values import parse_value
-
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if len(lines) < 3:
         raise ParseError("expected sense, objective, and nonneg lines")
@@ -485,8 +477,6 @@ def read_lp(text):
 
 
 def read_matrix(text):
-    from .network import ParseError
-
     rows = []
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()

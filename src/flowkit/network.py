@@ -30,6 +30,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .values import exact, format_value, is_unbounded, parse_value
 
@@ -133,9 +134,6 @@ class Network:
 
     def has_arc(self, u, v):
         return (u, v) in self._index
-
-    def arc_index(self, u, v):
-        return self._index[(u, v)]
 
     def capacity(self, u, v):
         return self._caps[self._index[(u, v)]]
@@ -316,8 +314,6 @@ def make_cut(net, source_side):
 
 def all_cuts(net):
     """Every cut of the network (2^(n-2) of them); for desk-scale checks."""
-    from itertools import combinations
-
     middle = [v for v in net.vertices() if v != net.source and v != net.sink]
     for k in range(len(middle) + 1):
         for extra in combinations(middle, k):
@@ -596,6 +592,8 @@ def read_flow(net, text):
                 raise ParseError(str(exc), line_no)
             if not net.has_arc(u, v):
                 raise ParseError(f"({u}, {v}) is not an arc of the network", line_no)
+            if (u, v) in values:
+                raise ParseError(f"duplicate value for arc ({u}, {v})", line_no)
             values[(u, v)] = x
         elif fields[0] == "s":
             if len(fields) != 2:

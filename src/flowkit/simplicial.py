@@ -11,6 +11,16 @@ Dimension 1 recovers ordinary graph maxflow: an arc (u, v) is encoded as
 the oriented 1-simplex (v, u), which makes the boundary matrix coincide
 with the vertex/arc incidence matrix, and T plays the role of a
 sink-to-source return arc of unbounded capacity.
+
+The boundary operator has one owner: :class:`OrientedComplex` stores each
+facet's signed faces once and offers ∂x (:meth:`~OrientedComplex.boundary`),
+∂ᵀλ (:meth:`~OrientedComplex.coboundary`) and, through
+:func:`boundary_matrix`, the dense matrix.  Cycle checks, cut capacities,
+dual points, the augmenting-cycle LP and both max-flow programs are built
+from it.  :func:`hmaxflow_lp` keeps the equality form ∂x = 0, 0 <= x <= c
+rather than solving the block form of :func:`hmaxflow_linear_program`: the
+equality form pins its simplex pivots, and so the optimal vertex it
+reports; the block form pivots differently and is slower.
 """
 
 from __future__ import annotations
@@ -21,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .lp import BudgetExceeded, make_lp, solve_standard
+from .lp import BudgetExceeded, flow_program, solve_standard
 from .network import InvariantViolation, ParseError
 from .values import UNBOUNDED, exact, format_value, is_unbounded, parse_value
 
@@ -112,6 +122,21 @@ class OrientedComplex:
     def face_sign(self, face_ref, j):
         """Sign of the canonically-oriented face in the boundary of facet j."""
         return self._signs[j].get(face_ref, 0)
+
+    def boundary(self, values):
+        """The boundary operator applied to facet values: {face: (∂x)_face}
+        over every canonical face."""
+        out = dict.fromkeys(self._faces, Fraction(0))
+        for column, x in zip(self._signs, values, strict=True):
+            for face, sign in column.items():
+                out[face] += sign * x
+        return out
+
+    def coboundary(self, lam):
+        """Its transpose applied to face values {face: λ_face}: (∂ᵀλ)_j per
+        facet j."""
+        return [sum((sign * lam[face] for face, sign in column.items()), Fraction(0))
+                for column in self._signs]
 
     def vertices(self):
         out = set()
@@ -246,18 +271,10 @@ class HFlow:
 
     values: tuple
 
-    def value_at(self, j):
-        return self.values[j]
-
 
 def is_weighted_cycle(complex_, values):
     """Whether boundary . values = 0; returns (ok, residual per face)."""
-    residuals = {}
-    for face in complex_.faces():
-        total = sum((Fraction(values[j]) * complex_.face_sign(face, j)
-                     for j in range(len(complex_.facets))), Fraction(0))
-        if total != 0:
-            residuals[face] = total
+    residuals = {face: x for face, x in complex_.boundary(values).items() if x != 0}
     return (not residuals, residuals)
 
 
@@ -293,24 +310,9 @@ def hmaxflow_linear_program(hnet):
     """The block formulation `max x_last : [B; -B; I,0] x <= [0; 0; c]`
     with the source facet enumerated last.  Returns (lp, facet_order)."""
     order = [j for j in range(hnet.facet_count()) if j != hnet.t_index] + [hnet.t_index]
-    cx = hnet.complex
-    rows = []
-    bounds = []
-    b_rows = [[cx.face_sign(face, j) for j in order] for face in cx.faces()]
-    for r in b_rows:
-        rows.append([Fraction(x) for x in r])
-        bounds.append(Fraction(0))
-    for r in b_rows:
-        rows.append([Fraction(-x) for x in r])
-        bounds.append(Fraction(0))
-    m = len(order) - 1
-    for i in range(m):
-        row = [Fraction(0)] * (m + 1)
-        row[i] = Fraction(1)
-        rows.append(row)
-        bounds.append(hnet.capacity(order[i]))
-    objective = [Fraction(0)] * m + [Fraction(1)]
-    return make_lp("max", objective, rows, bounds), order
+    objective = [0] * (len(order) - 1) + [1]
+    return flow_program(hnetwork_boundary_matrix(hnet), [hnet.capacity(j) for j in order],
+                        objective), order
 
 
 @dataclass
@@ -323,20 +325,12 @@ class HMaxflowResult:
 
 def hmaxflow_lp(hnet):
     """Maximize the amount carried by the source facet, exactly."""
-    cx = hnet.complex
     k = hnet.facet_count()
-    eq_rows = [[Fraction(cx.face_sign(face, j)) for j in range(k)] for face in cx.faces()]
+    eq_rows = boundary_matrix(hnet.complex)
     eq_bounds = [Fraction(0)] * len(eq_rows)
-    ub_rows = []
-    ub_bounds = []
-    for j in range(k):
-        c = hnet.capacity(j)
-        if is_unbounded(c):
-            continue
-        row = [Fraction(0)] * k
-        row[j] = Fraction(1)
-        ub_rows.append(row)
-        ub_bounds.append(c)
+    bounded = [j for j in range(k) if not is_unbounded(hnet.capacity(j))]
+    ub_rows = [[1 if i == j else 0 for i in range(k)] for j in bounded]
+    ub_bounds = [hnet.capacity(j) for j in bounded]
     objective = [Fraction(0)] * k
     objective[hnet.t_index] = Fraction(1)
     status, point = solve_standard(objective, ub_rows, ub_bounds, eq_rows, eq_bounds)
@@ -392,18 +386,13 @@ def find_augmenting_cycle(hnet, values):
     copy is excluded: a cycle using both source copies cancels and cannot
     increase the carried amount.
     """
-    cx = hnet.complex
     copies = [rf for rf in residual_complex(hnet, values)
               if not (rf.facet_index == hnet.t_index and not rf.forward)]
     t_col = next(i for i, rf in enumerate(copies)
                  if rf.facet_index == hnet.t_index and rf.forward)
-    eq_rows = []
-    eq_bounds = []
-    for face in cx.faces():
-        row = [Fraction((1 if rf.forward else -1) * cx.face_sign(face, rf.facet_index))
-               for rf in copies]
-        eq_rows.append(row)
-        eq_bounds.append(Fraction(0))
+    eq_rows = [[row[rf.facet_index] if rf.forward else -row[rf.facet_index] for rf in copies]
+               for row in boundary_matrix(hnet.complex)]
+    eq_bounds = [Fraction(0)] * len(eq_rows)
     pin = [Fraction(0)] * len(copies)
     pin[t_col] = Fraction(1)
     eq_rows.append(pin)
@@ -512,13 +501,11 @@ def hcut_capacity(hnet, hcut):
     unbounded source capacity, making the capacity unbounded as well (the
     upper bound on the carried amount is then vacuous).
     """
-    cx = hnet.complex
     lam = {face: Fraction(0) if face in hcut.s_side else Fraction(1)
-           for face in cx.faces()}
+           for face in hnet.complex.faces()}
     eta = {}
     capacity = Fraction(0)
-    for j in range(hnet.facet_count()):
-        g = sum((lam[face] * cx.face_sign(face, j) for face in cx.faces()), Fraction(0))
+    for j, g in enumerate(hnet.complex.coboundary(lam)):
         if j == hnet.t_index:
             eta[j] = max(Fraction(0), Fraction(1) - g)
         else:
@@ -530,13 +517,10 @@ def hcut_capacity(hnet, hcut):
 
 
 def hdual_violations(hnet, point):
-    cx = hnet.complex
     bad = []
-    for j in range(hnet.facet_count()):
+    for j, g in enumerate(hnet.complex.coboundary(point.lam)):
         if point.eta[j] < 0:
             bad.append(("negative_eta", j))
-        g = sum((point.lam[face] * cx.face_sign(face, j) for face in cx.faces()),
-                Fraction(0))
         needed = Fraction(1) if j == hnet.t_index else Fraction(0)
         if g + point.eta[j] < needed:
             bad.append(("facet_inequality", j))
@@ -758,6 +742,9 @@ def random_hnetwork(rng, max_facets=8, max_vertices=6, max_cap=5):
     """Random dimension-2 flow network: sampled triangles with random
     orientations, a source facet preferring well-shared edges, neighbor
     orientations flipped where needed to establish the source condition."""
+    if min(max_facets, max_vertices) < 4:
+        raise ComplexError(f"a random 2-complex needs max_facets and max_vertices of at "
+                           f"least 4, got {max_facets} and {max_vertices}")
     nv = rng.randint(4, max_vertices)
     pool = list(combinations(range(1, nv + 1), 3))
     k = rng.randint(min(4, len(pool)), min(max_facets, len(pool)))

@@ -76,6 +76,14 @@ def test_decompose_round_trip(capsys, net_file, tmp_path):
     assert "components=" in err
 
 
+def test_decompose_rejects_a_repeated_flow_line(capsys, net_file, tmp_path):
+    flow_path = tmp_path / "flow.txt"
+    flow_path.write_text("f 1 2 2\nf 2 4 2\nf 1 2 2\n")
+    code, out, err = run(capsys, "decompose", net_file, str(flow_path))
+    assert code == 2 and out == ""
+    assert err == "error: line 3: duplicate value for arc (1, 2)\n"
+
+
 def test_lp_dual(capsys, net_file):
     code, out, _ = run(capsys, "lp-dual", net_file)
     assert code == 0
@@ -127,6 +135,14 @@ def test_segment(capsys, tmp_path):
     assert "score=" in err
 
 
+def test_segment_rejects_a_bad_penalty(capsys, tmp_path):
+    path = tmp_path / "img.pgm"
+    path.write_text("P2\n2 1\n10\n9 1\n")
+    code, out, err = run(capsys, "segment", str(path), "--penalty", "abc")
+    assert code == 2 and out == ""
+    assert err == "error: --penalty: not a rational value: 'abc'\n"
+
+
 def test_hflow(capsys, tetra_file):
     code, out, _ = run(capsys, "hflow", tetra_file)
     assert code == 0
@@ -151,6 +167,12 @@ def test_probe_report(capsys):
     assert lines[0].startswith("probe seed 3 trials 6")
     assert lines[-1].startswith("end discrepancies")
     assert "discrepancies=" in err
+
+
+def test_probe_rejects_too_few_facets(capsys):
+    code, out, err = run(capsys, "conjecture-probe", "--trials", "1", "--max-facets", "3")
+    assert code == 2 and out == ""
+    assert err.startswith("error: a random 2-complex needs max_facets")
 
 
 def test_parse_error_exit_code(capsys, tmp_path):

@@ -234,6 +234,12 @@ def test_flow_format_round_trip(g1):
     assert read_flow(g1, text) == flow
 
 
+def test_flow_format_rejects_repeated_arc(g1):
+    with pytest.raises(ParseError) as err:
+        read_flow(g1, "f 1 2 1\nf 1 3 1\nf 1 2 2\n")
+    assert err.value.line_no == 3
+
+
 def test_flow_format_rejects_wrong_total(g1):
     flow = edmonds_karp(g1).flow
     text = write_flow(g1, flow).replace("s 5", "s 4")

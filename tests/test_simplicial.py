@@ -137,6 +137,22 @@ def test_boundary_composes_to_zero(tetra, double):
                 assert sum(b1[i][k] * b2[k][j] for k in range(len(edges))) == 0
 
 
+def test_boundary_products_match_the_matrix(tetra, double):
+    rng = random.Random(41)
+    complexes = [tetra, double] + [random_hnetwork(rng).complex for _ in range(12)]
+    for cx in complexes:
+        matrix = boundary_matrix(cx)
+        faces = cx.faces()
+        k = len(cx.facets)
+        x = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(k)]
+        lam = {face: rng.randint(0, 1) for face in faces}
+        assert cx.boundary(x) == {face: sum(a * b for a, b in zip(row, x))
+                                  for face, row in zip(faces, matrix)}
+        assert cx.coboundary(lam) == [sum(matrix[i][j] * lam[face]
+                                          for i, face in enumerate(faces))
+                                      for j in range(k)]
+
+
 def test_dimension_one_matches_incidence(g1):
     hn = network_as_hnetwork(g1)
     rows = [(v,) for v in g1.vertex_order()]
