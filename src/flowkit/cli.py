@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 infeasible/violation result, 2 input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import apps, decompose, lp, network, simplicial, solvers
@@ -233,13 +234,20 @@ def cmd_hcut(args):
 
 
 def cmd_conjecture_probe(args):
+    if args.trials < 0:
+        _diag(f"error: --trials must be non-negative, got {args.trials}")
+        return 2
     report = simplicial.conjecture_probe(args.seed, args.trials, max_facets=args.max_facets)
     _diag(f"discrepancies={len(report.discrepancies())}")
     _emit(args, simplicial.write_probe_report(report))
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and a parser built on every `main` call is cyclic garbage
+    that stays in memory until a full garbage collection."""
     parser = argparse.ArgumentParser(
         prog="flowkit",
         description="Exact-rational maximum flow, LP duality, combinatorial "

@@ -61,49 +61,45 @@ def decompose(net, f):
     if bad:
         raise InvalidFlow(bad)
     s, t = net.source, net.sink
-    g = {}
-    for (u, v) in net.arcs:
+    # g[u] maps each head v with f(u, v) > 0 to that amount, heads increasing
+    g = {v: {} for v in net.vertices()}
+    for (u, v) in sorted(net.arcs):
         x = f.value(u, v)
         if x > 0:
-            g[(u, v)] = x
-    out = {v: set() for v in net.vertices()}
-    for (u, v) in g:
-        out[u].add(v)
+            g[u][v] = x
 
-    def drop(u, v, amount):
-        g[(u, v)] -= amount
-        if g[(u, v)] == 0:
-            del g[(u, v)]
-            out[u].discard(v)
+    def drop(walk, amount):
+        for (u, v) in zip(walk, walk[1:]):
+            g[u][v] -= amount
+            if g[u][v] == 0:
+                del g[u][v]
 
     components = []
     # source-to-sink paths while the source still emits flow
-    while any(g.get((s, v), 0) > 0 for v in list(out[s])):
-        path, _ = _bfs(s, {t}, lambda u: sorted(out[u]))
+    while g[s]:
+        path, _ = _bfs(s, {t}, g)
         if path is None:
             raise InvariantViolation("flow", f"component {len(components) + 1}",
                                      ["positive outflow with no path to the sink"])
-        amount = min(g[(path[i], path[i + 1])] for i in range(len(path) - 1))
-        for i in range(len(path) - 1):
-            drop(path[i], path[i + 1], amount)
+        amount = min(g[u][v] for (u, v) in zip(path, path[1:]))
+        drop(path, amount)
         components.append(FlowComponent("path", tuple(path), amount))
 
     # what is left is a circulation: peel cycles
-    while g:
-        start = min(u for (u, _) in g)
+    while any(g.values()):
+        start = min(u for u, heads in g.items() if heads)
         walk = [start]
         seen = {start: 0}
         while True:
             u = walk[-1]
-            v = min(out[u])
+            v = min(g[u])
             if v in seen:
                 cycle = walk[seen[v]:] + [v]
                 break
             seen[v] = len(walk)
             walk.append(v)
-        amount = min(g[(cycle[i], cycle[i + 1])] for i in range(len(cycle) - 1))
-        for i in range(len(cycle) - 1):
-            drop(cycle[i], cycle[i + 1], amount)
+        amount = min(g[u][v] for (u, v) in zip(cycle, cycle[1:]))
+        drop(cycle, amount)
         components.append(FlowComponent("cycle", tuple(cycle), amount))
 
     return components
@@ -118,7 +114,7 @@ def min_cut_from_flow(net, f):
     bad = validate(net, f, "flow")
     if bad:
         raise InvalidFlow(bad)
-    path, reached = _bfs(net.source, {net.sink}, ResidualGraph(net, f).out_neighbors)
+    path, reached = ResidualGraph(net, f).search(net.source, {net.sink})
     if path is not None:
         raise NotMaximal(path)
     return Cut(frozenset(reached))
@@ -141,7 +137,7 @@ def recover_flow(gst, pseudoflow, tree):
                 raise NotOptimal(f"residual arc ({a}, {b}) runs from strong to weak")
 
     # strong roots drain to the source first, then the sink serves weak roots
-    excess = {v: tree.excess[v] for v in tree.branch_roots() if tree.excess[v] != 0}
+    excess = {v: res.units(tree.excess[v]) for v in tree.branch_roots() if tree.excess[v] != 0}
     for v in sorted(excess, key=lambda v: (excess[v] < 0, v)):
         sign = 1 if excess[v] > 0 else -1
         origin, target = (v, gst.source) if sign > 0 else (gst.sink, v)

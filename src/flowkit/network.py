@@ -13,20 +13,29 @@ Flow-like assignments are antisymmetric functions on vertex pairs
 * ``preflow``    capacity + non-negative excess at every vertex except s
 * ``pseudoflow`` capacity only
 
-Every solver, flow recovery, decomposition and cut extraction works on one
-residual state, :class:`ResidualGraph`: the residual capacity
-``r(u, v) = cbar(u, v) - f(u, v)`` of every arc and of its reverse, stored
-directly, so that a lookup is one dict read.  Pushing delta along (u, v)
-lowers r(u, v) and raises r(v, u) by the same amount, which keeps
-``r(u, v) + r(v, u) = cbar(u, v) + cbar(v, u)`` for every pair; the flow is
-read back as ``cbar - r`` on the arcs.  An UNBOUNDED arc keeps an UNBOUNDED
-residual capacity.  Paths are found by one breadth-first search that scans
-neighbours in increasing index order, so every solver breaks ties by
-lowest index.
+Every solver, flow recovery and cut extraction works on one residual state,
+:class:`ResidualGraph`: the residual capacity ``r(u, v) = cbar(u, v) -
+f(u, v)`` of every arc and of its reverse, stored as a Python int in units
+of ``1/scale``.  ``scale`` is the LCM of the denominators of every finite
+capacity and of every value of the starting flow, fixed once per solve, so
+every residual test and every push is integer arithmetic and exact at any
+LCM (Python ints do not overflow).  Pushing delta along (u, v) lowers
+r(u, v) and raises r(v, u) by the same amount, which keeps
+``r(u, v) + r(v, u) = cbar(u, v) + cbar(v, u)`` for every pair.  An
+UNBOUNDED arc keeps an UNBOUNDED residual capacity.  Rationals come back
+only at the boundary: ``capacity``, ``arcs`` and ``flow`` (read as
+``cbar - r`` on the arcs) return Fractions.
+
+The capacities are stored by rows, built once per solve: ``r[u]`` maps
+each out- and in-neighbour v of u, in increasing index order, to
+r(u, v).  A row is also u's adjacency list.  The one breadth-first search
+scans it in order, so every solver breaks ties by lowest index, and no
+lookup builds a pair key.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -320,9 +329,10 @@ def all_cuts(net):
             yield Cut(frozenset((net.source,) + extra))
 
 
-def _bfs(origin, targets, successors):
-    """Breadth-first search from `origin`; `successors(u)` lists the
-    admissible heads of u in increasing index order.
+def _bfs(origin, targets, r):
+    """Breadth-first search from `origin`.  `r[u]` maps u's candidate heads,
+    in increasing index order, to amounts; the step to v is admissible
+    when `r[u][v] > 0`.
 
     Returns the path to the first target reached (None when none is
     reachable) and the dict of reached vertices, each mapped to its parent.
@@ -331,8 +341,8 @@ def _bfs(origin, targets, successors):
     queue = deque([origin])
     while queue:
         u = queue.popleft()
-        for v in successors(u):
-            if v not in parent:
+        for v, x in r[u].items():
+            if v not in parent and x > 0:
                 parent[v] = u
                 if v in targets:
                     path = [v]
@@ -347,50 +357,86 @@ def _bfs(origin, targets, successors):
 
 class ResidualGraph:
     """Residual capacities `c_f = cbar - f` of a flow-like assignment
-    (the zero flow when none is given), under mutation."""
+    (the zero flow when none is given), under mutation.
 
-    __slots__ = ("net", "r", "nbrs")
+    `r[u][v]` is the residual capacity of (u, v) in scaled units, the int
+    `c_f * scale` (UNBOUNDED stays UNBOUNDED).  Each row `r[u]` holds
+    every out- and in-neighbour of u, in increasing index order.  `push`,
+    `augment` and `units` work in scaled units; `capacity`, `arcs` and
+    `flow` return Fractions.
+    """
+
+    __slots__ = ("net", "scale", "r")
 
     def __init__(self, net, flow=None):
         self.net = net
-        r = dict(zip(net.arcs, net.capacities()))
-        for (u, v) in net.arcs:
-            r.setdefault((v, u), Fraction(0))
+        caps = net.capacities()
+        values = [c for c in caps if not is_unbounded(c)]
         if flow is not None:
-            for (u, v) in r:
-                r[(u, v)] = net.cbar(u, v) - flow.value(u, v)
+            values.extend(flow.raw.values())
+        self.scale = scale = math.lcm(*{x.denominator for x in values})
+        r = {v: dict.fromkeys(sorted(set(net.out_neighbors(v)) | set(net.in_neighbors(v))), 0)
+             for v in net.vertices()}
+        # scale is a multiple of every denominator met below, so
+        # x.numerator * (scale // x.denominator) is x * scale exactly
+        for (u, v), c in zip(net.arcs, caps):
+            r[u][v] = c if is_unbounded(c) else c.numerator * (scale // c.denominator)
+        if flow is not None:
+            # r -= f on each stored pair (u, v) and, by antisymmetry, r += f
+            # on (v, u) unless the assignment stores (v, u) as well
+            raw = flow.raw
+            for (u, v), x in raw.items():
+                if x and v in r.get(u, ()):
+                    x = x.numerator * (scale // x.denominator)
+                    r[u][v] -= x
+                    if (v, u) not in raw:
+                        r[v][u] += x
         self.r = r
-        self.nbrs = {v: tuple(sorted(set(net.out_neighbors(v)) | set(net.in_neighbors(v))))
-                     for v in net.vertices()}
 
     @property
     def n(self):
         return self.net.n
 
+    def units(self, x):
+        """The rational x as an int number of 1/scale units.  An x whose
+        denominator does not divide `scale` raises, never rounds."""
+        q, rest = divmod(x.numerator * self.scale, x.denominator)
+        if rest:
+            raise InvariantViolation("integer scaling", f"value {x}",
+                                     [f"{x} is not a multiple of 1/{self.scale}"])
+        return q
+
+    def _value(self, x):
+        return x if is_unbounded(x) else Fraction(x, self.scale)
+
     @property
     def arcs(self):
         """Pairs with strictly positive residual capacity."""
-        return {a: x for a, x in self.r.items() if x > 0}
+        return {(u, v): self._value(x) for u, row in self.r.items()
+                for v, x in row.items() if x > 0}
 
     def capacity(self, u, v):
-        return self.r.get((u, v), Fraction(0))
+        return self._value(self.r.get(u, {}).get(v, 0))
 
     def out_neighbors(self, u):
-        r = self.r
-        return [v for v in self.nbrs[u] if r[(u, v)] > 0]
+        return [v for v, x in self.r[u].items() if x > 0]
 
     def push(self, u, v, delta):
-        self.r[(u, v)] -= delta
-        self.r[(v, u)] += delta
+        self.r[u][v] -= delta
+        self.r[v][u] += delta
+
+    def search(self, origin, targets):
+        """Lowest-index breadth-first residual search; see :func:`_bfs`."""
+        return _bfs(origin, targets, self.r)
 
     def path(self, origin, targets):
         """Lowest-index breadth-first residual path to the nearest target."""
-        return _bfs(origin, targets, self.out_neighbors)[0]
+        return self.search(origin, targets)[0]
 
     def augment(self, path, limit=None):
         """Push the bottleneck (at most `limit`) along the path; returns it."""
         arcs = list(zip(path, path[1:]))
-        amount = min(self.r[a] for a in arcs)
+        amount = min(self.r[u][v] for (u, v) in arcs)
         if limit is not None and limit < amount:
             amount = limit
         for (u, v) in arcs:
@@ -399,11 +445,12 @@ class ResidualGraph:
 
     def flow(self, role="flow"):
         """The assignment `cbar - r` on the arcs; needs finite capacities."""
+        scale, r = self.scale, self.r
         values = {}
-        for a, c in zip(self.net.arcs, self.net.capacities()):
-            x = c - self.r[a]
-            if x != 0:
-                values[a] = x
+        for (u, v), c in zip(self.net.arcs, self.net.capacities()):
+            x = c.numerator * (scale // c.denominator) - r[u][v]
+            if x:
+                values[(u, v)] = Fraction(x, scale)
         return FlowAssignment(values, role)
 
 

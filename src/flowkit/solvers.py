@@ -6,11 +6,17 @@
 * :func:`hochbaum_maxflow` — pseudoflow iteration on a normalized tree,
   solving the maximum blocking cut problem first and recovering a flow.
 
-All solvers work in exact rational arithmetic and return identical optimal
-values.  Instrumented mode re-checks the per-step invariants (valid
+All solvers are exact over the rationals and return identical optimal
+values.  Every solver works on :class:`flowkit.network.ResidualGraph`,
+whose residual capacities are ints in units of ``1/scale`` (``scale`` is
+the LCM of the capacity denominators), and so are the quantities a solver
+keeps beside it: the Edmonds-Karp value, the push-relabel and pseudoflow
+excesses, and the amounts :func:`recover_flow` drains.  They become
+Fractions again only in what a solver returns: ``MaxflowResult.flow``,
+``value`` and ``stats["value"]``, and the ``NormalizedTree.excess``
+snapshots.  Instrumented mode re-checks the per-step invariants (valid
 preflow/labeling, normalized-tree conditions) and is meant for tests; a
 broken invariant raises :class:`InvariantViolation`, also under ``-O``.
-Every solver works on :class:`flowkit.network.ResidualGraph`.
 """
 
 from __future__ import annotations
@@ -55,7 +61,7 @@ def edmonds_karp(net, instrumented=False):
     """Maximum flow by shortest augmenting paths; terminates on rational input."""
     _require_finite(net)
     res = ResidualGraph(net)
-    value = Fraction(0)
+    value = 0
     augmentations = 0
     while True:
         path = res.path(net.source, {net.sink})
@@ -67,6 +73,7 @@ def edmonds_karp(net, instrumented=False):
             bad = validate(net, res.flow(), "flow")
             if bad:
                 raise InvariantViolation("flow", f"augmentation {augmentations}", bad)
+    value = Fraction(value, res.scale)
     return MaxflowResult(res.flow(), value, {"augmentations": augmentations, "value": value})
 
 
@@ -104,12 +111,12 @@ def push_relabel(net, instrumented=False):
     _require_finite(net)
     n, s, t = net.n, net.source, net.sink
     res = ResidualGraph(net)
-    r, nbrs = res.r, res.nbrs
-    excess = {v: Fraction(0) for v in net.vertices()}
-    d = {v: 0 for v in net.vertices()}
+    r = res.r
+    excess = dict.fromkeys(net.vertices(), 0)
+    d = dict.fromkeys(net.vertices(), 0)
     d[s] = n
     for v in net.out_neighbors(s):
-        c = net.capacity(s, v)
+        c = res.units(net.capacity(s, v))
         if c > 0:
             res.push(s, v, c)
             excess[v] += c
@@ -131,10 +138,9 @@ def push_relabel(net, instrumented=False):
         queued.discard(v)
         while excess[v] > 0:
             pushed = False
-            for w in nbrs[v]:
+            for w, rv in r[v].items():
                 if excess[v] == 0:
                     break
-                rv = r[(v, w)]
                 if rv > 0 and d[v] == d[w] + 1:
                     delta = min(excess[v], rv)
                     res.push(v, w, delta)
@@ -150,12 +156,12 @@ def push_relabel(net, instrumented=False):
             if excess[v] == 0:
                 break
             if not pushed:
-                d[v] = min(d[w] + 1 for w in res.out_neighbors(v))
+                d[v] = min(d[w] for w, x in r[v].items() if x > 0) + 1
                 relabels += 1
                 if instrumented:
                     checkpoint()
 
-    value = excess[t]
+    value = Fraction(excess[t], res.scale)
     result = MaxflowResult(res.flow(), value, {"pushes": pushes, "relabels": relabels,
                                                "value": value})
     if instrumented:
@@ -279,17 +285,16 @@ def _pseudoflow_core(net, instrumented=False):
     s, t = net.source, net.sink
     internal = sorted(v for v in net.vertices() if v not in (s, t))
     res = ResidualGraph(net)
-    r, nbrs = res.r, res.nbrs
+    r, units = res.r, res.units
     for v in net.out_neighbors(s):
-        res.push(s, v, net.capacity(s, v))
+        res.push(s, v, units(net.capacity(s, v)))
     for v in net.in_neighbors(t):
         if v != s:  # a direct (s, t) arc is already saturated
-            res.push(v, t, net.capacity(v, t))
+            res.push(v, t, units(net.capacity(v, t)))
     parent = {v: ROOT for v in internal}
     children = {v: set() for v in internal}
-    excess = {v: net.cbar(s, v) - net.cbar(v, t) for v in internal}
+    excess = {v: units(net.cbar(s, v)) - units(net.cbar(v, t)) for v in internal}
     iterations = 0
-    initial_tree = NormalizedTree(ROOT, dict(parent), dict(excess))
 
     def branch_root(v):
         while parent[v] != ROOT:
@@ -307,7 +312,10 @@ def _pseudoflow_core(net, instrumented=False):
         return out
 
     def snapshot():
-        return NormalizedTree(ROOT, dict(parent), dict(excess))
+        return NormalizedTree(ROOT, dict(parent),
+                              {v: Fraction(x, res.scale) for v, x in excess.items()})
+
+    initial_tree = snapshot()
 
     def find_merger():
         strong_roots = sorted(v for v in internal if parent[v] == ROOT and excess[v] > 0)
@@ -318,10 +326,10 @@ def _pseudoflow_core(net, instrumented=False):
             strong.update(subtree(root))
         for root in strong_roots:
             for a in sorted(subtree(root)):
-                for b in nbrs[a]:
+                for b, x in r[a].items():
                     if b in (s, t) or b in strong:
                         continue
-                    if r[(a, b)] > 0:
+                    if x > 0:
                         return (a, b)
         return None
 
@@ -348,14 +356,14 @@ def _pseudoflow_core(net, instrumented=False):
         # root to the weak branch root; the within-branch order is fixed by
         # that path, the only freedom the narrative leaves open
         delta = excess[r_s]
-        excess[r_s] = Fraction(0)
+        excess[r_s] = 0
         path = [r_s]
         while parent[path[-1]] != ROOT:
             path.append(parent[path[-1]])
         i = 0
         while i < len(path) - 1 and delta > 0:
             u, u2 = path[i], path[i + 1]
-            room = r[(u, u2)]
+            room = r[u][u2]
             if delta > room:
                 # split: the tail keeps the excess that could not cross
                 children[u2].discard(u)

@@ -175,6 +175,12 @@ def test_probe_rejects_too_few_facets(capsys):
     assert err.startswith("error: a random 2-complex needs max_facets")
 
 
+def test_probe_rejects_a_negative_trial_count(capsys):
+    code, out, err = run(capsys, "conjecture-probe", "--trials", "-3")
+    assert code == 2 and out == ""
+    assert err == "error: --trials must be non-negative, got -3\n"
+
+
 def test_parse_error_exit_code(capsys, tmp_path):
     path = tmp_path / "bad.dimacs"
     path.write_text("p max x y\n")

@@ -141,6 +141,16 @@ def test_recover_rejects_non_optimal_tree():
         recover_flow(net, pf, tree)
 
 
+def test_recover_refuses_an_excess_it_cannot_scale_exactly():
+    # capacities in halves; the hand-made tree claims an excess of 5/3
+    gst = build_gst(WeightedGraph(1, {1: Fraction(3, 2)}, {}))
+    pf = FlowAssignment({(gst.source, 1): Fraction(3, 2)}, "pseudoflow")
+    tree = NormalizedTree(ROOT, {1: ROOT}, {1: Fraction(5, 3)})
+    with pytest.raises(InvariantViolation) as err:
+        recover_flow(gst, pf, tree)
+    assert err.value.invariant == "integer scaling"
+
+
 def test_recover_reports_an_invalid_result(monkeypatch):
     import flowkit.decompose
 

@@ -1,10 +1,12 @@
 """Differential check against networkx on networks with a few hundred vertices.
 
 networkx is an optional test dependency (the ``test`` extra); the module is
-skipped when it is missing.  Capacities are integers, so its maximum flow
-value is exact.
+skipped when it is missing.  networkx is given integer capacities only
+(rational networks are scaled by the LCM of their denominators), so its
+maximum flow value is exact.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -67,6 +69,28 @@ def test_every_solver_matches_networkx(seed):
         result = solve(net)
         assert result.value == want, name
         assert cut_capacity(net, min_cut_from_flow(net, result.flow)) == want, name
+
+
+DENOMINATORS = (7, 11, 13, 17, 19, 23)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rational_networks_match_networkx_after_scaling(seed):
+    # each capacity of network_spec(seed) becomes k/q, q drawn from coprime
+    # denominators; networkx sees the capacities times their LCM
+    n, arcs = network_spec(seed)
+    rng = random.Random(f"differential-rational:{seed}")
+    for a, c in arcs.items():
+        q = rng.choice(DENOMINATORS)
+        arcs[a] = Fraction(c * rng.randint(1, q), q)
+    lcm = math.lcm(*(c.denominator for c in arcs.values()))
+    net = as_network(n, arcs)
+    want = nx.maximum_flow_value(nx_graph(n, {a: int(c * lcm) for a, c in arcs.items()}), 1, n)
+    assert want > 0
+    for name, solve in ALGORITHMS.items():
+        result = solve(net)
+        assert result.value * lcm == want, name
+        assert cut_capacity(net, min_cut_from_flow(net, result.flow)) * lcm == want, name
 
 
 def test_min_cut_of_a_networkx_flow_with_unbounded_arcs():

@@ -197,6 +197,20 @@ def test_residual_pair_identity(rng):
             assert res.capacity(u, v) >= 0 and res.capacity(v, u) >= 0
 
 
+def test_residual_of_a_flow_with_a_foreign_denominator():
+    # no capacity has a denominator divisible by 3; the flow has thirds
+    net = build_network(4, 1, 4, [(1, 2, Fraction(7, 2)), (2, 3, Fraction(6, 5)),
+                                  (3, 4, Fraction(9, 2)), (1, 3, Fraction(1, 5)), (2, 4, 1)])
+    third = Fraction(1, 3)
+    flow = FlowAssignment({(1, 2): third, (2, 3): third, (3, 4): third})
+    assert validate(net, flow) == []
+    res = residual_graph(net, flow)
+    for (u, v) in net.arcs:
+        assert res.capacity(u, v) == net.cbar(u, v) - flow.value(u, v)
+        assert res.capacity(u, v) + res.capacity(v, u) == net.cbar(u, v) + net.cbar(v, u)
+    assert res.capacity(1, 2) == Fraction(19, 6) and res.capacity(2, 1) == third
+
+
 def test_dimacs_round_trip(g1, rng):
     nets = [g1]
     for _ in range(5):

@@ -1,12 +1,15 @@
 """The three maxflow algorithms and the blocking-cut machinery."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import make_random_network
 from flowkit import solvers
-from flowkit.network import NetworkError, Violation, build_network, validate
+from flowkit.decompose import min_cut_from_flow
+from flowkit.network import NetworkError, Violation, build_network, cut_capacity, validate
 from flowkit.solvers import (
     ROOT,
     InvariantViolation,
@@ -67,6 +70,30 @@ def test_cross_solver_agreement_with_oracle(rng):
             result = solver(net)
             assert result.value == want
             assert validate(net, result.flow, "flow") == []
+
+
+PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,
+          73, 79, 83, 89, 97]
+
+
+def test_exact_at_a_huge_common_denominator():
+    # 8 vertices, 27 arcs; the first 25 carry the first 25 primes as
+    # denominators, so the scale of the residual kernel exceeds 2**100
+    rng = random.Random(97)
+    pairs = ([(1, v) for v in range(2, 8)] + [(u, 8) for u in range(2, 8)]
+             + [(u, v) for u in range(2, 8) for v in range(u + 1, 8)])
+    arcs = []
+    for (u, v), q in zip(pairs, PRIMES + [1, 1]):
+        k = rng.choice([k for k in range(1, 4 * q) if k % q or q == 1])
+        arcs.append((u, v, Fraction(k, q)))
+    assert math.lcm(*(c.denominator for _, _, c in arcs)) > 2 ** 100
+    net = build_network(8, 1, 8, arcs)
+    want = brute_min_cut(8, 1, 8, arcs)
+    for solver in SOLVERS:
+        result = solver(net)
+        assert result.value == want, solver.__name__
+        assert validate(net, result.flow, "flow") == []
+        assert cut_capacity(net, min_cut_from_flow(net, result.flow)) == want
 
 
 def test_push_relabel_instrumented_invariants(rng):
