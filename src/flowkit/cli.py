@@ -97,9 +97,8 @@ def cmd_mincut(args):
     net = network.read_dimacs(_read(args.network), allow_antiparallel=args.allow_antiparallel)
     result = solvers.ALGORITHMS[args.algo](net)
     _diag(_stats_line(args.algo, result.stats))
-    cut = decompose.min_cut_from_flow(net, result.flow)
-    lines = [f"v {v}" for v in sorted(cut.source_side)]
-    lines.append(f"s {format_value(network.cut_capacity(net, cut))}")
+    lines = [f"v {v}" for v in sorted(result.cut.source_side)]
+    lines.append(f"s {format_value(result.value)}")
     _emit(args, "\n".join(lines) + "\n")
     return 0
 

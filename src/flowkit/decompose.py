@@ -142,7 +142,7 @@ def recover_flow(gst, pseudoflow, tree):
         sign = 1 if excess[v] > 0 else -1
         origin, target = (v, gst.source) if sign > 0 else (gst.sink, v)
         while excess[v] != 0:
-            path = res.path(origin, {target})
+            path, _ = res.search(origin, {target})
             if path is None:
                 raise InvariantViolation("recovery", f"root {v}",
                                          [f"no residual path from {origin} to {target}"])

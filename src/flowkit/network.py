@@ -429,10 +429,6 @@ class ResidualGraph:
         """Lowest-index breadth-first residual search; see :func:`_bfs`."""
         return _bfs(origin, targets, self.r)
 
-    def path(self, origin, targets):
-        """Lowest-index breadth-first residual path to the nearest target."""
-        return self.search(origin, targets)[0]
-
     def augment(self, path, limit=None):
         """Push the bottleneck (at most `limit`) along the path; returns it."""
         arcs = list(zip(path, path[1:]))
@@ -645,6 +641,8 @@ def read_flow(net, text):
         elif fields[0] == "s":
             if len(fields) != 2:
                 raise ParseError("expected `s <value>`", line_no)
+            if stated is not None:
+                raise ParseError("duplicate flow value line", line_no)
             stated = parse_value(fields[1])
         else:
             raise ParseError(f"unknown record type {fields[0]!r}", line_no)

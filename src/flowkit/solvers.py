@@ -10,13 +10,26 @@ All solvers are exact over the rationals and return identical optimal
 values.  Every solver works on :class:`flowkit.network.ResidualGraph`,
 whose residual capacities are ints in units of ``1/scale`` (``scale`` is
 the LCM of the capacity denominators), and so are the quantities a solver
-keeps beside it: the Edmonds-Karp value, the push-relabel and pseudoflow
-excesses, and the amounts :func:`recover_flow` drains.  They become
-Fractions again only in what a solver returns: ``MaxflowResult.flow``,
-``value`` and ``stats["value"]``, and the ``NormalizedTree.excess``
-snapshots.  Instrumented mode re-checks the per-step invariants (valid
-preflow/labeling, normalized-tree conditions) and is meant for tests; a
-broken invariant raises :class:`InvariantViolation`, also under ``-O``.
+keeps beside it: the push-relabel and pseudoflow excesses and the amounts
+:func:`recover_flow` drains.  They become Fractions again only in what a
+solver returns: ``MaxflowResult.flow``, ``value`` and ``stats["value"]``,
+and the ``NormalizedTree.excess`` snapshots.
+
+Every solver ends in one certificate, read off its final residual graph
+in a single scaled-int pass over the arcs.  ``MaxflowResult.cut`` is the
+source side reached by a residual search from the source: Edmonds-Karp
+keeps the one of its last, failed search; push-relabel searches its
+final residual once; pseudoflow searches the residual of the recovered
+flow on the network it was given, since it may have solved the reversed
+one.  The pass checks 0 <= f <= c on every arc, conservation off s and
+t, s inside and t outside the cut, and that the value |f| equals the cut
+capacity; this proves the flow maximal and the cut minimal, and is the
+same source side :func:`flowkit.decompose.min_cut_from_flow` finds.  A
+failed check raises :class:`InvariantViolation` with the invariant
+``"certificate"``.  Instrumented mode also re-checks the per-step
+invariants (valid preflow/labeling, normalized-tree conditions) and is
+meant for tests; a broken invariant raises :class:`InvariantViolation`,
+also under ``-O``.
 """
 
 from __future__ import annotations
@@ -28,12 +41,12 @@ from fractions import Fraction
 
 from .decompose import recover_flow
 from .network import (
+    Cut,
     FlowAssignment,
     InvariantViolation,
     NetworkError,
     ResidualGraph,
     build_network,
-    net_flow,
     validate,
 )
 from .values import exact, is_unbounded
@@ -45,6 +58,7 @@ ROOT = 0  # parent sentinel: branch hangs directly off the contracted root
 class MaxflowResult:
     flow: FlowAssignment
     value: Fraction
+    cut: Cut                  # minimum cut: the source side reached in the final residual
     stats: dict
     debug: dict | None = None
 
@@ -54,6 +68,44 @@ def _require_finite(net):
         raise NetworkError("solver requires finite capacities")
 
 
+def _certified(net, res, reached, stats):
+    """The flow, value and minimum cut of a final residual graph, checked.
+
+    One pass over the arcs, in units of ``1/res.scale``: f = c - r(u, v)
+    lies in [0, c], the excess is zero off s and t, s is in and t is out
+    of `reached`, and the outflow of s equals the capacity of the arcs
+    leaving `reached`.  Sets ``stats["value"]``; raises
+    :class:`InvariantViolation` ("certificate") listing every failed check.
+    """
+    s, t, scale, r = net.source, net.sink, res.scale, res.r
+    side = frozenset(reached)
+    excess = dict.fromkeys(net.vertices(), 0)
+    values = {}
+    capacity = 0
+    bad = []
+    for (u, v), c in zip(net.arcs, net.capacities()):
+        c = c.numerator * (scale // c.denominator)
+        x = c - r[u][v]
+        if not 0 <= x <= c:
+            bad.append(("capacity", (u, v)))
+        if x:
+            values[(u, v)] = Fraction(x, scale)
+            excess[u] -= x
+            excess[v] += x
+        if u in side and v not in side:
+            capacity += c
+    bad.extend(("conservation", v) for v, e in excess.items() if e and v != s and v != t)
+    if s not in side or t in side:
+        bad.append(("cut_sides", (s, t)))
+    if -excess[s] != capacity:
+        bad.append(("value_is_not_cut_capacity",
+                    (Fraction(-excess[s], scale), Fraction(capacity, scale))))
+    if bad:
+        raise InvariantViolation("certificate", "final residual", bad)
+    stats["value"] = value = Fraction(capacity, scale)
+    return MaxflowResult(FlowAssignment(values, "flow"), value, Cut(side), stats)
+
+
 # -- shortest augmenting paths -------------------------------------------
 
 
@@ -61,20 +113,18 @@ def edmonds_karp(net, instrumented=False):
     """Maximum flow by shortest augmenting paths; terminates on rational input."""
     _require_finite(net)
     res = ResidualGraph(net)
-    value = 0
     augmentations = 0
     while True:
-        path = res.path(net.source, {net.sink})
+        path, reached = res.search(net.source, {net.sink})
         if path is None:
             break
-        value += res.augment(path)
+        res.augment(path)
         augmentations += 1
         if instrumented:
             bad = validate(net, res.flow(), "flow")
             if bad:
                 raise InvariantViolation("flow", f"augmentation {augmentations}", bad)
-    value = Fraction(value, res.scale)
-    return MaxflowResult(res.flow(), value, {"augmentations": augmentations, "value": value})
+    return _certified(net, res, reached, {"augmentations": augmentations})
 
 
 # -- FIFO preflow-push ----------------------------------------------------
@@ -161,9 +211,8 @@ def push_relabel(net, instrumented=False):
                 if instrumented:
                     checkpoint()
 
-    value = Fraction(excess[t], res.scale)
-    result = MaxflowResult(res.flow(), value, {"pushes": pushes, "relabels": relabels,
-                                               "value": value})
+    _, reached = res.search(s, {t})
+    result = _certified(net, res, reached, {"pushes": pushes, "relabels": relabels})
     if instrumented:
         result.debug = {"labels": dict(d)}
     return result
@@ -423,8 +472,9 @@ def hochbaum_maxflow(net, instrumented=False):
     flow = recover_flow(work, pf, tree)
     if reverse:
         flow = FlowAssignment({(v, u): x for (u, v), x in flow.raw.items()}, "flow")
-    value = net_flow(net, flow)
-    result = MaxflowResult(flow, value, {"iterations": iterations, "value": value})
+    res = ResidualGraph(net, flow)
+    _, reached = res.search(net.source, {net.sink})
+    result = _certified(net, res, reached, {"iterations": iterations})
     if instrumented:
         result.debug = {"initial_tree": initial_tree, "final_tree": tree,
                         "reversed": reverse, "pseudoflow": pf}

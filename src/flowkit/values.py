@@ -67,15 +67,11 @@ def is_unbounded(x) -> bool:
     return x is UNBOUNDED
 
 
-def as_fraction(x) -> Fraction:
-    if is_unbounded(x):
-        raise ValueError("expected a finite value, got UNBOUNDED")
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 def exact(x) -> Fraction:
-    """Fraction from an int, string, or Fraction; floats are refused
-    because binary rounding would silently change the instance."""
+    """Fraction from an int, string, or Fraction (returned as it is); floats
+    are refused because binary rounding would silently change the instance."""
+    if isinstance(x, Fraction):
+        return x
     if isinstance(x, float):
         raise TypeError(f"refusing float {x!r}; pass a Fraction, int, or 'p/q' string")
     return Fraction(x)
@@ -93,7 +89,7 @@ def format_value(x) -> str:
     """Render a value the way the file formats expect (`7` or `7/3`)."""
     if is_unbounded(x):
         return "inf"
-    x = as_fraction(x)
+    x = exact(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

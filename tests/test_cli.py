@@ -84,6 +84,14 @@ def test_decompose_rejects_a_repeated_flow_line(capsys, net_file, tmp_path):
     assert err == "error: line 3: duplicate value for arc (1, 2)\n"
 
 
+def test_decompose_rejects_a_repeated_value_line(capsys, net_file, tmp_path):
+    flow_path = tmp_path / "flow.txt"
+    flow_path.write_text("f 1 2 2\nf 2 4 2\ns 3\ns 2\n")
+    code, out, err = run(capsys, "decompose", net_file, str(flow_path))
+    assert code == 2 and out == ""
+    assert err == "error: line 4: duplicate flow value line\n"
+
+
 def test_lp_dual(capsys, net_file):
     code, out, _ = run(capsys, "lp-dual", net_file)
     assert code == 0
@@ -116,6 +124,14 @@ def test_matching_success_and_violation(capsys, tmp_path):
     assert code == 1 and out.startswith("violation ")
 
 
+def test_matching_rejects_a_repeated_problem_line(capsys, tmp_path):
+    path = tmp_path / "graph.txt"
+    path.write_text("p matching 2 2\ne 1 1\np matching 3 2\ne 2 2\n")
+    code, out, err = run(capsys, "matching", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: line 3: duplicate problem line\n"
+
+
 def test_chains(capsys, tmp_path):
     path = tmp_path / "poset.txt"
     path.write_text("el b\nel x\nel y\nel t\nbottom b\ntop t\n"
@@ -141,6 +157,15 @@ def test_segment_rejects_a_bad_penalty(capsys, tmp_path):
     code, out, err = run(capsys, "segment", str(path), "--penalty", "abc")
     assert code == 2 and out == ""
     assert err == "error: --penalty: not a rational value: 'abc'\n"
+
+
+@pytest.mark.parametrize("size", ["-1 -1", "0 0", "0 1", "1 -1"])
+def test_segment_rejects_an_image_size_below_one(capsys, tmp_path, size):
+    path = tmp_path / "img.pgm"
+    path.write_text(f"P2\n{size}\n255\n7\n")
+    code, out, err = run(capsys, "segment", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: image size must be at least 1 x 1")
 
 
 def test_hflow(capsys, tetra_file):

@@ -68,7 +68,8 @@ def test_every_solver_matches_networkx(seed):
     for name, solve in ALGORITHMS.items():
         result = solve(net)
         assert result.value == want, name
-        assert cut_capacity(net, min_cut_from_flow(net, result.flow)) == want, name
+        assert result.cut == min_cut_from_flow(net, result.flow), name
+        assert cut_capacity(net, result.cut) == want, name
 
 
 DENOMINATORS = (7, 11, 13, 17, 19, 23)
@@ -90,7 +91,8 @@ def test_rational_networks_match_networkx_after_scaling(seed):
     for name, solve in ALGORITHMS.items():
         result = solve(net)
         assert result.value * lcm == want, name
-        assert cut_capacity(net, min_cut_from_flow(net, result.flow)) * lcm == want, name
+        assert result.cut == min_cut_from_flow(net, result.flow), name
+        assert cut_capacity(net, result.cut) * lcm == want, name
 
 
 def test_min_cut_of_a_networkx_flow_with_unbounded_arcs():

@@ -88,6 +88,7 @@ def solver_records():
             stats = " ".join(f"{k}={format_value(v) if hasattr(v, 'denominator') else v}"
                              for k, v in sorted(result.stats.items()))
             cut = min_cut_from_flow(net, result.flow)
+            assert result.cut == cut, (i, name)
             records.append(f"instance {i} algo={name} {stats}\n"
                            + write_flow(net, result.flow, result.value)
                            + "cut " + " ".join(map(str, sorted(cut.source_side))) + "\n"

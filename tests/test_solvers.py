@@ -9,7 +9,14 @@ import pytest
 from conftest import make_random_network
 from flowkit import solvers
 from flowkit.decompose import min_cut_from_flow
-from flowkit.network import NetworkError, Violation, build_network, cut_capacity, validate
+from flowkit.network import (
+    NetworkError,
+    ResidualGraph,
+    Violation,
+    build_network,
+    cut_capacity,
+    validate,
+)
 from flowkit.solvers import (
     ROOT,
     InvariantViolation,
@@ -94,6 +101,30 @@ def test_exact_at_a_huge_common_denominator():
         assert result.value == want, solver.__name__
         assert validate(net, result.flow, "flow") == []
         assert cut_capacity(net, min_cut_from_flow(net, result.flow)) == want
+
+
+def test_certificate_rejects_a_doctored_flow_and_a_doctored_cut():
+    # max flow 11/6; the minimum cut {1, 2} is the reached set, at scale 6
+    net = build_network(4, 1, 4, [(1, 2, Fraction(3, 2)), (1, 3, 1), (2, 3, Fraction(1, 3)),
+                                  (2, 4, Fraction(1, 2)), (3, 4, 2)])
+    result = edmonds_karp(net)
+    side = result.cut.source_side
+    assert side == {1, 2} and result.value == Fraction(11, 6)
+    again = solvers._certified(net, ResidualGraph(net, result.flow), side, {})
+    assert (again.flow, again.value, again.cut) == (result.flow, result.value, result.cut)
+
+    res = ResidualGraph(net, result.flow)
+    res.push(1, 2, 1)  # one more unit of 1/6 into vertex 2
+    with pytest.raises(InvariantViolation) as err:
+        solvers._certified(net, res, side, {})
+    assert err.value.invariant == "certificate"
+    assert ("conservation", 2) in err.value.violations
+
+    with pytest.raises(InvariantViolation) as err:
+        solvers._certified(net, ResidualGraph(net, result.flow), side - {2}, {})
+    assert err.value.invariant == "certificate"
+    assert err.value.violations == [("value_is_not_cut_capacity",
+                                     (Fraction(11, 6), Fraction(5, 2)))]
 
 
 def test_push_relabel_instrumented_invariants(rng):
