@@ -21,7 +21,6 @@ from .network import (  # noqa: F401
     incidence_matrix,
     net_flow,
     read_dimacs,
-    residual_graph,
     validate,
     write_dimacs,
 )

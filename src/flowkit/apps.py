@@ -428,8 +428,12 @@ def read_poset(text):
         elif fields[0] == "cover" and len(fields) == 3:
             pairs.append((fields[1], fields[2]))
         elif fields[0] == "bottom" and len(fields) == 2:
+            if bottom is not None:
+                raise ParseError("duplicate bottom line", line_no)
             bottom = fields[1]
         elif fields[0] == "top" and len(fields) == 2:
+            if top is not None:
+                raise ParseError("duplicate top line", line_no)
             top = fields[1]
         else:
             raise ParseError(f"unknown record {line!r}", line_no)

@@ -332,14 +332,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except network.ParseError as exc:
-        _diag(f"error: {exc}")
-        return 2
-    except FileNotFoundError as exc:
-        _diag(f"error: {exc}")
-        return 2
-    except (network.NetworkError, lp.Malformed, lp.Infeasible, lp.BudgetExceeded,
-            simplicial.ComplexError) as exc:
+    except (OSError, UnicodeDecodeError, network.NetworkError, lp.Malformed, lp.Infeasible,
+            lp.BudgetExceeded, simplicial.ComplexError) as exc:
         _diag(f"error: {exc}")
         return 2
     except network.InvariantViolation as exc:

@@ -3,7 +3,9 @@
 A valid flow splits into at most m source-to-sink path-flows and
 cycle-flows; every extraction step zeroes the flow on at least one arc.
 A maximal flow yields a minimum cut as the set of vertices reachable from
-the source in the residual graph.
+the source in the residual graph.  Recovery drains the residual graph of
+the pseudoflow solver's core in place; it does not re-check the flow it
+leaves, because the solver's certificate is the only check of it.
 """
 
 from __future__ import annotations
@@ -120,16 +122,17 @@ def min_cut_from_flow(net, f):
     return Cut(frozenset(reached))
 
 
-def recover_flow(gst, pseudoflow, tree):
-    """Turn the pseudoflow of an optimal normalized tree into a maximal flow.
+def recover_flow(res, tree):
+    """Drain the residual graph of an optimal normalized tree's pseudoflow,
+    in place, into the residual graph of a maximal flow.
 
     Excesses at strong branch roots drain back to the source along residual
     paths through strong vertices; deficits at strictly weak roots are
     served from the sink through weak vertices.  Arcs crossing from the
     strong side to the weak side stay saturated, so the recovered value
-    equals the capacity of the strong/weak cut.
+    equals the capacity of the strong/weak cut.  Nothing here re-checks
+    the result: the solver's certificate does.
     """
-    res = ResidualGraph(gst, pseudoflow)
     weak = set(tree.weak_vertices())
     for a in tree.strong_vertices():
         for b in res.out_neighbors(a):
@@ -140,19 +143,13 @@ def recover_flow(gst, pseudoflow, tree):
     excess = {v: res.units(tree.excess[v]) for v in tree.branch_roots() if tree.excess[v] != 0}
     for v in sorted(excess, key=lambda v: (excess[v] < 0, v)):
         sign = 1 if excess[v] > 0 else -1
-        origin, target = (v, gst.source) if sign > 0 else (gst.sink, v)
+        origin, target = (v, res.net.source) if sign > 0 else (res.net.sink, v)
         while excess[v] != 0:
             path, _ = res.search(origin, {target})
             if path is None:
                 raise InvariantViolation("recovery", f"root {v}",
                                          [f"no residual path from {origin} to {target}"])
             excess[v] -= sign * res.augment(path, sign * excess[v])
-
-    flow = res.flow()
-    bad = validate(gst, flow, "flow")
-    if bad:
-        raise InvariantViolation("recovery", "end", bad)
-    return flow
 
 
 # -- component serialization ----------------------------------------------

@@ -248,7 +248,7 @@ class FlowAssignment:
         if role not in ROLES:
             raise ValueError(f"unknown role {role!r}")
         self.role = role
-        self.raw = {(u, v): Fraction(x) for (u, v), x in dict(values).items()}
+        self.raw = {(u, v): exact(x) for (u, v), x in dict(values).items()}
         touching = {}
         for (u, v) in self.raw:
             touching.setdefault(u, set()).add(v)
@@ -393,10 +393,6 @@ class ResidualGraph:
                         r[v][u] += x
         self.r = r
 
-    @property
-    def n(self):
-        return self.net.n
-
     def units(self, x):
         """The rational x as an int number of 1/scale units.  An x whose
         denominator does not divide `scale` raises, never rounds."""
@@ -439,6 +435,13 @@ class ResidualGraph:
             self.push(u, v, amount)
         return amount
 
+    def reverse(self, net):
+        """Re-read this residual on `net`, the network with every arc
+        reversed: r(u, v) <- r(v, u).  The scale and the row order stay."""
+        r = self.r
+        self.r = {u: {v: r[v][u] for v in row} for u, row in r.items()}
+        self.net = net
+
     def flow(self, role="flow"):
         """The assignment `cbar - r` on the arcs; needs finite capacities."""
         scale, r = self.scale, self.r
@@ -448,11 +451,6 @@ class ResidualGraph:
             if x:
                 values[(u, v)] = Fraction(x, scale)
         return FlowAssignment(values, role)
-
-
-def residual_graph(net, f):
-    """Residual graph of a flow/preflow/pseudoflow (same formula for all roles)."""
-    return ResidualGraph(net, f)
 
 
 def validate(net, f, role=None):

@@ -645,6 +645,8 @@ def read_hnet(text):
         fields = line.split()
         try:
             if fields[0] == "hnet":
+                if dim is not None:
+                    raise ParseError("duplicate `hnet dim` header", line_no)
                 if len(fields) != 3 or fields[1] != "dim":
                     raise ParseError("expected `hnet dim <d>`", line_no)
                 dim = int(fields[2])

@@ -19,17 +19,18 @@ Every solver ends in one certificate, read off its final residual graph
 in a single scaled-int pass over the arcs.  ``MaxflowResult.cut`` is the
 source side reached by a residual search from the source: Edmonds-Karp
 keeps the one of its last, failed search; push-relabel searches its
-final residual once; pseudoflow searches the residual of the recovered
-flow on the network it was given, since it may have solved the reversed
-one.  The pass checks 0 <= f <= c on every arc, conservation off s and
-t, s inside and t outside the cut, and that the value |f| equals the cut
-capacity; this proves the flow maximal and the cut minimal, and is the
-same source side :func:`flowkit.decompose.min_cut_from_flow` finds.  A
-failed check raises :class:`InvariantViolation` with the invariant
-``"certificate"``.  Instrumented mode also re-checks the per-step
-invariants (valid preflow/labeling, normalized-tree conditions) and is
-meant for tests; a broken invariant raises :class:`InvariantViolation`,
-also under ``-O``.
+final residual once; pseudoflow searches its core's residual after
+:func:`recover_flow` drains it in place and, when it solved the reversed
+network, after it is re-read on the one given.  The pass checks 0 <= f
+<= c on every arc, conservation off s and t, s inside and t outside the
+cut, and that the value |f| equals the cut capacity (for pseudoflow, the
+only check of the recovered flow); this proves the flow maximal and the
+cut minimal, and is the same source side
+:func:`flowkit.decompose.min_cut_from_flow` finds.  A failed check raises
+:class:`InvariantViolation` with the invariant ``"certificate"``.
+Instrumented mode also re-checks the per-step invariants (valid
+preflow/labeling, normalized-tree conditions) and is meant for tests; a
+broken invariant raises :class:`InvariantViolation`, also under ``-O``.
 """
 
 from __future__ import annotations
@@ -297,40 +298,39 @@ class NormalizedTree:
 def normalized_tree_violations(net, f, tree):
     """Check the four normalized-tree conditions for a pseudoflow on `net`."""
     s, t = net.source, net.sink
-    fa = f if isinstance(f, FlowAssignment) else FlowAssignment(f, "pseudoflow")
     bad = []
-    bad.extend(("pseudoflow",) + (v.kind, v.where) for v in validate(net, fa, "pseudoflow"))
+    bad.extend(("pseudoflow",) + (v.kind, v.where) for v in validate(net, f, "pseudoflow"))
     for v in net.out_neighbors(s):
-        if fa.value(s, v) != net.capacity(s, v):
+        if f.value(s, v) != net.capacity(s, v):
             bad.append(("source_arc_not_saturated", (s, v)))
     for v in net.in_neighbors(t):
-        if fa.value(v, t) != net.capacity(v, t):
+        if f.value(v, t) != net.capacity(v, t):
             bad.append(("sink_arc_not_saturated", (v, t)))
     tree_edges = {(v, p) for v, p in tree.parent.items() if p != ROOT}
     tree_edges |= {(p, v) for (v, p) in tree_edges}
     for (u, v) in net.arcs:
         if u in (s, t) or v in (s, t) or (u, v) in tree_edges:
             continue
-        x = fa.value(u, v)
+        x = f.value(u, v)
         if x != 0 and x != net.capacity(u, v):
             bad.append(("nontree_arc_partial", (u, v)))
     for v, p in tree.parent.items():
         if p == ROOT:
             continue
-        if net.cbar(p, v) - fa.value(p, v) <= 0:
+        if net.cbar(p, v) - f.value(p, v) <= 0:
             bad.append(("downward_residual", (p, v)))
     for v in tree.parent:
-        if tree.parent[v] != ROOT and fa.excess(v) != 0:
+        if tree.parent[v] != ROOT and f.excess(v) != 0:
             bad.append(("interior_excess", v))
-        if tree.parent[v] == ROOT and fa.excess(v) != tree.excess[v]:
+        if tree.parent[v] == ROOT and f.excess(v) != tree.excess[v]:
             bad.append(("root_excess_mismatch", v))
     return bad
 
 
 def _pseudoflow_core(net, instrumented=False):
     """Iterate merger arcs until no residual arc runs from a strong to a
-    weak vertex; returns the optimal tree, the pseudoflow and the
-    iteration count."""
+    weak vertex; returns the optimal tree, the residual graph of its
+    pseudoflow, the iteration count and the initial tree."""
     s, t = net.source, net.sink
     internal = sorted(v for v in net.vertices() if v not in (s, t))
     res = ResidualGraph(net)
@@ -431,7 +431,7 @@ def _pseudoflow_core(net, instrumented=False):
             if bad:
                 raise InvariantViolation("normalized tree", f"iteration {iterations}", bad)
 
-    return snapshot(), res.flow("pseudoflow"), iterations, initial_tree
+    return snapshot(), res, iterations, initial_tree
 
 
 @dataclass
@@ -445,9 +445,9 @@ class BlockingCutResult:
 def max_blocking_cut(g):
     """Maximum surplus set of a weighted graph via the pseudoflow iteration."""
     gst = build_gst(g)
-    tree, pf, iterations, _ = _pseudoflow_core(gst)
+    tree, res, iterations, _ = _pseudoflow_core(gst)
     subset = frozenset(tree.strong_vertices())
-    return BlockingCutResult(subset, g.surplus(subset), tree, pf)
+    return BlockingCutResult(subset, g.surplus(subset), tree, res.flow("pseudoflow"))
 
 
 def _reverse_network(net):
@@ -468,11 +468,11 @@ def hochbaum_maxflow(net, instrumented=False):
                   Fraction(0))
     reverse = m_minus < m_plus
     work = _reverse_network(net) if reverse else net
-    tree, pf, iterations, initial_tree = _pseudoflow_core(work, instrumented=instrumented)
-    flow = recover_flow(work, pf, tree)
+    tree, res, iterations, initial_tree = _pseudoflow_core(work, instrumented=instrumented)
+    pf = res.flow("pseudoflow") if instrumented else None
+    recover_flow(res, tree)
     if reverse:
-        flow = FlowAssignment({(v, u): x for (u, v), x in flow.raw.items()}, "flow")
-    res = ResidualGraph(net, flow)
+        res.reverse(net)
     _, reached = res.search(net.source, {net.sink})
     result = _certified(net, res, reached, {"iterations": iterations})
     if instrumented:

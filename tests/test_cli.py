@@ -142,6 +142,18 @@ def test_chains(capsys, tmp_path):
     assert lines[-1] == "s 2" and len(lines) == 3
 
 
+@pytest.mark.parametrize("kind, records, line", [
+    ("top", "bottom a\ntop b\ntop c\n", 6),
+    ("bottom", "bottom b\nbottom a\ntop c\n", 5),
+], ids=["top", "bottom"])
+def test_chains_rejects_a_repeated_bottom_or_top(capsys, tmp_path, kind, records, line):
+    path = tmp_path / "poset.txt"
+    path.write_text("el a\nel b\nel c\n" + records + "cover a b\ncover b c\n")
+    code, out, err = run(capsys, "chains", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: line {line}: duplicate {kind} line\n"
+
+
 def test_segment(capsys, tmp_path):
     path = tmp_path / "img.pgm"
     path.write_text("P2\n2 1\n10\n9 1\n")
@@ -174,6 +186,14 @@ def test_hflow(capsys, tetra_file):
     assert out.strip().splitlines()[-1] == "s 1"
     code, out, _ = run(capsys, "hflow", "--algo=all", tetra_file)
     assert code == 0 and out == "s 1\ns 1\n"
+
+
+def test_hflow_rejects_a_repeated_header(capsys, tmp_path):
+    path = tmp_path / "tetra.hnet"
+    path.write_text(TETRA + "hnet dim 2\n")
+    code, out, err = run(capsys, "hflow", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: line 6: duplicate `hnet dim` header\n"
 
 
 def test_hcut_sweep_and_explicit(capsys, tetra_file):
@@ -217,6 +237,26 @@ def test_parse_error_exit_code(capsys, tmp_path):
 def test_missing_file(capsys):
     code, _, err = run(capsys, "maxflow", "no-such-file.dimacs")
     assert code == 2
+
+
+def test_a_directory_as_input_is_an_input_error(capsys, tmp_path):
+    code, out, err = run(capsys, "mincut", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: [Errno")
+
+
+def test_undecodable_input_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "binary.dimacs"
+    path.write_bytes(b"p max 2 1\nn 1 s\nn 2 t\na 1 2 \xff\n")
+    code, out, err = run(capsys, "maxflow", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_unwritable_output_is_an_input_error(capsys, net_file, tmp_path):
+    code, out, err = run(capsys, "maxflow", net_file, "-o", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1].startswith("error: [Errno")
 
 
 def test_output_flag(capsys, net_file, tmp_path):

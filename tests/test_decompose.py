@@ -16,10 +16,10 @@ from flowkit.decompose import (
 )
 from flowkit.network import (
     FlowAssignment,
+    ResidualGraph,
     build_network,
     cut_capacity,
     net_flow,
-    residual_graph,
     validate,
     zero_flow,
 )
@@ -31,6 +31,7 @@ from flowkit.solvers import (
     _pseudoflow_core,
     build_gst,
     edmonds_karp,
+    hochbaum_maxflow,
 )
 
 
@@ -97,15 +98,18 @@ def test_min_cut_rejects_non_maximal(g1):
         min_cut_from_flow(g1, zero_flow())
     path = err.value.path
     assert path[0] == g1.source and path[-1] == g1.sink
-    res = residual_graph(g1, zero_flow())
+    res = ResidualGraph(g1, zero_flow())
     assert all(res.capacity(path[i], path[i + 1]) > 0 for i in range(len(path) - 1))
 
 
 def test_recover_identity_when_already_a_flow():
     g = WeightedGraph(2, {1: 0, 2: 0}, {(1, 2): 3})
     gst = build_gst(g)
-    tree, pf, _, _ = _pseudoflow_core(gst)
-    flow = recover_flow(gst, pf, tree)
+    tree, core, _, _ = _pseudoflow_core(gst)
+    pf = core.flow("pseudoflow")
+    res = ResidualGraph(gst, pf)
+    recover_flow(res, tree)
+    flow = res.flow()
     assert flow.with_role("pseudoflow") == pf
     assert net_flow(gst, flow) == 0
 
@@ -120,8 +124,9 @@ def test_recover_matches_independent_solver(rng):
                 if u != v and (v, u) not in arcs and rng.random() < 0.4:
                     arcs[(u, v)] = Fraction(rng.randint(0, 5))
         gst = build_gst(WeightedGraph(n, weights, arcs))
-        tree, pf, _, _ = _pseudoflow_core(gst)
-        flow = recover_flow(gst, pf, tree)
+        tree, res, _, _ = _pseudoflow_core(gst)
+        recover_flow(res, tree)
+        flow = res.flow()
         assert validate(gst, flow, "flow") == []
         value = net_flow(gst, flow)
         assert value == edmonds_karp(gst).value
@@ -138,7 +143,7 @@ def test_recover_rejects_non_optimal_tree():
     pf = FlowAssignment({(1, 2): Fraction(2), (3, 4): Fraction(1)}, "pseudoflow")
     tree = NormalizedTree(ROOT, {2: ROOT, 3: ROOT}, {2: Fraction(2), 3: Fraction(-1)})
     with pytest.raises(NotOptimal):
-        recover_flow(net, pf, tree)
+        recover_flow(ResidualGraph(net, pf), tree)
 
 
 def test_recover_refuses_an_excess_it_cannot_scale_exactly():
@@ -147,19 +152,26 @@ def test_recover_refuses_an_excess_it_cannot_scale_exactly():
     pf = FlowAssignment({(gst.source, 1): Fraction(3, 2)}, "pseudoflow")
     tree = NormalizedTree(ROOT, {1: ROOT}, {1: Fraction(5, 3)})
     with pytest.raises(InvariantViolation) as err:
-        recover_flow(gst, pf, tree)
+        recover_flow(ResidualGraph(gst, pf), tree)
     assert err.value.invariant == "integer scaling"
 
 
 def test_recover_reports_an_invalid_result(monkeypatch):
-    import flowkit.decompose
+    # the certificate is the only check of the recovered flow: skipping
+    # recovery leaves the pseudoflow's excesses, which it must reject
+    import flowkit.solvers
 
-    gst = build_gst(WeightedGraph(2, {1: 2, 2: -1}, {(1, 2): 3}))
-    tree, pf, _, _ = _pseudoflow_core(gst)
-    monkeypatch.setattr(flowkit.decompose, "validate", lambda *args: ["fake"])
-    with pytest.raises(InvariantViolation) as err:
-        recover_flow(gst, pf, tree)
-    assert (err.value.invariant, err.value.violations) == ("recovery", ["fake"])
+    cases = [([(1, 2, 2), (2, 3, 1), (3, 4, 3)], False),   # M+ = 2 <= M- = 3
+             ([(1, 2, 3), (2, 3, 1), (3, 4, 2)], True)]    # M- = 2 < M+ = 3
+    for arcs, reverse in cases:
+        net = build_network(4, 1, 4, arcs)
+        assert hochbaum_maxflow(net, instrumented=True).debug["reversed"] is reverse
+        with monkeypatch.context() as patch:
+            patch.setattr(flowkit.solvers, "recover_flow", lambda res, tree: None)
+            with pytest.raises(InvariantViolation) as err:
+                hochbaum_maxflow(net)
+        assert err.value.invariant == "certificate"
+        assert "conservation" in {kind for kind, _ in err.value.violations}
 
 
 def test_component_serialization_round_trip(rng):

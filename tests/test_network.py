@@ -11,6 +11,7 @@ from flowkit.network import (
     FlowAssignment,
     InvalidFlow,
     ParseError,
+    ResidualGraph,
     SourceSinkViolation,
     all_cuts,
     build_network,
@@ -21,7 +22,6 @@ from flowkit.network import (
     net_flow,
     read_dimacs,
     read_flow,
-    residual_graph,
     validate,
     write_dimacs,
     write_flow,
@@ -137,6 +137,14 @@ def test_antisymmetry_violation_detected(g1):
     assert any(v.kind == "antisymmetry" for v in bad)
 
 
+def test_flow_assignment_refuses_a_float():
+    with pytest.raises(TypeError):
+        FlowAssignment({(1, 2): 0.1})
+    f = FlowAssignment({(1, 2): "1/10", (2, 3): 3})
+    assert f.raw == {(1, 2): Fraction(1, 10), (2, 3): Fraction(3)}
+    assert all(type(x) is Fraction for x in f.raw.values())
+
+
 def test_net_flow_trivia(single_arc):
     assert net_flow(single_arc, zero_flow()) == 0
     full = FlowAssignment({(1, 2): Fraction(5)})
@@ -175,13 +183,13 @@ def test_cut_of_source_alone(single_arc):
 
 
 def test_residual_of_zero_flow(g1):
-    res = residual_graph(g1, zero_flow())
+    res = ResidualGraph(g1, zero_flow())
     assert set(res.arcs) == set(g1.arcs)
     assert all(res.capacity(u, v) == g1.capacity(u, v) for (u, v) in g1.arcs)
 
 
 def test_residual_of_saturated_arc(single_arc):
-    res = residual_graph(single_arc, FlowAssignment({(1, 2): Fraction(5)}))
+    res = ResidualGraph(single_arc, FlowAssignment({(1, 2): Fraction(5)}))
     assert dict(res.arcs) == {(2, 1): Fraction(5)}
 
 
@@ -190,7 +198,7 @@ def test_residual_pair_identity(rng):
     for _ in range(10):
         net, _ = make_random_network(rng, max_n=7)
         flow = edmonds_karp(net).flow
-        res = residual_graph(net, flow)
+        res = ResidualGraph(net, flow)
         for (u, v) in net.arcs:
             total = res.capacity(u, v) + res.capacity(v, u)
             assert total == net.cbar(u, v) + net.cbar(v, u)
@@ -204,7 +212,7 @@ def test_residual_of_a_flow_with_a_foreign_denominator():
     third = Fraction(1, 3)
     flow = FlowAssignment({(1, 2): third, (2, 3): third, (3, 4): third})
     assert validate(net, flow) == []
-    res = residual_graph(net, flow)
+    res = ResidualGraph(net, flow)
     for (u, v) in net.arcs:
         assert res.capacity(u, v) == net.cbar(u, v) - flow.value(u, v)
         assert res.capacity(u, v) + res.capacity(v, u) == net.cbar(u, v) + net.cbar(v, u)

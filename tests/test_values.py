@@ -8,10 +8,10 @@ from flowkit.decompose import min_cut_from_flow
 from flowkit.network import (
     FlowAssignment,
     NetworkError,
+    ResidualGraph,
     build_network,
     cut_capacity,
     make_cut,
-    residual_graph,
     validate,
 )
 from flowkit.solvers import ALGORITHMS
@@ -65,7 +65,7 @@ def test_unbounded_arc_in_cuts_and_residuals():
     assert cut_capacity(net, make_cut(net, {1, 2})) == 5
     flow = FlowAssignment({(1, 2): 2, (2, 3): 2, (1, 3): 1, (3, 4): 3})
     assert validate(net, flow) == []
-    res = residual_graph(net, flow)
+    res = ResidualGraph(net, flow)
     assert res.capacity(1, 2) is UNBOUNDED and res.capacity(2, 1) == 2
     cut = min_cut_from_flow(net, flow)
     assert cut.source_side == {1, 2, 3} and cut_capacity(net, cut) == 3
