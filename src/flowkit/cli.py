@@ -55,8 +55,11 @@ output: `match <v> <w>` lines, or `violation <v1> <v2> ...` (exit 1).
 
 
 def _read(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise network.ParseError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from exc
 
 
 def _emit(args, text):
@@ -332,8 +335,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (OSError, UnicodeDecodeError, network.NetworkError, lp.Malformed, lp.Infeasible,
-            lp.BudgetExceeded, simplicial.ComplexError) as exc:
+    except (OSError, network.NetworkError, lp.Malformed, lp.Infeasible, lp.BudgetExceeded,
+            simplicial.ComplexError) as exc:
         _diag(f"error: {exc}")
         return 2
     except network.InvariantViolation as exc:

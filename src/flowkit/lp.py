@@ -3,7 +3,9 @@
 Inequality-form programs only: a ``max`` program reads `max c.x : Ax <= b`,
 a ``min`` program reads `min c.x : Ax >= b`; per-variable flags mark which
 variables are sign-restricted.  The solver is a dense two-phase tableau
-simplex with Bland's anti-cycling rule over `fractions.Fraction`, so every
+simplex with Bland's anti-cycling rule.  The tableau is Python ints over one
+common denominator, pivoted by the integer-preserving step `det_int` also
+uses; `Fraction`s appear only in the inputs and the optimal point, and every
 duality assertion in the test-suite is exact rather than tolerance-based.
 """
 
@@ -70,138 +72,134 @@ def make_lp(sense, objective, rows, bounds, nonneg=None):
 # -- simplex core ----------------------------------------------------------
 
 
-def _pivot(tableau, basis, obj_rows, row, col):
-    piv = tableau[row][col]
-    tableau[row] = [x / piv for x in tableau[row]]
-    prow = tableau[row]
-    for i, trow in enumerate(tableau):
-        if i != row and trow[col] != 0:
-            factor = trow[col]
-            tableau[i] = [a - factor * b for a, b in zip(trow, prow)]
-    for k, orow in enumerate(obj_rows):
-        if orow[col] != 0:
-            factor = orow[col]
-            obj_rows[k] = [a - factor * b for a, b in zip(orow, prow)]
-    basis[row] = col
+def _pivot(rows, prow, col, d):
+    """One integer-preserving elimination step on `col`; returns the new
+    denominator, the pivot p = prow[col].
+
+    Every row of `rows` other than `prow` becomes (p*e - f*b) / d entrywise,
+    where f is its own entry in `col` and b the entry of `prow` above e.
+    The rows hold integers over the common denominator d, and the division
+    is exact (Edmonds 1967, Bareiss 1968).  Rows are updated in place;
+    `prow` is left as it is.
+    """
+    p = prow[col]
+    for row in rows:
+        f = row[col]
+        if row is prow or (f == 0 and p == d):
+            continue
+        row[:] = [(p * e - f * b) // d for e, b in zip(row, prow)]
+    return p
 
 
-def _bland_loop(tableau, basis, obj_rows, active_cols):
+def _bland_loop(tableau, basis, obj_rows, active_cols, d):
     """Pivot until the first objective row has no improving column.
 
-    Returns "optimal" or "unbounded".  Entering column: smallest active
-    index with positive reduced cost; leaving row: minimum ratio, ties by
-    smallest basis index.
+    Returns the status, "optimal" or "unbounded", and the denominator.
+    Entering column: smallest active index with positive reduced cost;
+    leaving row: minimum ratio, ties by smallest basis index.  Every pivot
+    is positive, so d stays positive and the signs of the integers are the
+    signs of the values.
     """
     rhs = len(obj_rows[0]) - 1
     while True:
         obj = obj_rows[0]
-        enter = None
-        for j in active_cols:
-            if obj[j] > 0:
-                enter = j
-                break
+        enter = next((j for j in active_cols if obj[j] > 0), None)
         if enter is None:
-            return "optimal"
+            return "optimal", d
         leave = None
-        best = None
-        for i, row in enumerate(tableau):
-            if row[enter] > 0:
-                ratio = row[rhs] / row[enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+        for i, row in enumerate(tableau):  # ratios compared by cross-multiplying
+            if row[enter] > 0 and (leave is None
+                                   or (row[rhs] * tableau[leave][enter], basis[i])
+                                   < (tableau[leave][rhs] * row[enter], basis[leave])):
+                leave = i
         if leave is None:
-            return "unbounded"
-        _pivot(tableau, basis, obj_rows, leave, enter)
+            return "unbounded", d
+        d = _pivot(tableau + obj_rows, tableau[leave], enter, d)
+        basis[leave] = enter
+
+
+def _scaled(values):
+    """The values times the LCM of their denominators, as ints, and that LCM."""
+    values = [Fraction(x) for x in values]
+    lam = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (lam // x.denominator) for x in values], lam
 
 
 def solve_standard(objective, ub_rows=(), ub_bounds=(), eq_rows=(), eq_bounds=()):
     """maximize objective.x subject to ub_rows.x <= ub_bounds,
-    eq_rows.x = eq_bounds, x >= 0.  Returns (status, point)."""
-    nvars = len(objective)
-    raw = [(list(r), Fraction(b), "le") for r, b in zip(ub_rows, ub_bounds)]
-    raw += [(list(r), Fraction(b), "eq") for r, b in zip(eq_rows, eq_bounds)]
-    for rec in range(len(raw)):
-        row, b, rel = raw[rec]
-        if b < 0:
-            raw[rec] = ([-x for x in row], -b, {"le": "ge", "ge": "le", "eq": "eq"}[rel])
+    eq_rows.x = eq_bounds, x >= 0.  Returns (status, point).
 
-    nslack = sum(1 for (_, _, rel) in raw if rel in ("le", "ge"))
-    nart = sum(1 for (_, _, rel) in raw if rel in ("ge", "eq"))
+    Row i is scaled by the LCM of its denominators and negated when its
+    bound is negative; its slack (ub rows) and artificial (eq rows and
+    negated ub rows) keep coefficient +-1.  Scaling a row and the columns
+    only it uses moves no pivot of the rational tableau, provided phase 1
+    charges artificial i the reciprocal of its row's scale.
+    """
+    nvars = len(objective)
+    nslack = len(ub_rows)
+    rows = list(ub_rows) + list(eq_rows)
+    bounds = list(ub_bounds) + list(eq_bounds)
+    nart = len(eq_rows) + sum(1 for b in ub_bounds if b < 0)
     total = nvars + nslack + nart
     tableau = []
     basis = []
-    slack_at = nvars
-    art_at = nvars + nslack
-    art_cols = []
-    for row, b, rel in raw:
-        full = [Fraction(x) for x in row] + [Fraction(0)] * (nslack + nart) + [b]
-        if rel == "le":
-            full[slack_at] = Fraction(1)
-            basis.append(slack_at)
-            slack_at += 1
-        elif rel == "ge":
-            full[slack_at] = Fraction(-1)
-            slack_at += 1
-            full[art_at] = Fraction(1)
-            basis.append(art_at)
-            art_cols.append(art_at)
-            art_at += 1
+    art_scales = {}
+    for i, (row, b) in enumerate(zip(rows, bounds)):
+        full, lam = _scaled(list(row) + [b])
+        sign = -1 if full[-1] < 0 else 1
+        full = [sign * x for x in full[:-1]] + [0] * (nslack + nart) + [sign * full[-1]]
+        if i < nslack:
+            full[nvars + i] = sign
+        if i < nslack and sign > 0:
+            basis.append(nvars + i)
         else:
-            full[art_at] = Fraction(1)
-            basis.append(art_at)
-            art_cols.append(art_at)
-            art_at += 1
+            art = nvars + nslack + len(art_scales)
+            full[art] = 1
+            basis.append(art)
+            art_scales[art] = lam
         tableau.append(full)
 
-    art_set = set(art_cols)
+    costs, _ = _scaled(objective)
+    obj_rows = [costs + [0] * (total - nvars + 1)]
+    if art_scales:
+        unit = math.lcm(*art_scales.values())
+        obj_rows.insert(0, [0] * (total + 1))
+        for art, lam in art_scales.items():
+            obj_rows[0][art] = -(unit // lam)
+    for row, col in zip(tableau, basis):  # price out the unit starting basis
+        _pivot(obj_rows, row, col, 1)
 
-    def reduced_row(costs):
-        row = list(costs) + [Fraction(0)] * (total - len(costs)) + [Fraction(0)]
-        for i, b in enumerate(basis):
-            cb = row_cost(costs, b)
-            if cb != 0:
-                row = [a - cb * x for a, x in zip(row, tableau[i] + [])]
-        return row
-
-    def row_cost(costs, col):
-        return costs[col] if col < len(costs) else Fraction(0)
-
-    obj2 = [Fraction(x) for x in objective]
-
-    if art_cols:
-        obj1 = [Fraction(0)] * total
-        for c in art_cols:
-            obj1[c] = Fraction(-1)
-        rows = [reduced_row(obj1), reduced_row(obj2)]
-        status = _bland_loop(tableau, basis, rows, range(total))
+    d = 1
+    if art_scales:
+        status, d = _bland_loop(tableau, basis, obj_rows, range(total), d)
         if status != "optimal":  # phase 1 is bounded by zero
             raise InvariantViolation("phase 1", "simplex", [status])
-        if rows[0][-1] != 0:
+        if obj_rows[0][-1] != 0:
             return "infeasible", None
         # drive surviving artificials out of the basis
         i = 0
         while i < len(tableau):
-            if basis[i] in art_set:
-                pivot_col = next((j for j in range(total)
-                                  if j not in art_set and tableau[i][j] != 0), None)
-                if pivot_col is None:
+            if basis[i] in art_scales:
+                row = tableau[i]
+                col = next((j for j in range(total)
+                            if j not in art_scales and row[j] != 0), None)
+                if col is None:
                     del tableau[i], basis[i]
                     continue
-                _pivot(tableau, basis, rows, i, pivot_col)
+                if row[col] < 0:  # d stays > 0, as if all rows and d were negated after the step
+                    row[:] = [-x for x in row]
+                d = _pivot(tableau + obj_rows, row, col, d)
+                basis[i] = col
             i += 1
-        obj_rows = [rows[1]]
-    else:
-        obj_rows = [reduced_row(obj2)]
 
-    active = [j for j in range(total) if j not in art_set]
-    status = _bland_loop(tableau, basis, obj_rows, active)
+    active = [j for j in range(total) if j not in art_scales]
+    status, d = _bland_loop(tableau, basis, obj_rows[-1:], active, d)
     if status == "unbounded":
         return "unbounded", None
     point = [Fraction(0)] * nvars
-    for i, b in enumerate(basis):
-        if b < nvars:
-            point[b] = tableau[i][-1]
+    for row, col in zip(tableau, basis):
+        if col < nvars:
+            point[col] = Fraction(row[-1], d)
     return "optimal", point
 
 
@@ -392,26 +390,23 @@ class TUResult:
 
 
 def det_int(matrix):
-    """Exact determinant of an integer matrix (fraction-free elimination)."""
+    """Exact determinant of an integer matrix: Bareiss elimination with the
+    simplex tableau's integer-preserving step, pivoting only the rows below
+    so that the matrix ends upper triangular."""
     a = [list(map(int, row)) for row in matrix]
-    n = len(a)
-    if n == 0:
+    if not a:
         return 1
     sign = 1
-    prev = 1
-    for k in range(n - 1):
+    d = 1
+    for k in range(len(a) - 1):
         if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            swap = next((i for i in range(k + 1, len(a)) if a[i][k] != 0), None)
             if swap is None:
                 return 0
             a[k], a[swap] = a[swap], a[k]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+        d = _pivot(a[k + 1:], a[k], k, d)
+    return sign * a[-1][-1]
 
 
 def is_totally_unimodular(matrix, budget=200_000):

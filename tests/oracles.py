@@ -7,7 +7,7 @@ elimination, and so on.
 """
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 
 def random_network_spec(rng, max_n=8, max_cap=10, density=0.55, allow_st_arc=True):
@@ -98,6 +98,19 @@ def ghouila_houri_tu(matrix):
             if not ok:
                 return False
     return True
+
+
+def determinant_by_permutations(matrix):
+    """Leibniz's formula: the signed sum over all permutations."""
+    n = len(matrix)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(1 for i, j in combinations(range(n), 2) if perm[i] > perm[j])
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= matrix[i][j]
+        total += term
+    return total
 
 
 def incidence_by_definition(n, s, t, arcs, order):

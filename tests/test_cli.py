@@ -245,12 +245,18 @@ def test_a_directory_as_input_is_an_input_error(capsys, tmp_path):
     assert err.startswith("error: [Errno")
 
 
-def test_undecodable_input_is_an_input_error(capsys, tmp_path):
+def test_undecodable_input_is_an_input_error(capsys, net_file, tmp_path):
     path = tmp_path / "binary.dimacs"
     path.write_bytes(b"p max 2 1\nn 1 s\nn 2 t\na 1 2 \xff\n")
     code, out, err = run(capsys, "maxflow", str(path))
     assert code == 2 and out == ""
-    assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+    assert err == f"error: {path}: not UTF-8 (invalid start byte at byte 28)\n"
+    # of the two files `decompose` reads, the message names the bad one
+    flow = tmp_path / "bad.flow"
+    flow.write_bytes(b"f 1 2 \xff\ns 1\n")
+    code, out, err = run(capsys, "decompose", net_file, str(flow))
+    assert code == 2 and out == ""
+    assert err == f"error: {flow}: not UTF-8 (invalid start byte at byte 6)\n"
 
 
 def test_unwritable_output_is_an_input_error(capsys, net_file, tmp_path):

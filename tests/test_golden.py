@@ -45,9 +45,14 @@ CLI_CASES = {
     "hflow-lp-double-tetra": ["hflow", "--algo=lp", "double-tetra.hnet"],
     "hflow-augment-double-tetra": ["hflow", "--algo=augment", "double-tetra.hnet"],
     "hflow-all-double-tetra": ["hflow", "--algo=all", "double-tetra.hnet"],
+    "hflow-lp-torsion": ["hflow", "--algo=lp", "torsion.hnet"],
+    "hflow-augment-torsion": ["hflow", "--algo=augment", "torsion.hnet"],
+    "hflow-all-torsion": ["hflow", "--algo=all", "torsion.hnet"],
     "hcut-tetra": ["hcut", "tetra.hnet"],
     "hcut-double-tetra": ["hcut", "double-tetra.hnet"],
     "hcut-sprime-tetra": ["hcut", "--sprime", "0,2,5", "tetra.hnet"],
+    "tu-check-odd-cycle": ["tu-check", "odd-cycle.txt"],
+    "tu-check-net-incidence": ["tu-check", "net-incidence.txt"],
 }
 
 

@@ -25,12 +25,13 @@ from flowkit.lp import (
     read_matrix,
     reduced_dual_point,
     simplex_solve,
+    solve_standard,
     write_lp,
     write_matrix,
 )
 from flowkit.network import all_cuts, cut_capacity
 from flowkit.solvers import edmonds_karp
-from oracles import ghouila_houri_tu
+from oracles import determinant_by_permutations, ghouila_houri_tu
 
 
 def _solve_by_vertex_enumeration(lp):
@@ -74,6 +75,27 @@ def test_simplex_trivia():
     assert res.status == "optimal" and res.value == 3 and res.point == (0, 3)
 
 
+def test_bland_pivots_are_pinned():
+    # Bland's tie-break decides these: the optimum has several vertices,
+    # and keeping the last of the tied leaving rows returns (1, 1/2, 0, 1, 0)
+    F = Fraction
+    box = [[1 if i == j else 0 for j in range(5)] for i in range(5)]
+    status, point = solve_standard(
+        [-1, 1, 0, F(1, 2), F(-3, 4)],
+        [[F(2, 5), F(-1, 3), F(1, 2), 0, 0]] + box, [F(2, 5), F(8, 5), F(5, 3), 3, 1, F(7, 2)],
+        [[F(-3, 2), F(-1, 3), 0, 0, -1], [F(4, 5), 0, 0, 0, 0]], [F(-5, 3), F(4, 5)])
+    assert (status, point) == ("optimal", [1, F(1, 2), F(1, 3), 1, 0])
+    # degenerate, with a redundant equality row: breaking ties by the
+    # largest basis index cycles here
+    status, point = solve_standard(
+        [F(-3, 2), F(3, 7), 0, F(3, 7), F(-1, 2), -1],
+        [[F(-1, 7), F(-2, 7), 1, F(-3, 5), 0, F(3, 2)], [F(-3, 4), -4, 4, -1, -1, 0],
+         [F(2, 3), F(3, 7), F(-3, 4), F(-3, 7), -2, F(-1, 2)]], [F(-3, 35), F(6, 7), F(-3, 49)],
+        [[0, F(-4, 5), 1, F(1, 2), F(-4, 5), -4], [-1, 4, 0, F(-1, 2), F(-1, 2), F(-3, 5)],
+         [F(-1, 5), F(4, 5), 0, F(-1, 10), F(-1, 10), F(-3, 25)]], [F(1, 14), F(-1, 14), F(-1, 70)])
+    assert (status, point) == ("unbounded", None)
+
+
 def test_malformed_dimensions():
     with pytest.raises(Malformed):
         LinearProgram("max", (Fraction(1),), ((Fraction(1), Fraction(2)),),
@@ -92,6 +114,32 @@ def test_simplex_against_vertex_enumeration(rng):
         got = simplex_solve(lp)
         assert got.status == "optimal"
         assert got.value == _solve_by_vertex_enumeration(lp)
+    # coprime denominators, negative bounds and equalities written as two
+    # opposite rows: phase 1, the row scaling and degenerate artificials
+    # left to drive out of the basis
+    statuses = set()
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        x0 = [Fraction(rng.randint(0, 6), rng.choice((1, 2, 3))) for _ in range(n)]
+        rows, bounds = [], []
+        for _ in range(rng.randint(1, 4)):
+            row = [Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 5, 7))) for _ in range(n)]
+            slack = Fraction(rng.randint(-2, 3), rng.choice((1, 5, 7)))
+            rows.append(row)
+            bounds.append(sum(a * x for a, x in zip(row, x0)) + slack)
+            if rng.random() < 0.4:
+                rows.append([-a for a in row])
+                bounds.append(-bounds[-1])
+        rows += [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+        bounds += [Fraction(rng.randint(1, 8)) for _ in range(n)]
+        lp = make_lp("max", [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)],
+                     rows, bounds)
+        got = simplex_solve(lp)
+        want = _solve_by_vertex_enumeration(lp)
+        assert got.status == ("infeasible" if want is None else "optimal")
+        assert got.value == want
+        statuses.add(got.status)
+    assert statuses == {"optimal", "infeasible"}
 
 
 def test_primal_single_arc(single_arc):
@@ -232,10 +280,22 @@ def test_tu_agrees_with_ghouila_houri(rng):
         assert is_totally_unimodular(m).is_tu == ghouila_houri_tu(m)
 
 
-def test_det_int():
+def test_det_int(rng):
     assert det_int([[2, 0], [0, 3]]) == 6
     assert det_int([[0, 1], [1, 0]]) == -1
     assert det_int([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 0
+    kinds = set()
+    for _ in range(300):
+        n = rng.randint(0, 6)
+        m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.3:
+            m[0][0] = 0  # forces a row swap before the first step
+        if n > 1 and rng.random() < 0.2:
+            m[-1] = [2 * x for x in m[0]]
+        want = determinant_by_permutations(m)
+        assert det_int(m) == want, m
+        kinds.add((n > 1 and m[0][0] == 0, want == 0))
+    assert len(kinds) == 4
 
 
 # -- serialization ---------------------------------------------------------------

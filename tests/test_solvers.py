@@ -9,6 +9,7 @@ import pytest
 from conftest import make_random_network
 from flowkit import solvers
 from flowkit.decompose import min_cut_from_flow
+from flowkit.lp import build_dual, build_primal, simplex_solve
 from flowkit.network import (
     NetworkError,
     ResidualGraph,
@@ -101,6 +102,8 @@ def test_exact_at_a_huge_common_denominator():
         assert result.value == want, solver.__name__
         assert validate(net, result.flow, "flow") == []
         assert cut_capacity(net, min_cut_from_flow(net, result.flow)) == want
+    primal = build_primal(net)
+    assert simplex_solve(primal).value == simplex_solve(build_dual(primal)).value == want
 
 
 def test_certificate_rejects_a_doctored_flow_and_a_doctored_cut():
