@@ -98,9 +98,13 @@ def _bland_loop(tableau, basis, obj_rows, active_cols, d):
     Entering column: smallest active index with positive reduced cost;
     leaving row: minimum ratio, ties by smallest basis index.  Every pivot
     is positive, so d stays positive and the signs of the integers are the
-    signs of the values.
+    signs of the values.  Bland's rule never revisits a basis, so a basis
+    seen twice raises :class:`InvariantViolation` ("anti-cycling") instead
+    of looping forever.
     """
     rhs = len(obj_rows[0]) - 1
+    key = sum(1 << j for j in basis)  # the set of basic columns, one bit each
+    seen = {key: 0}
     while True:
         obj = obj_rows[0]
         enter = next((j for j in active_cols if obj[j] > 0), None)
@@ -115,7 +119,12 @@ def _bland_loop(tableau, basis, obj_rows, active_cols, d):
         if leave is None:
             return "unbounded", d
         d = _pivot(tableau + obj_rows, tableau[leave], enter, d)
+        key ^= (1 << basis[leave]) ^ (1 << enter)
         basis[leave] = enter
+        if key in seen:
+            raise InvariantViolation("anti-cycling", f"pivot {len(seen)}",
+                                     [f"basis {sorted(basis)} was already reached at pivot {seen[key]}"])
+        seen[key] = len(seen)
 
 
 def _scaled(values):

@@ -2,9 +2,15 @@
 
 * :func:`edmonds_karp` — augmenting paths, always choosing a breadth-first
   shortest path in the residual graph.
-* :func:`push_relabel` — FIFO preflow-push with distance labels.
-* :func:`hochbaum_maxflow` — pseudoflow iteration on a normalized tree,
-  solving the maximum blocking cut problem first and recovering a flow.
+* :func:`push_relabel` — FIFO preflow-push with distance labels, the gap
+  heuristic and a two-sided global relabel (from t, then from s offset by
+  n) at the start and after every n relabels.
+* :func:`hochbaum_maxflow` — the lowest-label pseudoflow algorithm on a
+  normalized tree, solving the maximum blocking cut problem first and
+  recovering a flow.  Strong roots are served lowest label first, each
+  vertex resumes its merger-arc scan at its current arc, and after every n
+  label increments the run stops once no residual arc leads from a strong
+  to a weak vertex.
 
 All solvers are exact over the rationals and return identical optimal
 values.  Every solver works on :class:`flowkit.network.ResidualGraph`,
@@ -29,12 +35,14 @@ cut minimal, and is the same source side
 :func:`flowkit.decompose.min_cut_from_flow` finds.  A failed check raises
 :class:`InvariantViolation` with the invariant ``"certificate"``.
 Instrumented mode also re-checks the per-step invariants (valid
-preflow/labeling, normalized-tree conditions) and is meant for tests; a
-broken invariant raises :class:`InvariantViolation`, also under ``-O``.
+preflow/labeling, normalized-tree conditions, pseudoflow labels) and is
+meant for tests; a broken invariant raises :class:`InvariantViolation`,
+also under ``-O``.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -152,26 +160,73 @@ def labeling_violations(net, f, labels):
 
 
 def push_relabel(net, instrumented=False):
-    """Maximum flow by FIFO push-relabel.
+    """Maximum flow by FIFO push-relabel with the gap and global-relabel
+    heuristics (Cherkassky & Goldberg, Algorithmica 19 (1997)).
 
-    Starts from the preflow saturating every source arc with labels
-    d(s)=n, 0 elsewhere.  A vertex is active when it has strictly positive
-    excess and is neither the source nor the sink; active vertices are
-    discharged in FIFO order.
+    Starts from the preflow saturating every source arc.  A vertex is
+    active when it has strictly positive excess and is neither the source
+    nor the sink; active vertices are discharged in FIFO order, pushing
+    along arcs with d(v) = d(w) + 1 and relabeling to one more than the
+    lowest residual neighbour when none is left.  A global relabel, at the
+    start and after every n relabels, sets each label to the residual
+    distance to t, or n plus the distance to s for a vertex that cannot
+    reach t (2n for a vertex that reaches neither; it holds no excess).
+    When a relabel empties a label k < n, no vertex labeled between k and
+    n can reach t any more, and the gap heuristic lifts them all to n + 1.
     """
     _require_finite(net)
     n, s, t = net.n, net.source, net.sink
     res = ResidualGraph(net)
     r = res.r
     excess = dict.fromkeys(net.vertices(), 0)
-    d = dict.fromkeys(net.vertices(), 0)
-    d[s] = n
     for v in net.out_neighbors(s):
         c = res.units(net.capacity(s, v))
         if c > 0:
             res.push(s, v, c)
             excess[v] += c
             excess[s] -= c
+    d = {}
+    layers = [set() for _ in range(n)]   # layers[k]: the vertices labeled k < n
+    high = 0                             # no layer above `high` and below n is occupied
+
+    def global_relabel():
+        nonlocal high
+        d.clear()
+        d[t], d[s] = 0, n
+        for frontier in ([t], [s]):      # reverse breadth-first searches
+            while frontier:
+                ahead = []
+                for w in frontier:
+                    for u in r[w]:
+                        if u not in d and r[u][w] > 0:
+                            d[u] = d[w] + 1
+                            ahead.append(u)
+                frontier = ahead
+        for layer in layers:
+            layer.clear()
+        for v in net.vertices():
+            k = d.setdefault(v, 2 * n)
+            if k < n:
+                layers[k].add(v)
+        high = max(k for k in d.values() if k < n)
+
+    def relabel(v):
+        nonlocal high
+        old = d[v]
+        d[v] = new = min(d[w] for w, x in r[v].items() if x > 0) + 1
+        if new < n:
+            layers[new].add(v)
+            high = max(high, new)
+        if old < n:
+            layers[old].discard(v)
+            if not layers[old]:
+                for k in range(old + 1, high + 1):
+                    for w in layers[k]:
+                        d[w] = n + 1
+                    layers[k].clear()
+                high = old - 1
+
+    global_relabel()
     queue = deque(v for v in sorted(net.vertices())
                   if v not in (s, t) and excess[v] > 0)
     queued = set(queue)
@@ -187,30 +242,31 @@ def push_relabel(net, instrumented=False):
     while queue:
         v = queue.popleft()
         queued.discard(v)
-        while excess[v] > 0:
-            pushed = False
-            for w, rv in r[v].items():
-                if excess[v] == 0:
-                    break
-                if rv > 0 and d[v] == d[w] + 1:
-                    delta = min(excess[v], rv)
+        row = r[v]
+        while True:
+            below = d[v] - 1
+            for w, x in row.items():
+                if x > 0 and d[w] == below:
+                    delta = min(excess[v], x)
                     res.push(v, w, delta)
                     excess[v] -= delta
                     excess[w] += delta
                     pushes += 1
-                    pushed = True
                     if instrumented:
                         checkpoint()
-                    if w not in (s, t) and w not in queued and excess[w] > 0:
+                    if w != s and w != t and w not in queued:
                         queue.append(w)
                         queued.add(w)
-            if excess[v] == 0:
+                    if not excess[v]:
+                        break
+            if not excess[v]:
                 break
-            if not pushed:
-                d[v] = min(d[w] for w, x in r[v].items() if x > 0) + 1
-                relabels += 1
-                if instrumented:
-                    checkpoint()
+            relabel(v)
+            relabels += 1
+            if relabels % n == 0:
+                global_relabel()
+            if instrumented:
+                checkpoint()
 
     _, reached = res.search(s, {t})
     result = _certified(net, res, reached, {"pushes": pushes, "relabels": relabels})
@@ -224,7 +280,9 @@ def push_relabel(net, instrumented=False):
 
 class WeightedGraph:
     """Simple directed graph with signed vertex weights and arc capacities;
-    the input of the maximum blocking cut problem."""
+    the input of the maximum blocking cut problem.  `arcs` maps each arc
+    (u, v) to its capacity, or lists ((u, v), capacity) pairs; a repeated
+    or antiparallel arc raises :class:`NetworkError`."""
 
     __slots__ = ("n", "weights", "arcs")
 
@@ -232,11 +290,13 @@ class WeightedGraph:
         self.n = n
         self.weights = {v: exact(weights.get(v, 0)) for v in range(1, n + 1)}
         self.arcs = {}
-        for (u, v), c in dict(arcs).items():
+        for (u, v), c in arcs.items() if hasattr(arcs, "items") else arcs:
             if not (1 <= u <= n) or not (1 <= v <= n) or u == v:
                 raise NetworkError(f"bad arc ({u}, {v})")
-            if (v, u) in arcs:
-                raise NetworkError(f"antiparallel pair ({u},{v})/({v},{u}) not supported")
+            if (u, v) in self.arcs:
+                raise NetworkError(f"repeated arc ({u}, {v})")
+            if (v, u) in self.arcs:
+                raise NetworkError(f"antiparallel pair ({v},{u})/({u},{v}) not supported")
             c = exact(c)
             if c < 0:
                 raise NetworkError(f"negative capacity on ({u}, {v})")
@@ -327,10 +387,45 @@ def normalized_tree_violations(net, f, tree):
     return bad
 
 
+def pseudoflow_labeling_violations(net, f, tree, labels):
+    """The labels of the lowest-label pseudoflow are valid when every
+    residual arc (u, w) between internal vertices, in particular every one
+    leaving a strong u, has l(u) <= l(w) + 1, and labels never decrease
+    from a parent to its child."""
+    bad = []
+    res = ResidualGraph(net, f)
+    for u in tree.parent:
+        for w in res.out_neighbors(u):
+            if w in tree.parent and labels[u] > labels[w] + 1:
+                bad.append(("residual_edge", (u, w)))
+    for v, p in tree.parent.items():
+        if p != ROOT and labels[p] > labels[v]:
+            bad.append(("branch_order", (p, v)))
+    return bad
+
+
 def _pseudoflow_core(net, instrumented=False):
-    """Iterate merger arcs until no residual arc runs from a strong to a
-    weak vertex; returns the optimal tree, the residual graph of its
-    pseudoflow, the iteration count and the initial tree."""
+    """The lowest-label pseudoflow algorithm (Hochbaum, Operations Research
+    56 (2008)): merge strong branches into weak ones until no residual arc
+    runs from a strong to a weak vertex.
+
+    Labels start at 1 on strong and 0 on weak vertices; they never
+    decrease, never decrease from a parent to its child, and l(u) <=
+    l(w) + 1 on every residual arc between internal vertices.  Strong roots
+    wait in a heap keyed by (label, vertex).  The lowest, x at label l,
+    searches its l-part (x and its descendants of label l reached through
+    children of label l) for a merger arc to a vertex of label l - 1,
+    which is weak because no strong vertex is labeled below l; each vertex
+    resumes the scan of its row at its current arc.  With no such arc, the
+    part is raised to l + 1.  After every n label increments the run stops
+    when no residual arc runs from a strong to a weak vertex, the
+    optimality condition: strong branches on the source side of the
+    minimum cut find no merger arc and would otherwise climb forever.
+
+    Returns the optimal tree, the residual graph of its pseudoflow, the
+    stats (``iterations`` mergers, ``relabels`` vertex label increments)
+    and, when instrumented, the initial tree and the final labels.
+    """
     s, t = net.source, net.sink
     internal = sorted(v for v in net.vertices() if v not in (s, t))
     res = ResidualGraph(net)
@@ -343,52 +438,75 @@ def _pseudoflow_core(net, instrumented=False):
     parent = {v: ROOT for v in internal}
     children = {v: set() for v in internal}
     excess = {v: units(net.cbar(s, v)) - units(net.cbar(v, t)) for v in internal}
-    iterations = 0
-
-    def branch_root(v):
-        while parent[v] != ROOT:
-            v = parent[v]
-        return v
-
-    def subtree(v):
-        out = [v]
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in children[u]:
-                out.append(w)
-                stack.append(w)
-        return out
+    label = {v: int(excess[v] > 0) for v in internal}
+    label[s] = label[t] = -2  # never l - 1: no merger arc ends at s or t
+    rows = {v: list(r[v]) for v in internal}
+    current = dict.fromkeys(internal, 0)
+    heap = [(1, v) for v in internal if excess[v] > 0]
+    iterations = relabels = raises = 0
+    next_check = net.n
 
     def snapshot():
         return NormalizedTree(ROOT, dict(parent),
                               {v: Fraction(x, res.scale) for v, x in excess.items()})
 
-    initial_tree = snapshot()
+    def checkpoint(step):
+        pf, tree = res.flow("pseudoflow"), snapshot()
+        bad = normalized_tree_violations(net, pf, tree)
+        if bad:
+            raise InvariantViolation("normalized tree", step, bad)
+        bad = pseudoflow_labeling_violations(net, pf, tree, label)
+        if bad:
+            raise InvariantViolation("pseudoflow labels", step, bad)
 
-    def find_merger():
-        strong_roots = sorted(v for v in internal if parent[v] == ROOT and excess[v] > 0)
-        if not strong_roots:
-            return None
-        strong = set()
-        for root in strong_roots:
-            strong.update(subtree(root))
-        for root in strong_roots:
-            for a in sorted(subtree(root)):
-                for b, x in r[a].items():
-                    if b in (s, t) or b in strong:
-                        continue
-                    if x > 0:
-                        return (a, b)
-        return None
+    def merger_arc_left():
+        strong = [v for v in internal if parent[v] == ROOT and excess[v] > 0]
+        for u in strong:
+            strong.extend(children[u])
+        strong = set(strong)
+        return any(x > 0 and w in parent and w not in strong
+                   for u in strong for w, x in r[u].items())
 
-    while True:
-        merger = find_merger()
+    debug = {"initial_tree": snapshot()} if instrumented else {}
+
+    while heap:
+        lab, x = heapq.heappop(heap)
+        if parent[x] != ROOT or excess[x] <= 0 or label[x] != lab:
+            continue  # stale: merged, drained or raised since it was queued
+        below = lab - 1
+        merger = None
+        part = [x]
+        for v in part:
+            row, rv = rows[v], r[v]
+            i = current[v]
+            while i < len(row):
+                w = row[i]
+                if rv[w] > 0 and label[w] == below:
+                    merger = (v, w)
+                    break
+                i += 1
+            current[v] = i
+            if merger:
+                break
+            part.extend(c for c in children[v] if label[c] == lab)
+
         if merger is None:
-            break
+            for v in part:
+                label[v] = lab + 1
+                current[v] = 0
+            relabels += len(part)
+            raises += 1
+            heapq.heappush(heap, (lab + 1, x))
+            if instrumented:
+                checkpoint(f"raise {raises}")
+            if relabels >= next_check:
+                next_check = relabels + net.n
+                if not merger_arc_left():
+                    break
+            continue
+
         iterations += 1
         a, b = merger
-        r_s = branch_root(a)
         # re-root the strong branch at the merger tail, then hang it under b
         chain = [a]
         while parent[chain[-1]] != ROOT:
@@ -404,9 +522,9 @@ def _pseudoflow_core(net, instrumented=False):
         # the excess travels along the unique tree path from the old strong
         # root to the weak branch root; the within-branch order is fixed by
         # that path, the only freedom the narrative leaves open
-        delta = excess[r_s]
-        excess[r_s] = 0
-        path = [r_s]
+        delta = excess[x]
+        excess[x] = 0
+        path = [x]
         while parent[path[-1]] != ROOT:
             path.append(parent[path[-1]])
         i = 0
@@ -418,6 +536,7 @@ def _pseudoflow_core(net, instrumented=False):
                 children[u2].discard(u)
                 parent[u] = ROOT
                 excess[u] = delta - room
+                heapq.heappush(heap, (label[u], u))
                 if room > 0:
                     res.push(u, u2, room)
                 delta = room
@@ -425,13 +544,16 @@ def _pseudoflow_core(net, instrumented=False):
                 res.push(u, u2, delta)
             i += 1
         if delta > 0:
-            excess[path[-1]] += delta
+            root = path[-1]
+            excess[root] += delta
+            if excess[root] > 0:
+                heapq.heappush(heap, (label[root], root))
         if instrumented:
-            bad = normalized_tree_violations(net, res.flow("pseudoflow"), snapshot())
-            if bad:
-                raise InvariantViolation("normalized tree", f"iteration {iterations}", bad)
+            checkpoint(f"iteration {iterations}")
 
-    return snapshot(), res, iterations, initial_tree
+    if instrumented:
+        debug["labels"] = {v: label[v] for v in internal}
+    return snapshot(), res, {"iterations": iterations, "relabels": relabels}, debug
 
 
 @dataclass
@@ -445,7 +567,7 @@ class BlockingCutResult:
 def max_blocking_cut(g):
     """Maximum surplus set of a weighted graph via the pseudoflow iteration."""
     gst = build_gst(g)
-    tree, res, iterations, _ = _pseudoflow_core(gst)
+    tree, res, _, _ = _pseudoflow_core(gst)
     subset = frozenset(tree.strong_vertices())
     return BlockingCutResult(subset, g.surplus(subset), tree, res.flow("pseudoflow"))
 
@@ -468,16 +590,15 @@ def hochbaum_maxflow(net, instrumented=False):
                   Fraction(0))
     reverse = m_minus < m_plus
     work = _reverse_network(net) if reverse else net
-    tree, res, iterations, initial_tree = _pseudoflow_core(work, instrumented=instrumented)
+    tree, res, stats, debug = _pseudoflow_core(work, instrumented=instrumented)
     pf = res.flow("pseudoflow") if instrumented else None
     recover_flow(res, tree)
     if reverse:
         res.reverse(net)
     _, reached = res.search(net.source, {net.sink})
-    result = _certified(net, res, reached, {"iterations": iterations})
+    result = _certified(net, res, reached, stats)
     if instrumented:
-        result.debug = {"initial_tree": initial_tree, "final_tree": tree,
-                        "reversed": reverse, "pseudoflow": pf}
+        result.debug = {**debug, "final_tree": tree, "reversed": reverse, "pseudoflow": pf}
     return result
 
 

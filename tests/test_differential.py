@@ -72,6 +72,22 @@ def test_every_solver_matches_networkx(seed):
         assert cut_capacity(net, result.cut) == want, name
 
 
+def test_heuristics_bound_the_work():
+    # summed over the 8 networks: push-relabel without the gap and
+    # global-relabel heuristics spends about 386,000 pushes and relabels,
+    # with them about 7,400; the lowest-label pseudoflow about 2,200
+    # mergers and 4,200 label increments
+    pr_ops = hoch_work = 0
+    for seed in range(8):
+        net = as_network(*network_spec(seed))
+        stats = ALGORITHMS["pr"](net).stats
+        pr_ops += stats["pushes"] + stats["relabels"]
+        stats = ALGORITHMS["hoch"](net).stats
+        hoch_work += stats["iterations"] + stats["relabels"]
+    assert pr_ops <= 15_000
+    assert hoch_work <= 15_000
+
+
 DENOMINATORS = (7, 11, 13, 17, 19, 23)
 
 

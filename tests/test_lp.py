@@ -96,6 +96,18 @@ def test_bland_pivots_are_pinned():
     assert (status, point) == ("unbounded", None)
 
 
+def test_a_repeated_basis_is_a_typed_error(monkeypatch):
+    # with a pivot that changes nothing, the same column enters at the same
+    # row forever; the loop must notice the basis it already had
+    from flowkit import lp
+    from flowkit.network import InvariantViolation
+
+    monkeypatch.setattr(lp, "_pivot", lambda rows, prow, col, d: d)
+    with pytest.raises(InvariantViolation) as err:
+        solve_standard([1, 1], [[1, 0], [0, 1]], [1, 2])
+    assert (err.value.invariant, err.value.step) == ("anti-cycling", "pivot 2")
+
+
 def test_malformed_dimensions():
     with pytest.raises(Malformed):
         LinearProgram("max", (Fraction(1),), ((Fraction(1), Fraction(2)),),

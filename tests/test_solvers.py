@@ -2,12 +2,14 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from conftest import make_random_network
 from flowkit import solvers
+from flowkit.apps import grid_neighbor_pairs
 from flowkit.decompose import min_cut_from_flow
 from flowkit.lp import build_dual, build_primal, simplex_solve
 from flowkit.network import (
@@ -28,6 +30,7 @@ from flowkit.solvers import (
     labeling_violations,
     max_blocking_cut,
     normalized_tree_violations,
+    pseudoflow_labeling_violations,
     push_relabel,
 )
 from oracles import brute_max_surplus, brute_min_cut, brute_min_cut_sides
@@ -78,6 +81,21 @@ def test_cross_solver_agreement_with_oracle(rng):
             result = solver(net)
             assert result.value == want
             assert validate(net, result.flow, "flow") == []
+
+
+def test_cuts_agree_on_rational_networks_with_antiparallel_pairs(rng):
+    # every solver must reach Edmonds-Karp's value and its minimum cut, the
+    # source side reached in the final residual, on subdivided pairs too
+    for _ in range(60):
+        n = rng.randint(2, 20)
+        arcs = [(u, v, Fraction(rng.randint(0, 12), rng.choice([1, 2, 3, 7])))
+                for u in range(1, n) for v in range(2, n + 1)
+                if u != v and rng.random() < 0.25]
+        net = build_network(n, 1, n, arcs, allow_antiparallel=True)
+        want = edmonds_karp(net)
+        for solver in (push_relabel, hochbaum_maxflow):
+            result = solver(net)
+            assert (result.value, result.cut) == (want.value, want.cut), solver.__name__
 
 
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,
@@ -165,6 +183,36 @@ def test_push_relabel_operation_bound(rng):
             assert ops == 0
 
 
+def segmentation_network(side):
+    """The network of a side x side segmentation: fg(p) = k/20 with k drawn
+    from Random(side), bg(p) = 1 - fg(p), penalty 1/10 on every
+    4-neighbour pair, each antiparallel pair subdivided."""
+    rng = random.Random(side)
+    pixels = [(x, y) for y in range(side) for x in range(side)]
+    pid = {p: i + 1 for i, p in enumerate(pixels)}
+    s, t = len(pixels) + 1, len(pixels) + 2
+    arcs = []
+    for p in pixels:
+        fg = Fraction(rng.randint(0, 20), 20)
+        arcs += [(s, pid[p], fg), (pid[p], t, 1 - fg)]
+    for pair in grid_neighbor_pairs(side, side):
+        p, q = sorted(pair)
+        arcs += [(pid[p], pid[q], Fraction(1, 10)), (pid[q], pid[p], Fraction(1, 10))]
+    return build_network(t, s, t, arcs, allow_antiparallel=True)
+
+
+def test_heuristics_bound_the_work_on_a_segmentation_network():
+    # n = 1218, m = 2432.  Push-relabel without the gap and global-relabel
+    # heuristics spends about 315,000 pushes and relabels here; with them,
+    # about 4,000.  The lowest-label pseudoflow makes about 800 mergers and
+    # 1,200 label increments.
+    net = segmentation_network(16)
+    pr, hoch = push_relabel(net), hochbaum_maxflow(net)
+    assert pr.value == hoch.value == edmonds_karp(net).value
+    assert pr.stats["pushes"] + pr.stats["relabels"] <= 10_000
+    assert hoch.stats["iterations"] + hoch.stats["relabels"] <= 5_000
+
+
 def test_hochbaum_instrumented_tree_and_initial_state(rng):
     from flowkit.solvers import _reverse_network
 
@@ -178,6 +226,42 @@ def test_hochbaum_instrumented_tree_and_initial_state(rng):
         work = _reverse_network(net) if result.debug["reversed"] else net
         assert normalized_tree_violations(work, result.debug["pseudoflow"],
                                           result.debug["final_tree"]) == []
+        assert pseudoflow_labeling_violations(work, result.debug["pseudoflow"],
+                                              result.debug["final_tree"],
+                                              result.debug["labels"]) == []
+
+
+def test_instrumented_labels_on_larger_networks(rng):
+    # up to 12 vertices, half of the networks in sevenths: large enough for
+    # gaps, global relabels and pseudoflow parts of several vertices
+    from flowkit.solvers import _reverse_network
+
+    for i in range(20):
+        net, arcs = make_random_network(rng, max_n=12)
+        if i % 2:
+            net = build_network(net.n, net.source, net.sink,
+                                [(u, v, Fraction(c, 7)) for (u, v, c) in arcs])
+        pr = push_relabel(net, instrumented=True)
+        assert labeling_violations(net, pr.flow.with_role("preflow"), pr.debug["labels"]) == []
+        hoch = hochbaum_maxflow(net, instrumented=True)
+        work = _reverse_network(net) if hoch.debug["reversed"] else net
+        assert pseudoflow_labeling_violations(work, hoch.debug["pseudoflow"],
+                                              hoch.debug["final_tree"],
+                                              hoch.debug["labels"]) == []
+        assert pr.value == hoch.value == edmonds_karp(net).value
+
+
+def test_pseudoflow_labeling_check_can_fail(g1):
+    # one merger: 2 hangs under 3 and saturates (2, 3), so the only
+    # residual arc between internal vertices is (3, 2)
+    result = hochbaum_maxflow(g1, instrumented=True)
+    tree, pf = result.debug["final_tree"], result.debug["pseudoflow"]
+    assert tree.parent == {2: 3, 3: ROOT} and result.debug["labels"] == {2: 1, 3: 0}
+    assert pseudoflow_labeling_violations(g1, pf, tree, {2: 1, 3: 1}) == []
+    assert pseudoflow_labeling_violations(g1, pf, tree, {2: 0, 3: 1}) == [
+        ("branch_order", (3, 2))]
+    assert pseudoflow_labeling_violations(g1, pf, tree, {2: 0, 3: 2}) == [
+        ("residual_edge", (3, 2)), ("branch_order", (3, 2))]
 
 
 def test_hochbaum_iteration_bound(rng):
@@ -193,6 +277,15 @@ def test_hochbaum_iteration_bound(rng):
 
 
 # -- maximum blocking cut ---------------------------------------------------
+
+
+@pytest.mark.parametrize("arcs, message", [
+    ([((1, 2), 3), ((2, 1), 4)], "antiparallel pair (1,2)/(2,1)"),
+    ([((1, 2), 3), ((1, 2), 4)], "repeated arc (1, 2)"),
+])
+def test_weighted_graph_rejects_arc_lists_it_cannot_keep(arcs, message):
+    with pytest.raises(NetworkError, match=re.escape(message)):
+        WeightedGraph(2, {1: 1, 2: -1}, arcs)
 
 
 def test_blocking_cut_all_negative_weights():
