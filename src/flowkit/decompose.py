@@ -133,8 +133,9 @@ def recover_flow(res, tree):
     equals the capacity of the strong/weak cut.  Nothing here re-checks
     the result: the solver's certificate does.
     """
-    weak = set(tree.weak_vertices())
-    for a in tree.strong_vertices():
+    strong = tree.strong_vertices()
+    weak = set(tree.parent).difference(strong)
+    for a in strong:
         for b in res.out_neighbors(a):
             if b in weak:
                 raise NotOptimal(f"residual arc ({a}, {b}) runs from strong to weak")

@@ -5,8 +5,10 @@ a ``min`` program reads `min c.x : Ax >= b`; per-variable flags mark which
 variables are sign-restricted.  The solver is a dense two-phase tableau
 simplex with Bland's anti-cycling rule.  The tableau is Python ints over one
 common denominator, pivoted by the integer-preserving step `det_int` also
-uses; `Fraction`s appear only in the inputs and the optimal point, and every
-duality assertion in the test-suite is exact rather than tolerance-based.
+uses, and each row enters it through :func:`flowkit.values.scaled`, the one
+LCM scaling, shared with the residual graph and the cycle LP.  `Fraction`s
+appear only in the inputs and the optimal point, and every duality
+assertion in the test-suite is exact rather than tolerance-based.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .network import Cut, InvariantViolation, ParseError, all_cuts, cut_capacity, incidence_matrix
-from .values import format_value, is_unbounded, parse_value
+from .values import exact, format_value, is_unbounded, parse_value, scaled
 
 
 class Malformed(Exception):
@@ -61,11 +63,12 @@ class LPResult:
 
 
 def make_lp(sense, objective, rows, bounds, nonneg=None):
-    objective = tuple(Fraction(x) for x in objective)
+    """A :class:`LinearProgram` of exact values; see :func:`exact`."""
+    objective = tuple(map(exact, objective))
     if nonneg is None:
         nonneg = (True,) * len(objective)
-    rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
-    bounds = tuple(Fraction(b) for b in bounds)
+    rows = tuple(tuple(map(exact, row)) for row in rows)
+    bounds = tuple(map(exact, bounds))
     return LinearProgram(sense, objective, rows, bounds, tuple(bool(x) for x in nonneg))
 
 
@@ -127,22 +130,15 @@ def _bland_loop(tableau, basis, obj_rows, active_cols, d):
         seen[key] = len(seen)
 
 
-def _scaled(values):
-    """The values times the LCM of their denominators, as ints, and that LCM."""
-    values = [Fraction(x) for x in values]
-    lam = math.lcm(*(x.denominator for x in values))
-    return [x.numerator * (lam // x.denominator) for x in values], lam
-
-
 def solve_standard(objective, ub_rows=(), ub_bounds=(), eq_rows=(), eq_bounds=()):
     """maximize objective.x subject to ub_rows.x <= ub_bounds,
     eq_rows.x = eq_bounds, x >= 0.  Returns (status, point).
 
-    Row i is scaled by the LCM of its denominators and negated when its
-    bound is negative; its slack (ub rows) and artificial (eq rows and
-    negated ub rows) keep coefficient +-1.  Scaling a row and the columns
-    only it uses moves no pivot of the rational tableau, provided phase 1
-    charges artificial i the reciprocal of its row's scale.
+    Row i is scaled by the LCM of its denominators (:func:`scaled`) and
+    negated when its bound is negative; its slack (ub rows) and artificial
+    (eq rows and negated ub rows) keep coefficient +-1.  Scaling a row and
+    the columns only it uses moves no pivot of the rational tableau,
+    provided phase 1 charges artificial i the reciprocal of its row's scale.
     """
     nvars = len(objective)
     nslack = len(ub_rows)
@@ -154,7 +150,7 @@ def solve_standard(objective, ub_rows=(), ub_bounds=(), eq_rows=(), eq_bounds=()
     basis = []
     art_scales = {}
     for i, (row, b) in enumerate(zip(rows, bounds)):
-        full, lam = _scaled(list(row) + [b])
+        full, lam = scaled(list(row) + [b])
         sign = -1 if full[-1] < 0 else 1
         full = [sign * x for x in full[:-1]] + [0] * (nslack + nart) + [sign * full[-1]]
         if i < nslack:
@@ -168,7 +164,7 @@ def solve_standard(objective, ub_rows=(), ub_bounds=(), eq_rows=(), eq_bounds=()
             art_scales[art] = lam
         tableau.append(full)
 
-    costs, _ = _scaled(objective)
+    costs, _ = scaled(objective)
     obj_rows = [costs + [0] * (total - nvars + 1)]
     if art_scales:
         unit = math.lcm(*art_scales.values())
@@ -221,15 +217,12 @@ def simplex_solve(lp):
     unbounded/infeasible status.
     """
     maximize = lp.sense == "max"
-    cols = []
-    for j in range(len(lp.objective)):
-        cols.append((j, 1))
-        if not lp.nonneg[j]:
-            cols.append((j, -1))
-    obj = [lp.objective[j] * s * (1 if maximize else -1) for (j, s) in cols]
-    sign = 1 if maximize else -1
-    rows = [[sign * row[j] * s for (j, s) in cols] for row in lp.rows]
-    bounds = [sign * b for b in lp.bounds]
+    # column (j, s) carries s * x_j; a min program is negated as a whole
+    cols = [(j, s) for j, nonneg in enumerate(lp.nonneg) for s in ((1,) if nonneg else (1, -1))]
+    flips = [(j, (s > 0) != maximize) for (j, s) in cols]
+    obj = [-lp.objective[j] if flip else lp.objective[j] for (j, flip) in flips]
+    rows = [[-row[j] if flip else row[j] for (j, flip) in flips] for row in lp.rows]
+    bounds = list(lp.bounds) if maximize else [-b for b in lp.bounds]
     status, xhat = solve_standard(obj, ub_rows=rows, ub_bounds=bounds)
     if status != "optimal":
         return LPResult(status, None, None)
@@ -461,23 +454,28 @@ def write_lp(lp):
 
 
 def read_lp(text):
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    """Parse the format :func:`write_lp` emits; a ParseError names the line."""
+    lines = [(k, ln.strip()) for k, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if len(lines) < 3:
         raise ParseError("expected sense, objective, and nonneg lines")
-    sense = lines[0]
+    (sense_no, sense), (line_no, obj), *constraints, (flags_no, flags) = lines
     if sense not in ("max", "min"):
-        raise ParseError(f"unknown sense {sense!r}", 1)
-    objective = [parse_value(tok) for tok in lines[1].split()]
+        raise ParseError(f"unknown sense {sense!r}", sense_no)
     rows = []
     bounds = []
-    for ln in lines[2:-1]:
-        if "|" not in ln:
-            raise ParseError(f"constraint row missing `|`: {ln!r}")
-        left, right = ln.split("|")
-        rows.append([parse_value(tok) for tok in left.split()])
-        bounds.append(parse_value(right.strip()))
-    nonneg = [tok == "1" for tok in lines[-1].split()]
-    return make_lp(sense, objective, rows, bounds, nonneg)
+    try:
+        objective = [parse_value(tok) for tok in obj.split()]
+        for line_no, ln in constraints:
+            if ln.count("|") != 1:
+                raise ParseError(f"constraint row needs exactly one `|`: {ln!r}", line_no)
+            left, right = ln.split("|")
+            rows.append([parse_value(tok) for tok in left.split()])
+            bounds.append(parse_value(right.strip()))
+    except ValueError as exc:
+        raise ParseError(str(exc), line_no)
+    if any(tok not in ("0", "1") for tok in flags.split()):
+        raise ParseError(f"nonneg flags must be 0 or 1: {flags!r}", flags_no)
+    return make_lp(sense, objective, rows, bounds, [tok == "1" for tok in flags.split()])
 
 
 def read_matrix(text):

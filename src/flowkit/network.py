@@ -35,13 +35,12 @@ lookup builds a pair key.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .values import exact, format_value, is_unbounded, parse_value
+from .values import exact, format_value, is_unbounded, parse_value, scaled
 
 ROLES = ("flow", "preflow", "pseudoflow")
 
@@ -371,26 +370,21 @@ class ResidualGraph:
     def __init__(self, net, flow=None):
         self.net = net
         caps = net.capacities()
-        values = [c for c in caps if not is_unbounded(c)]
-        if flow is not None:
-            values.extend(flow.raw.values())
-        self.scale = scale = math.lcm(*{x.denominator for x in values})
+        raw = flow.raw if flow is not None else {}
+        # the capacities in arc order (0 standing in for UNBOUNDED), then the flow
+        ints, self.scale = scaled([0 if is_unbounded(c) else c for c in caps]
+                                  + list(raw.values()))
         r = {v: dict.fromkeys(sorted(set(net.out_neighbors(v)) | set(net.in_neighbors(v))), 0)
              for v in net.vertices()}
-        # scale is a multiple of every denominator met below, so
-        # x.numerator * (scale // x.denominator) is x * scale exactly
-        for (u, v), c in zip(net.arcs, caps):
-            r[u][v] = c if is_unbounded(c) else c.numerator * (scale // c.denominator)
-        if flow is not None:
-            # r -= f on each stored pair (u, v) and, by antisymmetry, r += f
-            # on (v, u) unless the assignment stores (v, u) as well
-            raw = flow.raw
-            for (u, v), x in raw.items():
-                if x and v in r.get(u, ()):
-                    x = x.numerator * (scale // x.denominator)
-                    r[u][v] -= x
-                    if (v, u) not in raw:
-                        r[v][u] += x
+        for (u, v), c, x in zip(net.arcs, caps, ints):
+            r[u][v] = c if is_unbounded(c) else x
+        # r -= f on each stored pair (u, v) and, by antisymmetry, r += f on
+        # (v, u) unless the assignment stores (v, u) as well
+        for (u, v), x in zip(raw, ints[len(caps):]):
+            if x and v in r.get(u, ()):
+                r[u][v] -= x
+                if (v, u) not in raw:
+                    r[v][u] += x
         self.r = r
 
     def units(self, x):

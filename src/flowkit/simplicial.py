@@ -25,7 +25,6 @@ reports; the block form pivots differently and is slower.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,7 +32,7 @@ from itertools import combinations
 
 from .lp import BudgetExceeded, flow_program, solve_standard
 from .network import InvariantViolation, ParseError
-from .values import UNBOUNDED, exact, format_value, is_unbounded, parse_value
+from .values import UNBOUNDED, exact, format_value, is_unbounded, parse_value, scaled
 
 
 class ComplexError(Exception):
@@ -382,7 +381,7 @@ def find_augmenting_cycle(hnet, values):
 
     Solves an exact LP: unit coefficient on the forward source copy,
     boundary balance, non-negative coefficients supported on the residual
-    complex; a rational vertex is scaled to integers.  The reversed source
+    complex; :func:`scaled` turns its vertex into integers.  The reversed source
     copy is excluded: a cycle using both source copies cancels and cannot
     increase the carried amount.
     """
@@ -392,26 +391,17 @@ def find_augmenting_cycle(hnet, values):
                  if rf.facet_index == hnet.t_index and rf.forward)
     eq_rows = [[row[rf.facet_index] if rf.forward else -row[rf.facet_index] for rf in copies]
                for row in boundary_matrix(hnet.complex)]
-    eq_bounds = [Fraction(0)] * len(eq_rows)
-    pin = [Fraction(0)] * len(copies)
-    pin[t_col] = Fraction(1)
-    eq_rows.append(pin)
-    eq_bounds.append(Fraction(1))
-    objective = [Fraction(-1)] * len(copies)
-    objective[t_col] = Fraction(0)
+    eq_rows.append([int(i == t_col) for i in range(len(copies))])
+    eq_bounds = [0] * (len(eq_rows) - 1) + [1]
+    objective = [0 if i == t_col else -1 for i in range(len(copies))]
     status, point = solve_standard(objective, eq_rows=eq_rows, eq_bounds=eq_bounds)
     if status == "infeasible":
         return None
     if status != "optimal":  # objective bounded above by zero
         raise InvariantViolation("bounded cycle LP", "find_augmenting_cycle", [status])
-    scale = 1
-    for y in point:
-        scale = scale * y.denominator // math.gcd(scale, y.denominator)
-    terms = []
-    for rf, y in zip(copies, point):
-        c = int(y * scale)
-        if c > 0:
-            terms.append((rf.facet_index, 1 if rf.forward else -1, c))
+    coefficients, _ = scaled(point)
+    terms = [(rf.facet_index, 1 if rf.forward else -1, c)
+             for rf, c in zip(copies, coefficients) if c > 0]
     return AugmentingCycle(tuple(terms))
 
 

@@ -180,11 +180,10 @@ def push_relabel(net, instrumented=False):
     r = res.r
     excess = dict.fromkeys(net.vertices(), 0)
     for v in net.out_neighbors(s):
-        c = res.units(net.capacity(s, v))
-        if c > 0:
-            res.push(s, v, c)
-            excess[v] += c
-            excess[s] -= c
+        c = r[s][v]
+        res.push(s, v, c)
+        excess[v] += c
+        excess[s] -= c
     d = {}
     layers = [set() for _ in range(n)]   # layers[k]: the vertices labeled k < n
     high = 0                             # no layer above `high` and below n is occupied
@@ -337,22 +336,21 @@ class NormalizedTree:
     parent: dict = field(default_factory=dict)   # internal vertex -> parent (ROOT = child of root)
     excess: dict = field(default_factory=dict)
 
-    def branch_root(self, v):
-        while self.parent[v] != ROOT:
-            v = self.parent[v]
-        return v
-
     def branch_roots(self):
         return sorted(v for v, p in self.parent.items() if p == ROOT)
 
-    def is_strong(self, v):
-        return self.excess[self.branch_root(v)] > 0
-
     def strong_vertices(self):
-        return sorted(v for v in self.parent if self.is_strong(v))
+        """The branches of the roots with positive excess, in one pass down."""
+        children = {}
+        for v, p in self.parent.items():
+            children.setdefault(p, []).append(v)
+        strong = [v for v in children.get(ROOT, ()) if self.excess[v] > 0]
+        for v in strong:
+            strong.extend(children.get(v, ()))
+        return sorted(strong)
 
     def weak_vertices(self):
-        return sorted(v for v in self.parent if not self.is_strong(v))
+        return sorted(set(self.parent).difference(self.strong_vertices()))
 
 
 def normalized_tree_violations(net, f, tree):
@@ -429,15 +427,20 @@ def _pseudoflow_core(net, instrumented=False):
     s, t = net.source, net.sink
     internal = sorted(v for v in net.vertices() if v not in (s, t))
     res = ResidualGraph(net)
-    r, units = res.r, res.units
+    r = res.r
+    excess = dict.fromkeys(internal, 0)
     for v in net.out_neighbors(s):
-        res.push(s, v, units(net.capacity(s, v)))
+        c = r[s][v]
+        res.push(s, v, c)
+        if v != t:
+            excess[v] += c
     for v in net.in_neighbors(t):
         if v != s:  # a direct (s, t) arc is already saturated
-            res.push(v, t, units(net.capacity(v, t)))
+            c = r[v][t]
+            res.push(v, t, c)
+            excess[v] -= c
     parent = {v: ROOT for v in internal}
     children = {v: set() for v in internal}
-    excess = {v: units(net.cbar(s, v)) - units(net.cbar(v, t)) for v in internal}
     label = {v: int(excess[v] > 0) for v in internal}
     label[s] = label[t] = -2  # never l - 1: no merger arc ends at s or t
     rows = {v: list(r[v]) for v in internal}

@@ -1,6 +1,8 @@
 """Exact value helpers shared across the toolkit.
 
 All quantities (capacities, flows, LP entries) are `fractions.Fraction`.
+:func:`scaled` is the one LCM scaling of them to ints, shared by the
+residual graph, the simplex tableau and the cycle LP of `simplicial`.
 A single distinguished UNBOUNDED value stands in for an infinite capacity.
 It supports exactly what a capacity sum or comparison needs:
 
@@ -18,6 +20,7 @@ with floats, and ``exact(UNBOUNDED)``.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -75,6 +78,13 @@ def exact(x) -> Fraction:
     if isinstance(x, float):
         raise TypeError(f"refusing float {x!r}; pass a Fraction, int, or 'p/q' string")
     return Fraction(x)
+
+
+def scaled(values):
+    """A sequence of ints and Fractions times the LCM of their denominators,
+    as ints, and that LCM; reads each value as it is and builds no Fraction."""
+    lcm = math.lcm(*{x.denominator for x in values})
+    return [x.numerator * (lcm // x.denominator) for x in values], lcm
 
 
 def parse_value(token: str) -> Fraction:

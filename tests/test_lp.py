@@ -29,7 +29,7 @@ from flowkit.lp import (
     write_lp,
     write_matrix,
 )
-from flowkit.network import all_cuts, cut_capacity
+from flowkit.network import ParseError, all_cuts, cut_capacity
 from flowkit.solvers import edmonds_karp
 from oracles import determinant_by_permutations, ghouila_houri_tu
 
@@ -316,6 +316,22 @@ def test_det_int(rng):
 def test_lp_round_trip(g1):
     for lp in (build_primal(g1), build_dual(build_primal(g1)), build_reduced_dual(g1)):
         assert read_lp(write_lp(lp)) == lp
+
+
+@pytest.mark.parametrize("text, line_no", [
+    ("max\n1 2\n\n1 1 | 4\nx 1\n", 5),          # a flag that is neither 0 nor 1
+    ("max\n1 2\n1 1 | 4 | 5\n1 1\n", 3),         # two bars in one row
+    ("min\n1 2\n1 1 | 4\n1 two | 3\n1 1\n", 4),  # a number that does not parse
+], ids=["nonneg-flag", "two-bars", "bad-number"])
+def test_read_lp_reports_the_line(text, line_no):
+    with pytest.raises(ParseError) as info:
+        read_lp(text)
+    assert info.value.line_no == line_no
+
+
+def test_make_lp_refuses_floats():
+    with pytest.raises(TypeError):
+        make_lp("max", [0.1], [[1]], [1])
 
 
 def test_matrix_round_trip():

@@ -23,6 +23,7 @@ from flowkit.network import (
 from flowkit.solvers import (
     ROOT,
     InvariantViolation,
+    NormalizedTree,
     WeightedGraph,
     build_gst,
     edmonds_karp,
@@ -286,6 +287,33 @@ def test_hochbaum_iteration_bound(rng):
 def test_weighted_graph_rejects_arc_lists_it_cannot_keep(arcs, message):
     with pytest.raises(NetworkError, match=re.escape(message)):
         WeightedGraph(2, {1: 1, 2: -1}, arcs)
+
+
+def test_strong_and_weak_vertices_on_a_deep_tree():
+    rng = random.Random(91)
+    n = 2000
+    label = list(range(1, n + 1))
+    rng.shuffle(label)
+    parent = {}
+    for k in range(n):  # a parent among the last three vertices: long branches
+        start = k == 0 or rng.random() < 0.003
+        parent[label[k]] = ROOT if start else label[rng.randint(max(0, k - 3), k - 1)]
+    excess = {v: Fraction(rng.randint(-2, 2), rng.randint(1, 3)) if p == ROOT else Fraction(0)
+              for v, p in parent.items()}
+    tree = NormalizedTree(ROOT, parent, excess)
+
+    def branch_root(v):
+        depth = 0
+        while parent[v] != ROOT:
+            v, depth = parent[v], depth + 1
+        return v, depth
+
+    assert max(branch_root(v)[1] for v in parent) > 100
+    strong = sorted(v for v in parent if excess[branch_root(v)[0]] > 0)
+    weak = sorted(v for v in parent if excess[branch_root(v)[0]] <= 0)
+    assert strong and weak
+    assert tree.strong_vertices() == strong
+    assert tree.weak_vertices() == weak
 
 
 def test_blocking_cut_all_negative_weights():

@@ -1,4 +1,5 @@
-"""UNBOUNDED behaves as +infinity for ordering and addition, and nothing else."""
+"""UNBOUNDED behaves as +infinity for ordering and addition, and nothing
+else; `scaled` turns rationals into ints over the LCM of their denominators."""
 
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from flowkit.network import (
     validate,
 )
 from flowkit.solvers import ALGORITHMS
-from flowkit.values import UNBOUNDED, exact
+from flowkit.values import UNBOUNDED, exact, scaled
 
 FINITE = [0, 7, -3, Fraction(0), Fraction(10**30, 7), Fraction(-5, 2)]
 
@@ -76,3 +77,18 @@ def test_solvers_refuse_unbounded(algo):
     net = build_network(3, 1, 3, [(1, 2, UNBOUNDED), (2, 3, 4)])
     with pytest.raises(NetworkError):
         ALGORITHMS[algo](net)
+
+
+@pytest.mark.parametrize("values, ints, lcm", [
+    ([3, -4, 0], [3, -4, 0], 1),
+    ([Fraction(1, 6), Fraction(-3, 4), 0, 5], [2, -9, 0, 60], 12),
+    ([Fraction(0), Fraction(-2, 7), Fraction(5, 14), -1], [0, -4, 5, -14], 14),
+])
+def test_scaled_is_the_values_times_the_lcm_of_their_denominators(values, ints, lcm):
+    assert scaled(values) == (ints, lcm)
+    assert ints == [x * lcm for x in values]
+    assert all(type(x) is int for x in scaled(values)[0])
+
+
+def test_scaled_of_nothing():
+    assert scaled([]) == ([], 1)
