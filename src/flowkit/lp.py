@@ -1,12 +1,16 @@
 """Exact-rational linear programming and total unimodularity.
 
-Inequality-form programs only: a ``max`` program reads `max c.x : Ax <= b`,
-a ``min`` program reads `min c.x : Ax >= b`; per-variable flags mark which
-variables are sign-restricted.  The solver is a dense two-phase tableau
-simplex with Bland's anti-cycling rule.  The tableau is Python ints over one
-common denominator, pivoted by the integer-preserving step `det_int` also
-uses, and each row enters it through :func:`flowkit.values.scaled`, the one
-LCM scaling, shared with the residual graph and the cycle LP.  `Fraction`s
+A program reads `max c.x : Ax <= b` (``max``) or `min c.x : Ax >= b`
+(``min``); per-variable flags mark which variables are sign-restricted.
+:func:`simplex_solve` hands it to :func:`solve_standard`, which solves the
+bounded form `max c.x : Ux <= b, Ex = b, 0 <= x <= u` with a dense tableau
+simplex and Bland's anti-cycling rule.  Single-variable rows become bounds
+kept out of the tableau, and opposite row pairs become equalities, so the
+maximum-flow programs `[A; -A; I] x <= [0; 0; cap]` are solved as
+`A x = 0, 0 <= x <= cap`.  The tableau is Python ints over one common
+denominator, pivoted by the integer-preserving step `det_int` also uses,
+and each row enters it through :func:`flowkit.values.scaled`, the one LCM
+scaling, shared with the residual graph and the cycle LP.  `Fraction`s
 appear only in the inputs and the optimal point, and every duality
 assertion in the test-suite is exact rather than tolerance-based.
 """
@@ -94,79 +98,166 @@ def _pivot(rows, prow, col, d):
     return p
 
 
-def _bland_loop(tableau, basis, obj_rows, active_cols, d):
+def _complement(rows, col, bound):
+    """Replace the variable of `col` by `bound` minus itself in `rows`: its
+    column is negated and `bound` times the column leaves the right-hand
+    side.  This is a column operation on the starting matrix, so every entry
+    stays an integer minor and later pivots still divide exactly."""
+    for row in rows:
+        f = row[col]
+        if f:
+            row[-1] -= f * bound
+            row[col] = -f
+
+
+def _bland_loop(tableau, basis, obj_rows, active_cols, d, limits, flipped):
     """Pivot until the first objective row has no improving column.
 
     Returns the status, "optimal" or "unbounded", and the denominator.
-    Entering column: smallest active index with positive reduced cost;
-    leaving row: minimum ratio, ties by smallest basis index.  Every pivot
-    is positive, so d stays positive and the signs of the integers are the
-    signs of the values.  Bland's rule never revisits a basis, so a basis
-    seen twice raises :class:`InvariantViolation` ("anti-cycling") instead
-    of looping forever.
+    Variable j lies in [0, limits[j]] (None: no bound), in the units of the
+    right-hand side; `flipped` is the set of variables that stand for their
+    bound minus themselves, updated in place.  Entering column: smallest
+    active index with positive reduced cost.  The step is the smallest of
+    the entering variable reaching its bound (a bound flip, no pivot), a
+    basic variable falling to 0, or a basic variable rising to its bound
+    (it is complemented and its row negated first); ties go to the smallest
+    variable index.  Every pivot is positive, so d stays positive and the
+    signs of the integers are the signs of the values.  Bland's rule never
+    revisits a basis with the same complemented set, so a repeat raises
+    :class:`InvariantViolation` ("anti-cycling") instead of looping forever.
     """
     rhs = len(obj_rows[0]) - 1
-    key = sum(1 << j for j in basis)  # the set of basic columns, one bit each
-    seen = {key: 0}
+    rows = tableau + obj_rows
+    bkey = sum(1 << j for j in basis)  # the basic and the complemented columns, one bit each
+    fkey = sum(1 << j for j in flipped)
+    seen = {(bkey, fkey): 0}
     while True:
         obj = obj_rows[0]
         enter = next((j for j in active_cols if obj[j] > 0), None)
         if enter is None:
             return "optimal", d
-        leave = None
-        for i, row in enumerate(tableau):  # ratios compared by cross-multiplying
-            if row[enter] > 0 and (leave is None
-                                   or (row[rhs] * tableau[leave][enter], basis[i])
-                                   < (tableau[leave][rhs] * row[enter], basis[leave])):
-                leave = i
-        if leave is None:
+        # (step numerator, step denominator, blocking variable, its row or None)
+        u = limits[enter]
+        step = None if u is None else (u, 1, enter, None)
+        for i, row in enumerate(tableau):  # steps compared by cross-multiplying
+            a = row[enter]
+            if a > 0:
+                cand = (row[rhs], a, basis[i], i)
+            elif a < 0 and limits[basis[i]] is not None:
+                cand = (limits[basis[i]] * d - row[rhs], -a, basis[i], i)
+            else:
+                continue
+            if step is None or (cand[0] * step[1], cand[2]) < (step[0] * cand[1], step[2]):
+                step = cand
+        if step is None:
             return "unbounded", d
-        d = _pivot(tableau + obj_rows, tableau[leave], enter, d)
-        key ^= (1 << basis[leave]) ^ (1 << enter)
-        basis[leave] = enter
-        if key in seen:
+        _, _, var, leave = step
+        if leave is None:
+            _complement(rows, enter, u)
+            flipped ^= {enter}
+            fkey ^= 1 << enter
+        else:
+            row = tableau[leave]
+            if row[enter] < 0:  # var leaves at its bound, as its complement at 0
+                _complement([row], var, limits[var])
+                row[:] = [-x for x in row]  # d stays > 0, as if all rows and d were negated after the step
+                flipped ^= {var}
+                fkey ^= 1 << var
+            d = _pivot(rows, row, enter, d)
+            basis[leave] = enter
+            bkey ^= (1 << var) ^ (1 << enter)
+        if (bkey, fkey) in seen:
             raise InvariantViolation("anti-cycling", f"pivot {len(seen)}",
-                                     [f"basis {sorted(basis)} was already reached at pivot {seen[key]}"])
-        seen[key] = len(seen)
+                                     [f"basis {sorted(basis)} with complemented {sorted(flipped)} "
+                                      f"was already reached at pivot {seen[bkey, fkey]}"])
+        seen[bkey, fkey] = len(seen)
 
 
-def solve_standard(objective, ub_rows=(), ub_bounds=(), eq_rows=(), eq_bounds=()):
+def solve_standard(objective, ub_rows=(), ub_bounds=(), eq_rows=(), eq_bounds=(), upper=()):
     """maximize objective.x subject to ub_rows.x <= ub_bounds,
-    eq_rows.x = eq_bounds, x >= 0.  Returns (status, point).
+    eq_rows.x = eq_bounds, 0 <= x <= upper.  Returns (status, point).
 
-    Row i is scaled by the LCM of its denominators (:func:`scaled`) and
-    negated when its bound is negative; its slack (ub rows) and artificial
-    (eq rows and negated ub rows) keep coefficient +-1.  Scaling a row and
-    the columns only it uses moves no pivot of the rational tableau,
-    provided phase 1 charges artificial i the reciprocal of its row's scale.
+    `upper[j]` bounds variable j (UNBOUNDED or missing: no bound; a
+    negative bound makes the program infeasible).  Each row is scaled by
+    the LCM of its denominators (:func:`scaled`), and two kinds of ub row
+    are read off that int row: a row whose only nonzero is positive, with a
+    bound >= 0, is a bound on its variable, and a pair (r, b), (-r, -b) is
+    one equality.  Bounds stay out of the tableau: a variable at its bound
+    is complemented (:func:`_complement`), and the right-hand side is
+    scaled once by the LCM of the bounds' denominators so that
+    complementing keeps it integer.  That scales every variable alike, so
+    it moves no pivot.
+
+    A row with a negative bound is negated.  Each row starts on a unit
+    column: its slack (ub rows with a bound >= 0), else a structural column
+    with no bound whose only nonzero is this row's +1, else an artificial.
+    Phase 1 runs only if an artificial starts above 0.  After it, every
+    artificial is bounded by 0 and stays basic until a step of length 0
+    moves it out.  Scaling a row and the columns only it uses moves no
+    pivot of the rational tableau, provided phase 1 charges artificial i the
+    reciprocal of its row's scale.
     """
     nvars = len(objective)
-    nslack = len(ub_rows)
-    rows = list(ub_rows) + list(eq_rows)
-    bounds = list(ub_bounds) + list(eq_bounds)
-    nart = len(eq_rows) + sum(1 for b in ub_bounds if b < 0)
-    total = nvars + nslack + nart
+    bound = [None if is_unbounded(u) else u for u in upper] + [None] * (nvars - len(upper))
+    if any(u is not None and u < 0 for u in bound):
+        return "infeasible", None
+    entries = []   # [scaled row with its bound, scale, is an equality]
+    unpaired = {}  # ub rows by their scaled ints, waiting for their opposite
+    for row, b in zip(ub_rows, ub_bounds):
+        full, lam = scaled(list(row) + [b])
+        nonzero = [j for j in range(nvars) if full[j]]
+        if len(nonzero) == 1 and full[nonzero[0]] > 0 and full[-1] >= 0:
+            j = nonzero[0]
+            u = Fraction(full[-1], full[j])
+            if bound[j] is None or u < bound[j]:
+                bound[j] = u
+            continue
+        twin = unpaired.pop(tuple(-x for x in full), None)
+        if twin is not None:
+            twin[2] = True
+            continue
+        entry = [full, lam, False]
+        unpaired.setdefault(tuple(full), entry)
+        entries.append(entry)
+    for row, b in zip(eq_rows, eq_bounds):
+        entries.append([*scaled(list(row) + [b]), True])
+
+    rhs_scale = math.lcm(*(u.denominator for u in bound if u is not None))
+    nslack = sum(1 for _, _, eq in entries if not eq)
+    free_units = None  # structural unit columns: no bound, one nonzero
     tableau = []
     basis = []
     art_scales = {}
-    for i, (row, b) in enumerate(zip(rows, bounds)):
-        full, lam = scaled(list(row) + [b])
+    slacks = nvars
+    for full, lam, eq in entries:
         sign = -1 if full[-1] < 0 else 1
-        full = [sign * x for x in full[:-1]] + [0] * (nslack + nart) + [sign * full[-1]]
-        if i < nslack:
-            full[nvars + i] = sign
-        if i < nslack and sign > 0:
-            basis.append(nvars + i)
-        else:
-            art = nvars + nslack + len(art_scales)
-            full[art] = 1
-            basis.append(art)
-            art_scales[art] = lam
-        tableau.append(full)
+        row = [sign * x for x in full[:-1]] + [0] * nslack
+        row.append(sign * full[-1] * rhs_scale)
+        start = None
+        if not eq:
+            row[slacks] = sign
+            start = slacks if sign > 0 else None
+            slacks += 1
+        if start is None:
+            if free_units is None:
+                columns = zip(*(entry[0][:nvars] for entry in entries))
+                free_units = [u is None and sum(map(bool, col)) == 1 for u, col in zip(bound, columns)]
+            start = next((j for j in range(nvars) if free_units[j] and row[j] == 1), None)
+        if start is None:
+            start = nvars + nslack + len(art_scales)
+            art_scales[start] = lam
+        basis.append(start)
+        tableau.append(row)
+    total = nvars + nslack + len(art_scales)
+    for row, col in zip(tableau, basis):  # the artificial columns, now that they are counted
+        row[-1:-1] = [int(j == col) for j in range(nvars + nslack, total)]
+    limits = [None if u is None else u.numerator * (rhs_scale // u.denominator) for u in bound]
+    limits += [None] * (total - nvars)
+    flipped = set()
 
     costs, _ = scaled(objective)
     obj_rows = [costs + [0] * (total - nvars + 1)]
-    if art_scales:
+    if any(row[-1] > 0 for row, col in zip(tableau, basis) if col in art_scales):
         unit = math.lcm(*art_scales.values())
         obj_rows.insert(0, [0] * (total + 1))
         for art, lam in art_scales.items():
@@ -175,36 +266,25 @@ def solve_standard(objective, ub_rows=(), ub_bounds=(), eq_rows=(), eq_bounds=()
         _pivot(obj_rows, row, col, 1)
 
     d = 1
-    if art_scales:
-        status, d = _bland_loop(tableau, basis, obj_rows, range(total), d)
+    if len(obj_rows) == 2:
+        status, d = _bland_loop(tableau, basis, obj_rows, range(total), d, limits, flipped)
         if status != "optimal":  # phase 1 is bounded by zero
             raise InvariantViolation("phase 1", "simplex", [status])
         if obj_rows[0][-1] != 0:
             return "infeasible", None
-        # drive surviving artificials out of the basis
-        i = 0
-        while i < len(tableau):
-            if basis[i] in art_scales:
-                row = tableau[i]
-                col = next((j for j in range(total)
-                            if j not in art_scales and row[j] != 0), None)
-                if col is None:
-                    del tableau[i], basis[i]
-                    continue
-                if row[col] < 0:  # d stays > 0, as if all rows and d were negated after the step
-                    row[:] = [-x for x in row]
-                d = _pivot(tableau + obj_rows, row, col, d)
-                basis[i] = col
-            i += 1
+    for art in art_scales:
+        limits[art] = 0
 
-    active = [j for j in range(total) if j not in art_scales]
-    status, d = _bland_loop(tableau, basis, obj_rows[-1:], active, d)
+    active = range(nvars + nslack)
+    status, d = _bland_loop(tableau, basis, obj_rows[-1:], active, d, limits, flipped)
     if status == "unbounded":
         return "unbounded", None
-    point = [Fraction(0)] * nvars
+    scale = d * rhs_scale
+    point = [Fraction(limits[j], rhs_scale) if j in flipped else Fraction(0) for j in range(nvars)]
     for row, col in zip(tableau, basis):
         if col < nvars:
-            point[col] = Fraction(row[-1], d)
+            x = row[-1]
+            point[col] = Fraction(limits[col] * d - x if col in flipped else x, scale)
     return "optimal", point
 
 
@@ -220,10 +300,13 @@ def simplex_solve(lp):
     # column (j, s) carries s * x_j; a min program is negated as a whole
     cols = [(j, s) for j, nonneg in enumerate(lp.nonneg) for s in ((1,) if nonneg else (1, -1))]
     flips = [(j, (s > 0) != maximize) for (j, s) in cols]
-    obj = [-lp.objective[j] if flip else lp.objective[j] for (j, flip) in flips]
-    rows = [[-row[j] if flip else row[j] for (j, flip) in flips] for row in lp.rows]
-    bounds = list(lp.bounds) if maximize else [-b for b in lp.bounds]
-    status, xhat = solve_standard(obj, ub_rows=rows, ub_bounds=bounds)
+
+    def signed(row):  # zeros pass through instead of being negated into new Fractions
+        return [-row[j] if flip and row[j] else row[j] for (j, flip) in flips]
+
+    bounds = list(lp.bounds) if maximize else [-b if b else b for b in lp.bounds]
+    status, xhat = solve_standard(signed(lp.objective), ub_rows=[signed(row) for row in lp.rows],
+                                  ub_bounds=bounds)
     if status != "optimal":
         return LPResult(status, None, None)
     point = [Fraction(0)] * len(lp.objective)
@@ -242,6 +325,7 @@ def flow_program(balance, capacities, objective):
     `balance` is A, one row per conserved quantity, written as both
     inequality directions of A x = 0; then one row x_j <= c_j per finite
     capacity, in column order (UNBOUNDED capacities get no row).
+    :func:`solve_standard` reads these rows back as A x = 0, 0 <= x <= c.
     """
     rows = [list(r) for r in balance] + [[-x for x in r] for r in balance]
     bounds = [0] * len(rows)

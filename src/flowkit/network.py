@@ -43,6 +43,7 @@ from itertools import combinations
 from .values import exact, format_value, is_unbounded, parse_value, scaled
 
 ROLES = ("flow", "preflow", "pseudoflow")
+_ZERO = Fraction(0)  # the value of an unstored pair: one object, as Fractions are immutable
 
 
 class NetworkError(Exception):
@@ -261,7 +262,7 @@ class FlowAssignment:
         x = self.raw.get((v, u))
         if x is not None:
             return -x
-        return Fraction(0)
+        return _ZERO
 
     def excess(self, v):
         """Inflow minus outflow at v."""

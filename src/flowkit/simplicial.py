@@ -17,10 +17,10 @@ facet's signed faces once and offers ∂x (:meth:`~OrientedComplex.boundary`),
 ∂ᵀλ (:meth:`~OrientedComplex.coboundary`) and, through
 :func:`boundary_matrix`, the dense matrix.  Cycle checks, cut capacities,
 dual points, the augmenting-cycle LP and both max-flow programs are built
-from it.  :func:`hmaxflow_lp` keeps the equality form ∂x = 0, 0 <= x <= c
-rather than solving the block form of :func:`hmaxflow_linear_program`: the
-equality form pins its simplex pivots, and so the optimal vertex it
-reports; the block form pivots differently and is slower.
+from it.  :func:`hmaxflow_lp` hands the simplex the bounded form ∂x = 0,
+0 <= x <= c directly.  The block form of :func:`hmaxflow_linear_program`
+reaches the simplex as the same program with the source facet last: its
+opposite rows are read back as equalities and its unit rows as bounds.
 """
 
 from __future__ import annotations
@@ -326,13 +326,10 @@ def hmaxflow_lp(hnet):
     """Maximize the amount carried by the source facet, exactly."""
     k = hnet.facet_count()
     eq_rows = boundary_matrix(hnet.complex)
-    eq_bounds = [Fraction(0)] * len(eq_rows)
-    bounded = [j for j in range(k) if not is_unbounded(hnet.capacity(j))]
-    ub_rows = [[1 if i == j else 0 for i in range(k)] for j in bounded]
-    ub_bounds = [hnet.capacity(j) for j in bounded]
-    objective = [Fraction(0)] * k
-    objective[hnet.t_index] = Fraction(1)
-    status, point = solve_standard(objective, ub_rows, ub_bounds, eq_rows, eq_bounds)
+    objective = [0] * k
+    objective[hnet.t_index] = 1
+    status, point = solve_standard(objective, eq_rows=eq_rows, eq_bounds=[0] * len(eq_rows),
+                                   upper=[hnet.capacity(j) for j in range(k)])
     if status == "unbounded":
         return HMaxflowResult("unbounded", None, None)
     if status != "optimal":  # the zero flow is always feasible

@@ -31,15 +31,22 @@ from flowkit.lp import (
 )
 from flowkit.network import ParseError, all_cuts, cut_capacity
 from flowkit.solvers import edmonds_karp
+from flowkit.values import UNBOUNDED
 from oracles import determinant_by_permutations, ghouila_houri_tu
 
 
 def _solve_by_vertex_enumeration(lp):
     """Max over all basic feasible points of Ax <= b, x >= 0 (bounded LPs)."""
-    n = len(lp.objective)
-    rows = [list(r) for r in lp.rows]
+    return _max_over_vertices(lp.objective, lp.rows, lp.bounds)
+
+
+def _max_over_vertices(objective, rows, bounds):
+    """Max of objective.x over the vertices of Ax <= b, x >= 0, or None if
+    there is none (the set is empty: x >= 0 makes it pointed)."""
+    n = len(objective)
+    rows = [list(map(Fraction, r)) for r in rows]
     rows += [[Fraction(-1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    bounds = list(lp.bounds) + [Fraction(0)] * n
+    bounds = list(map(Fraction, bounds)) + [Fraction(0)] * n
     best = None
     for combo in itertools.combinations(range(len(rows)), n):
         solution = _solve_square([rows[i][:] + [bounds[i]] for i in combo], n)
@@ -47,10 +54,30 @@ def _solve_by_vertex_enumeration(lp):
             continue
         if all(sum(r[j] * solution[j] for j in range(n)) <= b
                for r, b in zip(rows, bounds)):
-            value = sum(lp.objective[j] * solution[j] for j in range(n))
+            value = sum(objective[j] * solution[j] for j in range(n))
             if best is None or value > best:
                 best = value
     return best
+
+
+def _bounded_form_by_vertex_enumeration(objective, ub_rows, ub_bounds, eq_rows, eq_bounds, upper):
+    """Status and value of `max c.x : ub_rows.x <= ub_bounds, eq_rows.x =
+    eq_bounds, 0 <= x <= upper` (None: no bound), from vertices alone.  A
+    feasible program is unbounded when some ray r >= 0 of its recession
+    cone, normalised by sum(r) <= 1, has c.r > 0."""
+    n = len(objective)
+    rows = list(ub_rows) + list(eq_rows) + [[-a for a in r] for r in eq_rows]
+    bounds = list(ub_bounds) + list(eq_bounds) + [-b for b in eq_bounds]
+    for j, u in enumerate(upper):
+        if u is not None:
+            rows.append([int(i == j) for i in range(n)])
+            bounds.append(u)
+    best = _max_over_vertices(objective, rows, bounds)
+    if best is None:
+        return "infeasible", None
+    if _max_over_vertices(objective, rows + [[1] * n], [0] * len(rows) + [1]) > 0:
+        return "unbounded", None
+    return "optimal", best
 
 
 def _solve_square(m, n):
@@ -98,13 +125,26 @@ def test_bland_pivots_are_pinned():
 
 def test_a_repeated_basis_is_a_typed_error(monkeypatch):
     # with a pivot that changes nothing, the same column enters at the same
-    # row forever; the loop must notice the basis it already had
+    # row forever; the loop must notice the basis it already had.  The rows
+    # have two nonzeros each, so neither is read as a bound.
     from flowkit import lp
     from flowkit.network import InvariantViolation
 
     monkeypatch.setattr(lp, "_pivot", lambda rows, prow, col, d: d)
     with pytest.raises(InvariantViolation) as err:
-        solve_standard([1, 1], [[1, 0], [0, 1]], [1, 2])
+        solve_standard([1, 1], [[1, 1], [1, -1]], [1, 2])
+    assert (err.value.invariant, err.value.step) == ("anti-cycling", "pivot 2")
+
+
+def test_a_repeated_bound_flip_is_a_typed_error(monkeypatch):
+    # with a complement that changes nothing, the variable stays improving
+    # and flips back to the complemented set it started from
+    from flowkit import lp
+    from flowkit.network import InvariantViolation
+
+    monkeypatch.setattr(lp, "_complement", lambda rows, col, bound: None)
+    with pytest.raises(InvariantViolation) as err:
+        solve_standard([1], [[2]], [5])
     assert (err.value.invariant, err.value.step) == ("anti-cycling", "pivot 2")
 
 
@@ -152,6 +192,64 @@ def test_simplex_against_vertex_enumeration(rng):
         assert got.value == want
         statuses.add(got.status)
     assert statuses == {"optimal", "infeasible"}
+    # the bounded form: rational bounds, some negative, given as `upper` or
+    # as singleton rows like 2x <= 5 (so the right-hand side is scaled by
+    # their LCM), equality rows, opposite rows that are an equality or a
+    # slab, an equality written as an opposite pair that is the sum of two
+    # others (its artificial stays basic at 0 through phase 2), and a column
+    # that appears in one equality only (it starts basic if it is free and
+    # its entry is +1)
+    statuses = set()
+    for _ in range(50):
+        n = rng.randint(1, 3)
+        x0 = [Fraction(rng.randint(0, 6), rng.choice((1, 2, 3))) for _ in range(n)]
+        upper = [None] * n
+        ub_rows, ub_bounds = [], []
+        for j in range(n):
+            if rng.random() < 0.6:
+                u = x0[j] + Fraction(rng.randint(-1, 4), rng.choice((1, 2, 3, 5)))
+                if u < 0 or rng.random() < 0.5:
+                    upper[j] = u
+                else:
+                    a = rng.randint(1, 3)
+                    ub_rows.append([a if i == j else 0 for i in range(n)])
+                    ub_bounds.append(a * u)
+        for _ in range(rng.randint(0, 2)):
+            row = [Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 5, 7))) for _ in range(n)]
+            ub_rows.append(row)
+            ub_bounds.append(sum(a * x for a, x in zip(row, x0))
+                             + Fraction(rng.randint(-2, 3), rng.choice((1, 5, 7))))
+            if rng.random() < 0.6:  # its opposite: an equality, or a slab of width w
+                ub_rows.append([-a for a in row])
+                ub_bounds.append(rng.choice((0, Fraction(1, 2), 1)) - ub_bounds[-1])
+        eq_rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(0, 2))]
+        eq_bounds = [sum(a * x for a, x in zip(row, x0)) for row in eq_rows]
+        if len(eq_rows) == 2 and rng.random() < 0.5:
+            row = [a + b for a, b in zip(*eq_rows)]
+            ub_rows += [row, [-a for a in row]]
+            ub_bounds += [sum(eq_bounds), -sum(eq_bounds)]
+        objective = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
+        if eq_rows and rng.random() < 0.5:  # y >= 0 only in the first equality
+            objective.append(Fraction(rng.randint(-2, 1)))
+            upper.append(rng.choice((None, None, Fraction(1, 2))))
+            a = rng.choice((1, 1, 2))  # y starts basic if it is free and a = 1
+            ub_rows = [row + [0] for row in ub_rows]
+            eq_rows = [row + [a if i == 0 else 0] for i, row in enumerate(eq_rows)]
+            eq_bounds[0] = abs(eq_bounds[0])
+        status, point = solve_standard(objective, ub_rows, ub_bounds, eq_rows, eq_bounds,
+                                       [UNBOUNDED if u is None else u for u in upper])
+        want, value = _bounded_form_by_vertex_enumeration(objective, ub_rows, ub_bounds,
+                                                          eq_rows, eq_bounds, upper)
+        assert status == want
+        if status == "optimal":
+            assert all(0 <= x and (u is None or x <= u) for x, u in zip(point, upper))
+            assert all(sum(a * x for a, x in zip(row, point)) <= b
+                       for row, b in zip(ub_rows, ub_bounds))
+            assert all(sum(a * x for a, x in zip(row, point)) == b
+                       for row, b in zip(eq_rows, eq_bounds))
+            assert sum(c * x for c, x in zip(objective, point)) == value
+        statuses.add(status)
+    assert statuses == {"optimal", "infeasible", "unbounded"}
 
 
 def test_primal_single_arc(single_arc):
