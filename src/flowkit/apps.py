@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
 
-# uncalled here; the binding stays because perfbench's tracer test wraps it in this module
+# min_cut_from_flow is uncalled here; its binding stays because perfbench's
+# tracer test wraps it in this module
 from .decompose import decompose, min_cut_from_flow  # noqa: F401
 from .network import InvariantViolation, NetworkError, ParseError, build_network
 from .solvers import edmonds_karp
@@ -87,14 +87,6 @@ def perfect_matching(g):
         return PerfectMatching(pairs)
     subset = frozenset(v for v in result.cut.source_side if 1 <= v <= n)
     return HallViolation(subset)
-
-
-def matching_exists_by_enumeration(g):
-    """n!-enumeration oracle for small instances."""
-    edge_set = set(g.edges)
-    indices = list(range(1, g.n + 1))
-    return any(all((i, sigma[i - 1]) in edge_set for i in indices)
-               for sigma in permutations(indices))
 
 
 # -- cover-disjoint chains -----------------------------------------------------
@@ -201,38 +193,6 @@ def chain_is_maximal(p, chain):
         if all((x, y) in p.less or (y, x) in p.less for y in members):
             return False
     return True
-
-
-def max_disjoint_chains_by_enumeration(p):
-    """Exhaustive oracle: largest cover-disjoint subset of all maximal chains."""
-    covers = set(p.covers())
-    succ = {}
-    for (a, b) in covers:
-        succ.setdefault(a, []).append(b)
-    chains = []
-
-    def walk(path):
-        if path[-1] == p.top:
-            chains.append(tuple(path))
-            return
-        for nxt in succ.get(path[-1], ()):
-            walk(path + [nxt])
-
-    walk([p.bottom])
-    chain_edges = [frozenset(zip(c, c[1:])) for c in chains]
-    best = 0
-
-    def extend(i, used, count):
-        nonlocal best
-        best = max(best, count)
-        if count + (len(chains) - i) <= best:
-            return
-        for j in range(i, len(chains)):
-            if not (chain_edges[j] & used):
-                extend(j + 1, used | chain_edges[j], count + 1)
-
-    extend(0, frozenset(), 0)
-    return best
 
 
 # -- image segmentation ----------------------------------------------------------
@@ -346,18 +306,6 @@ def segment_image(img):
         raise InvariantViolation("cut cost", "segment_image", [cost, result.value])
     return Segmentation(foreground, segmentation_score(img, foreground),
                         cost, img.total_mass())
-
-
-def best_segmentation_by_enumeration(img):
-    """2^pixels oracle for desk-scale images."""
-    pixels = img.pixels()
-    best = None
-    for k in range(len(pixels) + 1):
-        for chosen in combinations(pixels, k):
-            score = segmentation_score(img, chosen)
-            if best is None or score > best:
-                best = score
-    return best
 
 
 # -- file formats -----------------------------------------------------------------

@@ -3,9 +3,10 @@
 A valid flow splits into at most m source-to-sink path-flows and
 cycle-flows; every extraction step zeroes the flow on at least one arc.
 A maximal flow yields a minimum cut as the set of vertices reachable from
-the source in the residual graph.  Recovery drains the residual graph of
-the pseudoflow solver's core in place; it does not re-check the flow it
-leaves, because the solver's certificate is the only check of it.
+the source in the residual graph.  Recovery reads the excesses of the
+pseudoflow solver's core off its residual graph and drains them in place;
+it does not re-check the flow it leaves, because the solver's certificate
+is the only check of it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .network import (
     _bfs,
     validate,
 )
-from .values import format_value, parse_value
+from .values import format_value, is_unbounded, parse_value
 
 
 class NotMaximal(NetworkError):
@@ -33,10 +34,6 @@ class NotMaximal(NetworkError):
     def __init__(self, path):
         self.path = list(path)
         super().__init__(f"flow is not maximal; augmenting path {self.path}")
-
-
-class NotOptimal(NetworkError):
-    """Raised when flow recovery is attempted on a non-optimal tree."""
 
 
 @dataclass(frozen=True)
@@ -122,29 +119,30 @@ def min_cut_from_flow(net, f):
     return Cut(frozenset(reached))
 
 
-def recover_flow(res, tree):
-    """Drain the residual graph of an optimal normalized tree's pseudoflow,
-    in place, into the residual graph of a maximal flow.
+def recover_flow(res):
+    """Drain the residual graph of an optimal pseudoflow, in place, into
+    the residual graph of a maximal flow.
 
-    Excesses at strong branch roots drain back to the source along residual
-    paths through strong vertices; deficits at strictly weak roots are
-    served from the sink through weak vertices.  Arcs crossing from the
-    strong side to the weak side stay saturated, so the recovered value
-    equals the capacity of the strong/weak cut.  Nothing here re-checks
-    the result: the solver's certificate does.
+    The excesses are read off the arcs in one pass, as the ints
+    ``caps[i] - r(u, v)``; only branch roots hold one.  Vertices with an
+    excess drain it back to the source, then vertices with a deficit are
+    served from the sink, each group lowest index first.  With no residual
+    arc from the strong to the weak side, the recovered value is the
+    capacity of that cut; the solver's certificate, not this function,
+    checks it.  The capacities must be finite.
     """
-    strong = tree.strong_vertices()
-    weak = set(tree.parent).difference(strong)
-    for a in strong:
-        for b in res.out_neighbors(a):
-            if b in weak:
-                raise NotOptimal(f"residual arc ({a}, {b}) runs from strong to weak")
-
-    # strong roots drain to the source first, then the sink serves weak roots
-    excess = {v: res.units(tree.excess[v]) for v in tree.branch_roots() if tree.excess[v] != 0}
-    for v in sorted(excess, key=lambda v: (excess[v] < 0, v)):
+    net, r = res.net, res.r
+    if any(is_unbounded(c) for c in res.caps):
+        raise NetworkError("flow recovery requires finite capacities")
+    excess = dict.fromkeys(net.vertices(), 0)
+    for (u, v), c in zip(net.arcs, res.caps):
+        x = c - r[u][v]
+        excess[u] -= x
+        excess[v] += x
+    del excess[net.source], excess[net.sink]
+    for v in sorted((v for v, e in excess.items() if e), key=lambda v: (excess[v] < 0, v)):
         sign = 1 if excess[v] > 0 else -1
-        origin, target = (v, res.net.source) if sign > 0 else (res.net.sink, v)
+        origin, target = (v, net.source) if sign > 0 else (net.sink, v)
         while excess[v] != 0:
             path, _ = res.search(origin, {target})
             if path is None:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .network import Cut, InvariantViolation, ParseError, all_cuts, cut_capacity, incidence_matrix
+from .network import Cut, InvariantViolation, ParseError, cut_capacity, incidence_matrix
 from .values import exact, format_value, is_unbounded, parse_value, scaled
 
 
@@ -453,12 +453,6 @@ def cut_from_dual(net, point):
     if not cuts:  # chi = -1 keeps the source and drops the sink
         raise InvariantViolation("dual rounding", "threshold sweep", ["no cut"])
     return min(cuts, key=lambda cut: cut_capacity(net, cut))
-
-
-def min_cut_by_enumeration(net):
-    """Brute-force minimum cut over all 2^(n-2) partitions (desk scale)."""
-    return min(((cut, cut_capacity(net, cut)) for cut in all_cuts(net)),
-               key=lambda pair: pair[1])
 
 
 # -- total unimodularity ----------------------------------------------------

@@ -22,9 +22,11 @@ every residual test and every push is integer arithmetic and exact at any
 LCM (Python ints do not overflow).  Pushing delta along (u, v) lowers
 r(u, v) and raises r(v, u) by the same amount, which keeps
 ``r(u, v) + r(v, u) = cbar(u, v) + cbar(v, u)`` for every pair.  An
-UNBOUNDED arc keeps an UNBOUNDED residual capacity.  Rationals come back
-only at the boundary: ``capacity``, ``arcs`` and ``flow`` (read as
-``cbar - r`` on the arcs) return Fractions.
+UNBOUNDED arc keeps an UNBOUNDED residual capacity.  The arc capacities
+are kept in the same units beside the rows, so the flow on an arc, and
+from it every excess, is the int ``c - r`` with nothing converted back.
+Rationals come back only at the boundary: ``capacity``, ``arcs`` and
+``flow`` return Fractions.
 
 The capacities are stored by rows, built once per solve: ``r[u]`` maps
 each out- and in-neighbour v of u, in increasing index order, to
@@ -361,12 +363,13 @@ class ResidualGraph:
 
     `r[u][v]` is the residual capacity of (u, v) in scaled units, the int
     `c_f * scale` (UNBOUNDED stays UNBOUNDED).  Each row `r[u]` holds
-    every out- and in-neighbour of u, in increasing index order.  `push`,
-    `augment` and `units` work in scaled units; `capacity`, `arcs` and
-    `flow` return Fractions.
+    every out- and in-neighbour of u, in increasing index order.  `caps`
+    holds the arc capacities in the same units, in arc order, so the flow
+    on arc i is ``caps[i] - r(u, v)``.  `push` and `augment` work in scaled
+    units; `capacity`, `arcs` and `flow` return Fractions.
     """
 
-    __slots__ = ("net", "scale", "r")
+    __slots__ = ("net", "scale", "caps", "r")
 
     def __init__(self, net, flow=None):
         self.net = net
@@ -375,10 +378,11 @@ class ResidualGraph:
         # the capacities in arc order (0 standing in for UNBOUNDED), then the flow
         ints, self.scale = scaled([0 if is_unbounded(c) else c for c in caps]
                                   + list(raw.values()))
+        self.caps = [c if is_unbounded(c) else x for c, x in zip(caps, ints)]
         r = {v: dict.fromkeys(sorted(set(net.out_neighbors(v)) | set(net.in_neighbors(v))), 0)
              for v in net.vertices()}
-        for (u, v), c, x in zip(net.arcs, caps, ints):
-            r[u][v] = c if is_unbounded(c) else x
+        for (u, v), c in zip(net.arcs, self.caps):
+            r[u][v] = c
         # r -= f on each stored pair (u, v) and, by antisymmetry, r += f on
         # (v, u) unless the assignment stores (v, u) as well
         for (u, v), x in zip(raw, ints[len(caps):]):
@@ -387,15 +391,6 @@ class ResidualGraph:
                 if (v, u) not in raw:
                     r[v][u] += x
         self.r = r
-
-    def units(self, x):
-        """The rational x as an int number of 1/scale units.  An x whose
-        denominator does not divide `scale` raises, never rounds."""
-        q, rest = divmod(x.numerator * self.scale, x.denominator)
-        if rest:
-            raise InvariantViolation("integer scaling", f"value {x}",
-                                     [f"{x} is not a multiple of 1/{self.scale}"])
-        return q
 
     def _value(self, x):
         return x if is_unbounded(x) else Fraction(x, self.scale)
@@ -432,7 +427,8 @@ class ResidualGraph:
 
     def reverse(self, net):
         """Re-read this residual on `net`, the network with every arc
-        reversed: r(u, v) <- r(v, u).  The scale and the row order stay."""
+        reversed in the same arc order: r(u, v) <- r(v, u).  The scale,
+        `caps` and the row order stay."""
         r = self.r
         self.r = {u: {v: r[v][u] for v in row} for u, row in r.items()}
         self.net = net
@@ -441,8 +437,8 @@ class ResidualGraph:
         """The assignment `cbar - r` on the arcs; needs finite capacities."""
         scale, r = self.scale, self.r
         values = {}
-        for (u, v), c in zip(self.net.arcs, self.net.capacities()):
-            x = c.numerator * (scale // c.denominator) - r[u][v]
+        for (u, v), c in zip(self.net.arcs, self.caps):
+            x = c - r[u][v]
             if x:
                 values[(u, v)] = Fraction(x, scale)
         return FlowAssignment(values, role)

@@ -13,14 +13,15 @@ with the vertex/arc incidence matrix, and T plays the role of a
 sink-to-source return arc of unbounded capacity.
 
 The boundary operator has one owner: :class:`OrientedComplex` stores each
-facet's signed faces once and offers ∂x (:meth:`~OrientedComplex.boundary`),
-∂ᵀλ (:meth:`~OrientedComplex.coboundary`) and, through
-:func:`boundary_matrix`, the dense matrix.  Cycle checks, cut capacities,
-dual points, the augmenting-cycle LP and both max-flow programs are built
-from it.  :func:`hmaxflow_lp` hands the simplex the bounded form ∂x = 0,
-0 <= x <= c directly.  The block form of :func:`hmaxflow_linear_program`
-reaches the simplex as the same program with the source facet last: its
-opposite rows are read back as equalities and its unit rows as bounds.
+facet's signed faces once, and ∂x (:meth:`~OrientedComplex.boundary`),
+∂ᵀλ (:meth:`~OrientedComplex.coboundary`) and the dense matrix
+(:func:`boundary_matrix`) are all read off that one sign table.  Cycle
+checks, cut capacities, dual points, the augmenting-cycle LP and both
+max-flow programs are built from it.  :func:`hmaxflow_lp` hands the
+simplex the bounded form ∂x = 0, 0 <= x <= c directly.  The block form of
+:func:`hmaxflow_linear_program` reaches the simplex as the same program
+with the source facet last: its opposite rows are read back as
+equalities and its unit rows as bounds.
 """
 
 from __future__ import annotations
@@ -165,28 +166,12 @@ class OrientedComplex:
         return f"OrientedComplex(dim={self.dimension}, facets={list(self.facets)})"
 
 
-def boundary_matrix(complex_, face_order=None):
-    """Boundary operator as an integer matrix: rows are (d-1)-faces,
-    columns are facets in their given order.
-
-    `face_order` overrides both the row order and the per-row reference
-    orientation: each entry is a vertex tuple whose written order is taken
-    as that face's positive orientation.  The default is the canonical
-    enumeration (sorted tuples, lexicographic order).
-    """
-    if face_order is None:
-        face_order = complex_.faces()
-    canonical = set(complex_.faces())
-    rows = []
-    for face in face_order:
-        ref = tuple(sorted(face))
-        if ref not in canonical:
-            raise ComplexError(f"{face} is not a face of the complex")
-        flip = perm_parity(tuple(face), ref)
-        rows.append([flip * complex_.face_sign(ref, j) for j in range(len(complex_.facets))])
-    if len(face_order) != len(canonical):
-        raise ComplexError("face order must enumerate every face exactly once")
-    return rows
+def boundary_matrix(complex_):
+    """Boundary operator as an integer matrix, read off the complex's sign
+    table: rows are the canonical (d-1)-faces (sorted tuples, lexicographic
+    order), columns are facets in their given order."""
+    columns = complex_._signs
+    return [[column.get(face, 0) for column in columns] for face in complex_._faces]
 
 
 def check_source_condition(complex_, t_index):
@@ -292,16 +277,6 @@ def hflow_violations(hnet, flow):
     return bad
 
 
-def hnetwork_boundary_matrix(hnet, include_source=True, face_order=None):
-    """Boundary matrix of a flow network's complex with the source facet
-    enumerated last; `include_source=False` drops its column."""
-    order = [j for j in range(hnet.facet_count()) if j != hnet.t_index]
-    if include_source:
-        order.append(hnet.t_index)
-    full = boundary_matrix(hnet.complex, face_order=face_order)
-    return [[row[j] for j in order] for row in full]
-
-
 # -- HMaxflow by LP ---------------------------------------------------------
 
 
@@ -309,9 +284,9 @@ def hmaxflow_linear_program(hnet):
     """The block formulation `max x_last : [B; -B; I,0] x <= [0; 0; c]`
     with the source facet enumerated last.  Returns (lp, facet_order)."""
     order = [j for j in range(hnet.facet_count()) if j != hnet.t_index] + [hnet.t_index]
+    matrix = [[row[j] for j in order] for row in boundary_matrix(hnet.complex)]
     objective = [0] * (len(order) - 1) + [1]
-    return flow_program(hnetwork_boundary_matrix(hnet), [hnet.capacity(j) for j in order],
-                        objective), order
+    return flow_program(matrix, [hnet.capacity(j) for j in order], objective), order
 
 
 @dataclass

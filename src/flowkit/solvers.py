@@ -7,19 +7,20 @@
   n) at the start and after every n relabels.
 * :func:`hochbaum_maxflow` — the lowest-label pseudoflow algorithm on a
   normalized tree, solving the maximum blocking cut problem first and
-  recovering a flow.  Strong roots are served lowest label first, each
-  vertex resumes its merger-arc scan at its current arc, and after every n
-  label increments the run stops once no residual arc leads from a strong
-  to a weak vertex.
+  recovering a flow from its residual graph.  Strong roots are served
+  lowest label first, each vertex resumes its merger-arc scan at its
+  current arc, and after every n label increments the run stops once no
+  residual arc leads from a strong to a weak vertex.
 
 All solvers are exact over the rationals and return identical optimal
 values.  Every solver works on :class:`flowkit.network.ResidualGraph`,
 whose residual capacities are ints in units of ``1/scale`` (``scale`` is
 the LCM of the capacity denominators), and so are the quantities a solver
 keeps beside it: the push-relabel and pseudoflow excesses and the amounts
-:func:`recover_flow` drains.  They become Fractions again only in what a
-solver returns: ``MaxflowResult.flow``, ``value`` and ``stats["value"]``,
-and the ``NormalizedTree.excess`` snapshots.
+:func:`recover_flow` reads off the residual graph and drains.  They become
+Fractions again only in what a solver returns: ``MaxflowResult.flow``,
+``value`` and ``stats["value"]``, and the ``NormalizedTree`` that
+:func:`max_blocking_cut` and instrumented runs return.
 
 Every solver ends in one certificate, read off its final residual graph
 in a single scaled-int pass over the arcs.  ``MaxflowResult.cut`` is the
@@ -53,6 +54,7 @@ from .network import (
     Cut,
     FlowAssignment,
     InvariantViolation,
+    Network,
     NetworkError,
     ResidualGraph,
     build_network,
@@ -92,8 +94,7 @@ def _certified(net, res, reached, stats):
     values = {}
     capacity = 0
     bad = []
-    for (u, v), c in zip(net.arcs, net.capacities()):
-        c = c.numerator * (scale // c.denominator)
+    for (u, v), c in zip(net.arcs, res.caps):
         x = c - r[u][v]
         if not 0 <= x <= c:
             bad.append(("capacity", (u, v)))
@@ -336,9 +337,6 @@ class NormalizedTree:
     parent: dict = field(default_factory=dict)   # internal vertex -> parent (ROOT = child of root)
     excess: dict = field(default_factory=dict)
 
-    def branch_roots(self):
-        return sorted(v for v, p in self.parent.items() if p == ROOT)
-
     def strong_vertices(self):
         """The branches of the roots with positive excess, in one pass down."""
         children = {}
@@ -420,9 +418,10 @@ def _pseudoflow_core(net, instrumented=False):
     optimality condition: strong branches on the source side of the
     minimum cut find no merger arc and would otherwise climb forever.
 
-    Returns the optimal tree, the residual graph of its pseudoflow, the
-    stats (``iterations`` mergers, ``relabels`` vertex label increments)
-    and, when instrumented, the initial tree and the final labels.
+    Returns a function that builds the current tree, the residual graph
+    of its pseudoflow, the stats (``iterations`` mergers, ``relabels``
+    vertex label increments) and, when instrumented, the initial tree and
+    the final labels.
     """
     s, t = net.source, net.sink
     internal = sorted(v for v in net.vertices() if v not in (s, t))
@@ -556,7 +555,7 @@ def _pseudoflow_core(net, instrumented=False):
 
     if instrumented:
         debug["labels"] = {v: label[v] for v in internal}
-    return snapshot(), res, {"iterations": iterations, "relabels": relabels}, debug
+    return snapshot, res, {"iterations": iterations, "relabels": relabels}, debug
 
 
 @dataclass
@@ -570,14 +569,16 @@ class BlockingCutResult:
 def max_blocking_cut(g):
     """Maximum surplus set of a weighted graph via the pseudoflow iteration."""
     gst = build_gst(g)
-    tree, res, _, _ = _pseudoflow_core(gst)
+    snapshot, res, _, _ = _pseudoflow_core(gst)
+    tree = snapshot()
     subset = frozenset(tree.strong_vertices())
     return BlockingCutResult(subset, g.surplus(subset), tree, res.flow("pseudoflow"))
 
 
 def _reverse_network(net):
-    arcs = [(v, u, c) for (u, v), c in zip(net.arcs, net.capacities())]
-    return build_network(net.n, net.sink, net.source, arcs)
+    """The network with every arc reversed, in the same arc order."""
+    return Network(net.n, net.sink, net.source, [(v, u) for (u, v) in net.arcs],
+                   net.capacities())
 
 
 def hochbaum_maxflow(net, instrumented=False):
@@ -593,15 +594,16 @@ def hochbaum_maxflow(net, instrumented=False):
                   Fraction(0))
     reverse = m_minus < m_plus
     work = _reverse_network(net) if reverse else net
-    tree, res, stats, debug = _pseudoflow_core(work, instrumented=instrumented)
-    pf = res.flow("pseudoflow") if instrumented else None
-    recover_flow(res, tree)
+    snapshot, res, stats, debug = _pseudoflow_core(work, instrumented=instrumented)
+    if instrumented:
+        debug.update(final_tree=snapshot(), reversed=reverse, pseudoflow=res.flow("pseudoflow"))
+    recover_flow(res)
     if reverse:
         res.reverse(net)
     _, reached = res.search(net.source, {net.sink})
     result = _certified(net, res, reached, stats)
     if instrumented:
-        result.debug = {**debug, "final_tree": tree, "reversed": reverse, "pseudoflow": pf}
+        result.debug = debug
     return result
 
 

@@ -3,11 +3,17 @@
 Nothing here calls the code path it is used to verify: minimum cuts come
 from raw subset enumeration over the arc list, total unimodularity from
 the row-subset signing criterion, ranks from a local Gaussian
-elimination, and so on.
+elimination, boundary signs from the alternating-sum definition, and so
+on.  The enumeration oracles at the end take the library's own objects
+and objective (cut capacity, segmentation score) and enumerate every
+candidate in place of the solver.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
+
+from flowkit.apps import segmentation_score
+from flowkit.network import all_cuts, cut_capacity
 
 
 def random_network_spec(rng, max_n=8, max_cap=10, density=0.55, allow_st_arc=True):
@@ -252,6 +258,34 @@ def signed_permutation_match(a, b):
     return (list(row_map), row_signs, list(col_map), col_signs)
 
 
+def boundary_by_definition(facets):
+    """The boundary matrix of oriented simplices by the definition
+    ∂[v0, .., vd] = Σ (-1)^i [v0, .., v̂i, .., vd]: returns the faces (sorted
+    tuples, lexicographic) and the rows, one column per facet.  A face
+    written in another order than sorted contributes with the sign of the
+    permutation that sorts it, counted here by its cycles."""
+    def sorting_sign(face):
+        position = {v: i for i, v in enumerate(sorted(face))}
+        seen, sign = set(), 1
+        for start in range(len(face)):
+            length, i = 0, start
+            while i not in seen:
+                seen.add(i)
+                i = position[face[i]]
+                length += 1
+            if length and length % 2 == 0:
+                sign = -sign
+        return sign
+
+    entries = {}
+    for j, facet in enumerate(facets):
+        for i in range(len(facet)):
+            face = tuple(facet[:i]) + tuple(facet[i + 1:])
+            entries[(tuple(sorted(face)), j)] = (-1) ** i * sorting_sign(face)
+    faces = sorted({face for face, _ in entries})
+    return faces, [[entries.get((face, j), 0) for j in range(len(facets))] for face in faces]
+
+
 def leaf_by_definition(facets, f_index, fp_index):
     """Literal re-statement of the leaf condition on facet vertex sets."""
     f_set = set(facets[f_index])
@@ -262,3 +296,61 @@ def leaf_by_definition(facets, f_index, fp_index):
         if not (f_set & set(other)) <= fp_set:
             return False
     return True
+
+
+def matching_exists_by_enumeration(g):
+    """n!-enumeration oracle for small instances."""
+    edge_set = set(g.edges)
+    indices = list(range(1, g.n + 1))
+    return any(all((i, sigma[i - 1]) in edge_set for i in indices)
+               for sigma in permutations(indices))
+
+
+def max_disjoint_chains_by_enumeration(p):
+    """Exhaustive oracle: largest cover-disjoint subset of all maximal chains."""
+    covers = set(p.covers())
+    succ = {}
+    for (a, b) in covers:
+        succ.setdefault(a, []).append(b)
+    chains = []
+
+    def walk(path):
+        if path[-1] == p.top:
+            chains.append(tuple(path))
+            return
+        for nxt in succ.get(path[-1], ()):
+            walk(path + [nxt])
+
+    walk([p.bottom])
+    chain_edges = [frozenset(zip(c, c[1:])) for c in chains]
+    best = 0
+
+    def extend(i, used, count):
+        nonlocal best
+        best = max(best, count)
+        if count + (len(chains) - i) <= best:
+            return
+        for j in range(i, len(chains)):
+            if not (chain_edges[j] & used):
+                extend(j + 1, used | chain_edges[j], count + 1)
+
+    extend(0, frozenset(), 0)
+    return best
+
+
+def best_segmentation_by_enumeration(img):
+    """2^pixels oracle for desk-scale images."""
+    pixels = img.pixels()
+    best = None
+    for k in range(len(pixels) + 1):
+        for chosen in combinations(pixels, k):
+            score = segmentation_score(img, chosen)
+            if best is None or score > best:
+                best = score
+    return best
+
+
+def min_cut_by_enumeration(net):
+    """Brute-force minimum cut over all 2^(n-2) partitions (desk scale)."""
+    return min(((cut, cut_capacity(net, cut)) for cut in all_cuts(net)),
+               key=lambda pair: pair[1])

@@ -19,11 +19,8 @@ from flowkit.apps import (
     PerfectMatching,
     PixelImage,
     Poset,
-    best_segmentation_by_enumeration,
     chain_is_maximal,
-    matching_exists_by_enumeration,
     max_disjoint_chains,
-    max_disjoint_chains_by_enumeration,
     perfect_matching,
     segment_image,
     uniform_penalty,
@@ -54,13 +51,21 @@ from flowkit.simplicial import (
     read_hnet,
 )
 from flowkit.solvers import edmonds_karp, hochbaum_maxflow, push_relabel
-from oracles import brute_min_cut, ghouila_houri_tu, random_network_spec
+from oracles import (
+    best_segmentation_by_enumeration,
+    brute_min_cut,
+    ghouila_houri_tu,
+    matching_exists_by_enumeration,
+    max_disjoint_chains_by_enumeration,
+    random_network_spec,
+)
 from test_simplicial import (
     DOUBLE_FACETS,
     DOUBLE_MATRIX,
     TETRA_FACETS,
     TETRA_FACE_ORDER,
     TETRA_MATRIX,
+    rows_in_order,
 )
 
 C_PUSH_RELABEL = 2
@@ -246,7 +251,7 @@ def test_criterion_10_segmentation():
 
 def test_criterion_11_tetrahedron_fixture():
     tetra = OrientedComplex(2, TETRA_FACETS)
-    assert boundary_matrix(tetra, face_order=TETRA_FACE_ORDER) == TETRA_MATRIX
+    assert rows_in_order(tetra, TETRA_FACE_ORDER) == TETRA_MATRIX
     ok, _ = check_source_condition(tetra, 3)
     assert ok
     assert is_totally_unimodular(TETRA_MATRIX).is_tu

@@ -12,12 +12,9 @@ from flowkit.apps import (
     PerfectMatching,
     PixelImage,
     Poset,
-    best_segmentation_by_enumeration,
     chain_is_maximal,
     image_from_pgm,
-    matching_exists_by_enumeration,
     max_disjoint_chains,
-    max_disjoint_chains_by_enumeration,
     perfect_matching,
     read_bipartite,
     read_pgm,
@@ -30,6 +27,11 @@ from flowkit.apps import (
     _matching_network,
 )
 from flowkit.network import ParseError, cut_capacity, make_cut
+from oracles import (
+    best_segmentation_by_enumeration,
+    matching_exists_by_enumeration,
+    max_disjoint_chains_by_enumeration,
+)
 
 
 def test_complete_bipartite_has_matching():

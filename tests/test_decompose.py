@@ -7,7 +7,6 @@ import pytest
 from conftest import make_random_network
 from flowkit.decompose import (
     NotMaximal,
-    NotOptimal,
     decompose,
     min_cut_from_flow,
     read_components,
@@ -16,6 +15,7 @@ from flowkit.decompose import (
 )
 from flowkit.network import (
     FlowAssignment,
+    NetworkError,
     ResidualGraph,
     build_network,
     cut_capacity,
@@ -25,14 +25,13 @@ from flowkit.network import (
 )
 from flowkit.solvers import (
     InvariantViolation,
-    NormalizedTree,
-    ROOT,
     WeightedGraph,
     _pseudoflow_core,
     build_gst,
     edmonds_karp,
     hochbaum_maxflow,
 )
+from flowkit.values import UNBOUNDED
 
 
 def test_zero_flow_decomposes_to_nothing(g1):
@@ -105,10 +104,10 @@ def test_min_cut_rejects_non_maximal(g1):
 def test_recover_identity_when_already_a_flow():
     g = WeightedGraph(2, {1: 0, 2: 0}, {(1, 2): 3})
     gst = build_gst(g)
-    tree, core, _, _ = _pseudoflow_core(gst)
+    _, core, _, _ = _pseudoflow_core(gst)
     pf = core.flow("pseudoflow")
     res = ResidualGraph(gst, pf)
-    recover_flow(res, tree)
+    recover_flow(res)
     flow = res.flow()
     assert flow.with_role("pseudoflow") == pf
     assert net_flow(gst, flow) == 0
@@ -124,8 +123,9 @@ def test_recover_matches_independent_solver(rng):
                 if u != v and (v, u) not in arcs and rng.random() < 0.4:
                     arcs[(u, v)] = Fraction(rng.randint(0, 5))
         gst = build_gst(WeightedGraph(n, weights, arcs))
-        tree, res, _, _ = _pseudoflow_core(gst)
-        recover_flow(res, tree)
+        snapshot, res, _, _ = _pseudoflow_core(gst)
+        tree = snapshot()
+        recover_flow(res)
         flow = res.flow()
         assert validate(gst, flow, "flow") == []
         value = net_flow(gst, flow)
@@ -137,23 +137,35 @@ def test_recover_matches_independent_solver(rng):
         assert cut_capacity(gst, Cut(side)) == value
 
 
-def test_recover_rejects_non_optimal_tree():
-    # strong root 2 with residual room toward the weak root 3
-    net = build_network(4, 1, 4, [(1, 2, 2), (2, 3, 2), (3, 4, 1)])
-    pf = FlowAssignment({(1, 2): Fraction(2), (3, 4): Fraction(1)}, "pseudoflow")
-    tree = NormalizedTree(ROOT, {2: ROOT, 3: ROOT}, {2: Fraction(2), 3: Fraction(-1)})
-    with pytest.raises(NotOptimal):
-        recover_flow(ResidualGraph(net, pf), tree)
+def test_the_certificate_rejects_a_non_optimal_pseudoflow(monkeypatch):
+    # the strong root 2 keeps residual room toward the weak root 4, so
+    # recovery drains 2 back to s and serves 4 from t; the zero flow it
+    # leaves is not maximal, and the search from s stops at t before it
+    # scans the unsaturated arc (2, 4)
+    import flowkit.solvers
 
+    net = build_network(4, 1, 3, [(1, 2, 2), (2, 3, 2), (2, 4, 1), (4, 3, 1)])  # M+ = 2 <= M- = 3
+    pf = FlowAssignment({(1, 2): 2, (4, 3): 1}, "pseudoflow")
+    cores = []
 
-def test_recover_refuses_an_excess_it_cannot_scale_exactly():
-    # capacities in halves; the hand-made tree claims an excess of 5/3
-    gst = build_gst(WeightedGraph(1, {1: Fraction(3, 2)}, {}))
-    pf = FlowAssignment({(gst.source, 1): Fraction(3, 2)}, "pseudoflow")
-    tree = NormalizedTree(ROOT, {1: ROOT}, {1: Fraction(5, 3)})
+    def core(work, instrumented=False):
+        cores.append(work)
+        # a non-instrumented run never builds the tree
+        return None, ResidualGraph(work, pf), {"iterations": 0, "relabels": 0}, {}
+
+    monkeypatch.setattr(flowkit.solvers, "_pseudoflow_core", core)
     with pytest.raises(InvariantViolation) as err:
-        recover_flow(ResidualGraph(gst, pf), tree)
-    assert err.value.invariant == "integer scaling"
+        hochbaum_maxflow(net)
+    assert cores == [net]
+    assert err.value.invariant == "certificate"
+    kinds = {kind for kind, _ in err.value.violations}
+    assert kinds == {"cut_sides", "value_is_not_cut_capacity"}
+
+
+def test_recover_requires_finite_capacities():
+    net = build_network(3, 1, 3, [(1, 2, UNBOUNDED), (2, 3, 1)])
+    with pytest.raises(NetworkError, match="finite capacities"):
+        recover_flow(ResidualGraph(net))
 
 
 def test_recover_reports_an_invalid_result(monkeypatch):
@@ -167,7 +179,7 @@ def test_recover_reports_an_invalid_result(monkeypatch):
         net = build_network(4, 1, 4, arcs)
         assert hochbaum_maxflow(net, instrumented=True).debug["reversed"] is reverse
         with monkeypatch.context() as patch:
-            patch.setattr(flowkit.solvers, "recover_flow", lambda res, tree: None)
+            patch.setattr(flowkit.solvers, "recover_flow", lambda res: None)
             with pytest.raises(InvariantViolation) as err:
                 hochbaum_maxflow(net)
         assert err.value.invariant == "certificate"

@@ -32,7 +32,7 @@ from flowkit.lp import (
 from flowkit.network import ParseError, all_cuts, cut_capacity
 from flowkit.solvers import edmonds_karp
 from flowkit.values import UNBOUNDED
-from oracles import determinant_by_permutations, ghouila_houri_tu
+from oracles import determinant_by_permutations, ghouila_houri_tu, min_cut_by_enumeration
 
 
 def _solve_by_vertex_enumeration(lp):
@@ -314,8 +314,6 @@ def test_dual_from_cut_feasible_with_cut_objective(rng):
 
 
 def test_min_cut_dual_attains_maxflow(rng):
-    from flowkit.lp import min_cut_by_enumeration
-
     for _ in range(10):
         net, _ = make_random_network(rng, max_n=6)
         cut, cap = min_cut_by_enumeration(net)

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -34,7 +35,6 @@ from flowkit.simplicial import (
     hmaxflow_augment,
     hmaxflow_linear_program,
     hmaxflow_lp,
-    hnetwork_boundary_matrix,
     is_leaf,
     is_simplicial_tree,
     is_weighted_cycle,
@@ -52,7 +52,14 @@ from flowkit.simplicial import (
 )
 from flowkit.solvers import edmonds_karp
 from flowkit.values import is_unbounded
-from oracles import leaf_by_definition, rational_rank, signed_permutation_match
+from oracles import (
+    boundary_by_definition,
+    leaf_by_definition,
+    rational_rank,
+    signed_permutation_match,
+)
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 TETRA_FACETS = [(2, 3, 4), (1, 2, 4), (1, 4, 3), (1, 3, 2)]
 TETRA_FACE_ORDER = [(1, 2), (1, 4), (2, 4), (1, 3), (3, 4), (2, 3)]
@@ -114,8 +121,14 @@ def test_complex_validation():
         OrientedComplex(2, [(1, 2, 3), (3, 2, 1)])
 
 
+def rows_in_order(complex_, order):
+    """The rows of the boundary matrix for the faces in `order`."""
+    rows = dict(zip(complex_.faces(), boundary_matrix(complex_)))
+    return [rows[face] for face in order]
+
+
 def test_tetrahedron_boundary_matrix(tetra):
-    assert boundary_matrix(tetra, face_order=TETRA_FACE_ORDER) == TETRA_MATRIX
+    assert rows_in_order(tetra, TETRA_FACE_ORDER) == TETRA_MATRIX
 
 
 def test_boundary_columns_have_dimension_plus_one_entries(tetra, double):
@@ -131,18 +144,21 @@ def test_boundary_composes_to_zero(tetra, double):
         edges = cx.faces()
         skeleton = OrientedComplex(1, edges)
         b1 = boundary_matrix(skeleton)
-        b2 = boundary_matrix(cx, face_order=edges)
+        b2 = boundary_matrix(cx)
         for i in range(len(b1)):
             for j in range(len(cx.facets)):
                 assert sum(b1[i][k] * b2[k][j] for k in range(len(edges))) == 0
 
 
 def test_boundary_products_match_the_matrix(tetra, double):
+    # the matrix comes from the definition, not from the complex's sign table
     rng = random.Random(41)
-    complexes = [tetra, double] + [random_hnetwork(rng).complex for _ in range(12)]
+    torsion = read_hnet(SAMPLES.joinpath("torsion.hnet").read_text()).complex
+    complexes = [tetra, double, torsion] + [random_hnetwork(rng).complex for _ in range(40)]
     for cx in complexes:
-        matrix = boundary_matrix(cx)
-        faces = cx.faces()
+        faces, matrix = boundary_by_definition(cx.facets)
+        assert cx.faces() == tuple(faces)
+        assert boundary_matrix(cx) == matrix
         k = len(cx.facets)
         x = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(k)]
         lam = {face: rng.randint(0, 1) for face in faces}
@@ -155,13 +171,10 @@ def test_boundary_products_match_the_matrix(tetra, double):
 
 def test_dimension_one_matches_incidence(g1):
     hn = network_as_hnetwork(g1)
-    rows = [(v,) for v in g1.vertex_order()]
-    b = boundary_matrix(hn.complex, face_order=rows)
+    b = rows_in_order(hn.complex, [(v,) for v in g1.vertex_order()])
     assert [row[:-1] for row in b] == incidence_matrix(g1)
-    assert hnetwork_boundary_matrix(hn, include_source=False, face_order=rows) \
-        == incidence_matrix(g1)
-    with_source = hnetwork_boundary_matrix(hn, face_order=rows)
-    assert [row[:-1] for row in with_source] == incidence_matrix(g1)
+    # the source facet, enumerated last, is the return arc from t to s
+    assert [row[-1] for row in b] == [-1] + [0] * (g1.n - 2) + [1]
 
 
 def test_source_condition_tetrahedron(tetra):
