@@ -148,7 +148,7 @@ def recover_flow(res):
             if path is None:
                 raise InvariantViolation("recovery", f"root {v}",
                                          [f"no residual path from {origin} to {target}"])
-            excess[v] -= sign * res.augment(path, sign * excess[v])
+            excess[v] -= sign * res.augment(path, sign * excess[v])[0]
 
 
 # -- component serialization ----------------------------------------------

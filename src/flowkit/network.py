@@ -32,15 +32,15 @@ The capacities are stored by rows, built once per solve: ``r[u]`` maps
 each out- and in-neighbour v of u, in increasing index order, to
 r(u, v).  A row is also u's adjacency list.  The one breadth-first search
 scans it in order, so every solver breaks ties by lowest index, and no
-lookup builds a pair key.
+lookup builds a pair key.  Edmonds-Karp resumes that search from a kept
+state instead of starting it afresh; see :func:`_bfs`.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 from .values import exact, format_value, is_unbounded, parse_value, scaled
 
@@ -209,7 +209,7 @@ def build_network(n, source, sink, arc_list, allow_antiparallel=False):
         seen.add((u, v))
         if not is_unbounded(cap):
             cap = exact(cap)
-            if cap < 0:
+            if cap.numerator < 0:
                 raise NetworkError(f"negative capacity on ({u}, {v})")
         triples.append((u, v, cap))
 
@@ -284,7 +284,7 @@ class FlowAssignment:
         out = []
         for (u, v) in net.arcs:
             x = self.value(u, v)
-            if x > 0:
+            if x.numerator > 0:
                 out.append((u, v, x))
         return out
 
@@ -331,21 +331,52 @@ def all_cuts(net):
             yield Cut(frozenset((net.source,) + extra))
 
 
-def _bfs(origin, targets, r):
+def _bfs(origin, targets, r, parent=None, queue=None, head=0):
     """Breadth-first search from `origin`.  `r[u]` maps u's candidate heads,
     in increasing index order, to amounts; the step to v is admissible
     when `r[u][v] > 0`.
 
-    Returns the path to the first target reached (None when none is
-    reachable) and the dict of reached vertices, each mapped to its parent.
+    `parent` maps each reached vertex to the vertex whose row reached it,
+    and `queue` lists the same vertices in the order they were reached,
+    which is the order their rows are scanned.  Returns the path to the
+    first target reached (None when none is reachable) and `parent`.
+
+    Given a kept `parent` and `queue`, the search resumes instead: it
+    scans the rows of ``queue[head:]`` and extends both in place (the
+    origin is then unused).  Edmonds-Karp keeps them across augmentations.
+    After it augments along the path p[0] .. p[d] that the search
+    returned, let (p[i], p[i+1]) be the first path arc the augmentation
+    saturated.  It cuts both back to the vertices reached before p[i+1]
+    and resumes at p[i]'s position.  This gives the path and the reached
+    set that a fresh search from p[0] gives on the new residual:
+
+    * The reach order rises along the path: p[j+1] is reached while row
+      p[j] is scanned, and a row is scanned only after its vertex is
+      reached.
+    * The augmentation changed only the path arcs (p[j], p[j+1]), which
+      shrank, and their reverses (p[j+1], p[j]), which grew.
+    * So a fresh search makes the same reads, with the same outcomes, as
+      the old one did before it reached p[i+1].  A read of (p[j], p[j+1])
+      with j < i still finds room, as that arc was not saturated.  A read
+      of (p[j+1], p[j]) happens in row p[j+1], after p[j] was reached, so
+      its amount is never looked at.
+    * Just before the old search read (p[i], p[i+1]), it had reached
+      exactly the kept vertices, with the kept parents, and was scanning
+      row p[i].  The fresh search is in the same state at the same read,
+      and finds no room on (p[i], p[i+1]) now.  Rescanning row p[i] from
+      its start reaches nothing new before p[i+1]: those entries are
+      unchanged but for p[i-1], which is kept, and what they reached the
+      first time is kept.  From there both searches read the same
+      residual in the same state.
     """
-    parent = {origin: None}
-    queue = deque([origin])
-    while queue:
-        u = queue.popleft()
+    if parent is None:
+        parent, queue = {origin: None}, [origin]
+    # a list iterator also yields the items appended while it runs
+    for u in islice(queue, head, None):
         for v, x in r[u].items():
             if v not in parent and x > 0:
                 parent[v] = u
+                queue.append(v)
                 if v in targets:
                     path = [v]
                     while u is not None:
@@ -353,7 +384,6 @@ def _bfs(origin, targets, r):
                         u = parent[u]
                     path.reverse()
                     return path, parent
-                queue.append(v)
     return None, parent
 
 
@@ -411,19 +441,29 @@ class ResidualGraph:
         self.r[u][v] -= delta
         self.r[v][u] += delta
 
-    def search(self, origin, targets):
-        """Lowest-index breadth-first residual search; see :func:`_bfs`."""
-        return _bfs(origin, targets, self.r)
+    def search(self, origin, targets, parent=None, queue=None, head=0):
+        """Lowest-index breadth-first residual search, fresh or resumed;
+        see :func:`_bfs`."""
+        return _bfs(origin, targets, self.r, parent, queue, head)
 
     def augment(self, path, limit=None):
-        """Push the bottleneck (at most `limit`) along the path; returns it."""
+        """Push the bottleneck (at most `limit`) along the path.
+
+        Returns the amount pushed and the index i of the first arc
+        (path[i], path[i + 1]) that it saturated, or None when it
+        saturated none (a `limit` below the bottleneck).
+        """
+        r = self.r
         arcs = list(zip(path, path[1:]))
-        amount = min(self.r[u][v] for (u, v) in arcs)
+        room = [r[u][v] for (u, v) in arcs]
+        amount = min(room)
+        first = room.index(amount)
         if limit is not None and limit < amount:
-            amount = limit
+            amount, first = limit, None
         for (u, v) in arcs:
-            self.push(u, v, amount)
-        return amount
+            r[u][v] -= amount
+            r[v][u] += amount
+        return amount, first
 
     def reverse(self, net):
         """Re-read this residual on `net`, the network with every arc
@@ -435,6 +475,8 @@ class ResidualGraph:
 
     def flow(self, role="flow"):
         """The assignment `cbar - r` on the arcs; needs finite capacities."""
+        if any(is_unbounded(c) for c in self.caps):
+            raise NetworkError("flow requires finite capacities")
         scale, r = self.scale, self.r
         values = {}
         for (u, v), c in zip(self.net.arcs, self.caps):
@@ -580,7 +622,7 @@ def read_dimacs(text, allow_antiparallel=False):
                 cap = parse_value(fields[3])
             except ValueError as exc:
                 raise ParseError(str(exc), line_no)
-            if cap < 0:
+            if cap.numerator < 0:
                 raise ParseError("negative capacity", line_no)
             arcs.append((u, v, cap))
         else:

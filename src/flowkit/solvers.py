@@ -1,7 +1,9 @@
 """Three exact maximum-flow algorithms.
 
-* :func:`edmonds_karp` — augmenting paths, always choosing a breadth-first
-  shortest path in the residual graph.
+* :func:`edmonds_karp` — augmenting paths, always choosing the
+  lowest-index breadth-first shortest path in the residual graph.  Each
+  search resumes the last one at the first arc its augmentation
+  saturated, which finds the path a fresh search would.
 * :func:`push_relabel` — FIFO preflow-push with distance labels, the gap
   heuristic and a two-sided global relabel (from t, then from s offset by
   n) at the start and after every n relabels.
@@ -120,15 +122,28 @@ def _certified(net, res, reached, stats):
 
 
 def edmonds_karp(net, instrumented=False):
-    """Maximum flow by shortest augmenting paths; terminates on rational input."""
+    """Maximum flow by shortest augmenting paths; terminates on rational input.
+
+    Each search resumes the last one at the first arc its augmentation
+    saturated, keeping what was reached before; this finds the same path
+    as a fresh lowest-index search (proof at :func:`flowkit.network._bfs`).
+    """
     _require_finite(net)
     res = ResidualGraph(net)
+    s, targets = net.source, {net.sink}
+    reached, queue, head = {s: None}, [s], 0
     augmentations = 0
     while True:
-        path, reached = res.search(net.source, {net.sink})
+        path, _ = res.search(s, targets, reached, queue, head)
         if path is None:
             break
-        res.augment(path)
+        _, i = res.augment(path)
+        # keep what was reached before path[i + 1]; rescan from row path[i]
+        cut = queue.index(path[i + 1])
+        for v in queue[cut:]:
+            del reached[v]
+        del queue[cut:]
+        head = queue.index(path[i])
         augmentations += 1
         if instrumented:
             bad = validate(net, res.flow(), "flow")

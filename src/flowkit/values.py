@@ -88,8 +88,20 @@ def scaled(values):
 
 
 def parse_value(token: str) -> Fraction:
-    """Parse an integer or `p/q` rational token."""
+    """Parse an integer or `p/q` rational token.
+
+    ASCII-digit tokens ``n`` and ``p/q`` with q != 0 are built from their
+    ints; every other token (signs, ``_``, decimals, exponents, non-ASCII
+    digits, zero denominators) goes through ``Fraction(str)``, so the
+    value and the error are the same either way.
+    """
     try:
+        if token.isascii():
+            if token.isdigit():
+                return Fraction(int(token))
+            p, _, q = token.partition("/")
+            if p.isdigit() and q.isdigit() and q.strip("0"):
+                return Fraction(int(p), int(q))
         return Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational value: {token!r}") from exc

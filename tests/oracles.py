@@ -4,7 +4,8 @@ Nothing here calls the code path it is used to verify: minimum cuts come
 from raw subset enumeration over the arc list, total unimodularity from
 the row-subset signing criterion, ranks from a local Gaussian
 elimination, boundary signs from the alternating-sum definition, and so
-on.  The enumeration oracles at the end take the library's own objects
+on; Edmonds-Karp's resumed searches are checked against fresh ones.  The
+enumeration oracles at the end take the library's own objects
 and objective (cut capacity, segmentation score) and enumerate every
 candidate in place of the solver.
 """
@@ -13,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from flowkit.apps import segmentation_score
-from flowkit.network import all_cuts, cut_capacity
+from flowkit.network import Cut, ResidualGraph, all_cuts, cut_capacity
 
 
 def random_network_spec(rng, max_n=8, max_cap=10, density=0.55, allow_st_arc=True):
@@ -354,3 +355,21 @@ def min_cut_by_enumeration(net):
     """Brute-force minimum cut over all 2^(n-2) partitions (desk scale)."""
     return min(((cut, cut_capacity(net, cut)) for cut in all_cuts(net)),
                key=lambda pair: pair[1])
+
+
+def edmonds_karp_fresh(net):
+    """Edmonds-Karp with a fresh lowest-index search from s every round,
+    which the solver's resumed searches must match.  Returns the flow, its
+    value, the number of augmentations and the cut of the last search."""
+    res = ResidualGraph(net)
+    s, t = net.source, net.sink
+    augmentations = 0
+    while True:
+        path, reached = res.search(s, {t})
+        if path is None:
+            break
+        res.augment(path)
+        augmentations += 1
+    flow = res.flow()
+    value = sum((flow.value(s, v) for v in net.out_neighbors(s)), Fraction(0))
+    return flow, value, augmentations, Cut(frozenset(reached))

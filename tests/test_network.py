@@ -10,6 +10,7 @@ from flowkit.network import (
     DuplicateArc,
     FlowAssignment,
     InvalidFlow,
+    NetworkError,
     ParseError,
     ResidualGraph,
     SourceSinkViolation,
@@ -28,6 +29,7 @@ from flowkit.network import (
     zero_flow,
 )
 from flowkit.solvers import edmonds_karp
+from flowkit.values import UNBOUNDED
 from oracles import brute_min_cut, incidence_by_definition, random_network_spec
 
 TABLE_4X5 = [
@@ -244,6 +246,18 @@ def test_dimacs_errors_carry_line_numbers(text, line):
     assert err.value.line_no == line
 
 
+def test_dimacs_negative_capacity_names_its_line():
+    with pytest.raises(ParseError, match=r"^line 5: negative capacity$") as err:
+        read_dimacs("p max 3 2\nn 1 s\nn 3 t\na 1 2 1\na 2 3 -1\n")
+    assert err.value.line_no == 5
+
+
+def test_residual_flow_requires_finite_capacities():
+    net = build_network(3, 1, 3, [(1, 2, UNBOUNDED), (2, 3, 1)])
+    with pytest.raises(NetworkError, match="^flow requires finite capacities$"):
+        ResidualGraph(net).flow()
+
+
 def test_dimacs_count_mismatch():
     with pytest.raises(ParseError):
         read_dimacs("p max 2 2\nn 1 s\nn 2 t\na 1 2 1\n")
@@ -270,9 +284,8 @@ def test_flow_format_rejects_wrong_total(g1):
 
 
 def test_unbounded_capacity_in_cuts_and_validation():
-    from flowkit.values import UNBOUNDED, is_unbounded
-    from flowkit.network import NetworkError
     from flowkit.solvers import push_relabel
+    from flowkit.values import is_unbounded
 
     net = build_network(3, 1, 3, [(1, 2, UNBOUNDED), (2, 3, 4)])
     assert is_unbounded(cut_capacity(net, make_cut(net, {1})))

@@ -34,7 +34,7 @@ from flowkit.solvers import (
     pseudoflow_labeling_violations,
     push_relabel,
 )
-from oracles import brute_max_surplus, brute_min_cut, brute_min_cut_sides
+from oracles import brute_max_surplus, brute_min_cut, brute_min_cut_sides, edmonds_karp_fresh
 
 SOLVERS = [edmonds_karp, push_relabel, hochbaum_maxflow]
 
@@ -97,6 +97,101 @@ def test_cuts_agree_on_rational_networks_with_antiparallel_pairs(rng):
         for solver in (push_relabel, hochbaum_maxflow):
             result = solver(net)
             assert (result.value, result.cut) == (want.value, want.cut), solver.__name__
+
+
+def _seeded_networks(count=400):
+    """`count` seeded networks, a quarter of each kind: integer, coprime
+    rational and unit capacities, and rational ones with antiparallel pairs
+    (subdivided through gadget vertices)."""
+    kinds = ("integer", "rational", "unit", "gadget")
+    for seed in range(count):
+        rng = random.Random(seed)
+        kind = kinds[seed % 4]
+        n = rng.randint(4, 16)
+        pairs = [(u, v) for u in range(1, n) for v in range(2, n + 1)
+                 if u != v and rng.random() < 0.35]
+        if kind != "gadget":   # keep one arc of each antiparallel pair
+            pairs = [(u, v) for (u, v) in pairs if u < v or (v, u) not in pairs]
+        if kind == "integer":
+            caps = [Fraction(rng.randint(0, 12)) for _ in pairs]
+        elif kind == "unit":
+            caps = [Fraction(rng.randint(0, 1)) for _ in pairs]
+        else:
+            caps = [Fraction(rng.randint(0, 40), rng.choice([7, 11, 13, 17, 19, 23]))
+                    for _ in pairs]
+        arcs = [(u, v, c) for (u, v), c in zip(pairs, caps)]
+        yield f"{kind} seed {seed}", build_network(n, 1, n, arcs,
+                                                    allow_antiparallel=kind == "gadget")
+
+
+# (label, arcs on 1..n with s = 1 and t = n, the fresh searches' paths)
+HAND_BUILT = [
+    # the first path's bottleneck is its first arc; the second path
+    # crosses (2, 3) backwards to rediscover 2
+    ("bottleneck first", 5, [(1, 2, 1), (2, 3, 2), (3, 5, 2), (1, 4, 2), (4, 3, 1)],
+     [(1, 2, 3, 5), (1, 4, 3, 5)]),
+    # the bottleneck is the arc into t; the next path leaves row 2 later
+    ("bottleneck into t", 4, [(1, 2, 3), (2, 3, 3), (2, 4, 1), (3, 4, 2)],
+     [(1, 2, 4), (1, 2, 3, 4)]),
+    # (2, 3) and (3, 6) tie for the bottleneck; the search must resume at
+    # (2, 3), the first of them, and reach 3 again through 4
+    ("two tied arcs", 6, [(1, 2, 2), (2, 3, 1), (3, 6, 1), (1, 4, 1), (4, 3, 1),
+                          (3, 5, 1), (5, 6, 1)],
+     [(1, 2, 3, 6), (1, 4, 3, 5, 6)]),
+]
+
+
+class _Paths(list):
+    """Augmenting paths in call order; past `most` of them, augmenting fails,
+    so a run that makes more augmentations than it should stops."""
+
+    most = None
+
+
+@pytest.fixture
+def augmenting_paths(monkeypatch):
+    """The paths `ResidualGraph.augment` is called with, in order."""
+    paths = _Paths()
+    augment = ResidualGraph.augment
+
+    def recording(self, path, limit=None):
+        if paths.most is not None and len(paths) == paths.most:
+            raise AssertionError(f"more than {paths.most} augmentations")
+        paths.append(tuple(path))
+        return augment(self, path, limit)
+
+    monkeypatch.setattr(ResidualGraph, "augment", recording)
+    return paths
+
+
+def _same_run_as_fresh_searches(net, paths):
+    paths.clear()
+    paths.most = None
+    flow, value, augmentations, cut = edmonds_karp_fresh(net)
+    fresh = list(paths)
+    paths.clear()
+    paths.most = len(fresh)
+    result = edmonds_karp(net)
+    assert paths == fresh
+    assert result.flow == flow and result.value == value and result.cut == cut
+    assert result.stats["augmentations"] == augmentations == len(fresh)
+    return fresh
+
+
+def test_resumed_searches_find_the_paths_of_fresh_ones(augmenting_paths):
+    total = 0
+    for label, net in _seeded_networks():
+        try:
+            total += len(_same_run_as_fresh_searches(net, augmenting_paths))
+        except AssertionError as exc:
+            raise AssertionError(label) from exc
+    assert total > 1000   # the comparison is not vacuous
+
+
+@pytest.mark.parametrize("label, n, arcs, want", HAND_BUILT, ids=[h[0] for h in HAND_BUILT])
+def test_resumed_searches_on_hand_built_bottlenecks(augmenting_paths, label, n, arcs, want):
+    assert _same_run_as_fresh_searches(build_network(n, 1, n, arcs),
+                                       augmenting_paths) == want
 
 
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,

@@ -1,5 +1,6 @@
 """UNBOUNDED behaves as +infinity for ordering and addition, and nothing
-else; `scaled` turns rationals into ints over the LCM of their denominators."""
+else; `scaled` turns rationals into ints over the LCM of their denominators;
+`parse_value` reads every token the way `Fraction(str)` does."""
 
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from flowkit.network import (
     validate,
 )
 from flowkit.solvers import ALGORITHMS
-from flowkit.values import UNBOUNDED, exact, scaled
+from flowkit.values import UNBOUNDED, exact, parse_value, scaled
 
 FINITE = [0, 7, -3, Fraction(0), Fraction(10**30, 7), Fraction(-5, 2)]
 
@@ -92,3 +93,27 @@ def test_scaled_is_the_values_times_the_lcm_of_their_denominators(values, ints, 
 
 def test_scaled_of_nothing():
     assert scaled([]) == ([], 1)
+
+
+def _through_fraction_str(token):
+    """`parse_value` as it reads a token without its fast path."""
+    try:
+        return Fraction(token)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"not a rational value: {token!r}") from exc
+
+
+def _outcome(parse, token):
+    try:
+        x = parse(token)
+    except ValueError as exc:
+        return "error", str(exc)
+    return "value", x, type(x), type(x.numerator), type(x.denominator)
+
+
+@pytest.mark.parametrize("token", [
+    "0", "007", "12/8", "0/5", "3/0", "3/00", "+3", "-0", "-3/4", "1_000", "1e3", "1.5",
+    "\u0663", "\u00b2", "", "/", "3/", "/4", "3//4",
+])
+def test_parse_value_reads_every_token_as_fraction_str_does(token):
+    assert _outcome(parse_value, token) == _outcome(_through_fraction_str, token)
