@@ -142,12 +142,15 @@ class Poset:
         return above[0] if len(above) == 1 else None
 
     def covers(self):
-        """Pairs (a, b) with a < b and nothing strictly between."""
+        """Pairs (a, b) with a < b and nothing strictly between, in element
+        order: the successors of a less the successors of its successors."""
+        above = {e: set() for e in self.elements}
+        for (a, b) in self.less:
+            above[a].add(b)
         out = []
-        order = self._order
-        for (a, b) in sorted(self.less, key=lambda p: (order[p[0]], order[p[1]])):
-            if not any((a, z) in self.less and (z, b) in self.less for z in self.elements):
-                out.append((a, b))
+        for a in self.elements:
+            heads = above[a].difference(*(above[z] for z in above[a]))
+            out.extend((a, b) for b in sorted(heads, key=self._order.__getitem__))
         return out
 
     def is_bounded(self):

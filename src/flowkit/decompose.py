@@ -24,7 +24,7 @@ from .network import (
     _bfs,
     validate,
 )
-from .values import format_value, is_unbounded, parse_value
+from .values import format_value, parse_value
 
 
 class NotMaximal(NetworkError):
@@ -76,7 +76,7 @@ def decompose(net, f):
     components = []
     # source-to-sink paths while the source still emits flow
     while g[s]:
-        path, _ = _bfs(s, {t}, g)
+        path, _ = _bfs(s, t, g)
         if path is None:
             raise InvariantViolation("flow", f"component {len(components) + 1}",
                                      ["positive outflow with no path to the sink"])
@@ -113,7 +113,7 @@ def min_cut_from_flow(net, f):
     bad = validate(net, f, "flow")
     if bad:
         raise InvalidFlow(bad)
-    path, reached = ResidualGraph(net, f).search(net.source, {net.sink})
+    path, reached = ResidualGraph(net, f).search(net.source, net.sink)
     if path is not None:
         raise NotMaximal(path)
     return Cut(frozenset(reached))
@@ -132,7 +132,7 @@ def recover_flow(res):
     checks it.  The capacities must be finite.
     """
     net, r = res.net, res.r
-    if any(is_unbounded(c) for c in res.caps):
+    if net.has_unbounded:
         raise NetworkError("flow recovery requires finite capacities")
     excess = dict.fromkeys(net.vertices(), 0)
     for (u, v), c in zip(net.arcs, res.caps):
@@ -144,7 +144,7 @@ def recover_flow(res):
         sign = 1 if excess[v] > 0 else -1
         origin, target = (v, net.source) if sign > 0 else (net.sink, v)
         while excess[v] != 0:
-            path, _ = res.search(origin, {target})
+            path, _ = res.search(origin, target)
             if path is None:
                 raise InvariantViolation("recovery", f"root {v}",
                                          [f"no residual path from {origin} to {target}"])

@@ -32,8 +32,9 @@ The capacities are stored by rows, built once per solve: ``r[u]`` maps
 each out- and in-neighbour v of u, in increasing index order, to
 r(u, v).  A row is also u's adjacency list.  The one breadth-first search
 scans it in order, so every solver breaks ties by lowest index, and no
-lookup builds a pair key.  Edmonds-Karp resumes that search from a kept
-state instead of starting it afresh; see :func:`_bfs`.
+lookup builds a pair key.  The search stops at the first reached vertex
+with room into the target, and Edmonds-Karp resumes it from a kept state
+instead of starting it afresh; see :func:`_bfs`.
 """
 
 from __future__ import annotations
@@ -107,10 +108,11 @@ class Network:
 
     Vertices are the integers 1..n.  The vertex enumeration used by
     matrix-producing operations lists the source first and the sink last.
+    `has_unbounded` records once whether any capacity is UNBOUNDED.
     """
 
     __slots__ = ("n", "source", "sink", "arcs", "_caps", "_index", "_out", "_in",
-                 "gadget_vertices", "_gadget_origin")
+                 "gadget_vertices", "_gadget_origin", "has_unbounded")
 
     def __init__(self, n, source, sink, arcs, capacities, gadget_origin=None):
         self.n = n
@@ -118,6 +120,7 @@ class Network:
         self.sink = sink
         self.arcs = tuple(arcs)
         self._caps = tuple(capacities)
+        self.has_unbounded = any(map(is_unbounded, self._caps))
         self._index = {a: i for i, a in enumerate(self.arcs)}
         out = {v: [] for v in range(1, n + 1)}
         inc = {v: [] for v in range(1, n + 1)}
@@ -331,60 +334,100 @@ def all_cuts(net):
             yield Cut(frozenset((net.source,) + extra))
 
 
-def _bfs(origin, targets, r, parent=None, queue=None, head=0):
-    """Breadth-first search from `origin`.  `r[u]` maps u's candidate heads,
-    in increasing index order, to amounts; the step to v is admissible
-    when `r[u][v] > 0`.
+def _bfs(origin, target, r, parent=None, queue=None, head=0):
+    """Breadth-first search from `origin` to `target`.  `r[u]` maps u's
+    candidate heads, in increasing index order, to amounts; the step to v
+    is admissible when `r[u][v] > 0`.  The vertices are 1..n, the keys of
+    `r`.
 
-    `parent` maps each reached vertex to the vertex whose row reached it,
-    and `queue` lists the same vertices in the order they were reached,
-    which is the order their rows are scanned.  Returns the path to the
-    first target reached (None when none is reachable) and `parent`.
+    `parent[v]` is the vertex whose row reached v (0 for the origin, -1
+    for a vertex not reached), and `queue` lists the reached vertices in
+    the order they were reached, which is the order their rows are
+    scanned.  Returns the path to `target` (None when it is unreachable)
+    and `queue`, the reached set; on success the target ends `queue`.
+
+    The goal test looks one step ahead: as each vertex w is reached
+    (the origin first), the search checks `r[w][target] > 0`, and on the
+    first hit it appends the target with parent w and returns.  The
+    textbook lowest-index search tests only the target itself.  It reaches
+    the target only through an arc into it, while scanning the row of a
+    reached vertex, and it scans rows in reach order; so the target's
+    parent is the first reached vertex with room into it.  Until that
+    vertex both searches reach the same vertices in the same order, so
+    they return the same path; a failed search finds no such vertex, so
+    both reach the same set.  Only the state after a success is shorter:
+    the look-ahead search does not scan the rows in between.
 
     Given a kept `parent` and `queue`, the search resumes instead: it
     scans the rows of ``queue[head:]`` and extends both in place (the
-    origin is then unused).  Edmonds-Karp keeps them across augmentations.
-    After it augments along the path p[0] .. p[d] that the search
-    returned, let (p[i], p[i+1]) be the first path arc the augmentation
-    saturated.  It cuts both back to the vertices reached before p[i+1]
-    and resumes at p[i]'s position.  This gives the path and the reached
-    set that a fresh search from p[0] gives on the new residual:
+    origin is then ``queue[0]``).  Edmonds-Karp keeps them across
+    augmentations.  After it augments along the path p[0] .. p[d] that
+    the search returned, let (p[i], p[i+1]) be the first path arc the
+    augmentation saturated.  It cuts both back to the vertices reached
+    before p[i+1] and resumes at the row that reached p[i+1]: p[i] when
+    i <= d-2, p[d-2] when i = d-1 (the look-ahead found the target while
+    scanning row p[d-2], on reaching p[d-1]), and the origin, head 0, when
+    the path is [p[0], p[1]].  This gives the path and the reached set
+    that a fresh search from p[0] gives on the new residual:
 
     * The reach order rises along the path: p[j+1] is reached while row
-      p[j] is scanned, and a row is scanned only after its vertex is
-      reached.
+      p[j] is scanned, a row is scanned only after its vertex is reached,
+      and the target comes last, right after p[d-1].
     * The augmentation changed only the path arcs (p[j], p[j+1]), which
-      shrank, and their reverses (p[j+1], p[j]), which grew.
+      shrank, and their reverses (p[j+1], p[j]), which grew.  No arc into
+      the target grew, because no path uses an arc leaving the target.
+      So the look-ahead test of a kept vertex, false when it was reached,
+      stays false.
     * So a fresh search makes the same reads, with the same outcomes, as
       the old one did before it reached p[i+1].  A read of (p[j], p[j+1])
       with j < i still finds room, as that arc was not saturated.  A read
       of (p[j+1], p[j]) happens in row p[j+1], after p[j] was reached, so
       its amount is never looked at.
-    * Just before the old search read (p[i], p[i+1]), it had reached
-      exactly the kept vertices, with the kept parents, and was scanning
-      row p[i].  The fresh search is in the same state at the same read,
-      and finds no room on (p[i], p[i+1]) now.  Rescanning row p[i] from
-      its start reaches nothing new before p[i+1]: those entries are
-      unchanged but for p[i-1], which is kept, and what they reached the
-      first time is kept.  From there both searches read the same
-      residual in the same state.
+    * i <= d-2: just before the old search read (p[i], p[i+1]), it had
+      reached exactly the kept vertices, with the kept parents, and was
+      scanning row p[i].  The fresh search is in the same state at the
+      same read, and finds no room on (p[i], p[i+1]) now.  Rescanning row
+      p[i] from its start reaches nothing new before p[i+1]: those
+      entries are unchanged but for p[i-1], which is kept, and what they
+      reached the first time is kept.  From there both searches read the
+      same residual in the same state.
+    * i = d-1, d >= 2: the kept vertices are the ones reached up to
+      p[d-1], and the fresh search reaches them in the same order while
+      scanning row p[d-2], but its look-ahead at p[d-1] now fails.
+      Rescanning row p[d-2] from its start reaches nothing new up to
+      p[d-1] (kept), and the rest of the row is unread.  From there both
+      searches read the same residual in the same state.
+    * i = d-1, d = 1: only the origin is kept, and the search starts
+      over from it; its look-ahead fails, as (p[0], p[1]) is saturated.
     """
     if parent is None:
-        parent, queue = {origin: None}, [origin]
+        parent, queue = [-1] * (len(r) + 1), [origin]
+        parent[origin] = 0
+    origin = queue[0]
+    if r[origin].get(target, 0) > 0:
+        return _reached(target, origin, parent, queue)
     # a list iterator also yields the items appended while it runs
     for u in islice(queue, head, None):
         for v, x in r[u].items():
-            if v not in parent and x > 0:
+            if parent[v] < 0 and x > 0:
                 parent[v] = u
                 queue.append(v)
-                if v in targets:
-                    path = [v]
-                    while u is not None:
-                        path.append(u)
-                        u = parent[u]
-                    path.reverse()
-                    return path, parent
-    return None, parent
+                if r[v].get(target, 0) > 0:
+                    return _reached(target, v, parent, queue)
+    return None, queue
+
+
+def _reached(target, u, parent, queue):
+    """Append `target`, reached from `u`, to the search state; return the
+    path to it and `queue`."""
+    parent[target] = u
+    queue.append(target)
+    path = [target]
+    while u:
+        path.append(u)
+        u = parent[u]
+    path.reverse()
+    return path, queue
 
 
 class ResidualGraph:
@@ -404,18 +447,24 @@ class ResidualGraph:
     def __init__(self, net, flow=None):
         self.net = net
         caps = net.capacities()
+        m = len(caps)
         raw = flow.raw if flow is not None else {}
-        # the capacities in arc order (0 standing in for UNBOUNDED), then the flow
-        ints, self.scale = scaled([0 if is_unbounded(c) else c for c in caps]
-                                  + list(raw.values()))
-        self.caps = [c if is_unbounded(c) else x for c, x in zip(caps, ints)]
+        # the capacities in arc order, then the flow; 0 stands in for
+        # UNBOUNDED in the scaling, and UNBOUNDED goes back in its place
+        if net.has_unbounded:
+            ints, self.scale = scaled([0 if is_unbounded(c) else c for c in caps]
+                                      + list(raw.values()))
+            self.caps = [c if is_unbounded(c) else x for c, x in zip(caps, ints)]
+        else:
+            ints, self.scale = scaled([*caps, *raw.values()])
+            self.caps = ints[:m]
         r = {v: dict.fromkeys(sorted(set(net.out_neighbors(v)) | set(net.in_neighbors(v))), 0)
              for v in net.vertices()}
         for (u, v), c in zip(net.arcs, self.caps):
             r[u][v] = c
         # r -= f on each stored pair (u, v) and, by antisymmetry, r += f on
         # (v, u) unless the assignment stores (v, u) as well
-        for (u, v), x in zip(raw, ints[len(caps):]):
+        for (u, v), x in zip(raw, ints[m:]):
             if x and v in r.get(u, ()):
                 r[u][v] -= x
                 if (v, u) not in raw:
@@ -441,10 +490,10 @@ class ResidualGraph:
         self.r[u][v] -= delta
         self.r[v][u] += delta
 
-    def search(self, origin, targets, parent=None, queue=None, head=0):
+    def search(self, origin, target, parent=None, queue=None, head=0):
         """Lowest-index breadth-first residual search, fresh or resumed;
         see :func:`_bfs`."""
-        return _bfs(origin, targets, self.r, parent, queue, head)
+        return _bfs(origin, target, self.r, parent, queue, head)
 
     def augment(self, path, limit=None):
         """Push the bottleneck (at most `limit`) along the path.
@@ -475,7 +524,7 @@ class ResidualGraph:
 
     def flow(self, role="flow"):
         """The assignment `cbar - r` on the arcs; needs finite capacities."""
-        if any(is_unbounded(c) for c in self.caps):
+        if self.net.has_unbounded:
             raise NetworkError("flow requires finite capacities")
         scale, r = self.scale, self.r
         values = {}
@@ -674,7 +723,10 @@ def read_flow(net, text):
                 raise ParseError("expected `s <value>`", line_no)
             if stated is not None:
                 raise ParseError("duplicate flow value line", line_no)
-            stated = parse_value(fields[1])
+            try:
+                stated = parse_value(fields[1])
+            except ValueError as exc:
+                raise ParseError(str(exc), line_no)
         else:
             raise ParseError(f"unknown record type {fields[0]!r}", line_no)
     f = FlowAssignment(values, role="flow")

@@ -3,7 +3,8 @@
 * :func:`edmonds_karp` — augmenting paths, always choosing the
   lowest-index breadth-first shortest path in the residual graph.  Each
   search resumes the last one at the first arc its augmentation
-  saturated, which finds the path a fresh search would.
+  saturated and stops at the first reached vertex with room into t,
+  which finds the path a fresh textbook search would.
 * :func:`push_relabel` — FIFO preflow-push with distance labels, the gap
   heuristic and a two-sided global relabel (from t, then from s offset by
   n) at the start and after every n relabels.
@@ -62,7 +63,7 @@ from .network import (
     build_network,
     validate,
 )
-from .values import exact, is_unbounded
+from .values import exact
 
 ROOT = 0  # parent sentinel: branch hangs directly off the contracted root
 
@@ -77,7 +78,7 @@ class MaxflowResult:
 
 
 def _require_finite(net):
-    if any(is_unbounded(c) for c in net.capacities()):
+    if net.has_unbounded:
         raise NetworkError("solver requires finite capacities")
 
 
@@ -125,31 +126,35 @@ def edmonds_karp(net, instrumented=False):
     """Maximum flow by shortest augmenting paths; terminates on rational input.
 
     Each search resumes the last one at the first arc its augmentation
-    saturated, keeping what was reached before; this finds the same path
-    as a fresh lowest-index search (proof at :func:`flowkit.network._bfs`).
+    saturated, keeping what was reached before, and stops at the first
+    reached vertex with room into t; this finds the same path as a fresh
+    lowest-index search (proof at :func:`flowkit.network._bfs`).
     """
     _require_finite(net)
     res = ResidualGraph(net)
-    s, targets = net.source, {net.sink}
-    reached, queue, head = {s: None}, [s], 0
+    s, t = net.source, net.sink
+    parent, queue, head = [-1] * (net.n + 1), [s], 0
+    parent[s] = 0
     augmentations = 0
     while True:
-        path, _ = res.search(s, targets, reached, queue, head)
+        path, _ = res.search(s, t, parent, queue, head)
         if path is None:
             break
         _, i = res.augment(path)
-        # keep what was reached before path[i + 1]; rescan from row path[i]
+        # keep what was reached before path[i + 1] and rescan the row that
+        # reached it: path[i], or path[-3] when the arc into t saturated (the
+        # look-ahead found t inside that row), or row s for the path [s, t]
         cut = queue.index(path[i + 1])
         for v in queue[cut:]:
-            del reached[v]
+            parent[v] = -1
         del queue[cut:]
-        head = queue.index(path[i])
+        head = queue.index(path[min(i, max(len(path) - 3, 0))])
         augmentations += 1
         if instrumented:
             bad = validate(net, res.flow(), "flow")
             if bad:
                 raise InvariantViolation("flow", f"augmentation {augmentations}", bad)
-    return _certified(net, res, reached, {"augmentations": augmentations})
+    return _certified(net, res, queue, {"augmentations": augmentations})
 
 
 # -- FIFO preflow-push ----------------------------------------------------
@@ -283,7 +288,7 @@ def push_relabel(net, instrumented=False):
             if instrumented:
                 checkpoint()
 
-    _, reached = res.search(s, {t})
+    _, reached = res.search(s, t)
     result = _certified(net, res, reached, {"pushes": pushes, "relabels": relabels})
     if instrumented:
         result.debug = {"labels": dict(d)}
@@ -615,7 +620,7 @@ def hochbaum_maxflow(net, instrumented=False):
     recover_flow(res)
     if reverse:
         res.reverse(net)
-    _, reached = res.search(net.source, {net.sink})
+    _, reached = res.search(net.source, net.sink)
     result = _certified(net, res, reached, stats)
     if instrumented:
         result.debug = debug

@@ -4,10 +4,10 @@ Nothing here calls the code path it is used to verify: minimum cuts come
 from raw subset enumeration over the arc list, total unimodularity from
 the row-subset signing criterion, ranks from a local Gaussian
 elimination, boundary signs from the alternating-sum definition, and so
-on; Edmonds-Karp's resumed searches are checked against fresh ones.  The
-enumeration oracles at the end take the library's own objects
-and objective (cut capacity, segmentation score) and enumerate every
-candidate in place of the solver.
+on; Edmonds-Karp's look-ahead, resumed searches are checked against
+fresh textbook ones.  The enumeration oracles at the end take the
+library's own objects and objective (cut capacity, segmentation score)
+and enumerate every candidate in place of the solver.
 """
 
 from fractions import Fraction
@@ -357,15 +357,41 @@ def min_cut_by_enumeration(net):
                key=lambda pair: pair[1])
 
 
+def textbook_search(r, origin, target):
+    """Lowest-index breadth-first search with the goal test on the target
+    itself: rows of `r` are scanned in reach order, each in its own order,
+    and the search stops when an admissible step reaches `target`.
+    Returns the path (None when the target is unreachable) and the reached
+    vertices, the target included when it was found."""
+    parent = {origin: None}
+    frontier = [origin]
+    while frontier:
+        ahead = []
+        for u in frontier:
+            for v, x in r[u].items():
+                if v in parent or x <= 0:
+                    continue
+                parent[v] = u
+                if v == target:
+                    path = [v]
+                    while parent[path[-1]] is not None:
+                        path.append(parent[path[-1]])
+                    return path[::-1], set(parent)
+                ahead.append(v)
+        frontier = ahead
+    return None, set(parent)
+
+
 def edmonds_karp_fresh(net):
-    """Edmonds-Karp with a fresh lowest-index search from s every round,
-    which the solver's resumed searches must match.  Returns the flow, its
-    value, the number of augmentations and the cut of the last search."""
+    """Edmonds-Karp with a fresh textbook search from s every round, which
+    the solver's look-ahead, resumed searches must match.  Returns the
+    flow, its value, the number of augmentations and the cut of the last
+    search."""
     res = ResidualGraph(net)
     s, t = net.source, net.sink
     augmentations = 0
     while True:
-        path, reached = res.search(s, {t})
+        path, reached = textbook_search(res.r, s, t)
         if path is None:
             break
         res.augment(path)

@@ -92,6 +92,14 @@ def test_decompose_rejects_a_repeated_value_line(capsys, net_file, tmp_path):
     assert err == "error: line 4: duplicate flow value line\n"
 
 
+def test_decompose_rejects_a_bad_value_line(capsys, net_file, tmp_path):
+    flow_path = tmp_path / "flow.txt"
+    flow_path.write_text("f 1 2 2\nf 2 4 2\ns abc\n")
+    code, out, err = run(capsys, "decompose", net_file, str(flow_path))
+    assert code == 2 and out == ""
+    assert err == "error: line 3: not a rational value: 'abc'\n"
+
+
 def test_lp_dual(capsys, net_file):
     code, out, _ = run(capsys, "lp-dual", net_file)
     assert code == 0

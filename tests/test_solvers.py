@@ -1,8 +1,10 @@
 """The three maxflow algorithms and the blocking-cut machinery."""
 
+import hashlib
 import math
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -99,10 +101,12 @@ def test_cuts_agree_on_rational_networks_with_antiparallel_pairs(rng):
             assert (result.value, result.cut) == (want.value, want.cut), solver.__name__
 
 
-def _seeded_networks(count=400):
+def _seeded_networks(count=1000):
     """`count` seeded networks, a quarter of each kind: integer, coprime
-    rational and unit capacities, and rational ones with antiparallel pairs
-    (subdivided through gadget vertices)."""
+    rational and 0/1 capacities, and rational ones with antiparallel pairs
+    (subdivided through gadget vertices).  Every kind draws zero
+    capacities, and every other network of each kind has a direct s -> t
+    arc (the rest draw it like any other)."""
     kinds = ("integer", "rational", "unit", "gadget")
     for seed in range(count):
         rng = random.Random(seed)
@@ -112,6 +116,8 @@ def _seeded_networks(count=400):
                  if u != v and rng.random() < 0.35]
         if kind != "gadget":   # keep one arc of each antiparallel pair
             pairs = [(u, v) for (u, v) in pairs if u < v or (v, u) not in pairs]
+        if seed // 4 % 2 == 0 and (1, n) not in pairs:
+            pairs.append((1, n))
         if kind == "integer":
             caps = [Fraction(rng.randint(0, 12)) for _ in pairs]
         elif kind == "unit":
@@ -143,9 +149,18 @@ HAND_BUILT = [
 
 class _Paths(list):
     """Augmenting paths in call order; past `most` of them, augmenting fails,
-    so a run that makes more augmentations than it should stops."""
+    so a run that makes more augmentations than it should stops.
+    `saturated` holds the index of the first arc each one saturated."""
 
     most = None
+
+    def __init__(self):
+        super().__init__()
+        self.saturated = []
+
+    def clear(self):
+        super().clear()
+        self.saturated.clear()
 
 
 @pytest.fixture
@@ -158,13 +173,18 @@ def augmenting_paths(monkeypatch):
         if paths.most is not None and len(paths) == paths.most:
             raise AssertionError(f"more than {paths.most} augmentations")
         paths.append(tuple(path))
-        return augment(self, path, limit)
+        amount, first = augment(self, path, limit)
+        paths.saturated.append(first)
+        return amount, first
 
     monkeypatch.setattr(ResidualGraph, "augment", recording)
     return paths
 
 
 def _same_run_as_fresh_searches(net, paths):
+    """Edmonds-Karp against the oracle that searches afresh every round
+    with the textbook search: the same paths, flow, value, augmentations
+    and cut.  Returns the paths and the first arc each one saturated."""
     paths.clear()
     paths.most = None
     flow, value, augmentations, cut = edmonds_karp_fresh(net)
@@ -175,23 +195,59 @@ def _same_run_as_fresh_searches(net, paths):
     assert paths == fresh
     assert result.flow == flow and result.value == value and result.cut == cut
     assert result.stats["augmentations"] == augmentations == len(fresh)
-    return fresh
+    return fresh, paths.saturated
+
+
+def _saturation_case(path, i):
+    """Which arc of an augmenting path saturated first, as the resume rule
+    tells the cases apart."""
+    if len(path) == 2:
+        return "s-t arc"
+    if i == len(path) - 2:
+        return "arc into t"
+    return "first arc" if i == 0 else "inner arc"
 
 
 def test_resumed_searches_find_the_paths_of_fresh_ones(augmenting_paths):
-    total = 0
+    cases = Counter()
     for label, net in _seeded_networks():
         try:
-            total += len(_same_run_as_fresh_searches(net, augmenting_paths))
+            fresh, saturated = _same_run_as_fresh_searches(net, augmenting_paths)
         except AssertionError as exc:
             raise AssertionError(label) from exc
-    assert total > 1000   # the comparison is not vacuous
+        cases.update(map(_saturation_case, fresh, saturated))
+    # the comparison is not vacuous: every case of the resume rule occurs
+    assert sum(cases.values()) > 3000
+    assert min(cases.values()) > 200 and len(cases) == 4, cases
 
 
 @pytest.mark.parametrize("label, n, arcs, want", HAND_BUILT, ids=[h[0] for h in HAND_BUILT])
 def test_resumed_searches_on_hand_built_bottlenecks(augmenting_paths, label, n, arcs, want):
     assert _same_run_as_fresh_searches(build_network(n, 1, n, arcs),
-                                       augmenting_paths) == want
+                                       augmenting_paths)[0] == want
+
+
+def _pinned(result):
+    return (result.value, sorted(result.flow.raw.items()),
+            sorted(result.cut.source_side), sorted(result.stats.items()))
+
+
+# sha256 of the push-relabel and pseudoflow results on `_seeded_networks()`
+# as their final residual searches gave them with no look-ahead
+PINNED_PR_HOCH = "8af9556aa9e550ae5e69484533f7b40cc662e112fc04dc811d82847064b8dc5c"
+
+
+def test_push_relabel_and_pseudoflow_results_are_unchanged():
+    # the value and cut must be Edmonds-Karp's; the flows and counters, the
+    # recorded ones
+    results = []
+    for label, net in _seeded_networks():
+        want = edmonds_karp(net)
+        for solver in (push_relabel, hochbaum_maxflow):
+            result = solver(net)
+            assert (result.value, result.cut) == (want.value, want.cut), (label, solver)
+            results.append(_pinned(result))
+    assert hashlib.sha256(repr(results).encode()).hexdigest() == PINNED_PR_HOCH
 
 
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,
