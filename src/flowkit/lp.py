@@ -319,32 +319,24 @@ def simplex_solve(lp):
 # -- the maximum-flow program and its dual ---------------------------------
 
 
-def flow_program(balance, capacities, objective):
-    """The flow program `max objective.x : [A; -A; I] x <= [0; 0; c]`.
-
-    `balance` is A, one row per conserved quantity, written as both
-    inequality directions of A x = 0; then one row x_j <= c_j per finite
-    capacity, in column order (UNBOUNDED capacities get no row).
-    :func:`solve_standard` reads these rows back as A x = 0, 0 <= x <= c.
-    """
-    rows = [list(r) for r in balance] + [[-x for x in r] for r in balance]
-    bounds = [0] * len(rows)
-    for j, cap in enumerate(capacities):
-        if not is_unbounded(cap):
-            rows.append([1 if i == j else 0 for i in range(len(objective))])
-            bounds.append(cap)
-    return make_lp("max", objective, rows, bounds)
-
-
 def build_primal(net):
     """LP over one variable per arc whose optimum is the maximum flow value.
 
-    Objective: the source row of the incidence matrix.  Constraints: both
-    inequality directions of conservation at every internal vertex, then
-    one capacity row per finitely-capacitated arc.
+    The program `max phi_s.x : [A; -A; I] x <= [0; 0; c]`: the objective is
+    the source row phi_s of the incidence matrix, A its internal rows,
+    written as both inequality directions of conservation, then one row
+    x_j <= c_j per finitely-capacitated arc, in arc order.
+    :func:`solve_standard` reads these rows back as A x = 0, 0 <= x <= c.
     """
     phi = incidence_matrix(net)
-    return flow_program(phi[1:-1], net.capacities(), phi[0])
+    balance = phi[1:-1]
+    rows = balance + [[-x for x in r] for r in balance]
+    bounds = [0] * len(rows)
+    for j, cap in enumerate(net.capacities()):
+        if not is_unbounded(cap):
+            rows.append([int(i == j) for i in range(net.m)])
+            bounds.append(cap)
+    return make_lp("max", phi[0], rows, bounds)
 
 
 def build_dual(lp):

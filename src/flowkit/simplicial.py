@@ -16,12 +16,9 @@ The boundary operator has one owner: :class:`OrientedComplex` stores each
 facet's signed faces once, and ∂x (:meth:`~OrientedComplex.boundary`),
 ∂ᵀλ (:meth:`~OrientedComplex.coboundary`) and the dense matrix
 (:func:`boundary_matrix`) are all read off that one sign table.  Cycle
-checks, cut capacities, dual points, the augmenting-cycle LP and both
-max-flow programs are built from it.  :func:`hmaxflow_lp` hands the
-simplex the bounded form ∂x = 0, 0 <= x <= c directly.  The block form of
-:func:`hmaxflow_linear_program` reaches the simplex as the same program
-with the source facet last: its opposite rows are read back as
-equalities and its unit rows as bounds.
+checks, cut capacities, dual points, the augmenting-cycle LP and the
+max-flow program are built from it.  :func:`hmaxflow_lp` hands the
+simplex the bounded form ∂x = 0, 0 <= x <= c directly.
 """
 
 from __future__ import annotations
@@ -31,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .lp import BudgetExceeded, flow_program, solve_standard
+from .lp import BudgetExceeded, solve_standard
 from .network import InvariantViolation, ParseError
 from .values import UNBOUNDED, exact, format_value, is_unbounded, parse_value, scaled
 
@@ -48,30 +45,6 @@ class SourceConditionViolated(ComplexError):
 
 class NegativeCapacity(ComplexError):
     pass
-
-
-def perm_parity(a, b):
-    """Sign of the permutation taking tuple `a` to tuple `b` (same elements)."""
-    if sorted(a) != sorted(b):
-        raise ValueError("tuples are not reorderings of each other")
-    pos = {v: i for i, v in enumerate(b)}
-    perm = [pos[v] for v in a]
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
-
-
-def boundary_terms(simplex):
-    """Alternating-sign faces of an oriented simplex: [(face_tuple, sign)]
-    with each face written in the orientation produced by deletion."""
-    out = []
-    for i in range(len(simplex)):
-        face = simplex[:i] + simplex[i + 1:]
-        out.append((face, -1 if i % 2 else 1))
-    return out
 
 
 class OrientedComplex:
@@ -91,25 +64,23 @@ class OrientedComplex:
         self.dimension = dimension
         self.facets = tuple(tuple(f) for f in facets)
         sets = []
+        signs = []
+        face_set = set()
         for f in self.facets:
             if len(f) != dimension + 1 or len(set(f)) != dimension + 1:
                 raise ComplexError(f"facet {f} is not a {dimension}-simplex")
             sets.append(frozenset(f))
+            # f is p times its sorted form ref, where p is the sign of the
+            # permutation that sorts f, so ∂f = Σ_k p(-1)^k (ref minus ref[k])
+            ref = tuple(sorted(f))
+            p = -1 if sum(a > b for a, b in combinations(f, 2)) % 2 else 1
+            column = {ref[:k] + ref[k + 1:]: -p if k % 2 else p for k in range(len(ref))}
+            signs.append(column)
+            face_set.update(column)
         if len(set(sets)) != len(sets):
             raise ComplexError("two facets coincide as vertex sets")
         self._facet_sets = tuple(sets)
-        face_set = set()
-        for f in self.facets:
-            for i in range(len(f)):
-                face_set.add(tuple(sorted(f[:i] + f[i + 1:])))
         self._faces = tuple(sorted(face_set))
-        signs = []
-        for f in self.facets:
-            per_face = {}
-            for face, sign in boundary_terms(f):
-                ref = tuple(sorted(face))
-                per_face[ref] = sign * perm_parity(face, ref)
-            signs.append(per_face)
         self._signs = tuple(signs)
 
     def faces(self):
@@ -220,14 +191,11 @@ class HNetwork:
 def build_hnetwork(complex_, t_index, capacities):
     """Validate the source condition and non-negative finite capacities.
 
-    `capacities` maps every facet index except `t_index` to its capacity;
-    a sequence of length facet-count is also accepted (the source entry is
-    ignored).
+    `capacities` is a dict that maps every facet index except `t_index` to
+    its capacity; an entry for `t_index` itself must be UNBOUNDED.
     """
     if not (0 <= t_index < len(complex_.facets)):
         raise ComplexError(f"no facet with index {t_index}")
-    if not isinstance(capacities, dict):
-        capacities = {j: c for j, c in enumerate(capacities) if j != t_index}
     caps = {}
     for j in range(len(complex_.facets)):
         if j == t_index:
@@ -278,15 +246,6 @@ def hflow_violations(hnet, flow):
 
 
 # -- HMaxflow by LP ---------------------------------------------------------
-
-
-def hmaxflow_linear_program(hnet):
-    """The block formulation `max x_last : [B; -B; I,0] x <= [0; 0; c]`
-    with the source facet enumerated last.  Returns (lp, facet_order)."""
-    order = [j for j in range(hnet.facet_count()) if j != hnet.t_index] + [hnet.t_index]
-    matrix = [[row[j] for j in order] for row in boundary_matrix(hnet.complex)]
-    objective = [0] * (len(order) - 1) + [1]
-    return flow_program(matrix, [hnet.capacity(j) for j in order], objective), order
 
 
 @dataclass
@@ -384,16 +343,22 @@ class AugmentationStep:
     gain: Fraction
 
 
-def hmaxflow_augment(hnet, max_rounds=500, instrumented=False):
+AUGMENTATION_BUDGET = 500
+
+
+def hmaxflow_augment(hnet, instrumented=False):
     """Iterate augmenting cycles from the zero flow until none remains.
 
     Every step pushes `amount = min residual(X_i) / coefficient_i` around
     the cycle, which strictly increases the carried amount and saturates
-    at least one residual copy.
+    at least one residual copy.  More than :data:`AUGMENTATION_BUDGET`
+    steps raise :class:`BudgetExceeded`.  With `instrumented`, every
+    intermediate flow is re-checked and a broken one raises
+    :class:`InvariantViolation` naming its step.
     """
     values = [Fraction(0)] * hnet.facet_count()
     trace = []
-    for _ in range(max_rounds):
+    for _ in range(AUGMENTATION_BUDGET):
         cycle = find_augmenting_cycle(hnet, values)
         if cycle is None:
             flow = HFlow(tuple(values))
@@ -418,7 +383,7 @@ def hmaxflow_augment(hnet, max_rounds=500, instrumented=False):
             bad = hflow_violations(hnet, HFlow(tuple(values)))
             if bad:
                 raise InvariantViolation("hflow", where, bad)
-    raise BudgetExceeded(f"no fixpoint within {max_rounds} augmentations")
+    raise BudgetExceeded(f"no fixpoint within {AUGMENTATION_BUDGET} augmentations")
 
 
 # -- cuts and the dual construction ------------------------------------------
@@ -492,23 +457,17 @@ def hdual_violations(hnet, point):
 # -- simplicial trees and the TU certificate ----------------------------------
 
 
-def is_leaf(complex_, f_index, fp_index):
-    """Whether (F, F') is a leaf: every other facet meets F inside F'."""
+def _is_leaf_of(complex_, members, f_index, fp_index):
+    """Whether (F, F') is a leaf of the facets `members`: every one of
+    them other than F meets F inside F'."""
     f_set = complex_.facet_set(f_index)
     fp_set = complex_.facet_set(fp_index)
-    return all(f_set & complex_.facet_set(h) <= fp_set
-               for h in range(len(complex_.facets)) if h != f_index)
+    return all(f_set & complex_.facet_set(h) <= fp_set for h in members if h != f_index)
 
 
-def _collection_has_leaf(facet_sets, subset):
-    if len(subset) == 1:
-        return True
-    for f in subset:
-        others = [h for h in subset if h != f]
-        for fp in others:
-            if all(facet_sets[f] & facet_sets[h] <= facet_sets[fp] for h in others):
-                return True
-    return False
+def is_leaf(complex_, f_index, fp_index):
+    """Whether (F, F') is a leaf: every other facet meets F inside F'."""
+    return _is_leaf_of(complex_, range(len(complex_.facets)), f_index, fp_index)
 
 
 def is_simplicial_tree(complex_, max_facets=12):
@@ -522,11 +481,10 @@ def is_simplicial_tree(complex_, max_facets=12):
         raise BudgetExceeded(f"{k} facets exceed the subset budget of {max_facets}")
     if not complex_.is_connected():
         return False
-    sets = complex_.facet_set
-    facet_sets = {i: sets(i) for i in range(k)}
-    for size in range(1, k + 1):
+    for size in range(2, k + 1):  # a single facet is a leaf of itself
         for subset in combinations(range(k), size):
-            if not _collection_has_leaf(facet_sets, subset):
+            if not any(_is_leaf_of(complex_, subset, f, fp)
+                       for f in subset for fp in subset if fp != f):
                 return False
     return True
 
@@ -649,8 +607,11 @@ def write_hflow(hnet, flow):
 
 
 def read_hflow(hnet, text):
+    """Parse the format :func:`write_hflow` emits.  An optional `s` line
+    states the source facet's value and must match it."""
     values = [Fraction(0)] * hnet.facet_count()
     seen = set()
+    stated = stated_line = None
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
         if not line:
@@ -670,9 +631,20 @@ def read_hflow(hnet, text):
             seen.add(j)
             values[j] = x
         elif fields[0] == "s":
-            continue
+            if len(fields) != 2:
+                raise ParseError("expected `s <value>`", line_no)
+            if stated is not None:
+                raise ParseError("duplicate flow value line", line_no)
+            try:
+                stated = parse_value(fields[1])
+            except ValueError as exc:
+                raise ParseError(str(exc), line_no)
+            stated_line = line_no
         else:
             raise ParseError(f"unknown record type {fields[0]!r}", line_no)
+    if stated is not None and stated != values[hnet.t_index]:
+        raise ParseError(f"stated value {stated} does not match the source facet's value "
+                         f"{values[hnet.t_index]}", stated_line)
     return HFlow(tuple(values))
 
 
@@ -726,17 +698,10 @@ def random_hnetwork(rng, max_facets=8, max_vertices=6, max_cap=5):
                    if any(e <= set(chosen[j]) for j in range(k) if j != i))
     best = max(shared_edges(i) for i in range(k))
     t_index = rng.choice([i for i in range(k) if shared_edges(i) == best])
-    cx = OrientedComplex(2, facets)
-    t_set = cx.facet_set(t_index)
-    for j in range(k):
-        if j == t_index:
-            continue
-        shared = t_set & cx.facet_set(j)
-        if len(shared) == 2:
-            face = tuple(sorted(shared))
-            if cx.face_sign(face, j) == cx.face_sign(face, t_index):
-                f = facets[j]
-                facets[j] = (f[1], f[0], f[2])
+    _, witnesses = check_source_condition(OrientedComplex(2, facets), t_index)
+    for j, _ in witnesses:
+        f = facets[j]
+        facets[j] = (f[1], f[0], f[2])
     cx = OrientedComplex(2, facets)
     caps = {j: Fraction(rng.randint(0, max_cap)) for j in range(k) if j != t_index}
     return build_hnetwork(cx, t_index, caps)
