@@ -357,14 +357,6 @@ def write_pbm(width, height, foreground):
     return "\n".join(lines) + "\n"
 
 
-def write_poset(p):
-    lines = [f"el {e}" for e in p.elements]
-    lines.append(f"bottom {p.bottom}")
-    lines.append(f"top {p.top}")
-    lines += [f"cover {a} {b}" for (a, b) in p.covers()]
-    return "\n".join(lines) + "\n"
-
-
 def read_poset(text):
     elements = []
     pairs = []

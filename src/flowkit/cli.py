@@ -283,7 +283,8 @@ def build_parser():
     p = add("lp-dual", cmd_lp_dual,
             "emit and solve the flow LP and its dual",
             "output: primal program, dual program (sense / objective / rows "
-            "`A | b` / nonneg flags), then `primal_opt` and `dual_opt` lines.")
+            "`A | b` / a line of 1s: every variable is sign-restricted), then "
+            "`primal_opt` and `dual_opt` lines.")
     p.add_argument("network")
 
     p = add("tu-check", cmd_tu_check,

@@ -19,12 +19,11 @@ from .network import (
     InvalidFlow,
     InvariantViolation,
     NetworkError,
-    ParseError,
     ResidualGraph,
     _bfs,
     validate,
 )
-from .values import format_value, parse_value
+from .values import format_value
 
 
 class NotMaximal(NetworkError):
@@ -161,21 +160,3 @@ def write_components(components):
         verts = " ".join(str(v) for v in comp.vertices)
         lines.append(f"{comp.kind} {format_value(comp.amount)} {verts}")
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def read_components(text):
-    components = []
-    for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.strip()
-        if not line or line.startswith("c "):
-            continue
-        fields = line.split()
-        if fields[0] not in ("path", "cycle") or len(fields) < 3:
-            raise ParseError("expected `path|cycle <amount> <vertices...>`", line_no)
-        try:
-            amount = parse_value(fields[1])
-            vertices = tuple(int(x) for x in fields[2:])
-        except ValueError as exc:
-            raise ParseError(str(exc), line_no)
-        components.append(FlowComponent(fields[0], vertices, amount))
-    return components

@@ -1,7 +1,7 @@
 """Exact-rational linear programming and total unimodularity.
 
 A program reads `max c.x : Ax <= b` (``max``) or `min c.x : Ax >= b`
-(``min``); per-variable flags mark which variables are sign-restricted.
+(``min``), and every variable is sign-restricted, x >= 0.
 :func:`simplex_solve` hands it to :func:`solve_standard`, which solves the
 bounded form `max c.x : Ux <= b, Ex = b, 0 <= x <= u` with a dense tableau
 simplex and Bland's anti-cycling rule.  Single-variable rows become bounds
@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .network import Cut, InvariantViolation, ParseError, cut_capacity, incidence_matrix
-from .values import exact, format_value, is_unbounded, parse_value, scaled
+from .values import exact, format_value, is_unbounded, scaled
 
 
 class Malformed(Exception):
@@ -44,14 +44,11 @@ class LinearProgram:
     objective: tuple
     rows: tuple               # constraint matrix, one tuple per row
     bounds: tuple             # right-hand sides
-    nonneg: tuple             # True where the variable is sign-restricted
 
     def __post_init__(self):
         if self.sense not in ("max", "min"):
             raise Malformed(f"unknown sense {self.sense!r}")
         n = len(self.objective)
-        if len(self.nonneg) != n:
-            raise Malformed("nonneg flags do not match the variable count")
         if len(self.rows) != len(self.bounds):
             raise Malformed("row/bound count mismatch")
         for row in self.rows:
@@ -66,14 +63,12 @@ class LPResult:
     value: Fraction | None
 
 
-def make_lp(sense, objective, rows, bounds, nonneg=None):
+def make_lp(sense, objective, rows, bounds):
     """A :class:`LinearProgram` of exact values; see :func:`exact`."""
     objective = tuple(map(exact, objective))
-    if nonneg is None:
-        nonneg = (True,) * len(objective)
     rows = tuple(tuple(map(exact, row)) for row in rows)
     bounds = tuple(map(exact, bounds))
-    return LinearProgram(sense, objective, rows, bounds, tuple(bool(x) for x in nonneg))
+    return LinearProgram(sense, objective, rows, bounds)
 
 
 # -- simplex core ----------------------------------------------------------
@@ -291,27 +286,19 @@ def solve_standard(objective, ub_rows=(), ub_bounds=(), eq_rows=(), eq_bounds=()
 def simplex_solve(lp):
     """Solve an inequality-form program exactly.
 
-    Free variables are split into differences of sign-restricted pairs;
-    ``min`` programs are negated into ``max`` form.  The result carries an
-    exact optimal point (in the program's own variables) or the correct
-    unbounded/infeasible status.
+    A ``min`` program is negated as a whole into ``max`` form.  The result
+    carries an exact optimal point or the correct unbounded/infeasible
+    status.
     """
     maximize = lp.sense == "max"
-    # column (j, s) carries s * x_j; a min program is negated as a whole
-    cols = [(j, s) for j, nonneg in enumerate(lp.nonneg) for s in ((1,) if nonneg else (1, -1))]
-    flips = [(j, (s > 0) != maximize) for (j, s) in cols]
 
     def signed(row):  # zeros pass through instead of being negated into new Fractions
-        return [-row[j] if flip and row[j] else row[j] for (j, flip) in flips]
+        return row if maximize else [-x if x else x for x in row]
 
-    bounds = list(lp.bounds) if maximize else [-b if b else b for b in lp.bounds]
-    status, xhat = solve_standard(signed(lp.objective), ub_rows=[signed(row) for row in lp.rows],
-                                  ub_bounds=bounds)
+    status, point = solve_standard(signed(lp.objective), ub_rows=[signed(row) for row in lp.rows],
+                                   ub_bounds=signed(lp.bounds))
     if status != "optimal":
         return LPResult(status, None, None)
-    point = [Fraction(0)] * len(lp.objective)
-    for (j, s), x in zip(cols, xhat):
-        point[j] += s * x
     value = sum((c * x for c, x in zip(lp.objective, point)), Fraction(0))
     return LPResult("optimal", tuple(point), value)
 
@@ -342,54 +329,36 @@ def build_primal(net):
 def build_dual(lp):
     """Mechanical dual of a standard-form max program:
     min b.y : A^T y >= c, y >= 0."""
-    if lp.sense != "max" or not all(lp.nonneg):
-        raise Malformed("mechanical dual expects `max` with all variables sign-restricted")
+    if lp.sense != "max":
+        raise Malformed("mechanical dual expects a `max` program")
     n = len(lp.objective)
     transposed = [tuple(row[j] for row in lp.rows) for j in range(n)]
     return make_lp("min", lp.bounds, transposed, lp.objective)
 
 
-def build_reduced_dual(net):
-    """Dual in its collapsed form: one free variable per internal vertex,
-    one sign-restricted variable per arc, with the source pinned at -1 and
-    the sink at 0 (folded into the right-hand sides)."""
-    if any(is_unbounded(c) for c in net.capacities()):
-        raise Malformed("reduced dual requires finite capacities")
-    internal = net.vertex_order()[1:-1]
-    vcol = {v: i for i, v in enumerate(internal)}
-    nv, m = len(internal), net.m
-    rows = []
-    bounds = []
-    for k, (u, w) in enumerate(net.arcs):
-        row = [Fraction(0)] * (nv + m)
-        if u in vcol:
-            row[vcol[u]] = Fraction(1)
-        if w in vcol:
-            row[vcol[w]] = Fraction(-1)
-        row[nv + k] = Fraction(1)
-        rows.append(row)
-        bounds.append(Fraction(1) if u == net.source else Fraction(0))
-    objective = [Fraction(0)] * nv + [Fraction(c) for c in net.capacities()]
-    nonneg = [False] * nv + [True] * m
-    return make_lp("min", objective, rows, bounds, nonneg)
-
-
 @dataclass(frozen=True)
 class DualPoint:
-    """Point of the reduced dual: a potential per vertex (source fixed at
-    -1, sink at 0) and a non-negative value per arc."""
+    """Dual point in potential form: a potential per vertex (source fixed
+    at -1, sink at 0) and a non-negative value per arc."""
 
     v: dict
     e: tuple
 
 
-def reduced_dual_point(net, point):
-    """Interpret an optimal point of :func:`build_reduced_dual` as a DualPoint."""
+def dual_point(net, point):
+    """Read an optimal point of ``build_dual(build_primal(net))`` as a
+    :class:`DualPoint`.  Internal vertex i has the multipliers y+_i and y-_i
+    of its two conservation rows and gets the potential y+_i - y-_i; each
+    capacity row's multiplier goes to its arc, and an arc with no capacity
+    row (UNBOUNDED) gets 0."""
     internal = net.vertex_order()[1:-1]
+    k = len(internal)
     v = {net.source: Fraction(-1), net.sink: Fraction(0)}
     for i, vertex in enumerate(internal):
-        v[vertex] = point[i]
-    return DualPoint(v, tuple(point[len(internal):]))
+        v[vertex] = point[i] - point[k + i]
+    capacity_rows = iter(point[2 * k:])
+    e = tuple(Fraction(0) if is_unbounded(c) else next(capacity_rows) for c in net.capacities())
+    return DualPoint(v, e)
 
 
 def dual_from_cut(net, cut):
@@ -519,33 +488,8 @@ def write_lp(lp):
     lines = [lp.sense, " ".join(format_value(x) for x in lp.objective)]
     for row, b in zip(lp.rows, lp.bounds):
         lines.append(" ".join(format_value(x) for x in row) + " | " + format_value(b))
-    lines.append(" ".join("1" if flag else "0" for flag in lp.nonneg))
+    lines.append(" ".join("1" for _ in lp.objective))  # every variable is sign-restricted
     return "\n".join(lines) + "\n"
-
-
-def read_lp(text):
-    """Parse the format :func:`write_lp` emits; a ParseError names the line."""
-    lines = [(k, ln.strip()) for k, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
-    if len(lines) < 3:
-        raise ParseError("expected sense, objective, and nonneg lines")
-    (sense_no, sense), (line_no, obj), *constraints, (flags_no, flags) = lines
-    if sense not in ("max", "min"):
-        raise ParseError(f"unknown sense {sense!r}", sense_no)
-    rows = []
-    bounds = []
-    try:
-        objective = [parse_value(tok) for tok in obj.split()]
-        for line_no, ln in constraints:
-            if ln.count("|") != 1:
-                raise ParseError(f"constraint row needs exactly one `|`: {ln!r}", line_no)
-            left, right = ln.split("|")
-            rows.append([parse_value(tok) for tok in left.split()])
-            bounds.append(parse_value(right.strip()))
-    except ValueError as exc:
-        raise ParseError(str(exc), line_no)
-    if any(tok not in ("0", "1") for tok in flags.split()):
-        raise ParseError(f"nonneg flags must be 0 or 1: {flags!r}", flags_no)
-    return make_lp(sense, objective, rows, bounds, [tok == "1" for tok in flags.split()])
 
 
 def read_matrix(text):
@@ -561,7 +505,3 @@ def read_matrix(text):
         if len(rows) > 1 and len(rows[-1]) != len(rows[0]):
             raise ParseError("ragged matrix row", line_no)
     return rows
-
-
-def write_matrix(matrix):
-    return "\n".join(" ".join(str(x) for x in row) for row in matrix) + "\n"

@@ -304,10 +304,6 @@ class FlowAssignment:
         return f"FlowAssignment(role={self.role}, {nonzero})"
 
 
-def zero_flow(role="flow"):
-    return FlowAssignment({}, role)
-
-
 @dataclass(frozen=True)
 class Cut:
     """Two-block vertex partition given by its source side."""

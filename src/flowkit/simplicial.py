@@ -606,48 +606,6 @@ def write_hflow(hnet, flow):
     return "\n".join(lines) + "\n"
 
 
-def read_hflow(hnet, text):
-    """Parse the format :func:`write_hflow` emits.  An optional `s` line
-    states the source facet's value and must match it."""
-    values = [Fraction(0)] * hnet.facet_count()
-    seen = set()
-    stated = stated_line = None
-    for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.strip()
-        if not line:
-            continue
-        fields = line.split()
-        if fields[0] == "hf":
-            if len(fields) != 3:
-                raise ParseError("expected `hf <facet-index> <value>`", line_no)
-            try:
-                j, x = int(fields[1]), parse_value(fields[2])
-            except ValueError as exc:
-                raise ParseError(str(exc), line_no)
-            if not 0 <= j < len(values):
-                raise ParseError(f"no facet with index {j}", line_no)
-            if j in seen:
-                raise ParseError(f"duplicate value for facet {j}", line_no)
-            seen.add(j)
-            values[j] = x
-        elif fields[0] == "s":
-            if len(fields) != 2:
-                raise ParseError("expected `s <value>`", line_no)
-            if stated is not None:
-                raise ParseError("duplicate flow value line", line_no)
-            try:
-                stated = parse_value(fields[1])
-            except ValueError as exc:
-                raise ParseError(str(exc), line_no)
-            stated_line = line_no
-        else:
-            raise ParseError(f"unknown record type {fields[0]!r}", line_no)
-    if stated is not None and stated != values[hnet.t_index]:
-        raise ParseError(f"stated value {stated} does not match the source facet's value "
-                         f"{values[hnet.t_index]}", stated_line)
-    return HFlow(tuple(values))
-
-
 # -- randomized probe for the open converse ------------------------------------
 
 

@@ -23,7 +23,6 @@ from flowkit.apps import (
     segmentation_score,
     uniform_penalty,
     write_pbm,
-    write_poset,
     _matching_network,
 )
 from flowkit.network import ParseError, cut_capacity, make_cut
@@ -168,11 +167,12 @@ def test_pgm_errors():
         read_pgm("P2\n2 1\n255\n0\n")
 
 
-def test_poset_format_round_trip(rng):
-    p = _random_bounded_poset(rng, max_mid=5)
-    again = read_poset(write_poset(p))
-    assert set(again.covers()) == set(p.covers())
-    assert again.bottom == p.bottom and again.top == p.top
+def test_poset_format_round_trip():
+    # `cover bot c` is implied by bot < a < c, so it is no cover
+    p = read_poset("# a diamond\nel bot\nel a\nel b\n\nel c\nbottom bot\ntop c\n"
+                   "cover bot a\ncover bot b\ncover a c\ncover b c\ncover bot c\n")
+    assert p.covers() == [("bot", "a"), ("bot", "b"), ("a", "c"), ("b", "c")]
+    assert p.bottom == "bot" and p.top == "c"
 
 
 def test_bipartite_format():

@@ -9,9 +9,7 @@ from flowkit.decompose import (
     NotMaximal,
     decompose,
     min_cut_from_flow,
-    read_components,
     recover_flow,
-    write_components,
 )
 from flowkit.network import (
     FlowAssignment,
@@ -21,7 +19,6 @@ from flowkit.network import (
     cut_capacity,
     net_flow,
     validate,
-    zero_flow,
 )
 from flowkit.solvers import (
     InvariantViolation,
@@ -35,7 +32,7 @@ from flowkit.values import UNBOUNDED
 
 
 def test_zero_flow_decomposes_to_nothing(g1):
-    assert decompose(g1, zero_flow()) == []
+    assert decompose(g1, FlowAssignment()) == []
 
 
 def test_single_saturated_arc(single_arc):
@@ -94,10 +91,10 @@ def test_min_cut_equals_value(rng):
 
 def test_min_cut_rejects_non_maximal(g1):
     with pytest.raises(NotMaximal) as err:
-        min_cut_from_flow(g1, zero_flow())
+        min_cut_from_flow(g1, FlowAssignment())
     path = err.value.path
     assert path[0] == g1.source and path[-1] == g1.sink
-    res = ResidualGraph(g1, zero_flow())
+    res = ResidualGraph(g1, FlowAssignment())
     assert all(res.capacity(path[i], path[i + 1]) > 0 for i in range(len(path) - 1))
 
 
@@ -184,10 +181,3 @@ def test_recover_reports_an_invalid_result(monkeypatch):
                 hochbaum_maxflow(net)
         assert err.value.invariant == "certificate"
         assert "conservation" in {kind for kind, _ in err.value.violations}
-
-
-def test_component_serialization_round_trip(rng):
-    net, _ = make_random_network(rng)
-    comps = decompose(net, edmonds_karp(net).flow)
-    text = write_components(comps)
-    assert read_components(text) == comps

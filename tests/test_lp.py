@@ -13,23 +13,19 @@ from flowkit.lp import (
     Malformed,
     build_dual,
     build_primal,
-    build_reduced_dual,
     cut_from_dual,
     det_int,
     dual_from_cut,
     dual_objective,
+    dual_point,
     dual_violations,
     is_totally_unimodular,
     make_lp,
-    read_lp,
     read_matrix,
-    reduced_dual_point,
     simplex_solve,
     solve_standard,
-    write_lp,
-    write_matrix,
 )
-from flowkit.network import ParseError, all_cuts, cut_capacity
+from flowkit.network import all_cuts, build_network, cut_capacity
 from flowkit.solvers import edmonds_karp
 from flowkit.values import UNBOUNDED
 from oracles import determinant_by_permutations, ghouila_houri_tu, min_cut_by_enumeration
@@ -150,8 +146,7 @@ def test_a_repeated_bound_flip_is_a_typed_error(monkeypatch):
 
 def test_malformed_dimensions():
     with pytest.raises(Malformed):
-        LinearProgram("max", (Fraction(1),), ((Fraction(1), Fraction(2)),),
-                      (Fraction(1),), (True,))
+        LinearProgram("max", (Fraction(1),), ((Fraction(1), Fraction(2)),), (Fraction(1),))
 
 
 def test_simplex_against_vertex_enumeration(rng):
@@ -278,9 +273,6 @@ def test_dual_single_arc(single_arc):
     dual = build_dual(build_primal(single_arc))
     res = simplex_solve(dual)
     assert res.value == 5
-    reduced = build_reduced_dual(single_arc)
-    assert simplex_solve(reduced).value == 5
-    assert reduced.bounds == (1,)  # e >= 1 collapsed across the direct arc
 
 
 def test_weak_duality(rng):
@@ -330,12 +322,18 @@ def test_cut_from_dual_round_trip(rng):
 
 
 def test_cut_from_dual_on_optimal_point(rng, single_arc):
-    point = reduced_dual_point(single_arc, simplex_solve(build_reduced_dual(single_arc)).point)
-    assert cut_from_dual(single_arc, point).source_side == {1}
+    optimum = simplex_solve(build_dual(build_primal(single_arc))).point
+    assert cut_from_dual(single_arc, dual_point(single_arc, optimum)).source_side == {1}
+    # build_primal writes no capacity row for the UNBOUNDED arc, which gets e = 0
+    net = build_network(3, 1, 3, [(1, 2, 4), (2, 3, UNBOUNDED)])
+    point = dual_point(net, simplex_solve(build_dual(build_primal(net))).point)
+    assert point.e == (1, 0) and dual_violations(net, point) == []
+    assert dual_objective(net, point) == 4
+    assert cut_from_dual(net, point).source_side == {1}
     for _ in range(15):
         net, _ = make_random_network(rng, max_n=6)
-        res = simplex_solve(build_reduced_dual(net))
-        point = reduced_dual_point(net, res.point)
+        res = simplex_solve(build_dual(build_primal(net)))
+        point = dual_point(net, res.point)
         cut = cut_from_dual(net, point)
         assert cut_capacity(net, cut) == edmonds_karp(net).value
 
@@ -409,30 +407,13 @@ def test_det_int(rng):
 # -- serialization ---------------------------------------------------------------
 
 
-def test_lp_round_trip(g1):
-    for lp in (build_primal(g1), build_dual(build_primal(g1)), build_reduced_dual(g1)):
-        assert read_lp(write_lp(lp)) == lp
-
-
-@pytest.mark.parametrize("text, line_no", [
-    ("max\n1 2\n\n1 1 | 4\nx 1\n", 5),          # a flag that is neither 0 nor 1
-    ("max\n1 2\n1 1 | 4 | 5\n1 1\n", 3),         # two bars in one row
-    ("min\n1 2\n1 1 | 4\n1 two | 3\n1 1\n", 4),  # a number that does not parse
-], ids=["nonneg-flag", "two-bars", "bad-number"])
-def test_read_lp_reports_the_line(text, line_no):
-    with pytest.raises(ParseError) as info:
-        read_lp(text)
-    assert info.value.line_no == line_no
-
-
 def test_make_lp_refuses_floats():
     with pytest.raises(TypeError):
         make_lp("max", [0.1], [[1]], [1])
 
 
 def test_matrix_round_trip():
-    m = [[1, -1, 0], [0, 1, 1]]
-    assert read_matrix(write_matrix(m)) == m
+    assert read_matrix("# a comment\n1 -1 0\n\n 0 1  1\n") == [[1, -1, 0], [0, 1, 1]]
 
 
 def test_cut_from_dual_on_fractional_points(rng):

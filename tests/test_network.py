@@ -26,7 +26,6 @@ from flowkit.network import (
     validate,
     write_dimacs,
     write_flow,
-    zero_flow,
 )
 from flowkit.solvers import edmonds_karp
 from flowkit.values import UNBOUNDED
@@ -113,7 +112,7 @@ def test_incidence_against_definition_and_zero_columns(rng):
 
 
 def test_zero_flow_is_valid(g1):
-    assert validate(g1, zero_flow(), "flow") == []
+    assert validate(g1, FlowAssignment(), "flow") == []
 
 
 def test_initial_preflow_is_valid(g1):
@@ -148,7 +147,7 @@ def test_flow_assignment_refuses_a_float():
 
 
 def test_net_flow_trivia(single_arc):
-    assert net_flow(single_arc, zero_flow()) == 0
+    assert net_flow(single_arc, FlowAssignment()) == 0
     full = FlowAssignment({(1, 2): Fraction(5)})
     assert net_flow(single_arc, full) == 5
 
@@ -165,7 +164,7 @@ def test_flow_across_every_cut_equals_net_flow(rng):
         value = net_flow(net, flow)
         for cut in all_cuts(net):
             assert flow_across_cut(net, flow, cut) == value
-            assert flow_across_cut(net, zero_flow(), cut) == 0
+            assert flow_across_cut(net, FlowAssignment(), cut) == 0
 
 
 def test_cut_capacity_dominates_flow(rng):
@@ -185,7 +184,7 @@ def test_cut_of_source_alone(single_arc):
 
 
 def test_residual_of_zero_flow(g1):
-    res = ResidualGraph(g1, zero_flow())
+    res = ResidualGraph(g1, FlowAssignment())
     assert set(res.arcs) == set(g1.arcs)
     assert all(res.capacity(u, v) == g1.capacity(u, v) for (u, v) in g1.arcs)
 

@@ -12,7 +12,6 @@ from conftest import make_random_network
 from flowkit.lp import is_totally_unimodular
 from flowkit.network import (
     InvariantViolation,
-    ParseError,
     all_cuts,
     build_network,
     cut_capacity,
@@ -43,11 +42,9 @@ from flowkit.simplicial import (
     network_as_hnetwork,
     probe_instances,
     random_hnetwork,
-    read_hflow,
     read_hnet,
     residual_complex,
     tu_certificate_via_tree,
-    write_hflow,
     write_hnet,
     write_probe_report,
 )
@@ -378,11 +375,6 @@ def test_hnet_round_trip(tetra_net, double_net, rng):
         assert read_hnet(write_hnet(hnet)) == hnet
 
 
-def test_hflow_round_trip(tetra_net):
-    flow = hmaxflow_lp(tetra_net).flow
-    assert read_hflow(tetra_net, write_hflow(tetra_net, flow)) == flow
-
-
 def test_probe_runs_and_reverifies():
     report = conjecture_probe(99, 40)
     assert len(report.records) == 40
@@ -478,29 +470,6 @@ def test_min_cut_capacity_attained_on_sphere_fixtures(tetra_net, double_net):
             if not is_unbounded(cap) and (best is None or cap < best):
                 best = cap
         assert best == hmaxflow_lp(hnet).value
-
-
-@pytest.mark.parametrize("text, line", [
-    ("hf -1 1\n", 1),              # would silently set the source facet
-    ("hf 0 1\nhf 4 1\n", 2),        # tetra has facets 0..3
-    ("hf 0 1\n\nhf 0 1\n", 3),      # duplicate: the last one would win
-])
-def test_read_hflow_rejects_bad_facet_indices(tetra_net, text, line):
-    with pytest.raises(ParseError) as err:
-        read_hflow(tetra_net, text)
-    assert err.value.line_no == line
-
-
-@pytest.mark.parametrize("text, line", [
-    ("hf 0 1\nhf 3 1\ns abc\n", 3),        # not a rational
-    ("hf 0 1\nhf 3 1\ns 1\ns 1\n", 4),     # a second value line
-    ("hf 0 1\nhf 3 1\ns 7\n", 3),          # not the source facet's value
-    ("hf 0 1\ns 1\n", 2),                  # the source facet is 0 when unlisted
-])
-def test_read_hflow_rejects_a_bad_value_line(tetra_net, text, line):
-    with pytest.raises(ParseError) as err:
-        read_hflow(tetra_net, text)
-    assert err.value.line_no == line
 
 
 def test_augmentation_fixpoint_is_the_lp_optimum():
