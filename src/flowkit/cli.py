@@ -119,14 +119,14 @@ def cmd_lp_dual(args):
     net = network.read_dimacs(_read(args.network))
     primal = lp.build_primal(net)
     dual = lp.build_dual(primal)
-    p_res = lp.simplex_solve(primal)
-    d_res = lp.simplex_solve(dual)
+    result = lp.simplex_solve(primal)
+    if result.status != "optimal":  # capacities are finite and the zero flow is feasible
+        raise network.InvariantViolation("feasible zero flow", "lp-dual", [result.status])
+    dual_value = lp.certify(primal, result)
     text = lp.write_lp(primal) + "\n" + lp.write_lp(dual)
-    for label, res in (("primal_opt", p_res), ("dual_opt", d_res)):
-        value = format_value(res.value) if res.status == "optimal" else res.status
-        text += f"{label} {value}\n"
+    text += f"primal_opt {format_value(result.value)}\ndual_opt {format_value(dual_value)}\n"
     _emit(args, text)
-    return 0 if p_res.status == "optimal" and d_res.status == "optimal" else 1
+    return 0
 
 
 def cmd_tu_check(args):
@@ -281,10 +281,14 @@ def build_parser():
     p.add_argument("--allow-antiparallel", action="store_true")
 
     p = add("lp-dual", cmd_lp_dual,
-            "emit and solve the flow LP and its dual",
-            "output: primal program, dual program (sense / objective / rows "
-            "`A | b` / a line of 1s: every variable is sign-restricted), then "
-            "`primal_opt` and `dual_opt` lines.")
+            "emit the flow LP and its dual, with their certified optima",
+            "output: primal program, dual program (sense / objective / rows\n"
+            "`A | b` / a line of 1s: every variable is sign-restricted), then\n"
+            "`primal_opt` and `dual_opt` lines.  One simplex solve gives both:\n"
+            "`dual_opt` is b.y of the row multipliers y read off the primal's\n"
+            "final basis, printed once `lp.certify` has checked y >= 0,\n"
+            "A^T y >= c and b.y = c.x against the primal point.  The dual\n"
+            "program is printed, not solved.")
     p.add_argument("network")
 
     p = add("tu-check", cmd_tu_check,

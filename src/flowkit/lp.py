@@ -2,17 +2,25 @@
 
 A program reads `max c.x : Ax <= b` (``max``) or `min c.x : Ax >= b`
 (``min``), and every variable is sign-restricted, x >= 0.
-:func:`simplex_solve` hands it to :func:`solve_standard`, which solves the
-bounded form `max c.x : Ux <= b, Ex = b, 0 <= x <= u` with a dense tableau
-simplex and Bland's anti-cycling rule.  Single-variable rows become bounds
-kept out of the tableau, and opposite row pairs become equalities, so the
-maximum-flow programs `[A; -A; I] x <= [0; 0; cap]` are solved as
-`A x = 0, 0 <= x <= cap`.  The tableau is Python ints over one common
-denominator, pivoted by the integer-preserving step `det_int` also uses,
-and each row enters it through :func:`flowkit.values.scaled`, the one LCM
-scaling, shared with the residual graph and the cycle LP.  `Fraction`s
-appear only in the inputs and the optimal point, and every duality
-assertion in the test-suite is exact rather than tolerance-based.
+:func:`simplex_solve` hands it to the simplex of :func:`solve_standard`,
+which solves the bounded form `max c.x : Ux <= b, Ex = b, 0 <= x <= u`
+with a dense tableau and Bland's anti-cycling rule.  Single-variable rows
+become bounds kept out of the tableau, and opposite row pairs become
+equalities, so the maximum-flow programs `[A; -A; I] x <= [0; 0; cap]`
+are solved as `A x = 0, 0 <= x <= cap`.  The tableau is Python ints over
+one common denominator, pivoted by the integer-preserving step `det_int`
+also uses, and each row enters it through :func:`flowkit.values.scaled`,
+the one LCM scaling, shared with the residual graph and the cycle LP.
+`Fraction`s appear only in the inputs, the optimal point and its
+multipliers, and every duality assertion in the test-suite is exact
+rather than tolerance-based.
+
+One solve gives a certified pair: :func:`simplex_solve` also reads one
+multiplier per row off the final objective row, and :func:`certify`
+checks x, y and b.y = c.x in one pass over the cells.  `lp-dual` prints
+that dual value instead of solving :func:`build_dual`'s program again.
+:func:`solve_standard`, which the complex layer calls, returns the point
+only and reads no multipliers.
 """
 
 from __future__ import annotations
@@ -58,9 +66,13 @@ class LinearProgram:
 
 @dataclass
 class LPResult:
+    """A solve's status and, when it is optimal, its point x, the value
+    c.x and the multipliers y of the rows (see :func:`certify`)."""
+
     status: str               # "optimal" | "unbounded" | "infeasible"
     point: tuple | None
     value: Fraction | None
+    dual: tuple | None = None
 
 
 def make_lp(sense, objective, rows, bounds):
@@ -192,13 +204,24 @@ def solve_standard(objective, ub_rows=(), ub_bounds=(), eq_rows=(), eq_bounds=()
     pivot of the rational tableau, provided phase 1 charges artificial i the
     reciprocal of its row's scale.
     """
+    status, point, _ = _simplex(objective, ub_rows, ub_bounds, eq_rows, eq_bounds, upper)
+    return status, point
+
+
+def _simplex(objective, ub_rows=(), ub_bounds=(), eq_rows=(), eq_bounds=(), upper=()):
+    """:func:`solve_standard`'s simplex.  Returns (status, point, dual):
+    `dual` is None unless the status is optimal, and otherwise a function
+    that reads the final basis's multipliers (:func:`_final_dual`), so that
+    a caller who does not ask for them pays nothing."""
     nvars = len(objective)
     bound = [None if is_unbounded(u) else u for u in upper] + [None] * (nvars - len(upper))
     if any(u is not None and u < 0 for u in bound):
-        return "infeasible", None
-    entries = []   # [scaled row with its bound, scale, is an equality]
-    unpaired = {}  # ub rows by their scaled ints, waiting for their opposite
-    for row, b in zip(ub_rows, ub_bounds):
+        return "infeasible", None, None
+    # [scaled row with its bound, scale, is an equality, row index, opposite row index]
+    entries = []
+    unpaired = {}    # ub rows by their scaled ints, waiting for their opposite
+    bound_rows = {}  # variable -> index of the ub row its bound came from
+    for k, (row, b) in enumerate(zip(ub_rows, ub_bounds)):
         full, lam = scaled(list(row) + [b])
         nonzero = [j for j in range(nvars) if full[j]]
         if len(nonzero) == 1 and full[nonzero[0]] > 0 and full[-1] >= 0:
@@ -206,25 +229,27 @@ def solve_standard(objective, ub_rows=(), ub_bounds=(), eq_rows=(), eq_bounds=()
             u = Fraction(full[-1], full[j])
             if bound[j] is None or u < bound[j]:
                 bound[j] = u
+                bound_rows[j] = k
             continue
         twin = unpaired.pop(tuple(-x for x in full), None)
         if twin is not None:
             twin[2] = True
+            twin[4] = k
             continue
-        entry = [full, lam, False]
+        entry = [full, lam, False, k, None]
         unpaired.setdefault(tuple(full), entry)
         entries.append(entry)
-    for row, b in zip(eq_rows, eq_bounds):
-        entries.append([*scaled(list(row) + [b]), True])
+    for k, (row, b) in enumerate(zip(eq_rows, eq_bounds), start=len(ub_rows)):
+        entries.append([*scaled(list(row) + [b]), True, k, None])
 
     rhs_scale = math.lcm(*(u.denominator for u in bound if u is not None))
-    nslack = sum(1 for _, _, eq in entries if not eq)
+    nslack = sum(1 for entry in entries if not entry[2])
     free_units = None  # structural unit columns: no bound, one nonzero
     tableau = []
     basis = []
     art_scales = {}
     slacks = nvars
-    for full, lam, eq in entries:
+    for full, lam, eq, _, _ in entries:
         sign = -1 if full[-1] < 0 else 1
         row = [sign * x for x in full[:-1]] + [0] * nslack
         row.append(sign * full[-1] * rhs_scale)
@@ -250,7 +275,7 @@ def solve_standard(objective, ub_rows=(), ub_bounds=(), eq_rows=(), eq_bounds=()
     limits += [None] * (total - nvars)
     flipped = set()
 
-    costs, _ = scaled(objective)
+    costs, cost_scale = scaled(objective)
     obj_rows = [costs + [0] * (total - nvars + 1)]
     if any(row[-1] > 0 for row, col in zip(tableau, basis) if col in art_scales):
         unit = math.lcm(*art_scales.values())
@@ -259,6 +284,7 @@ def solve_standard(objective, ub_rows=(), ub_bounds=(), eq_rows=(), eq_bounds=()
             obj_rows[0][art] = -(unit // lam)
     for row, col in zip(tableau, basis):  # price out the unit starting basis
         _pivot(obj_rows, row, col, 1)
+    starts = basis[:]
 
     d = 1
     if len(obj_rows) == 2:
@@ -266,41 +292,136 @@ def solve_standard(objective, ub_rows=(), ub_bounds=(), eq_rows=(), eq_bounds=()
         if status != "optimal":  # phase 1 is bounded by zero
             raise InvariantViolation("phase 1", "simplex", [status])
         if obj_rows[0][-1] != 0:
-            return "infeasible", None
+            return "infeasible", None, None
     for art in art_scales:
         limits[art] = 0
 
     active = range(nvars + nslack)
     status, d = _bland_loop(tableau, basis, obj_rows[-1:], active, d, limits, flipped)
     if status == "unbounded":
-        return "unbounded", None
+        return "unbounded", None, None
     scale = d * rhs_scale
     point = [Fraction(limits[j], rhs_scale) if j in flipped else Fraction(0) for j in range(nvars)]
     for row, col in zip(tableau, basis):
         if col < nvars:
             x = row[-1]
             point[col] = Fraction(limits[col] * d - x if col in flipped else x, scale)
-    return "optimal", point
+    nrows = len(ub_rows) + len(eq_rows)
+    return "optimal", point, lambda: _final_dual(
+        obj_rows[-1], d, cost_scale, costs, flipped, entries, starts, bound_rows, ub_rows,
+        nrows, len(upper))
+
+
+def _final_dual(obj, d, cost_scale, costs, flipped, entries, starts, bound_rows, ub_rows,
+                nrows, nupper):
+    """The multipliers of an optimal basis: one per ub row, then one per eq
+    row, then one per entry of `upper`.
+
+    `obj` is the final objective row: d times the reduced costs of the
+    scaled tableau, whose costs are `costs`, the objective times its LCM.
+    Entry i's multiplier y'_i in that tableau is read off its start column,
+    whose reduced cost is -y'_i (its slack or its artificial, cost 0),
+    y'_i (an artificial that left at its bound 0, complemented) or its cost
+    minus y'_i (a structural unit column).  Undoing the row's sign flip and
+    its LCM, and dividing by the cost LCM, gives the input row's
+    multiplier.  An opposite pair read as one equality splits its free
+    multiplier y into max(y, 0) and max(-y, 0).  A variable complemented at
+    its bound gives its reduced cost to that bound: to the `upper` entry, or
+    divided by the row's coefficient to the singleton row the bound was
+    read from.  So y >= 0 except on eq rows, A^T y >= objective with the
+    bounds as rows, and b.y is the optimum (Chvatal, *Linear Programming*
+    (1983), ch. 10).
+    """
+    y = [Fraction(0)] * (nrows + nupper)
+    denominator = d * cost_scale
+    for (full, lam, _, k, twin), col in zip(entries, starts):
+        r = obj[col]
+        if col < len(costs):
+            r -= d * costs[col]
+        elif col in flipped:
+            r = -r
+        # r = -d y'_i; the input row's multiplier is y'_i times its sign and
+        # LCM over the cost LCM
+        sign = -1 if full[-1] < 0 else 1
+        value = Fraction(-sign * r * lam, denominator)
+        if twin is None or value > 0:
+            y[k] = value
+        else:
+            y[twin] = -value
+    for j in flipped:
+        if j < len(costs):  # a structural column; artificials are complemented at 0
+            k = bound_rows.get(j)
+            if k is None:
+                y[nrows + j] = Fraction(-obj[j], denominator)
+            else:
+                y[k] = Fraction(-obj[j], denominator) / ub_rows[k][j]
+    return y
 
 
 def simplex_solve(lp):
     """Solve an inequality-form program exactly.
 
-    A ``min`` program is negated as a whole into ``max`` form.  The result
-    carries an exact optimal point or the correct unbounded/infeasible
-    status.
+    A ``min`` program is negated as a whole into ``max`` form, which
+    leaves its multipliers as they are.  The result carries the correct
+    unbounded/infeasible status, or an exact optimal point and one
+    multiplier per row read off the same final basis; :func:`certify`
+    checks the pair.
     """
     maximize = lp.sense == "max"
 
     def signed(row):  # zeros pass through instead of being negated into new Fractions
         return row if maximize else [-x if x else x for x in row]
 
-    status, point = solve_standard(signed(lp.objective), ub_rows=[signed(row) for row in lp.rows],
+    status, point, dual = _simplex(signed(lp.objective), ub_rows=[signed(row) for row in lp.rows],
                                    ub_bounds=signed(lp.bounds))
     if status != "optimal":
         return LPResult(status, None, None)
     value = sum((c * x for c, x in zip(lp.objective, point)), Fraction(0))
-    return LPResult("optimal", tuple(point), value)
+    return LPResult("optimal", tuple(point), value, tuple(dual()))
+
+
+def certify(lp, result):
+    """Check an optimal result of `lp` in one pass over its cells and
+    return the dual value b.y.
+
+    The point x must satisfy x >= 0 and the rows (Ax <= b, or Ax >= b for
+    ``min``), the multipliers y >= 0 and A^T y >= c (<= c for ``min``), and
+    b.y must equal c.x, which proves both optimal.  Anything else raises
+    :class:`InvariantViolation` ("lp certificate").
+    """
+    x, y = result.point, result.dual
+    if result.status != "optimal":
+        raise InvariantViolation("lp certificate", "status", [result.status])
+    if x is None or y is None or len(x) != len(lp.objective) or len(y) != len(lp.rows):
+        raise InvariantViolation("lp certificate", "shape", [("point", x), ("dual", y)])
+    sense = 1 if lp.sense == "max" else -1
+    xs, dx = scaled(x)  # x = xs / dx, and so on for y, b and c, so that the cells multiply ints
+    ys, dy = scaled(y)
+    bs, db = scaled(lp.bounds)
+    cs, dc = scaled(lp.objective)
+    bad = [("negative variable", j) for j, v in enumerate(xs) if v < 0]
+    bad += [("negative multiplier", i) for i, v in enumerate(ys) if v < 0]
+    columns = [0] * len(x)  # dy A^T y
+    for i, (row, b, yi) in enumerate(zip(lp.rows, bs, ys)):
+        activity = 0  # dx A_i x
+        for j, a in enumerate(row):
+            if a:
+                if a.denominator == 1:  # as in the flow programs: an int multiplies ints
+                    a = a.numerator
+                activity += a * xs[j]
+                if yi:
+                    columns[j] += a * yi
+        if sense * (b * dx - activity * db) < 0:
+            bad.append(("row", i))
+    bad += [("dual row", j) for j, (col, c) in enumerate(zip(columns, cs))
+            if sense * (col * dc - c * dy) < 0]
+    dual_value = Fraction(sum(b * v for b, v in zip(bs, ys)), db * dy)
+    primal_value = Fraction(sum(c * v for c, v in zip(cs, xs)), dc * dx)
+    if not dual_value == primal_value == result.value:
+        bad.append(("objectives", dual_value, primal_value, result.value))
+    if bad:
+        raise InvariantViolation("lp certificate", "certify", bad)
+    return dual_value
 
 
 # -- the maximum-flow program and its dual ---------------------------------
@@ -346,11 +467,12 @@ class DualPoint:
 
 
 def dual_point(net, point):
-    """Read an optimal point of ``build_dual(build_primal(net))`` as a
-    :class:`DualPoint`.  Internal vertex i has the multipliers y+_i and y-_i
-    of its two conservation rows and gets the potential y+_i - y-_i; each
-    capacity row's multiplier goes to its arc, and an arc with no capacity
-    row (UNBOUNDED) gets 0."""
+    """Read an optimal point of ``build_dual(build_primal(net))``, or the
+    multipliers ``simplex_solve(build_primal(net)).dual``, which come in
+    the same order, as a :class:`DualPoint`.  Internal vertex i has the
+    multipliers y+_i and y-_i of its two conservation rows and gets the
+    potential y+_i - y-_i; each capacity row's multiplier goes to its arc,
+    and an arc with no capacity row (UNBOUNDED) gets 0."""
     internal = net.vertex_order()[1:-1]
     k = len(internal)
     v = {net.source: Fraction(-1), net.sink: Fraction(0)}

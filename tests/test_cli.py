@@ -1,7 +1,11 @@
 """End-to-end command-line checks over the documented formats."""
 
+import dataclasses
+from fractions import Fraction
+
 import pytest
 
+from flowkit import lp
 from flowkit.cli import main
 
 NET = "c tiny\np max 4 5\nn 1 s\nn 4 t\na 1 2 3\na 1 3 2\na 2 4 2\na 3 4 3\na 2 3 1\n"
@@ -100,12 +104,39 @@ def test_decompose_rejects_a_bad_value_line(capsys, net_file, tmp_path):
     assert err == "error: line 3: not a rational value: 'abc'\n"
 
 
-def test_lp_dual(capsys, net_file):
+def test_lp_dual(capsys, net_file, monkeypatch):
+    solves = []
+    core = lp._simplex
+
+    def counted(*args, **kwargs):
+        solves.append(len(args[0]))
+        return core(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "_simplex", counted)
     code, out, _ = run(capsys, "lp-dual", net_file)
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "max"
     assert "primal_opt 5" in lines and "dual_opt 5" in lines
+    assert solves == [5]  # one solve, of the primal's five arc variables
+
+
+def test_lp_dual_refuses_an_uncertified_dual(capsys, net_file, monkeypatch):
+    solve = lp.simplex_solve
+
+    def wrong(program):
+        res = solve(program)
+        return dataclasses.replace(res, dual=tuple(y + Fraction(1, 7) for y in res.dual))
+
+    monkeypatch.setattr(lp, "simplex_solve", wrong)
+    code, out, err = run(capsys, "lp-dual", net_file)
+    assert code == 3 and out == ""
+    assert err.startswith("error: internal: lp certificate invariant broken at certify")
+    monkeypatch.setattr(lp, "simplex_solve", lambda program: lp.LPResult("infeasible", None, None))
+    code, out, err = run(capsys, "lp-dual", net_file)
+    assert code == 3 and out == ""
+    assert err == ("error: internal: feasible zero flow invariant broken at lp-dual: "
+                   "['infeasible']\n")
 
 
 def test_tu_check(capsys, tmp_path):

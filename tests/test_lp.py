@@ -1,18 +1,24 @@
 """Exact simplex, the flow LP and its duals, total unimodularity."""
 
+import dataclasses
 import itertools
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from conftest import make_random_network
+from flowkit import lp as lp_module
 from flowkit.lp import (
     BudgetExceeded,
     Infeasible,
     LinearProgram,
+    LPResult,
     Malformed,
     build_dual,
     build_primal,
+    certify,
     cut_from_dual,
     det_int,
     dual_from_cut,
@@ -25,7 +31,15 @@ from flowkit.lp import (
     simplex_solve,
     solve_standard,
 )
-from flowkit.network import all_cuts, build_network, cut_capacity
+from flowkit.network import (
+    FlowAssignment,
+    InvariantViolation,
+    all_cuts,
+    build_network,
+    cut_capacity,
+    net_flow,
+    validate,
+)
 from flowkit.solvers import edmonds_karp
 from flowkit.values import UNBOUNDED
 from oracles import determinant_by_permutations, ghouila_houri_tu, min_cut_by_enumeration
@@ -245,6 +259,190 @@ def test_simplex_against_vertex_enumeration(rng):
             assert sum(c * x for c, x in zip(objective, point)) == value
         statuses.add(status)
     assert statuses == {"optimal", "infeasible", "unbounded"}
+
+
+# -- the certified dual ----------------------------------------------------------
+
+
+def _random_bounded_program(rng):
+    """A random `max c.x : ub_rows.x <= ub_bounds, eq_rows.x = eq_bounds,
+    0 <= x <= upper` with every row kind `solve_standard` reads: general ub
+    rows (some with a negative right-hand side), singleton rows read as
+    bounds (a looser duplicate too), opposite pairs read as equalities, eq
+    rows, finite and missing `upper` entries, and a column whose one
+    nonzero is a +1 in an equality, which starts basic when it is free.
+    Most rows pass through a point x0 >= 0 or just miss it, so many
+    programs are feasible, and phase 1 runs whenever an artificial starts
+    above 0."""
+    n = rng.randint(1, 4)
+    x0 = [Fraction(rng.randint(0, 5), rng.choice((1, 2, 3))) for _ in range(n)]
+    upper = [UNBOUNDED] * n
+    ub_rows, ub_bounds = [], []
+
+    def near_x0(row, lo=-2):
+        miss = Fraction(rng.randint(lo, 3), rng.choice((1, 2, 5)))
+        return sum(a * x for a, x in zip(row, x0)) + miss
+
+    for j in range(n):
+        kind = rng.random()
+        u = x0[j] + Fraction(rng.randint(-1, 4), rng.choice((1, 2, 3)))
+        if kind < 0.3:
+            upper[j] = u
+        elif kind < 0.7 and u >= 0:
+            for a in (rng.randint(1, 3), rng.randint(1, 3)):  # the second is looser or equal
+                ub_rows.append([Fraction(a, rng.choice((1, 2))) if i == j else 0 for i in range(n)])
+                ub_bounds.append(ub_rows[-1][j] * u)
+                u += rng.randint(0, 1)
+    for _ in range(rng.randint(0, 3)):
+        row = [Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 5))) for _ in range(n)]
+        if rng.random() < 0.3:  # a covering row, -r.x <= -b
+            row = [-abs(a) for a in row]
+        ub_rows.append(row)
+        ub_bounds.append(near_x0(row))
+        if rng.random() < 0.4:  # its opposite: the pair is one equality
+            ub_rows.append([-a for a in row])
+            ub_bounds.append(-ub_bounds[-1])
+    eq_rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(0, 2))]
+    eq_bounds = [near_x0(row, lo=0) if rng.random() < 0.2 else sum(a * x for a, x in zip(row, x0))
+                 for row in eq_rows]
+    objective = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+    if eq_rows and rng.random() < 0.4:  # a unit column in the first equality
+        objective.append(Fraction(rng.randint(-2, 1)))
+        upper.append(rng.choice((UNBOUNDED, UNBOUNDED, Fraction(3, 2))))
+        ub_rows = [row + [0] for row in ub_rows]
+        eq_rows = [row + [int(i == 0)] for i, row in enumerate(eq_rows)]
+        eq_bounds[0] = abs(eq_bounds[0])
+    while upper and upper[-1] is UNBOUNDED and rng.random() < 0.5:
+        upper.pop()  # a missing entry is no bound
+    return objective, ub_rows, ub_bounds, eq_rows, eq_bounds, upper
+
+
+def _as_inequality_form(objective, ub_rows, ub_bounds, eq_rows, eq_bounds, upper, y):
+    """The bounded form as a `max` LinearProgram (ub rows, each equality as
+    an opposite pair, one row per finite `upper` entry) and `y`, one
+    multiplier per ub row, eq row and `upper` entry, spread over its rows:
+    an equality's free multiplier v goes to max(v, 0) and max(-v, 0)."""
+    n = len(objective)
+    finite = [j for j, u in enumerate(upper) if u is not UNBOUNDED]
+    rows = ub_rows + eq_rows + [[-a for a in row] for row in eq_rows]
+    rows += [[int(i == j) for i in range(n)] for j in finite]
+    bounds = ub_bounds + eq_bounds + [-b for b in eq_bounds] + [upper[j] for j in finite]
+    k, e = len(ub_rows), len(eq_rows)
+    eq_y = y[k:k + e]
+    spread = (y[:k] + [max(v, 0) for v in eq_y] + [max(-v, 0) for v in eq_y]
+              + [y[k + e + j] for j in finite])
+    return make_lp("max", objective, rows, bounds), tuple(spread)
+
+
+def test_certified_duals_of_random_programs(monkeypatch):
+    """The final basis's multipliers pass `certify` on 1,200 optimal random
+    programs, and the tally shows that every way of reading a multiplier
+    gave nonzero ones many times, so a wrong reading fails here."""
+    kinds = Counter()
+    real = lp_module._final_dual
+
+    def tally(obj, d, cost_scale, costs, flipped, entries, starts, bound_rows, ub_rows, nrows,
+              nupper):
+        y = real(obj, d, cost_scale, costs, flipped, entries, starts, bound_rows, ub_rows, nrows,
+                 nupper)
+        for (full, _, eq, k, twin), col in zip(entries, starts):
+            if col >= len(costs) and (eq or full[-1] < 0) and full[-1]:
+                kinds["phase 1"] += 1
+            if not y[k] and (twin is None or not y[twin]):
+                continue
+            if col < len(costs):
+                kinds["unit column"] += 1
+            elif not eq and full[-1] >= 0:
+                kinds["slack"] += 1
+            else:
+                kinds["complemented artificial" if col in flipped else "artificial"] += 1
+            kinds["negated row"] += full[-1] < 0
+            kinds["eq row"] += k >= len(ub_rows)
+            if twin is not None:
+                kinds["pair, first row" if y[k] else "pair, opposite row"] += 1
+        for j in flipped:
+            if j < len(costs) and obj[j]:
+                kinds["bound row" if j in bound_rows else "upper"] += 1
+        return y
+
+    monkeypatch.setattr(lp_module, "_final_dual", tally)
+    rng = random.Random(20260417)
+    statuses = Counter()
+    while statuses["optimal"] < 1200:
+        program = _random_bounded_program(rng)
+        status, point, dual = lp_module._simplex(*program)
+        statuses[status] += 1
+        if status != "optimal":
+            assert dual is None
+            continue
+        value = sum(c * x for c, x in zip(program[0], point))
+        lp, y = _as_inequality_form(*program, dual())
+        assert certify(lp, LPResult("optimal", tuple(point), value, y)) == value
+        # the same program through `simplex_solve`, as `max` and negated as `min`
+        res = simplex_solve(lp)
+        assert res.value == value and certify(lp, res) == value
+        negated = make_lp("min", [-c for c in lp.objective], [[-a for a in row] for row in lp.rows],
+                          [-b for b in lp.bounds])
+        flipped = simplex_solve(negated)
+        assert flipped.dual == res.dual and certify(negated, flipped) == -value
+    assert statuses["infeasible"] > 100 and statuses["unbounded"] > 100
+    assert min(kinds[kind] for kind in (
+        "phase 1", "unit column", "slack", "artificial", "complemented artificial",
+        "negated row", "eq row", "pair, first row", "pair, opposite row", "bound row",
+        "upper")) >= 20, kinds
+
+
+def test_certify_rejects_a_wrong_certificate():
+    lp = make_lp("max", [1, 1], [[1, 2], [3, 1], [1, 0]], [4, 6, 3])
+    res = simplex_solve(lp)
+    assert res.point == (Fraction(8, 5), Fraction(6, 5)) and res.value == Fraction(14, 5)
+    assert res.dual == (Fraction(2, 5), Fraction(1, 5), 0)
+    assert certify(lp, res) == Fraction(14, 5)
+
+    def broken(lp, **changes):
+        with pytest.raises(InvariantViolation) as info:
+            certify(lp, dataclasses.replace(res, **changes))
+        assert info.value.invariant == "lp certificate"
+        return info.value.step, info.value.violations
+
+    optimum = Fraction(14, 5)
+    # 1/7 more on one multiplier: b.y moves
+    assert broken(lp, dual=(Fraction(2, 5) + Fraction(1, 7), Fraction(1, 5), 0)) == (
+        "certify", [("objectives", Fraction(118, 35), optimum, optimum)])
+    assert broken(lp, dual=(Fraction(1, 2), Fraction(1, 5), -1)) == ("certify", [
+        ("negative multiplier", 2), ("dual row", 0),
+        ("objectives", Fraction(1, 5), optimum, optimum)])
+    # b.y is right, but A^T y >= c fails in both columns
+    assert broken(lp, dual=(Fraction(2, 5), 0, Fraction(2, 5))) == (
+        "certify", [("dual row", 0), ("dual row", 1)])
+    assert broken(lp, point=(2, 1), value=3) == (
+        "certify", [("row", 1), ("objectives", optimum, 3, 3)])
+    assert broken(lp, value=3) == ("certify", [("objectives", optimum, optimum, 3)])
+    assert broken(lp, point=(0, 0, 0))[0] == "shape"
+    assert broken(lp, dual=None)[0] == "shape"
+    assert broken(lp, status="unbounded", point=None, value=None, dual=None) == (
+        "status", ["unbounded"])
+    # a `min` program checks Ax >= b and A^T y <= c
+    lp = make_lp("min", [1, 1], [[1, 2], [3, 1]], [4, 6])
+    res = simplex_solve(lp)
+    assert res.dual == (Fraction(2, 5), Fraction(1, 5)) and certify(lp, res) == optimum
+    assert broken(lp, point=(0, 0), value=0) == (
+        "certify", [("row", 0), ("row", 1), ("objectives", optimum, 0, 0)])
+    assert broken(lp, dual=(1, 1)) == (
+        "certify", [("dual row", 0), ("dual row", 1), ("objectives", 10, optimum, optimum)])
+
+
+def test_multipliers_of_the_dual_program_are_a_maximum_flow(rng):
+    """`build_dual`'s program is a `min` program whose rows are the arcs, so
+    its certified multipliers are an arc flow of the maximum value."""
+    for _ in range(60):
+        net, _ = make_random_network(rng, max_n=7)
+        program = build_dual(build_primal(net))
+        res = simplex_solve(program)
+        value = edmonds_karp(net).value
+        assert certify(program, res) == res.value == value
+        flow = FlowAssignment(dict(zip(net.arcs, res.dual)))
+        assert validate(net, flow) == [] and net_flow(net, flow) == value
 
 
 def test_primal_single_arc(single_arc):
