@@ -9,8 +9,12 @@ become bounds kept out of the tableau, and opposite row pairs become
 equalities, so the maximum-flow programs `[A; -A; I] x <= [0; 0; cap]`
 are solved as `A x = 0, 0 <= x <= cap`.  The tableau is Python ints over
 one common denominator, pivoted by the integer-preserving step `det_int`
-also uses, and each row enters it through :func:`flowkit.values.scaled`,
-the one LCM scaling, shared with the residual graph and the cycle LP.
+also uses.  A unit pivot, one equal to the denominator d (every pivot of
+a flow program), reduces the step to the exact integer update e - f*b/d,
+which touches only the pivot row's nonzero columns: it costs those, not
+the tableau's cells.  Each row enters the tableau through
+:func:`flowkit.values.scaled`, the one LCM scaling, shared with the
+residual graph and the cycle LP.
 `Fraction`s appear only in the inputs, the optimal point and its
 multipliers, and every duality assertion in the test-suite is exact
 rather than tolerance-based.
@@ -95,13 +99,27 @@ def _pivot(rows, prow, col, d):
     The rows hold integers over the common denominator d, and the division
     is exact (Edmonds 1967, Bareiss 1968).  Rows are updated in place;
     `prow` is left as it is.
+
+    A unit pivot, p = d, makes that e - f*b/d; every pivot of a totally
+    unimodular program, such as a flow program, is one.  The quotient is
+    an integer and so is e, hence so is f*b/d: a cell changes only where
+    f != 0 and b != 0, and only the pivot row's nonzero columns of the
+    rows with f != 0 are updated.  Any other pivot rescales every entry of
+    every row.
     """
     p = prow[col]
+    if p == d:
+        nonzero = [(j, b) for j, b in enumerate(prow) if b]
+        for row in rows:
+            f = row[col]
+            if f and row is not prow:
+                for j, b in nonzero:
+                    row[j] -= f * b // d
+        return p
     for row in rows:
-        f = row[col]
-        if row is prow or (f == 0 and p == d):
-            continue
-        row[:] = [(p * e - f * b) // d for e, b in zip(row, prow)]
+        if row is not prow:
+            f = row[col]
+            row[:] = [(p * e - f * b) // d for e, b in zip(row, prow)]
     return p
 
 

@@ -415,15 +415,25 @@ def _bfs(origin, target, r, parent=None, queue=None, head=0):
 
 def _reached(target, u, parent, queue):
     """Append `target`, reached from `u`, to the search state; return the
-    path to it and `queue`."""
+    path to it and `queue`.
+
+    The path's vertices are distinct and all in `queue`, so the walk up
+    `parent` reaches the origin (parent 0) within len(queue) steps.  A walk
+    that has not by then is caught in a cycle of `parent`, which only a
+    broken search leaves, and raises :class:`InvariantViolation`
+    ("work budget") instead of looping forever.
+    """
     parent[target] = u
     queue.append(target)
     path = [target]
-    while u:
+    for _ in range(len(queue)):
+        if not u:
+            path.reverse()
+            return path, queue
         path.append(u)
         u = parent[u]
-    path.reverse()
-    return path, queue
+    raise InvariantViolation("work budget", f"path to {target}",
+                             [f"no origin within {len(queue)} steps up parent: {path[:8]}"])
 
 
 class ResidualGraph:

@@ -108,10 +108,12 @@ def parse_value(token: str) -> Fraction:
 
 
 def format_value(x) -> str:
-    """Render a value the way the file formats expect (`7` or `7/3`)."""
-    if is_unbounded(x):
-        return "inf"
-    x = exact(x)
+    """Render a value the way the file formats expect (`7` or `7/3`);
+    UNBOUNDED is `inf`, and anything else goes through :func:`exact`."""
+    if type(x) is not Fraction:  # Fractions, nearly every call, skip the other tests
+        if x is UNBOUNDED:
+            return "inf"
+        x = exact(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

@@ -1,0 +1,105 @@
+"""Mutation checks: every mutant of `src/flowkit` must fail the tier-1 suite.
+
+The script copies `src/` to a temporary directory.  For each mutant it
+makes one textual replacement in the copy, runs the tier-1 suite against
+it under a timeout, and restores the file.  A replacement whose original text is not found exactly once
+counts as a failure of this script, so a mutant that no longer applies
+cannot pass unnoticed.  The unmutated copy runs first and must pass, so a
+mutant fails for its change, not for the copy.  Exits 1 if the copy fails
+or any mutant passes, times out or does not apply.
+
+    python tests/mutants.py
+
+Its name does not match ``test_*.py``, so pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import signal
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 300  # per suite run, far above what an unmutated run takes
+
+# name -> (module under src/flowkit, original text, mutated text)
+MUTANTS = {
+    "unit pivot without the division by d": (
+        "lp.py", "row[j] -= f * b // d", "row[j] -= f * b"),
+    "unit pivot also when p != d": (
+        "lp.py", "    if p == d:\n", "    if True:\n"),
+    "general pivot skips the rows with f = 0": (
+        "lp.py",
+        "        if row is not prow:\n            f = row[col]\n",
+        "        f = row[col]\n        if row is not prow and f:\n"),
+    "no look-ahead at the search's origin": (
+        "network.py",
+        "    if r[origin].get(target, 0) > 0:\n"
+        "        return _reached(target, origin, parent, queue)\n",
+        ""),
+}
+
+
+def run_suite(src):
+    """Run the tier-1 suite with `src` first on the path; returns
+    ("passed" | "failed" | "timeout", pytest's last line, seconds)."""
+    # no bytecode: a mutant and the restored module must never share a .pyc
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    where = subprocess.run([sys.executable, "-c", "import flowkit; print(flowkit.__file__)"],
+                           env=env, cwd=ROOT, capture_output=True, text=True, check=True)
+    found = Path(where.stdout.strip()).resolve()
+    if not found.is_relative_to(src.resolve()):
+        raise SystemExit(f"the suite would import flowkit from {found}, not from {src}")
+    command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+               "--continue-on-collection-errors"]
+    start = time.monotonic()
+    proc = subprocess.Popen(command, env=env, cwd=ROOT, stdout=subprocess.PIPE,
+                            stderr=subprocess.STDOUT, text=True, start_new_session=True)
+    try:
+        out, _ = proc.communicate(timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)  # the suite and anything it started
+        proc.communicate()
+        return "timeout", f"no result within {TIMEOUT_S} s", time.monotonic() - start
+    lines = out.strip().splitlines() or [""]
+    return ("passed" if proc.returncode == 0 else "failed"), lines[-1], time.monotonic() - start
+
+
+def main():
+    bad = []
+    with tempfile.TemporaryDirectory(prefix="flowkit-mutant-") as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        outcome, last, seconds = run_suite(src)
+        print(f"unmutated copy: {outcome} ({last}) in {seconds:.1f} s", flush=True)
+        if outcome != "passed":
+            return 1
+        for name, (module, original, mutated) in MUTANTS.items():
+            path = src / "flowkit" / module
+            text = (ROOT / "src" / "flowkit" / module).read_text()
+            count = text.count(original)
+            if count != 1:
+                print(f"{name}: does not apply ({module} has its text {count} times)", flush=True)
+                bad.append(name)
+                continue
+            path.write_text(text.replace(original, mutated))
+            try:
+                outcome, last, seconds = run_suite(src)
+            finally:
+                path.write_text(text)
+            verdict = {"failed": "killed", "passed": "SURVIVED", "timeout": "TIMED OUT"}[outcome]
+            print(f"{name}: {verdict} ({last}) in {seconds:.1f} s", flush=True)
+            if outcome != "failed":
+                bad.append(name)
+    print(f"{len(MUTANTS) - len(bad)} of {len(MUTANTS)} mutants killed", flush=True)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

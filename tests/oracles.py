@@ -120,6 +120,29 @@ def determinant_by_permutations(matrix):
     return total
 
 
+def dense_pivot(rows, prow, col, d):
+    """The fraction-free elimination step by its formula, without changing
+    its arguments: every row of `rows` but `prow` becomes (p*e - f*b)/d at
+    every entry, with p = prow[col], f the row's entry in `col` and b the
+    entry of `prow` above e, and each division must leave no remainder.
+    Returns the new rows (`prow` copied as it is) and p."""
+    p = prow[col]
+    out = []
+    for row in rows:
+        if row is prow:
+            out.append(list(row))
+            continue
+        f = row[col]
+        new = []
+        for e, b in zip(row, prow):
+            q, remainder = divmod(p * e - f * b, d)
+            if remainder:
+                raise AssertionError(f"inexact step: {p}*{e} - {f}*{b} over {d}")
+            new.append(q)
+        out.append(new)
+    return out, p
+
+
 def incidence_by_definition(n, s, t, arcs, order):
     """Entry-by-entry incidence function evaluation."""
     matrix = []

@@ -1,5 +1,6 @@
 """Exact simplex, the flow LP and its duals, total unimodularity."""
 
+import copy
 import dataclasses
 import itertools
 import random
@@ -42,7 +43,12 @@ from flowkit.network import (
 )
 from flowkit.solvers import edmonds_karp
 from flowkit.values import UNBOUNDED
-from oracles import determinant_by_permutations, ghouila_houri_tu, min_cut_by_enumeration
+from oracles import (
+    dense_pivot,
+    determinant_by_permutations,
+    ghouila_houri_tu,
+    min_cut_by_enumeration,
+)
 
 
 def _solve_by_vertex_enumeration(lp):
@@ -390,6 +396,33 @@ def test_certified_duals_of_random_programs(monkeypatch):
         "phase 1", "unit column", "slack", "artificial", "complemented artificial",
         "negated row", "eq row", "pair, first row", "pair, opposite row", "bound row",
         "upper")) >= 20, kinds
+
+
+def test_pivots_match_the_dense_formula(monkeypatch):
+    """Every pivot of seeded random programs and of `det_int` on random
+    integer matrices leaves the rows that the dense fraction-free formula
+    gives, on deep copies taken before the step.  Unit pivots (p = d) and
+    the others each occur at least 100 times with d = 1 and with d != 1,
+    so both branches are checked in both regimes."""
+    kinds = Counter()
+    real = lp_module._pivot
+
+    def checked(rows, prow, col, d):
+        before = copy.deepcopy((rows, prow))
+        p = real(rows, prow, col, d)
+        want, want_p = dense_pivot(*before, col, d)
+        assert p == want_p and [list(row) for row in rows] == want
+        kinds["unit" if p == d else "general", "d = 1" if d == 1 else "d != 1"] += 1
+        return p
+
+    monkeypatch.setattr(lp_module, "_pivot", checked)
+    rng = random.Random(20261019)
+    for _ in range(600):
+        lp_module._simplex(*_random_bounded_program(rng))
+    for _ in range(300):
+        n = rng.randint(3, 7)
+        det_int([[rng.choice((-1, 0, 0, 1, 2)) for _ in range(n)] for _ in range(n)])
+    assert len(kinds) == 4 and min(kinds.values()) >= 100, kinds
 
 
 def test_certify_rejects_a_wrong_certificate():

@@ -10,6 +10,7 @@ from flowkit.network import (
     DuplicateArc,
     FlowAssignment,
     InvalidFlow,
+    InvariantViolation,
     NetworkError,
     ParseError,
     ResidualGraph,
@@ -26,6 +27,7 @@ from flowkit.network import (
     validate,
     write_dimacs,
     write_flow,
+    _reached,
 )
 from flowkit.solvers import edmonds_karp
 from flowkit.values import UNBOUNDED
@@ -298,3 +300,20 @@ def test_unbounded_capacity_in_cuts_and_validation():
 def test_float_capacities_refused():
     with pytest.raises(TypeError):
         build_network(2, 1, 2, [(1, 2, 0.1)])
+
+
+def test_path_walk_is_bounded_by_the_reached_set():
+    """A `parent` that cycles, as a broken search can leave it, raises a
+    typed error instead of walking forever; a sound one gives the path."""
+    # vertices 1..4, origin 1: 1 -> 2 -> 3, and the target 4 reached from 3
+    parent, queue = [-1, 0, 1, 2, -1], [1, 2, 3]
+    assert _reached(4, 3, parent, queue) == ([1, 2, 3, 4], [1, 2, 3, 4])
+    # 2 and 3 point at each other and never lead back to the origin
+    parent, queue = [-1, 0, 3, 2, -1], [1, 2, 3]
+    with pytest.raises(InvariantViolation) as info:
+        _reached(4, 3, parent, queue)
+    assert info.value.invariant == "work budget"
+    # the target itself on the cycle: reached again from a vertex it reached
+    parent, queue = [-1, 0, 4, 2, -1], [1, 4, 2, 3]
+    with pytest.raises(InvariantViolation):
+        _reached(4, 3, parent, queue)

@@ -1,7 +1,9 @@
 """UNBOUNDED behaves as +infinity for ordering and addition, and nothing
 else; `scaled` turns rationals into ints over the LCM of their denominators;
-`parse_value` reads every token the way `Fraction(str)` does."""
+`parse_value` reads every token the way `Fraction(str)` does; `format_value`
+writes `7`, `7/3` or `inf` and refuses what `exact` refuses."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,7 +19,7 @@ from flowkit.network import (
     validate,
 )
 from flowkit.solvers import ALGORITHMS
-from flowkit.values import UNBOUNDED, exact, parse_value, scaled
+from flowkit.values import UNBOUNDED, exact, format_value, parse_value, scaled
 
 FINITE = [0, 7, -3, Fraction(0), Fraction(10**30, 7), Fraction(-5, 2)]
 
@@ -117,3 +119,25 @@ def _outcome(parse, token):
 ])
 def test_parse_value_reads_every_token_as_fraction_str_does(token):
     assert _outcome(parse_value, token) == _outcome(_through_fraction_str, token)
+
+
+@pytest.mark.parametrize("x, text", [
+    (Fraction(7), "7"), (Fraction(-7, 3), "-7/3"), (Fraction(0), "0"),
+    (Fraction(10**30, 7), f"{10**30}/7"),
+    (UNBOUNDED, "inf"), (7, "7"), (-3, "-3"), (0, "0"), (True, "1"),
+    ("14/6", "7/3"), ("-2", "-2"), (" 5 ", "5"),
+])
+def test_format_value(x, text):
+    assert format_value(x) == text
+
+
+@pytest.mark.parametrize("x, error, message", [
+    (1.5, TypeError, "refusing float 1.5"),
+    (0.0, TypeError, "refusing float 0.0"),
+    ("abc", ValueError, "Invalid literal for Fraction"),
+    ("1/0", ZeroDivisionError, "Fraction(1, 0)"),
+    (None, TypeError, None),  # Fraction's own message, which varies across Python versions
+])
+def test_format_value_refuses_what_exact_refuses(x, error, message):
+    with pytest.raises(error, match=message and re.escape(message)):
+        format_value(x)
