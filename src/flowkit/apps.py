@@ -82,8 +82,8 @@ def perfect_matching(g):
     result = edmonds_karp(net)
     n = g.n
     if result.value == n:
-        pairs = tuple(sorted((u, v - n) for (u, v, x) in result.flow.positive_arcs(net)
-                             if 1 <= u <= n and n < v <= 2 * n and x > 0))
+        pairs = tuple(sorted((u, v - n) for (u, v), _ in result.scaled.pairs
+                             if 1 <= u <= n and n < v <= 2 * n))
         return PerfectMatching(pairs)
     subset = frozenset(v for v in result.cut.source_side if 1 <= v <= n)
     return HallViolation(subset)

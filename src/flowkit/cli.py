@@ -92,7 +92,7 @@ def cmd_maxflow(args):
         return 0
     result = solvers.ALGORITHMS[args.algo](net)
     _diag(_stats_line(args.algo, result.stats))
-    _emit(args, network.write_flow(net, result.flow, result.value))
+    _emit(args, network.write_flow(net, result.scaled, result.value))
     return 0
 
 

@@ -4,7 +4,10 @@ A network is a finite simple directed graph with a source `s`, a sink `t`,
 and a non-negative capacity on every arc.  No arc enters the source and no
 arc leaves the sink.  Antiparallel arc pairs are either rejected (strict
 simple mode) or subdivided through fresh intermediate vertices, which
-preserves the maximum flow value.
+preserves the maximum flow value.  A :class:`Network` stores its
+capacities once, as ints over one scale (the LCM of their reduced
+denominators), and :func:`read_dimacs` reads capacity tokens straight to
+those ints.
 
 Flow-like assignments are antisymmetric functions on vertex pairs
 (`f(u,v) = -f(v,u)`); the role tag selects which extra constraints apply:
@@ -25,8 +28,12 @@ r(u, v) and raises r(v, u) by the same amount, which keeps
 UNBOUNDED arc keeps an UNBOUNDED residual capacity.  The arc capacities
 are kept in the same units beside the rows, so the flow on an arc, and
 from it every excess, is the int ``c - r`` with nothing converted back.
-Rationals come back only at the boundary: ``capacity``, ``arcs`` and
-``flow`` return Fractions.
+Without a starting flow, ``scale`` and the capacities are the network's
+own ints.  Fractions appear only at the boundary: a network's
+``capacities``, ``capacity`` and ``cbar`` (built on first call and kept),
+a residual graph's ``capacity``, ``arcs`` and ``flow``, and
+:class:`FlowAssignment` values.  :func:`write_flow` writes a
+:class:`ScaledFlow`, a solver's certified ints, without them.
 
 The capacities are stored by rows, built once per solve: ``r[u]`` maps
 each out- and in-neighbour v of u, in increasing index order, to
@@ -39,18 +46,36 @@ instead of starting it afresh; see :func:`_bfs`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
+from typing import NamedTuple
 
-from .values import exact, format_value, is_unbounded, parse_value, scaled
+from .values import (
+    UNBOUNDED,
+    exact,
+    format_ratio,
+    format_value,
+    parse_ratio,
+    parse_value,
+    scaled,
+)
 
 ROLES = ("flow", "preflow", "pseudoflow")
 _ZERO = Fraction(0)  # the value of an unstored pair: one object, as Fractions are immutable
 
 
 class NetworkError(Exception):
-    """Base class for network construction and validation failures."""
+    """Base class for network construction and validation failures.
+
+    `at` locates the fault in the input when the raiser knows where it is
+    (see :func:`build_network`), and is None otherwise.
+    """
+
+    def __init__(self, message, at=None):
+        self.at = at
+        super().__init__(message)
 
 
 class InvalidVertex(NetworkError):
@@ -108,19 +133,36 @@ class Network:
 
     Vertices are the integers 1..n.  The vertex enumeration used by
     matrix-producing operations lists the source first and the sink last.
-    `has_unbounded` records once whether any capacity is UNBOUNDED.
+
+    The capacities are stored once, in arc order, as `ints` in units of
+    ``1/scale``: ``scale`` is the LCM of the reduced denominators of the
+    finite capacities (1 when there are none), and UNBOUNDED stays in its
+    slot.  The constructor takes the ints over any common scale and
+    divides out the gcd of the scale and the finite ints, which leaves
+    that LCM; so equal capacities give equal ints.  `capacities`,
+    `capacity` and `cbar` build the Fractions on their first call and keep
+    them.  `has_unbounded` records once whether any capacity is UNBOUNDED.
     """
 
-    __slots__ = ("n", "source", "sink", "arcs", "_caps", "_index", "_out", "_in",
-                 "gadget_vertices", "_gadget_origin", "has_unbounded")
+    __slots__ = ("n", "source", "sink", "arcs", "ints", "scale", "_caps", "_index", "_out",
+                 "_in", "gadget_vertices", "_gadget_origin", "has_unbounded")
 
-    def __init__(self, n, source, sink, arcs, capacities, gadget_origin=None):
+    def __init__(self, n, source, sink, arcs, ints, scale=1, gadget_origin=None):
         self.n = n
         self.source = source
         self.sink = sink
         self.arcs = tuple(arcs)
-        self._caps = tuple(capacities)
-        self.has_unbounded = any(map(is_unbounded, self._caps))
+        ints = tuple(ints)
+        values = set(ints)
+        self.has_unbounded = UNBOUNDED in values
+        if scale > 1:
+            values.discard(UNBOUNDED)
+            g = math.gcd(scale, *values)
+            if g > 1:
+                scale //= g
+                ints = tuple(c if c is UNBOUNDED else c // g for c in ints)
+        self.ints, self.scale = ints, scale
+        self._caps = None
         self._index = {a: i for i, a in enumerate(self.arcs)}
         out = {v: [] for v in range(1, n + 1)}
         inc = {v: [] for v in range(1, n + 1)}
@@ -150,15 +192,19 @@ class Network:
         return (u, v) in self._index
 
     def capacity(self, u, v):
-        return self._caps[self._index[(u, v)]]
+        return self.capacities()[self._index[(u, v)]]
 
     def capacities(self):
+        """The capacities in arc order, as Fractions (UNBOUNDED as it is)."""
+        if self._caps is None:
+            scale = self.scale
+            self._caps = tuple(c if c is UNBOUNDED else Fraction(c, scale) for c in self.ints)
         return self._caps
 
     def cbar(self, u, v):
         """Capacity extended by zero off the arc set."""
         i = self._index.get((u, v))
-        return self._caps[i] if i is not None else Fraction(0)
+        return self.capacities()[i] if i is not None else _ZERO
 
     def out_neighbors(self, v):
         return self._out[v]
@@ -170,57 +216,76 @@ class Network:
         """Original antiparallel pair a gadget vertex was created for."""
         return self._gadget_origin.get(v)
 
+    def _key(self):
+        return (self.n, self.source, self.sink, self.arcs, self.ints, self.scale)
+
     def __eq__(self, other):
         if not isinstance(other, Network):
             return NotImplemented
-        return (self.n, self.source, self.sink, self.arcs, self._caps) == \
-               (other.n, other.source, other.sink, other.arcs, other._caps)
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.n, self.source, self.sink, self.arcs, self._caps))
+        return hash(self._key())
 
     def __repr__(self):
         return f"Network(n={self.n}, s={self.source}, t={self.sink}, m={self.m})"
 
 
-def build_network(n, source, sink, arc_list, allow_antiparallel=False):
+def build_network(n, source, sink, arc_list, allow_antiparallel=False, scale=None):
     """Construct a network from `(u, v, capacity)` triples.
+
+    A capacity is an int, a Fraction, a `p/q` string or UNBOUNDED.  With
+    `scale`, every finite capacity is instead an int count of units
+    ``1/scale``, as :func:`read_dimacs` passes them.
 
     With ``allow_antiparallel=True`` every antiparallel pair (v,w),(w,v) is
     subdivided through two fresh vertices: (v,w) becomes v -> c_vw -> w and
     (w,v) becomes w -> c_wv -> v, each leg keeping the original capacity.
     The subdivision does not change the maximum flow value.
+
+    An error about an arc carries ``at``, the index in `arc_list` of the
+    arc at fault (the later arc of a repeated or antiparallel pair); an
+    error about the source or the sink carries ``at = "source"`` or
+    ``"sink"``.
     """
     if n < 2:
         raise InvalidVertex(f"need at least two vertices, got n={n}")
-    if not (1 <= source <= n) or not (1 <= sink <= n):
-        raise InvalidVertex(f"source/sink out of range: s={source}, t={sink}")
+    if not 1 <= source <= n:
+        raise InvalidVertex(f"source/sink out of range: s={source}, t={sink}", "source")
+    if not 1 <= sink <= n:
+        raise InvalidVertex(f"source/sink out of range: s={source}, t={sink}", "sink")
     if source == sink:
-        raise InvalidVertex("source and sink must differ")
+        raise InvalidVertex("source and sink must differ", "sink")
 
     triples = []
-    seen = set()
-    for (u, v, cap) in arc_list:
+    seen = {}
+    for k, (u, v, cap) in enumerate(arc_list):
         if not (1 <= u <= n) or not (1 <= v <= n):
-            raise InvalidVertex(f"arc endpoint out of range: ({u}, {v})")
+            raise InvalidVertex(f"arc endpoint out of range: ({u}, {v})", k)
         if u == v:
-            raise InvalidVertex(f"self-loop not allowed: ({u}, {v})")
+            raise InvalidVertex(f"self-loop not allowed: ({u}, {v})", k)
         if v == source or u == sink:
-            raise SourceSinkViolation(f"arc ({u}, {v}) enters the source or leaves the sink")
+            raise SourceSinkViolation(f"arc ({u}, {v}) enters the source or leaves the sink", k)
         if (u, v) in seen:
-            raise DuplicateArc(f"duplicate arc ({u}, {v})")
-        seen.add((u, v))
-        if not is_unbounded(cap):
-            cap = exact(cap)
+            raise DuplicateArc(f"duplicate arc ({u}, {v})", k)
+        seen[(u, v)] = k
+        if cap is not UNBOUNDED:
+            if scale is None:
+                cap = exact(cap)
             if cap.numerator < 0:
-                raise NetworkError(f"negative capacity on ({u}, {v})")
+                raise NetworkError(f"negative capacity on ({u}, {v})", k)
         triples.append((u, v, cap))
 
     paired = {(u, v) for (u, v, _) in triples if (v, u) in seen}
     if paired and not allow_antiparallel:
         u, v = sorted(paired)[0]
-        raise DuplicateArc(f"antiparallel pair ({u},{v})/({v},{u}) not allowed in simple mode")
+        raise DuplicateArc(f"antiparallel pair ({u},{v})/({v},{u}) not allowed in simple mode",
+                           max(seen[(u, v)], seen[(v, u)]))
 
+    if scale is None:
+        # 0 stands in for UNBOUNDED in the scaling, and UNBOUNDED goes back in its place
+        ints, scale = scaled([0 if c is UNBOUNDED else c for (_, _, c) in triples])
+        triples = [(u, v, c if c is UNBOUNDED else x) for (u, v, c), x in zip(triples, ints)]
     arcs, caps = [], []
     gadget_origin = {}
     next_free = n
@@ -235,7 +300,7 @@ def build_network(n, source, sink, arc_list, allow_antiparallel=False):
             arcs.append((u, v))
             caps.append(cap)
 
-    return Network(next_free, source, sink, arcs, caps, gadget_origin)
+    return Network(next_free, source, sink, arcs, caps, scale, gadget_origin)
 
 
 class FlowAssignment:
@@ -302,6 +367,19 @@ class FlowAssignment:
     def __repr__(self):
         nonzero = {p: x for p, x in self.raw.items() if x != 0}
         return f"FlowAssignment(role={self.role}, {nonzero})"
+
+
+class ScaledFlow(NamedTuple):
+    """A flow kept as ints over one scale, as a solver certified it:
+    ``((u, v), x)`` for every arc whose flow x / scale is positive, in arc
+    order.  :meth:`assignment` builds its :class:`FlowAssignment`."""
+
+    pairs: tuple
+    scale: int
+
+    def assignment(self):
+        scale = self.scale
+        return FlowAssignment({a: Fraction(x, scale) for a, x in self.pairs}, "flow")
 
 
 @dataclass(frozen=True)
@@ -444,7 +522,8 @@ class ResidualGraph:
     `c_f * scale` (UNBOUNDED stays UNBOUNDED).  Each row `r[u]` holds
     every out- and in-neighbour of u, in increasing index order.  `caps`
     holds the arc capacities in the same units, in arc order, so the flow
-    on arc i is ``caps[i] - r(u, v)``.  `push` and `augment` work in scaled
+    on arc i is ``caps[i] - r(u, v)``: the network's own `ints` and
+    `scale` when no flow is given.  `push` and `augment` work in scaled
     units; `capacity`, `arcs` and `flow` return Fractions.
     """
 
@@ -452,25 +531,23 @@ class ResidualGraph:
 
     def __init__(self, net, flow=None):
         self.net = net
-        caps = net.capacities()
-        m = len(caps)
         raw = flow.raw if flow is not None else {}
-        # the capacities in arc order, then the flow; 0 stands in for
-        # UNBOUNDED in the scaling, and UNBOUNDED goes back in its place
-        if net.has_unbounded:
-            ints, self.scale = scaled([0 if is_unbounded(c) else c for c in caps]
-                                      + list(raw.values()))
-            self.caps = [c if is_unbounded(c) else x for c, x in zip(caps, ints)]
-        else:
-            ints, self.scale = scaled([*caps, *raw.values()])
-            self.caps = ints[:m]
-        r = {v: dict.fromkeys(sorted(set(net.out_neighbors(v)) | set(net.in_neighbors(v))), 0)
-             for v in net.vertices()}
-        for (u, v), c in zip(net.arcs, self.caps):
+        # the network's ints, rescaled when the flow brings new denominators
+        caps, scale = net.ints, net.scale
+        if raw:
+            scale = math.lcm(scale, *{x.denominator for x in raw.values()})
+            if scale != net.scale:
+                k = scale // net.scale
+                caps = tuple(c if c is UNBOUNDED else c * k for c in caps)
+        self.caps, self.scale = caps, scale
+        out, inc = net.out_neighbors, net.in_neighbors
+        r = {v: dict.fromkeys(sorted(out(v) + inc(v)), 0) for v in net.vertices()}
+        for (u, v), c in zip(net.arcs, caps):
             r[u][v] = c
         # r -= f on each stored pair (u, v) and, by antisymmetry, r += f on
         # (v, u) unless the assignment stores (v, u) as well
-        for (u, v), x in zip(raw, ints[m:]):
+        for (u, v), f in raw.items():
+            x = f.numerator * (scale // f.denominator)
             if x and v in r.get(u, ()):
                 r[u][v] -= x
                 if (v, u) not in raw:
@@ -478,7 +555,7 @@ class ResidualGraph:
         self.r = r
 
     def _value(self, x):
-        return x if is_unbounded(x) else Fraction(x, self.scale)
+        return x if x is UNBOUNDED else Fraction(x, self.scale)
 
     @property
     def arcs(self):
@@ -631,17 +708,38 @@ def write_dimacs(net):
 
 
 def read_dimacs(text, allow_antiparallel=False):
-    """Parse the max-flow problem format; raises ParseError with a line number."""
+    """Parse the max-flow problem format; raises ParseError with a line number.
+
+    Each capacity token is read as ints ``p/q`` (:func:`parse_ratio`), and
+    :func:`build_network` gets them as the ints ``p * (scale // q)`` over
+    ``scale``, the LCM of the q's; no capacity becomes a Fraction.  An
+    error that :func:`build_network` locates names the line of the arc at
+    fault (the second line of a repeated or antiparallel pair), or the
+    `n` line of the source or sink at fault.
+    """
     n = m = None
     source = sink = None
-    arcs = []
-    for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.strip()
-        if not line or line.startswith("c"):
-            continue
+    arcs, arc_lines, ends = [], [], {}
+    for line_no, line in enumerate(text.splitlines(), start=1):
         fields = line.split()
+        if not fields or fields[0].startswith("c"):
+            continue
         kind = fields[0]
-        if kind == "p":
+        if kind == "a":
+            if n is None:
+                raise ParseError("arc before problem line", line_no)
+            if len(fields) != 4:
+                raise ParseError("expected `a <u> <v> <cap>`", line_no)
+            try:
+                u, v = int(fields[1]), int(fields[2])
+                p, q = parse_ratio(fields[3])
+            except ValueError as exc:
+                raise ParseError(str(exc), line_no)
+            if p < 0:
+                raise ParseError("negative capacity", line_no)
+            arcs.append((u, v, p, q))
+            arc_lines.append(line_no)
+        elif kind == "p":
             if n is not None:
                 raise ParseError("duplicate problem line", line_no)
             if len(fields) != 4 or fields[1] != "max":
@@ -663,23 +761,12 @@ def read_dimacs(text, allow_antiparallel=False):
                 if source is not None:
                     raise ParseError("duplicate source designation", line_no)
                 source = vid
+                ends["source"] = line_no
             else:
                 if sink is not None:
                     raise ParseError("duplicate sink designation", line_no)
                 sink = vid
-        elif kind == "a":
-            if n is None:
-                raise ParseError("arc before problem line", line_no)
-            if len(fields) != 4:
-                raise ParseError("expected `a <u> <v> <cap>`", line_no)
-            try:
-                u, v = int(fields[1]), int(fields[2])
-                cap = parse_value(fields[3])
-            except ValueError as exc:
-                raise ParseError(str(exc), line_no)
-            if cap.numerator < 0:
-                raise ParseError("negative capacity", line_no)
-            arcs.append((u, v, cap))
+                ends["sink"] = line_no
         else:
             raise ParseError(f"unknown record type {kind!r}", line_no)
     if n is None:
@@ -688,17 +775,31 @@ def read_dimacs(text, allow_antiparallel=False):
         raise ParseError("missing source or sink designation")
     if len(arcs) != m:
         raise ParseError(f"problem line announced {m} arcs, found {len(arcs)}")
+    scale = math.lcm(*{q for (_, _, _, q) in arcs})
     try:
-        return build_network(n, source, sink, arcs, allow_antiparallel=allow_antiparallel)
+        return build_network(n, source, sink, [(u, v, p * (scale // q)) for (u, v, p, q) in arcs],
+                             allow_antiparallel=allow_antiparallel, scale=scale)
     except NetworkError as exc:
-        raise ParseError(str(exc))
+        at = exc.at
+        raise ParseError(str(exc), arc_lines[at] if isinstance(at, int) else ends.get(at))
 
 
 def write_flow(net, f, value=None):
-    """One `f <u> <v> <value>` line per positive-flow arc, then `s <|f|>`."""
-    if value is None:
-        value = net_flow(net, f)
-    lines = [f"f {u} {v} {format_value(x)}" for (u, v, x) in f.positive_arcs(net)]
+    """One `f <u> <v> <value>` line per positive-flow arc, then `s <|f|>`.
+
+    `f` is a :class:`FlowAssignment`, or a :class:`ScaledFlow` as a solver
+    certified it, whose ints are written through :func:`format_ratio`
+    with no Fraction built.
+    """
+    if isinstance(f, ScaledFlow):
+        scale = f.scale
+        lines = [f"f {u} {v} {format_ratio(x, scale)}" for (u, v), x in f.pairs]
+        if value is None:
+            value = net_flow(net, f.assignment())
+    else:
+        lines = [f"f {u} {v} {format_value(x)}" for (u, v, x) in f.positive_arcs(net)]
+        if value is None:
+            value = net_flow(net, f)
     lines.append(f"s {format_value(value)}")
     return "\n".join(lines) + "\n"
 

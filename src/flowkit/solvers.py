@@ -18,12 +18,15 @@
 All solvers are exact over the rationals and return identical optimal
 values.  Every solver works on :class:`flowkit.network.ResidualGraph`,
 whose residual capacities are ints in units of ``1/scale`` (``scale`` is
-the LCM of the capacity denominators), and so are the quantities a solver
-keeps beside it: the push-relabel and pseudoflow excesses and the amounts
-:func:`recover_flow` reads off the residual graph and drains.  They become
-Fractions again only in what a solver returns: ``MaxflowResult.flow``,
-``value`` and ``stats["value"]``, and the ``NormalizedTree`` that
-:func:`max_blocking_cut` and instrumented runs return.
+the LCM of the capacity denominators, the network's own), and so are the
+quantities a solver keeps beside it: the push-relabel and pseudoflow
+excesses, pseudoflow's M+ and M- and the amounts :func:`recover_flow`
+reads off the residual graph and drains.  No graph solve builds a
+capacity Fraction.  Fractions come back only in ``MaxflowResult.value``
+and ``stats["value"]``, in ``MaxflowResult.flow``, which is built from the
+certified ints (``MaxflowResult.scaled``) when it is first read, and in
+the ``NormalizedTree`` that :func:`max_blocking_cut` and instrumented runs
+return.
 
 Every solver ends in one certificate, read off its final residual graph
 in a single scaled-int pass over the arcs.  ``MaxflowResult.cut`` is the
@@ -46,6 +49,7 @@ also under ``-O``.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from collections import deque
@@ -60,6 +64,7 @@ from .network import (
     Network,
     NetworkError,
     ResidualGraph,
+    ScaledFlow,
     build_network,
     validate,
 )
@@ -70,11 +75,16 @@ ROOT = 0  # parent sentinel: branch hangs directly off the contracted root
 
 @dataclass
 class MaxflowResult:
-    flow: FlowAssignment
+    scaled: ScaledFlow        # the certified flow, as ints over the residual's scale
     value: Fraction
     cut: Cut                  # minimum cut: the source side reached in the final residual
     stats: dict
     debug: dict | None = None
+
+    @functools.cached_property
+    def flow(self):
+        """The flow as a :class:`FlowAssignment`, built on first read."""
+        return self.scaled.assignment()
 
 
 def _require_finite(net):
@@ -88,13 +98,14 @@ def _certified(net, res, reached, stats):
     One pass over the arcs, in units of ``1/res.scale``: f = c - r(u, v)
     lies in [0, c], the excess is zero off s and t, s is in and t is out
     of `reached`, and the outflow of s equals the capacity of the arcs
-    leaving `reached`.  Sets ``stats["value"]``; raises
-    :class:`InvariantViolation` ("certificate") listing every failed check.
+    leaving `reached`.  The flow stays ints, a :class:`ScaledFlow`.  Sets
+    ``stats["value"]``; raises :class:`InvariantViolation`
+    ("certificate") listing every failed check.
     """
     s, t, scale, r = net.source, net.sink, res.scale, res.r
     side = frozenset(reached)
     excess = dict.fromkeys(net.vertices(), 0)
-    values = {}
+    pairs = []
     capacity = 0
     bad = []
     for (u, v), c in zip(net.arcs, res.caps):
@@ -102,7 +113,7 @@ def _certified(net, res, reached, stats):
         if not 0 <= x <= c:
             bad.append(("capacity", (u, v)))
         if x:
-            values[(u, v)] = Fraction(x, scale)
+            pairs.append(((u, v), x))
             excess[u] -= x
             excess[v] += x
         if u in side and v not in side:
@@ -116,7 +127,7 @@ def _certified(net, res, reached, stats):
     if bad:
         raise InvariantViolation("certificate", "final residual", bad)
     stats["value"] = value = Fraction(capacity, scale)
-    return MaxflowResult(FlowAssignment(values, "flow"), value, Cut(side), stats)
+    return MaxflowResult(ScaledFlow(tuple(pairs), scale), value, Cut(side), stats)
 
 
 # -- shortest augmenting paths -------------------------------------------
@@ -596,22 +607,23 @@ def max_blocking_cut(g):
 
 
 def _reverse_network(net):
-    """The network with every arc reversed, in the same arc order."""
+    """The network with every arc reversed, in the same arc order and
+    with the same ints and scale."""
     return Network(net.n, net.sink, net.source, [(v, u) for (u, v) in net.arcs],
-                   net.capacities())
+                   net.ints, net.scale)
 
 
 def hochbaum_maxflow(net, instrumented=False):
     """Maximum flow via the pseudoflow algorithm.
 
     Runs on the reversed network when the total sink-arc capacity is the
-    smaller side, so the iteration count is governed by min(M+, M-).
+    smaller side, so the iteration count is governed by min(M+, M-); both
+    totals are sums of the network's ints.
     """
     _require_finite(net)
-    m_plus = sum((net.capacity(net.source, v) for v in net.out_neighbors(net.source)),
-                 Fraction(0))
-    m_minus = sum((net.capacity(v, net.sink) for v in net.in_neighbors(net.sink)),
-                  Fraction(0))
+    s, t = net.source, net.sink
+    m_plus = sum(c for (u, _), c in zip(net.arcs, net.ints) if u == s)
+    m_minus = sum(c for (_, v), c in zip(net.arcs, net.ints) if v == t)
     reverse = m_minus < m_plus
     work = _reverse_network(net) if reverse else net
     snapshot, res, stats, debug = _pseudoflow_core(work, instrumented=instrumented)

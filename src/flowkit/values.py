@@ -1,8 +1,11 @@
 """Exact value helpers shared across the toolkit.
 
-All quantities (capacities, flows, LP entries) are `fractions.Fraction`.
-:func:`scaled` is the one LCM scaling of them to ints, shared by the
-residual graph, the simplex tableau and the cycle LP of `simplicial`.
+All quantities (capacities, flows, LP entries) are `fractions.Fraction`
+at the library's surface.  :func:`scaled` is the one LCM scaling of them
+to ints, shared by network construction, the simplex tableau and the
+cycle LP of `simplicial`; :func:`parse_ratio` and :func:`format_ratio`
+read and write a value as ints, for the paths that keep it as an int
+over a scale.
 A single distinguished UNBOUNDED value stands in for an infinite capacity.
 It supports exactly what a capacity sum or comparison needs:
 
@@ -87,24 +90,32 @@ def scaled(values):
     return [x.numerator * (lcm // x.denominator) for x in values], lcm
 
 
-def parse_value(token: str) -> Fraction:
-    """Parse an integer or `p/q` rational token.
+def parse_ratio(token: str) -> tuple[int, int]:
+    """Parse an integer or `p/q` rational token into ints ``(p, q)`` with
+    ``q > 0`` and value p/q, not necessarily in lowest terms.
 
-    ASCII-digit tokens ``n`` and ``p/q`` with q != 0 are built from their
-    ints; every other token (signs, ``_``, decimals, exponents, non-ASCII
-    digits, zero denominators) goes through ``Fraction(str)``, so the
-    value and the error are the same either way.
+    ASCII-digit tokens ``n`` and ``p/q`` with q != 0 are read as their ints
+    and build no Fraction; every other token (signs, ``_``, decimals,
+    exponents, non-ASCII digits, zero denominators) goes through
+    ``Fraction(str)``, so the value and the error are the same either way.
     """
     try:
         if token.isascii():
             if token.isdigit():
-                return Fraction(int(token))
+                return int(token), 1
             p, _, q = token.partition("/")
             if p.isdigit() and q.isdigit() and q.strip("0"):
-                return Fraction(int(p), int(q))
-        return Fraction(token)
+                return int(p), int(q)
+        x = Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational value: {token!r}") from exc
+    return x.numerator, x.denominator
+
+
+def parse_value(token: str) -> Fraction:
+    """The Fraction of an integer or `p/q` token; see :func:`parse_ratio`."""
+    p, q = parse_ratio(token)
+    return Fraction(p) if q == 1 else Fraction(p, q)
 
 
 def format_value(x) -> str:
@@ -117,3 +128,12 @@ def format_value(x) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
+
+
+def format_ratio(x: int, scale: int) -> str:
+    """The text ``format_value(Fraction(x, scale))`` gives, for an int x and
+    an int scale > 0, from one gcd and no Fraction."""
+    g = math.gcd(x, scale)
+    if g == scale:
+        return str(x // scale)
+    return f"{x // g}/{scale // g}"

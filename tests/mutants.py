@@ -42,6 +42,10 @@ MUTANTS = {
         "    if r[origin].get(target, 0) > 0:\n"
         "        return _reached(target, origin, parent, queue)\n",
         ""),
+    "read_dimacs leaves a numerator unscaled by scale // q": (
+        "network.py", "(u, v, p * (scale // q))", "(u, v, p)"),
+    "the flow writer skips its gcd reduction": (
+        "values.py", "g = math.gcd(x, scale)", "g = 1"),
 }
 
 

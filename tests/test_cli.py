@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from flowkit import lp
+from conftest import seeded_networks
+from flowkit import lp, network, solvers
 from flowkit.cli import main
 
 NET = "c tiny\np max 4 5\nn 1 s\nn 4 t\na 1 2 3\na 1 3 2\na 2 4 2\na 3 4 3\na 2 3 1\n"
@@ -68,6 +69,42 @@ def test_mincut(capsys, net_file):
     assert code == 0
     assert out.splitlines()[-1] == "s 5"
     assert out.splitlines()[0] == "v 1"
+
+
+def test_maxflow_prints_what_write_flow_writes_for_the_flow(capsys, tmp_path):
+    """The CLI writes the solver's certified ints; the text must be the one
+    `write_flow` gives for the flow as Fractions."""
+    path = tmp_path / "net.dimacs"
+    for label, net in seeded_networks(240):
+        path.write_text(network.write_dimacs(net))
+        for algo, solver in solvers.ALGORITHMS.items():
+            result = solver(net)
+            code, out, _ = run(capsys, "maxflow", f"--algo={algo}", str(path))
+            assert code == 0 and out == network.write_flow(net, result.flow, result.value), \
+                (label, algo)
+
+
+def test_mincut_and_segment_build_no_flow_assignment(capsys, net_file, tmp_path, monkeypatch):
+    built = []
+    init = network.FlowAssignment.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(network.FlowAssignment, "__init__", counted)
+    image = tmp_path / "img.pgm"
+    image.write_text("P2\n3 2\n10\n9 1 4\n8 2 7\n")
+    for argv in (["mincut", "--algo=ek", net_file], ["mincut", "--algo=pr", net_file],
+                 ["mincut", "--algo=hoch", net_file], ["segment", str(image)],
+                 ["maxflow", "--algo=hoch", net_file]):
+        code, _, _ = run(capsys, *argv)
+        assert code == 0 and built == [], argv
+    # the count is not vacuous: `chains` decomposes its flow as Fractions
+    poset = tmp_path / "poset.txt"
+    poset.write_text("el a\nel b\nel c\nbottom a\ntop c\ncover a b\ncover b c\n")
+    code, _, _ = run(capsys, "chains", str(poset))
+    assert code == 0 and built
 
 
 def test_decompose_round_trip(capsys, net_file, tmp_path):

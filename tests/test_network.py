@@ -1,5 +1,6 @@
 """Network model: construction, incidence, flows, cuts, residuals, IO."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -30,7 +31,7 @@ from flowkit.network import (
     _reached,
 )
 from flowkit.solvers import edmonds_karp
-from flowkit.values import UNBOUNDED
+from flowkit.values import UNBOUNDED, parse_value
 from oracles import brute_min_cut, incidence_by_definition, random_network_spec
 
 TABLE_4X5 = [
@@ -253,6 +254,86 @@ def test_dimacs_negative_capacity_names_its_line():
     assert err.value.line_no == 5
 
 
+HEAD = "p max 3 2\nn 1 s\nn 3 t\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (HEAD + "a 0 2 5\na 2 3 1\n", "line 4: arc endpoint out of range: (0, 2)"),
+    (HEAD + "a 1 2 5\na 2 4 1\n", "line 5: arc endpoint out of range: (2, 4)"),
+    (HEAD + "a 1 2 5\na 1 2 1\n", "line 5: duplicate arc (1, 2)"),
+    (HEAD + "a 2 2 5\na 2 3 1\n", "line 4: self-loop not allowed: (2, 2)"),
+    (HEAD + "a 1 2 5\na 2 1 1\n", "line 5: arc (2, 1) enters the source or leaves the sink"),
+    (HEAD + "a 3 2 5\na 2 3 1\n", "line 4: arc (3, 2) enters the source or leaves the sink"),
+    ("p max 5 4\nn 1 s\nn 5 t\na 3 4 1\na 1 3 1\nc\na 4 3 2\na 4 5 1\n",
+     "line 7: antiparallel pair (3,4)/(4,3) not allowed in simple mode"),
+    ("p max 5 4\nn 1 s\nn 5 t\na 4 3 1\na 1 3 1\na 3 4 2\na 4 5 1\n",
+     "line 6: antiparallel pair (3,4)/(4,3) not allowed in simple mode"),
+    ("p max 3 1\nn 9 s\nn 3 t\na 1 2 1\n", "line 2: source/sink out of range: s=9, t=3"),
+    ("p max 3 1\nn 3 t\nc\nn 0 s\na 1 2 1\n", "line 4: source/sink out of range: s=0, t=3"),
+    ("p max 3 1\nn 1 s\nn 4 t\na 1 2 1\n", "line 3: source/sink out of range: s=1, t=4"),
+    ("p max 3 1\nn 2 s\nn 2 t\na 1 3 1\n", "line 3: source and sink must differ"),
+])
+def test_dimacs_structural_errors_name_their_line(text, message):
+    with pytest.raises(ParseError) as err:
+        read_dimacs(text)
+    assert str(err.value) == message
+    assert err.value.line_no == int(message.split()[1].rstrip(":"))
+
+
+def _capacity_token(rng, kind):
+    """A capacity token of the kind, and its value."""
+    if kind == "integer":
+        x = rng.randint(0, 30)
+        return str(x), Fraction(x)
+    if kind in ("rational", "gadget"):  # denominators coprime but for 1
+        x = Fraction(rng.randint(0, 60), rng.choice([1, 7, 11, 13, 17]))
+        return (str(x.numerator) if x.denominator == 1 and rng.random() < 0.5
+                else f"{x.numerator}/{x.denominator}"), x
+    x = Fraction(rng.randint(0, 40), rng.randint(1, 9))
+    if kind == "unreduced":  # 12/8 for 3/2
+        k = rng.randint(2, 6)
+        return f"{x.numerator * k}/{x.denominator * k}", x
+    zeros = "0" * rng.randint(1, 3)
+    if x.denominator == 1 and rng.random() < 0.5:
+        return f"{zeros}{x.numerator}", x
+    return f"{zeros}{x.numerator}/00{x.denominator}", x
+
+
+def test_read_dimacs_equals_build_network_over_parse_value():
+    """`read_dimacs` keeps capacities as ints over one scale; on seeded
+    texts of every token kind it must build the network `build_network`
+    builds from `parse_value`'s Fractions, with the scale the LCM of the
+    reduced denominators."""
+    kinds = ("integer", "rational", "unreduced", "zeros", "gadget")
+    gadgets = 0
+    for seed in range(250):
+        rng = random.Random(seed)
+        kind = kinds[seed % len(kinds)]
+        n = rng.randint(2, 12)
+        pairs = [(u, v) for u in range(1, n) for v in range(2, n + 1)
+                 if u != v and rng.random() < 0.4]
+        if kind != "gadget":
+            pairs = [(u, v) for (u, v) in pairs if u < v or (v, u) not in pairs]
+        rng.shuffle(pairs)
+        tokens = [_capacity_token(rng, kind) for _ in pairs]
+        text = f"c {kind}\np max {n} {len(pairs)}\nn {n} t\nn 1 s\n" + "".join(
+            f"a {u} {v} {token}\n" for (u, v), (token, _) in zip(pairs, tokens))
+        net = read_dimacs(text, allow_antiparallel=kind == "gadget")
+        want = build_network(n, 1, n, [(u, v, parse_value(token))
+                                       for (u, v), (token, _) in zip(pairs, tokens)],
+                             allow_antiparallel=kind == "gadget")
+        assert [x for _, x in tokens] == [parse_value(token) for token, _ in tokens]
+        assert net == want and net.arcs == want.arcs, (seed, text)
+        assert net.capacities() == want.capacities(), (seed, text)
+        assert all(type(c) is Fraction for c in net.capacities())
+        assert net.gadget_vertices == want.gadget_vertices
+        assert all(net.gadget_origin(v) == want.gadget_origin(v) for v in net.vertices())
+        assert net.scale == math.lcm(*{x.denominator for _, x in tokens}), (seed, text)
+        assert net.ints == tuple(c * net.scale for c in net.capacities())
+        gadgets += len(net.gadget_vertices)
+    assert gadgets > 0
+
+
 def test_residual_flow_requires_finite_capacities():
     net = build_network(3, 1, 3, [(1, 2, UNBOUNDED), (2, 3, 1)])
     with pytest.raises(NetworkError, match="^flow requires finite capacities$"):
@@ -265,10 +346,13 @@ def test_dimacs_count_mismatch():
 
 
 def test_flow_format_round_trip(g1):
-    flow = edmonds_karp(g1).flow
+    result = edmonds_karp(g1)
+    flow = result.flow
     text = write_flow(g1, flow)
     assert text.strip().splitlines()[-1] == "s 5"
     assert read_flow(g1, text) == flow
+    # the certified ints write the same text, with the value given or not
+    assert write_flow(g1, result.scaled) == write_flow(g1, result.scaled, result.value) == text
 
 
 def test_flow_format_rejects_repeated_arc(g1):

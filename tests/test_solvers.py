@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import make_random_network
+from conftest import make_random_network, seeded_networks
 from flowkit import solvers
 from flowkit.apps import grid_neighbor_pairs
 from flowkit.decompose import min_cut_from_flow
@@ -101,35 +101,6 @@ def test_cuts_agree_on_rational_networks_with_antiparallel_pairs(rng):
             assert (result.value, result.cut) == (want.value, want.cut), solver.__name__
 
 
-def _seeded_networks(count=1000):
-    """`count` seeded networks, a quarter of each kind: integer, coprime
-    rational and 0/1 capacities, and rational ones with antiparallel pairs
-    (subdivided through gadget vertices).  Every kind draws zero
-    capacities, and every other network of each kind has a direct s -> t
-    arc (the rest draw it like any other)."""
-    kinds = ("integer", "rational", "unit", "gadget")
-    for seed in range(count):
-        rng = random.Random(seed)
-        kind = kinds[seed % 4]
-        n = rng.randint(4, 16)
-        pairs = [(u, v) for u in range(1, n) for v in range(2, n + 1)
-                 if u != v and rng.random() < 0.35]
-        if kind != "gadget":   # keep one arc of each antiparallel pair
-            pairs = [(u, v) for (u, v) in pairs if u < v or (v, u) not in pairs]
-        if seed // 4 % 2 == 0 and (1, n) not in pairs:
-            pairs.append((1, n))
-        if kind == "integer":
-            caps = [Fraction(rng.randint(0, 12)) for _ in pairs]
-        elif kind == "unit":
-            caps = [Fraction(rng.randint(0, 1)) for _ in pairs]
-        else:
-            caps = [Fraction(rng.randint(0, 40), rng.choice([7, 11, 13, 17, 19, 23]))
-                    for _ in pairs]
-        arcs = [(u, v, c) for (u, v), c in zip(pairs, caps)]
-        yield f"{kind} seed {seed}", build_network(n, 1, n, arcs,
-                                                    allow_antiparallel=kind == "gadget")
-
-
 # (label, arcs on 1..n with s = 1 and t = n, the fresh searches' paths)
 HAND_BUILT = [
     # the first path's bottleneck is its first arc; the second path
@@ -210,7 +181,7 @@ def _saturation_case(path, i):
 
 def test_resumed_searches_find_the_paths_of_fresh_ones(augmenting_paths):
     cases = Counter()
-    for label, net in _seeded_networks():
+    for label, net in seeded_networks():
         try:
             fresh, saturated = _same_run_as_fresh_searches(net, augmenting_paths)
         except AssertionError as exc:
@@ -232,7 +203,7 @@ def _pinned(result):
             sorted(result.cut.source_side), sorted(result.stats.items()))
 
 
-# sha256 of the push-relabel and pseudoflow results on `_seeded_networks()`
+# sha256 of the push-relabel and pseudoflow results on `seeded_networks()`
 # as their final residual searches gave them with no look-ahead
 PINNED_PR_HOCH = "8af9556aa9e550ae5e69484533f7b40cc662e112fc04dc811d82847064b8dc5c"
 
@@ -241,7 +212,7 @@ def test_push_relabel_and_pseudoflow_results_are_unchanged():
     # the value and cut must be Edmonds-Karp's; the flows and counters, the
     # recorded ones
     results = []
-    for label, net in _seeded_networks():
+    for label, net in seeded_networks():
         want = edmonds_karp(net)
         for solver in (push_relabel, hochbaum_maxflow):
             result = solver(net)

@@ -1,8 +1,11 @@
 """UNBOUNDED behaves as +infinity for ordering and addition, and nothing
 else; `scaled` turns rationals into ints over the LCM of their denominators;
-`parse_value` reads every token the way `Fraction(str)` does; `format_value`
-writes `7`, `7/3` or `inf` and refuses what `exact` refuses."""
+`parse_value` reads every token the way `Fraction(str)` does, and
+`read_dimacs`'s int reading as `parse_value` does; `format_value` writes
+`7`, `7/3` or `inf` and refuses what `exact` refuses, and `format_ratio`
+writes what it writes for a Fraction."""
 
+import random
 import re
 from fractions import Fraction
 
@@ -12,14 +15,16 @@ from flowkit.decompose import min_cut_from_flow
 from flowkit.network import (
     FlowAssignment,
     NetworkError,
+    ParseError,
     ResidualGraph,
     build_network,
     cut_capacity,
     make_cut,
+    read_dimacs,
     validate,
 )
 from flowkit.solvers import ALGORITHMS
-from flowkit.values import UNBOUNDED, exact, format_value, parse_value, scaled
+from flowkit.values import UNBOUNDED, exact, format_ratio, format_value, parse_value, scaled
 
 FINITE = [0, 7, -3, Fraction(0), Fraction(10**30, 7), Fraction(-5, 2)]
 
@@ -113,12 +118,56 @@ def _outcome(parse, token):
     return "value", x, type(x), type(x.numerator), type(x.denominator)
 
 
-@pytest.mark.parametrize("token", [
+TOKENS = [
     "0", "007", "12/8", "0/5", "3/0", "3/00", "+3", "-0", "-3/4", "1_000", "1e3", "1.5",
     "\u0663", "\u00b2", "", "/", "3/", "/4", "3//4",
-])
+]
+
+
+@pytest.mark.parametrize("token", TOKENS)
 def test_parse_value_reads_every_token_as_fraction_str_does(token):
     assert _outcome(parse_value, token) == _outcome(_through_fraction_str, token)
+
+
+@pytest.mark.parametrize("token", TOKENS)
+def test_read_dimacs_reads_every_capacity_token_as_parse_value_does(token):
+    """`read_dimacs` reads its capacities as ints, without `parse_value`'s
+    Fraction; it must give the same capacity or the same error."""
+    text = f"p max 2 1\nn 1 s\nn 2 t\na 1 2 {token}\n"
+    if not token:  # no fourth field on the line
+        want = "line 4: expected `a <u> <v> <cap>`"
+    else:
+        try:
+            x = parse_value(token)
+        except ValueError as exc:
+            want = f"line 4: {exc}"
+        else:
+            want = "line 4: negative capacity" if x < 0 else x
+    try:
+        net = read_dimacs(text)
+    except ParseError as exc:
+        assert (str(exc), exc.line_no) == (want, 4)
+    else:
+        assert net.capacity(1, 2) == want and type(net.capacity(1, 2)) is Fraction
+        assert net.ints == (want.numerator,) and net.scale == want.denominator
+
+
+def _ratios(seed):
+    """Seeded (x, scale) pairs: x = 0, x = scale, x sharing factors with
+    scale, coprime ones and large ones."""
+    rng = random.Random(seed)
+    pairs = [(0, 1), (0, 12), (1, 1), (12, 12), (7, 1), (12, 8), (-12, 8), (6, 4), (10**30, 7)]
+    for _ in range(400):
+        scale = rng.choice([1, 2, 6, 12, 35, 210, 2 ** 40, rng.randint(1, 10**6)])
+        k = rng.choice([0, 1, scale, rng.randint(0, 5 * scale), rng.randint(-scale, 0)])
+        g = rng.choice([1, 2, 3, 5, 7])
+        pairs.append((k * g, scale * g))
+    return pairs
+
+
+def test_format_ratio_writes_what_format_value_writes_for_the_fraction():
+    for x, scale in _ratios(19):
+        assert format_ratio(x, scale) == format_value(Fraction(x, scale)), (x, scale)
 
 
 @pytest.mark.parametrize("x, text", [
