@@ -65,10 +65,10 @@ def _matching_network(g):
     # minimum cut never severs them
     n = g.n
     s, t = 2 * n + 1, 2 * n + 2
-    arcs = [(s, i, Fraction(1)) for i in range(1, n + 1)]
-    arcs += [(i, n + j, Fraction(n + 1)) for (i, j) in g.edges]
-    arcs += [(n + j, t, Fraction(1)) for j in range(1, n + 1)]
-    return build_network(2 * n + 2, s, t, arcs)
+    arcs = [(s, i, 1) for i in range(1, n + 1)]
+    arcs += [(i, n + j, n + 1) for (i, j) in g.edges]
+    arcs += [(n + j, t, 1) for j in range(1, n + 1)]
+    return build_network(2 * n + 2, s, t, arcs, scale=1)
 
 
 def perfect_matching(g):
@@ -174,8 +174,8 @@ def max_disjoint_chains(p):
         raise NotBounded("poset needs distinct bottom and top below/above everything")
     index = {e: i + 1 for i, e in enumerate(p.elements)}
     covers = p.covers()
-    arcs = [(index[a], index[b], Fraction(1)) for (a, b) in covers]
-    net = build_network(len(p.elements), index[p.bottom], index[p.top], arcs)
+    arcs = [(index[a], index[b], 1) for (a, b) in covers]
+    net = build_network(len(p.elements), index[p.bottom], index[p.top], arcs, scale=1)
     result = edmonds_karp(net)
     components = decompose(net, result.flow)
     names = {i: e for e, i in index.items()}
@@ -185,17 +185,6 @@ def max_disjoint_chains(p):
             raise InvariantViolation("unit path", "max_disjoint_chains", [comp])
         chains.append(tuple(names[v] for v in comp.vertices))
     return chains
-
-
-def chain_is_maximal(p, chain):
-    """Definition check: no element of the poset extends the chain."""
-    members = set(chain)
-    for x in p.elements:
-        if x in members:
-            continue
-        if all((x, y) in p.less or (y, x) in p.less for y in members):
-            return False
-    return True
 
 
 # -- image segmentation ----------------------------------------------------------

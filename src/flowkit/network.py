@@ -32,8 +32,9 @@ Without a starting flow, ``scale`` and the capacities are the network's
 own ints.  Fractions appear only at the boundary: a network's
 ``capacities``, ``capacity`` and ``cbar`` (built on first call and kept),
 a residual graph's ``capacity``, ``arcs`` and ``flow``, and
-:class:`FlowAssignment` values.  :func:`write_flow` writes a
-:class:`ScaledFlow`, a solver's certified ints, without them.
+:class:`FlowAssignment` values.  A flow file is written from one form
+only: :func:`write_flow` takes a :class:`ScaledFlow`, a solver's
+certified ints, and the value it is given, and builds no Fraction.
 
 The capacities are stored by rows, built once per solve: ``r[u]`` maps
 each out- and in-neighbour v of u, in increasing index order, to
@@ -49,7 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import islice
 from typing import NamedTuple
 
 from .values import (
@@ -245,11 +246,11 @@ def build_network(n, source, sink, arc_list, allow_antiparallel=False, scale=Non
 
     An error about an arc carries ``at``, the index in `arc_list` of the
     arc at fault (the later arc of a repeated or antiparallel pair); an
-    error about the source or the sink carries ``at = "source"`` or
-    ``"sink"``.
+    error about the vertex count, the source or the sink carries
+    ``at = "n"``, ``"source"`` or ``"sink"``.
     """
     if n < 2:
-        raise InvalidVertex(f"need at least two vertices, got n={n}")
+        raise InvalidVertex(f"need at least two vertices, got n={n}", "n")
     if not 1 <= source <= n:
         raise InvalidVertex(f"source/sink out of range: s={source}, t={sink}", "source")
     if not 1 <= sink <= n:
@@ -344,18 +345,6 @@ class FlowAssignment:
         pairs.update((v, u) for (u, v) in self.raw)
         return pairs
 
-    def with_role(self, role):
-        return FlowAssignment(self.raw, role)
-
-    def positive_arcs(self, net):
-        """Arcs of the network carrying strictly positive flow, in arc order."""
-        out = []
-        for (u, v) in net.arcs:
-            x = self.value(u, v)
-            if x.numerator > 0:
-                out.append((u, v, x))
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, FlowAssignment):
             return NotImplemented
@@ -387,25 +376,6 @@ class Cut:
     """Two-block vertex partition given by its source side."""
 
     source_side: frozenset
-
-
-def make_cut(net, source_side):
-    side = frozenset(source_side)
-    if net.source not in side:
-        raise NetworkError("cut must contain the source")
-    if net.sink in side:
-        raise NetworkError("cut must not contain the sink")
-    if not side <= set(net.vertices()):
-        raise InvalidVertex("cut contains unknown vertices")
-    return Cut(side)
-
-
-def all_cuts(net):
-    """Every cut of the network (2^(n-2) of them); for desk-scale checks."""
-    middle = [v for v in net.vertices() if v != net.source and v != net.sink]
-    for k in range(len(middle) + 1):
-        for extra in combinations(middle, k):
-            yield Cut(frozenset((net.source,) + extra))
 
 
 def _bfs(origin, target, r, parent=None, queue=None, head=0):
@@ -714,8 +684,9 @@ def read_dimacs(text, allow_antiparallel=False):
     :func:`build_network` gets them as the ints ``p * (scale // q)`` over
     ``scale``, the LCM of the q's; no capacity becomes a Fraction.  An
     error that :func:`build_network` locates names the line of the arc at
-    fault (the second line of a repeated or antiparallel pair), or the
-    `n` line of the source or sink at fault.
+    fault (the second line of a repeated or antiparallel pair), the `n`
+    line of the source or sink at fault, or the `p` line for a vertex
+    count below two or an arc count that the `a` lines do not match.
     """
     n = m = None
     source = sink = None
@@ -748,6 +719,7 @@ def read_dimacs(text, allow_antiparallel=False):
                 n, m = int(fields[2]), int(fields[3])
             except ValueError:
                 raise ParseError("n and m must be integers", line_no)
+            ends["n"] = line_no
         elif kind == "n":
             if n is None:
                 raise ParseError("node designation before problem line", line_no)
@@ -774,7 +746,7 @@ def read_dimacs(text, allow_antiparallel=False):
     if source is None or sink is None:
         raise ParseError("missing source or sink designation")
     if len(arcs) != m:
-        raise ParseError(f"problem line announced {m} arcs, found {len(arcs)}")
+        raise ParseError(f"problem line announced {m} arcs, found {len(arcs)}", ends["n"])
     scale = math.lcm(*{q for (_, _, _, q) in arcs})
     try:
         return build_network(n, source, sink, [(u, v, p * (scale // q)) for (u, v, p, q) in arcs],
@@ -784,22 +756,12 @@ def read_dimacs(text, allow_antiparallel=False):
         raise ParseError(str(exc), arc_lines[at] if isinstance(at, int) else ends.get(at))
 
 
-def write_flow(net, f, value=None):
-    """One `f <u> <v> <value>` line per positive-flow arc, then `s <|f|>`.
-
-    `f` is a :class:`FlowAssignment`, or a :class:`ScaledFlow` as a solver
-    certified it, whose ints are written through :func:`format_ratio`
-    with no Fraction built.
-    """
-    if isinstance(f, ScaledFlow):
-        scale = f.scale
-        lines = [f"f {u} {v} {format_ratio(x, scale)}" for (u, v), x in f.pairs]
-        if value is None:
-            value = net_flow(net, f.assignment())
-    else:
-        lines = [f"f {u} {v} {format_value(x)}" for (u, v, x) in f.positive_arcs(net)]
-        if value is None:
-            value = net_flow(net, f)
+def write_flow(flow, value):
+    """One `f <u> <v> <x>` line per arc of `flow`, a :class:`ScaledFlow` as
+    a solver certified it, then `s <value>`.  Each x goes through
+    :func:`format_ratio`, so no Fraction is built."""
+    scale = flow.scale
+    lines = [f"f {u} {v} {format_ratio(x, scale)}" for (u, v), x in flow.pairs]
     lines.append(f"s {format_value(value)}")
     return "\n".join(lines) + "\n"
 

@@ -5,7 +5,10 @@ distinguished source facet T whose neighbors all induce the opposite sign
 on every shared (d-1)-face, and finite capacities on the other facets
 (the source capacity is unbounded).  A flow is a non-negative weighting of
 the facets lying in the kernel of the boundary operator; the objective is
-the weight carried by T.
+the weight carried by T.  It always has a maximum, so a result carries no
+status: the zero flow is a flow, and every column of ∂ has d + 1 >= 2
+entries +-1, so the row of ∂x = 0 at any face of T bounds x_T by the
+finite capacities of the other facets there.
 
 Dimension 1 recovers ordinary graph maxflow: an arc (u, v) is encoded as
 the oriented 1-simplex (v, u), which makes the boundary matrix coincide
@@ -108,12 +111,6 @@ class OrientedComplex:
         facet j."""
         return [sum((sign * lam[face] for face, sign in column.items()), Fraction(0))
                 for column in self._signs]
-
-    def vertices(self):
-        out = set()
-        for f in self.facets:
-            out.update(f)
-        return sorted(out)
 
     def is_connected(self):
         if not self.facets:
@@ -250,9 +247,8 @@ def hflow_violations(hnet, flow):
 
 @dataclass
 class HMaxflowResult:
-    status: str               # "optimal" | "unbounded"
-    flow: HFlow | None
-    value: Fraction | None
+    flow: HFlow
+    value: Fraction
     trace: list | None = None
 
 
@@ -264,12 +260,9 @@ def hmaxflow_lp(hnet):
     objective[hnet.t_index] = 1
     status, point = solve_standard(objective, eq_rows=eq_rows, eq_bounds=[0] * len(eq_rows),
                                    upper=[hnet.capacity(j) for j in range(k)])
-    if status == "unbounded":
-        return HMaxflowResult("unbounded", None, None)
-    if status != "optimal":  # the zero flow is always feasible
-        raise InvariantViolation("feasible zero flow", "hmaxflow_lp", [status])
-    flow = HFlow(tuple(point))
-    return HMaxflowResult("optimal", flow, point[hnet.t_index])
+    if status != "optimal":
+        raise InvariantViolation("bounded feasible program", "hmaxflow_lp", [status])
+    return HMaxflowResult(HFlow(tuple(point)), point[hnet.t_index])
 
 
 # -- residual complex and augmenting cycles ---------------------------------
@@ -302,9 +295,6 @@ class AugmentingCycle:
     carries the source facet forward."""
 
     terms: tuple              # (facet_index, direction +1/-1, coefficient)
-
-    def source_coefficient(self, t_index):
-        return sum(c for (j, d, c) in self.terms if j == t_index and d > 0)
 
 
 def find_augmenting_cycle(hnet, values):
@@ -361,8 +351,7 @@ def hmaxflow_augment(hnet, instrumented=False):
     for _ in range(AUGMENTATION_BUDGET):
         cycle = find_augmenting_cycle(hnet, values)
         if cycle is None:
-            flow = HFlow(tuple(values))
-            return HMaxflowResult("optimal", flow, values[hnet.t_index], trace)
+            return HMaxflowResult(HFlow(tuple(values)), values[hnet.t_index], trace)
         where = f"augmentation {len(trace) + 1}"
         bottlenecks = []
         for (j, direction, coeff) in cycle.terms:
@@ -632,14 +621,14 @@ class ProbeReport:
         return [r for r in self.records if r.discrepancy]
 
 
-def random_hnetwork(rng, max_facets=8, max_vertices=6, max_cap=5):
-    """Random dimension-2 flow network: sampled triangles with random
-    orientations, a source facet preferring well-shared edges, neighbor
-    orientations flipped where needed to establish the source condition."""
-    if min(max_facets, max_vertices) < 4:
-        raise ComplexError(f"a random 2-complex needs max_facets and max_vertices of at "
-                           f"least 4, got {max_facets} and {max_vertices}")
-    nv = rng.randint(4, max_vertices)
+def random_hnetwork(rng, max_facets=8):
+    """Random dimension-2 flow network on 4 to 6 vertices: sampled
+    triangles with random orientations, a source facet preferring
+    well-shared edges, neighbor orientations flipped where needed to
+    establish the source condition, and integer capacities from 0 to 5."""
+    if max_facets < 4:
+        raise ComplexError(f"a random 2-complex needs max_facets of at least 4, got {max_facets}")
+    nv = rng.randint(4, 6)
     pool = list(combinations(range(1, nv + 1), 3))
     k = rng.randint(min(4, len(pool)), min(max_facets, len(pool)))
     chosen = rng.sample(pool, k)
@@ -661,7 +650,7 @@ def random_hnetwork(rng, max_facets=8, max_vertices=6, max_cap=5):
         f = facets[j]
         facets[j] = (f[1], f[0], f[2])
     cx = OrientedComplex(2, facets)
-    caps = {j: Fraction(rng.randint(0, max_cap)) for j in range(k) if j != t_index}
+    caps = {j: Fraction(rng.randint(0, 5)) for j in range(k) if j != t_index}
     return build_hnetwork(cx, t_index, caps)
 
 

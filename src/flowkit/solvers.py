@@ -378,9 +378,6 @@ class NormalizedTree:
             strong.extend(children.get(v, ()))
         return sorted(strong)
 
-    def weak_vertices(self):
-        return sorted(set(self.parent).difference(self.strong_vertices()))
-
 
 def normalized_tree_violations(net, f, tree):
     """Check the four normalized-tree conditions for a pseudoflow on `net`."""

@@ -46,6 +46,8 @@ MUTANTS = {
         "network.py", "(u, v, p * (scale // q))", "(u, v, p)"),
     "the flow writer skips its gcd reduction": (
         "values.py", "g = math.gcd(x, scale)", "g = 1"),
+    "face signs drop the (-1)^k of the alternating sum": (
+        "simplicial.py", "-p if k % 2 else p", "p"),
 }
 
 

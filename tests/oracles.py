@@ -7,14 +7,16 @@ elimination, boundary signs from the alternating-sum definition, and so
 on; Edmonds-Karp's look-ahead, resumed searches are checked against
 fresh textbook ones.  The enumeration oracles at the end take the
 library's own objects and objective (cut capacity, segmentation score)
-and enumerate every candidate in place of the solver.
+and enumerate every candidate in place of the solver; a flow file is
+rendered from the Fractions, apart from the writer's ints.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from flowkit.apps import segmentation_score
-from flowkit.network import Cut, ResidualGraph, all_cuts, cut_capacity
+from flowkit.apps import Poset, segmentation_score
+from flowkit.network import Cut, ResidualGraph, cut_capacity
+from flowkit.values import format_value
 
 
 def random_network_spec(rng, max_n=8, max_cap=10, density=0.55, allow_st_arc=True):
@@ -322,12 +324,37 @@ def leaf_by_definition(facets, f_index, fp_index):
     return True
 
 
+def chain_is_maximal(p, chain):
+    """Definition check: no element of the poset extends the chain."""
+    members = set(chain)
+    for x in p.elements:
+        if x in members:
+            continue
+        if all((x, y) in p.less or (y, x) in p.less for y in members):
+            return False
+    return True
+
+
 def matching_exists_by_enumeration(g):
     """n!-enumeration oracle for small instances."""
     edge_set = set(g.edges)
     indices = list(range(1, g.n + 1))
     return any(all((i, sigma[i - 1]) in edge_set for i in indices)
                for sigma in permutations(indices))
+
+
+def random_bounded_poset(rng, max_mid=7):
+    """bot < m_i < top for up to `max_mid` m_i, and m_i < m_j (i < j) with probability 0.3."""
+    k = rng.randint(0, max_mid)
+    mids = [f"m{i}" for i in range(k)]
+    rel = []
+    for i in range(k):
+        for j in range(i + 1, k):
+            if rng.random() < 0.3:
+                rel.append((mids[i], mids[j]))
+    rel += [("bot", m) for m in mids] + [(m, "top") for m in mids]
+    rel.append(("bot", "top"))
+    return Poset(["bot"] + mids + ["top"], rel)
 
 
 def max_disjoint_chains_by_enumeration(p):
@@ -372,6 +399,14 @@ def best_segmentation_by_enumeration(img):
             if best is None or score > best:
                 best = score
     return best
+
+
+def all_cuts(net):
+    """Every cut of the network (2^(n-2) of them); for desk-scale checks."""
+    middle = [v for v in net.vertices() if v != net.source and v != net.sink]
+    for k in range(len(middle) + 1):
+        for extra in combinations(middle, k):
+            yield Cut(frozenset((net.source,) + extra))
 
 
 def min_cut_by_enumeration(net):
@@ -422,3 +457,14 @@ def edmonds_karp_fresh(net):
     flow = res.flow()
     value = sum((flow.value(s, v) for v in net.out_neighbors(s)), Fraction(0))
     return flow, value, augmentations, Cut(frozenset(reached))
+
+
+def flow_text_by_definition(net, flow):
+    """The flow file of a FlowAssignment by its grammar: `f u v x` for each
+    arc with x > 0, in arc order, then `s` and the amount leaving the
+    source, each number as `format_value` renders the Fraction."""
+    lines = [f"f {u} {v} {format_value(flow.value(u, v))}" for (u, v) in net.arcs
+             if flow.value(u, v) > 0]
+    value = sum((flow.value(net.source, v) for v in net.out_neighbors(net.source)), Fraction(0))
+    lines.append(f"s {format_value(value)}")
+    return "\n".join(lines) + "\n"

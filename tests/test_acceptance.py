@@ -18,8 +18,6 @@ from flowkit.apps import (
     BipartiteGraph,
     PerfectMatching,
     PixelImage,
-    Poset,
-    chain_is_maximal,
     max_disjoint_chains,
     perfect_matching,
     segment_image,
@@ -38,7 +36,7 @@ from flowkit.lp import (
     is_totally_unimodular,
     simplex_solve,
 )
-from flowkit.network import all_cuts, build_network, cut_capacity
+from flowkit.network import build_network, cut_capacity
 from flowkit.simplicial import (
     OrientedComplex,
     boundary_matrix,
@@ -52,11 +50,14 @@ from flowkit.simplicial import (
 )
 from flowkit.solvers import edmonds_karp, hochbaum_maxflow, push_relabel
 from oracles import (
+    all_cuts,
     best_segmentation_by_enumeration,
     brute_min_cut,
+    chain_is_maximal,
     ghouila_houri_tu,
     matching_exists_by_enumeration,
     max_disjoint_chains_by_enumeration,
+    random_bounded_poset,
     random_network_spec,
 )
 from test_simplicial import (
@@ -231,16 +232,7 @@ def test_criterion_8_hall_matchings():
 def test_criterion_9_poset_chains():
     rng = random.Random(BATCH_SEED + 9)
     for _ in range(50):
-        k = rng.randint(0, 7)
-        mids = [f"m{i}" for i in range(k)]
-        rel = []
-        for i in range(k):
-            for j in range(i + 1, k):
-                if rng.random() < 0.3:
-                    rel.append((mids[i], mids[j]))
-        rel += [("bot", m) for m in mids] + [(m, "top") for m in mids]
-        rel.append(("bot", "top"))
-        p = Poset(["bot"] + mids + ["top"], rel)
+        p = random_bounded_poset(rng)
         chains = max_disjoint_chains(p)
         assert len(chains) == max_disjoint_chains_by_enumeration(p)
         used = set()

@@ -12,7 +12,6 @@ from flowkit.apps import (
     PerfectMatching,
     PixelImage,
     Poset,
-    chain_is_maximal,
     image_from_pgm,
     max_disjoint_chains,
     perfect_matching,
@@ -25,11 +24,13 @@ from flowkit.apps import (
     write_pbm,
     _matching_network,
 )
-from flowkit.network import ParseError, cut_capacity, make_cut
+from flowkit.network import Cut, ParseError, cut_capacity
 from oracles import (
     best_segmentation_by_enumeration,
+    chain_is_maximal,
     matching_exists_by_enumeration,
     max_disjoint_chains_by_enumeration,
+    random_bounded_poset,
 )
 
 
@@ -52,7 +53,7 @@ def test_isolated_vertex_is_the_witness():
 def test_matching_source_cut_capacity_is_n():
     g = BipartiteGraph(5, [(i, i) for i in range(1, 6)])
     net = _matching_network(g)
-    assert cut_capacity(net, make_cut(net, {net.source})) == 5
+    assert cut_capacity(net, Cut(frozenset({net.source}))) == 5
 
 
 def test_matching_against_permutation_oracle(rng):
@@ -96,22 +97,9 @@ def test_cyclic_relation_rejected():
         Poset(["a", "b"], [("a", "b"), ("b", "a")])
 
 
-def _random_bounded_poset(rng, max_mid=7):
-    k = rng.randint(0, max_mid)
-    mids = [f"m{i}" for i in range(k)]
-    rel = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            if rng.random() < 0.3:
-                rel.append((mids[i], mids[j]))
-    rel += [("bot", m) for m in mids] + [(m, "top") for m in mids]
-    rel.append(("bot", "top"))
-    return Poset(["bot"] + mids + ["top"], rel)
-
-
 def test_chains_against_exhaustive_oracle(rng):
     for _ in range(30):
-        p = _random_bounded_poset(rng)
+        p = random_bounded_poset(rng)
         chains = max_disjoint_chains(p)
         assert len(chains) == max_disjoint_chains_by_enumeration(p)
         covers = set(p.covers())
@@ -122,6 +110,12 @@ def test_chains_against_exhaustive_oracle(rng):
                 assert edge in covers
                 assert edge not in used
                 used.add(edge)
+
+
+def test_chain_is_maximal_sees_a_chain_that_can_be_extended():
+    p = Poset(["bot", "a", "b", "top"], [("bot", "a"), ("a", "b"), ("b", "top")])
+    assert chain_is_maximal(p, ("bot", "a", "b", "top"))
+    assert not chain_is_maximal(p, ("bot", "a", "top"))  # b lies between a and top
 
 
 def test_single_pixel_goes_to_likelier_side():

@@ -8,6 +8,7 @@ import pytest
 from conftest import seeded_networks
 from flowkit import lp, network, solvers
 from flowkit.cli import main
+from oracles import flow_text_by_definition
 
 NET = "c tiny\np max 4 5\nn 1 s\nn 4 t\na 1 2 3\na 1 3 2\na 2 4 2\na 3 4 3\na 2 3 1\n"
 TETRA = "hnet dim 2\nf 2 3 4 1\nf 1 2 4 1\nf 1 4 3 1\nt 1 3 2\n"
@@ -72,16 +73,15 @@ def test_mincut(capsys, net_file):
 
 
 def test_maxflow_prints_what_write_flow_writes_for_the_flow(capsys, tmp_path):
-    """The CLI writes the solver's certified ints; the text must be the one
-    `write_flow` gives for the flow as Fractions."""
+    """The CLI writes the solver's certified ints; the text must be the flow
+    file that the grammar gives for the flow as Fractions."""
     path = tmp_path / "net.dimacs"
     for label, net in seeded_networks(240):
         path.write_text(network.write_dimacs(net))
         for algo, solver in solvers.ALGORITHMS.items():
             result = solver(net)
             code, out, _ = run(capsys, "maxflow", f"--algo={algo}", str(path))
-            assert code == 0 and out == network.write_flow(net, result.flow, result.value), \
-                (label, algo)
+            assert code == 0 and out == flow_text_by_definition(net, result.flow), (label, algo)
 
 
 def test_mincut_and_segment_build_no_flow_assignment(capsys, net_file, tmp_path, monkeypatch):
@@ -293,7 +293,7 @@ def test_probe_report(capsys):
 def test_probe_rejects_too_few_facets(capsys):
     code, out, err = run(capsys, "conjecture-probe", "--trials", "1", "--max-facets", "3")
     assert code == 2 and out == ""
-    assert err.startswith("error: a random 2-complex needs max_facets")
+    assert err == "error: a random 2-complex needs max_facets of at least 4, got 3\n"
 
 
 def test_probe_rejects_a_negative_trial_count(capsys):

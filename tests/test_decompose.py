@@ -106,7 +106,7 @@ def test_recover_identity_when_already_a_flow():
     res = ResidualGraph(gst, pf)
     recover_flow(res)
     flow = res.flow()
-    assert flow.with_role("pseudoflow") == pf
+    assert FlowAssignment(flow.raw, "pseudoflow") == pf
     assert net_flow(gst, flow) == 0
 
 

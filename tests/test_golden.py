@@ -95,7 +95,7 @@ def solver_records():
             cut = min_cut_from_flow(net, result.flow)
             assert result.cut == cut, (i, name)
             records.append(f"instance {i} algo={name} {stats}\n"
-                           + write_flow(net, result.flow, result.value)
+                           + write_flow(result.scaled, result.value)
                            + "cut " + " ".join(map(str, sorted(cut.source_side))) + "\n"
                            + write_components(decompose(net, result.flow)))
     return records

@@ -35,7 +35,6 @@ from flowkit.lp import (
 from flowkit.network import (
     FlowAssignment,
     InvariantViolation,
-    all_cuts,
     build_network,
     cut_capacity,
     net_flow,
@@ -44,6 +43,7 @@ from flowkit.network import (
 from flowkit.solvers import edmonds_karp
 from flowkit.values import UNBOUNDED
 from oracles import (
+    all_cuts,
     dense_pivot,
     determinant_by_permutations,
     ghouila_houri_tu,

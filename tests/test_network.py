@@ -8,6 +8,7 @@ import pytest
 
 from conftest import make_random_network
 from flowkit.network import (
+    Cut,
     DuplicateArc,
     FlowAssignment,
     InvalidFlow,
@@ -16,12 +17,10 @@ from flowkit.network import (
     ParseError,
     ResidualGraph,
     SourceSinkViolation,
-    all_cuts,
     build_network,
     cut_capacity,
     flow_across_cut,
     incidence_matrix,
-    make_cut,
     net_flow,
     read_dimacs,
     read_flow,
@@ -32,7 +31,7 @@ from flowkit.network import (
 )
 from flowkit.solvers import edmonds_karp
 from flowkit.values import UNBOUNDED, parse_value
-from oracles import brute_min_cut, incidence_by_definition, random_network_spec
+from oracles import all_cuts, brute_min_cut, incidence_by_definition, random_network_spec
 
 TABLE_4X5 = [
     [1, 1, 0, 0, 0],
@@ -180,7 +179,7 @@ def test_cut_capacity_dominates_flow(rng):
 
 
 def test_cut_of_source_alone(single_arc):
-    cut = make_cut(single_arc, {1})
+    cut = Cut(frozenset({1}))
     assert cut_capacity(single_arc, cut) == 5
     full = FlowAssignment({(1, 2): Fraction(5)})
     assert flow_across_cut(single_arc, full, cut) == 5
@@ -272,6 +271,8 @@ HEAD = "p max 3 2\nn 1 s\nn 3 t\n"
     ("p max 3 1\nn 3 t\nc\nn 0 s\na 1 2 1\n", "line 4: source/sink out of range: s=0, t=3"),
     ("p max 3 1\nn 1 s\nn 4 t\na 1 2 1\n", "line 3: source/sink out of range: s=1, t=4"),
     ("p max 3 1\nn 2 s\nn 2 t\na 1 3 1\n", "line 3: source and sink must differ"),
+    ("c one vertex\np max 1 0\nn 1 s\nn 1 t\n", "line 2: need at least two vertices, got n=1"),
+    ("c\np max 3 2\nn 1 s\nn 3 t\na 1 2 1\n", "line 2: problem line announced 2 arcs, found 1"),
 ])
 def test_dimacs_structural_errors_name_their_line(text, message):
     with pytest.raises(ParseError) as err:
@@ -347,12 +348,9 @@ def test_dimacs_count_mismatch():
 
 def test_flow_format_round_trip(g1):
     result = edmonds_karp(g1)
-    flow = result.flow
-    text = write_flow(g1, flow)
+    text = write_flow(result.scaled, result.value)
     assert text.strip().splitlines()[-1] == "s 5"
-    assert read_flow(g1, text) == flow
-    # the certified ints write the same text, with the value given or not
-    assert write_flow(g1, result.scaled) == write_flow(g1, result.scaled, result.value) == text
+    assert read_flow(g1, text) == result.flow
 
 
 def test_flow_format_rejects_repeated_arc(g1):
@@ -362,8 +360,8 @@ def test_flow_format_rejects_repeated_arc(g1):
 
 
 def test_flow_format_rejects_wrong_total(g1):
-    flow = edmonds_karp(g1).flow
-    text = write_flow(g1, flow).replace("s 5", "s 4")
+    result = edmonds_karp(g1)
+    text = write_flow(result.scaled, result.value).replace("s 5", "s 4")
     with pytest.raises(ParseError):
         read_flow(g1, text)
 
@@ -373,8 +371,8 @@ def test_unbounded_capacity_in_cuts_and_validation():
     from flowkit.values import is_unbounded
 
     net = build_network(3, 1, 3, [(1, 2, UNBOUNDED), (2, 3, 4)])
-    assert is_unbounded(cut_capacity(net, make_cut(net, {1})))
-    assert cut_capacity(net, make_cut(net, {1, 2})) == 4
+    assert is_unbounded(cut_capacity(net, Cut(frozenset({1}))))
+    assert cut_capacity(net, Cut(frozenset({1, 2}))) == 4
     flow = FlowAssignment({(1, 2): Fraction(4), (2, 3): Fraction(4)})
     assert validate(net, flow, "flow") == []
     with pytest.raises(NetworkError):

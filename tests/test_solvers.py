@@ -277,7 +277,7 @@ def test_push_relabel_instrumented_invariants(rng):
         net, _ = make_random_network(rng, max_n=6)
         result = push_relabel(net, instrumented=True)
         labels = result.debug["labels"]
-        assert labeling_violations(net, result.flow.with_role("preflow"), labels) == []
+        assert labeling_violations(net, result.flow, labels) == []
 
 
 @pytest.mark.parametrize("solver, invariant, step", [
@@ -365,7 +365,7 @@ def test_instrumented_labels_on_larger_networks(rng):
             net = build_network(net.n, net.source, net.sink,
                                 [(u, v, Fraction(c, 7)) for (u, v, c) in arcs])
         pr = push_relabel(net, instrumented=True)
-        assert labeling_violations(net, pr.flow.with_role("preflow"), pr.debug["labels"]) == []
+        assert labeling_violations(net, pr.flow, pr.debug["labels"]) == []
         hoch = hochbaum_maxflow(net, instrumented=True)
         work = _reverse_network(net) if hoch.debug["reversed"] else net
         assert pseudoflow_labeling_violations(work, hoch.debug["pseudoflow"],
@@ -435,7 +435,6 @@ def test_strong_and_weak_vertices_on_a_deep_tree():
     weak = sorted(v for v in parent if excess[branch_root(v)[0]] <= 0)
     assert strong and weak
     assert tree.strong_vertices() == strong
-    assert tree.weak_vertices() == weak
 
 
 def test_blocking_cut_all_negative_weights():

@@ -13,13 +13,13 @@ import pytest
 
 from flowkit.decompose import min_cut_from_flow
 from flowkit.network import (
+    Cut,
     FlowAssignment,
     NetworkError,
     ParseError,
     ResidualGraph,
     build_network,
     cut_capacity,
-    make_cut,
     read_dimacs,
     validate,
 )
@@ -70,8 +70,8 @@ def test_every_other_operation_is_refused(op):
 
 def test_unbounded_arc_in_cuts_and_residuals():
     net = build_network(4, 1, 4, [(1, 2, UNBOUNDED), (2, 3, 4), (3, 4, 3), (1, 3, 1)])
-    assert cut_capacity(net, make_cut(net, {1})) is UNBOUNDED
-    assert cut_capacity(net, make_cut(net, {1, 2})) == 5
+    assert cut_capacity(net, Cut(frozenset({1}))) is UNBOUNDED
+    assert cut_capacity(net, Cut(frozenset({1, 2}))) == 5
     flow = FlowAssignment({(1, 2): 2, (2, 3): 2, (1, 3): 1, (3, 4): 3})
     assert validate(net, flow) == []
     res = ResidualGraph(net, flow)
