@@ -46,9 +46,6 @@ class BipartiteGraph:
             seen.add((i, j))
         self.edges = tuple(sorted(seen))
 
-    def neighborhood(self, subset):
-        return frozenset(j for (i, j) in self.edges if i in subset)
-
 
 @dataclass(frozen=True)
 class PerfectMatching:

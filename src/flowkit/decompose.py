@@ -43,10 +43,6 @@ class FlowComponent:
     vertices: tuple
     amount: Fraction
 
-    def arcs(self):
-        return [(self.vertices[i], self.vertices[i + 1])
-                for i in range(len(self.vertices) - 1)]
-
 
 def decompose(net, f):
     """Split a valid flow into path-flows and cycle-flows summing to it.

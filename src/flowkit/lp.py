@@ -2,8 +2,8 @@
 
 A program reads `max c.x : Ax <= b` (``max``) or `min c.x : Ax >= b`
 (``min``), and every variable is sign-restricted, x >= 0.
-:func:`simplex_solve` hands it to the simplex of :func:`solve_standard`,
-which solves the bounded form `max c.x : Ux <= b, Ex = b, 0 <= x <= u`
+:func:`simplex_solve` hands it to the simplex, :func:`_simplex`, which
+solves the bounded form `max c.x : Ux <= b, Ex = b, 0 <= x <= u`
 with a dense tableau and Bland's anti-cycling rule.  Single-variable rows
 become bounds kept out of the tableau, and opposite row pairs become
 equalities, so the maximum-flow programs `[A; -A; I] x <= [0; 0; cap]`
@@ -23,8 +23,9 @@ One solve gives a certified pair: :func:`simplex_solve` also reads one
 multiplier per row off the final objective row, and :func:`certify`
 checks x, y and b.y = c.x in one pass over the cells.  `lp-dual` prints
 that dual value instead of solving :func:`build_dual`'s program again.
-:func:`solve_standard`, which the complex layer calls, returns the point
-only and reads no multipliers.
+:func:`solve_standard`, which the complex layer calls, solves the
+bounded form with no ub rows, returns the point only and reads no
+multipliers.
 """
 
 from __future__ import annotations
@@ -198,9 +199,21 @@ def _bland_loop(tableau, basis, obj_rows, active_cols, d, limits, flipped):
         seen[bkey, fkey] = len(seen)
 
 
-def solve_standard(objective, ub_rows=(), ub_bounds=(), eq_rows=(), eq_bounds=(), upper=()):
+def solve_standard(objective, eq_rows, eq_bounds, upper=()):
+    """maximize objective.x subject to eq_rows.x = eq_bounds,
+    0 <= x <= upper, the bounded form of the complex layer's programs.
+    Returns (status, point); see :func:`_simplex`."""
+    status, point, _ = _simplex(objective, (), (), eq_rows, eq_bounds, upper)
+    return status, point
+
+
+def _simplex(objective, ub_rows=(), ub_bounds=(), eq_rows=(), eq_bounds=(), upper=()):
     """maximize objective.x subject to ub_rows.x <= ub_bounds,
-    eq_rows.x = eq_bounds, 0 <= x <= upper.  Returns (status, point).
+    eq_rows.x = eq_bounds, 0 <= x <= upper.  Returns (status, point,
+    dual): `dual` is None unless the status is optimal, and otherwise a
+    function that reads the final basis's multipliers
+    (:func:`_final_dual`), so that a caller who does not ask for them pays
+    nothing.
 
     `upper[j]` bounds variable j (UNBOUNDED or missing: no bound; a
     negative bound makes the program infeasible).  Each row is scaled by
@@ -222,15 +235,6 @@ def solve_standard(objective, ub_rows=(), ub_bounds=(), eq_rows=(), eq_bounds=()
     pivot of the rational tableau, provided phase 1 charges artificial i the
     reciprocal of its row's scale.
     """
-    status, point, _ = _simplex(objective, ub_rows, ub_bounds, eq_rows, eq_bounds, upper)
-    return status, point
-
-
-def _simplex(objective, ub_rows=(), ub_bounds=(), eq_rows=(), eq_bounds=(), upper=()):
-    """:func:`solve_standard`'s simplex.  Returns (status, point, dual):
-    `dual` is None unless the status is optimal, and otherwise a function
-    that reads the final basis's multipliers (:func:`_final_dual`), so that
-    a caller who does not ask for them pays nothing."""
     nvars = len(objective)
     bound = [None if is_unbounded(u) else u for u in upper] + [None] * (nvars - len(upper))
     if any(u is not None and u < 0 for u in bound):
@@ -452,7 +456,7 @@ def build_primal(net):
     the source row phi_s of the incidence matrix, A its internal rows,
     written as both inequality directions of conservation, then one row
     x_j <= c_j per finitely-capacitated arc, in arc order.
-    :func:`solve_standard` reads these rows back as A x = 0, 0 <= x <= c.
+    :func:`simplex_solve` reads these rows back as A x = 0, 0 <= x <= c.
     """
     phi = incidence_matrix(net)
     balance = phi[1:-1]

@@ -9,8 +9,10 @@ capacities once, as ints over one scale (the LCM of their reduced
 denominators), and :func:`read_dimacs` reads capacity tokens straight to
 those ints.
 
-Flow-like assignments are antisymmetric functions on vertex pairs
-(`f(u,v) = -f(v,u)`); the role tag selects which extra constraints apply:
+A flow, a preflow and a pseudoflow are one kind of object, an
+antisymmetric function on vertex pairs (`f(u,v) = -f(v,u)`), a
+:class:`FlowAssignment`; the role that :func:`validate` is given selects
+which constraints it must meet:
 
 * ``flow``       capacity + conservation at every vertex except s, t
 * ``preflow``    capacity + non-negative excess at every vertex except s
@@ -31,10 +33,10 @@ from it every excess, is the int ``c - r`` with nothing converted back.
 Without a starting flow, ``scale`` and the capacities are the network's
 own ints.  Fractions appear only at the boundary: a network's
 ``capacities``, ``capacity`` and ``cbar`` (built on first call and kept),
-a residual graph's ``capacity``, ``arcs`` and ``flow``, and
-:class:`FlowAssignment` values.  A flow file is written from one form
-only: :func:`write_flow` takes a :class:`ScaledFlow`, a solver's
-certified ints, and the value it is given, and builds no Fraction.
+a residual graph's ``flow``, and :class:`FlowAssignment` values.  A flow
+file is written from one form only: :func:`write_flow` takes a
+:class:`ScaledFlow`, a solver's certified ints, and the value it is
+given, and builds no Fraction.
 
 The capacities are stored by rows, built once per solve: ``r[u]`` maps
 each out- and in-neighbour v of u, in increasing index order, to
@@ -126,7 +128,7 @@ class Violation:
 
     kind: str            # "capacity" | "antisymmetry" | "conservation" | "negative_excess"
     where: tuple | int
-    amount: Fraction | None = None
+    amount: Fraction
 
 
 class Network:
@@ -143,12 +145,13 @@ class Network:
     that LCM; so equal capacities give equal ints.  `capacities`,
     `capacity` and `cbar` build the Fractions on their first call and keep
     them.  `has_unbounded` records once whether any capacity is UNBOUNDED.
+    `gadget_vertices` are the vertices that subdivide antiparallel pairs.
     """
 
     __slots__ = ("n", "source", "sink", "arcs", "ints", "scale", "_caps", "_index", "_out",
-                 "_in", "gadget_vertices", "_gadget_origin", "has_unbounded")
+                 "_in", "gadget_vertices", "has_unbounded")
 
-    def __init__(self, n, source, sink, arcs, ints, scale=1, gadget_origin=None):
+    def __init__(self, n, source, sink, arcs, ints, scale, gadget_vertices):
         self.n = n
         self.source = source
         self.sink = sink
@@ -172,8 +175,7 @@ class Network:
             inc[v].append(u)
         self._out = {v: tuple(sorted(ws)) for v, ws in out.items()}
         self._in = {v: tuple(sorted(ws)) for v, ws in inc.items()}
-        self._gadget_origin = dict(gadget_origin or {})
-        self.gadget_vertices = frozenset(self._gadget_origin)
+        self.gadget_vertices = frozenset(gadget_vertices)
 
     # -- basic accessors -------------------------------------------------
 
@@ -212,10 +214,6 @@ class Network:
 
     def in_neighbors(self, v):
         return self._in[v]
-
-    def gadget_origin(self, v):
-        """Original antiparallel pair a gadget vertex was created for."""
-        return self._gadget_origin.get(v)
 
     def _key(self):
         return (self.n, self.source, self.sink, self.arcs, self.ints, self.scale)
@@ -288,24 +286,23 @@ def build_network(n, source, sink, arc_list, allow_antiparallel=False, scale=Non
         ints, scale = scaled([0 if c is UNBOUNDED else c for (_, _, c) in triples])
         triples = [(u, v, c if c is UNBOUNDED else x) for (u, v, c), x in zip(triples, ints)]
     arcs, caps = [], []
-    gadget_origin = {}
     next_free = n
     for (u, v, cap) in triples:
         if (u, v) in paired:
             next_free += 1
             c_uv = next_free
-            gadget_origin[c_uv] = (u, v)
             arcs.extend([(u, c_uv), (c_uv, v)])
             caps.extend([cap, cap])
         else:
             arcs.append((u, v))
             caps.append(cap)
 
-    return Network(next_free, source, sink, arcs, caps, scale, gadget_origin)
+    return Network(next_free, source, sink, arcs, caps, scale, range(n + 1, next_free + 1))
 
 
 class FlowAssignment:
-    """Antisymmetric value assignment on vertex pairs with a role tag.
+    """Antisymmetric value assignment on vertex pairs: a flow, a preflow or
+    a pseudoflow, as :func:`validate` checks it.
 
     The constructor stores the given pairs verbatim; lookups derive the
     reverse direction by antisymmetry.  Inconsistent inputs (both
@@ -313,12 +310,9 @@ class FlowAssignment:
     antisymmetry violations in :func:`validate`.
     """
 
-    __slots__ = ("role", "raw", "_touching")
+    __slots__ = ("raw", "_touching")
 
-    def __init__(self, values=(), role="flow"):
-        if role not in ROLES:
-            raise ValueError(f"unknown role {role!r}")
-        self.role = role
+    def __init__(self, values=()):
         self.raw = {(u, v): exact(x) for (u, v), x in dict(values).items()}
         touching = {}
         for (u, v) in self.raw:
@@ -348,14 +342,12 @@ class FlowAssignment:
     def __eq__(self, other):
         if not isinstance(other, FlowAssignment):
             return NotImplemented
-        if self.role != other.role:
-            return False
         pairs = self.support_pairs() | other.support_pairs()
         return all(self.value(u, v) == other.value(u, v) for (u, v) in pairs)
 
     def __repr__(self):
         nonzero = {p: x for p, x in self.raw.items() if x != 0}
-        return f"FlowAssignment(role={self.role}, {nonzero})"
+        return f"FlowAssignment({nonzero})"
 
 
 class ScaledFlow(NamedTuple):
@@ -368,7 +360,7 @@ class ScaledFlow(NamedTuple):
 
     def assignment(self):
         scale = self.scale
-        return FlowAssignment({a: Fraction(x, scale) for a, x in self.pairs}, "flow")
+        return FlowAssignment({a: Fraction(x, scale) for a, x in self.pairs})
 
 
 @dataclass(frozen=True)
@@ -494,7 +486,7 @@ class ResidualGraph:
     holds the arc capacities in the same units, in arc order, so the flow
     on arc i is ``caps[i] - r(u, v)``: the network's own `ints` and
     `scale` when no flow is given.  `push` and `augment` work in scaled
-    units; `capacity`, `arcs` and `flow` return Fractions.
+    units; `flow` returns Fractions.
     """
 
     __slots__ = ("net", "scale", "caps", "r")
@@ -523,18 +515,6 @@ class ResidualGraph:
                 if (v, u) not in raw:
                     r[v][u] += x
         self.r = r
-
-    def _value(self, x):
-        return x if x is UNBOUNDED else Fraction(x, self.scale)
-
-    @property
-    def arcs(self):
-        """Pairs with strictly positive residual capacity."""
-        return {(u, v): self._value(x) for u, row in self.r.items()
-                for v, x in row.items() if x > 0}
-
-    def capacity(self, u, v):
-        return self._value(self.r.get(u, {}).get(v, 0))
 
     def out_neighbors(self, u):
         return [v for v, x in self.r[u].items() if x > 0]
@@ -575,7 +555,7 @@ class ResidualGraph:
         self.r = {u: {v: r[v][u] for v in row} for u, row in r.items()}
         self.net = net
 
-    def flow(self, role="flow"):
+    def flow(self):
         """The assignment `cbar - r` on the arcs; needs finite capacities."""
         if self.net.has_unbounded:
             raise NetworkError("flow requires finite capacities")
@@ -585,12 +565,12 @@ class ResidualGraph:
             x = c - r[u][v]
             if x:
                 values[(u, v)] = Fraction(x, scale)
-        return FlowAssignment(values, role)
+        return FlowAssignment(values)
 
 
-def validate(net, f, role=None):
-    """Check a flow-like assignment; returns the list of violations (empty = valid)."""
-    role = role or f.role
+def validate(net, f, role):
+    """Check `f` as a `role`, one of :data:`ROLES`; returns the list of
+    violations (empty = valid)."""
     if role not in ROLES:
         raise ValueError(f"unknown role {role!r}")
     violations = []
@@ -798,7 +778,7 @@ def read_flow(net, text):
                 raise ParseError(str(exc), line_no)
         else:
             raise ParseError(f"unknown record type {fields[0]!r}", line_no)
-    f = FlowAssignment(values, role="flow")
+    f = FlowAssignment(values)
     if stated is not None:
         actual = net_flow(net, f)
         if actual != stated:

@@ -228,10 +228,10 @@ def is_weighted_cycle(complex_, values):
 
 
 def hflow_violations(hnet, flow):
-    values = flow.values if isinstance(flow, HFlow) else tuple(flow)
+    """The bounds 0 <= x <= c and the cycle rows ∂x = 0 that an
+    :class:`HFlow` breaks."""
+    values = flow.values
     bad = []
-    if len(values) != hnet.facet_count():
-        return [("length", None)]
     for j, x in enumerate(values):
         if x < 0:
             bad.append(("negative", j))
@@ -249,7 +249,7 @@ def hflow_violations(hnet, flow):
 class HMaxflowResult:
     flow: HFlow
     value: Fraction
-    trace: list | None = None
+    trace: list | None = None  # the amount of each augmentation, or None for the LP
 
 
 def hmaxflow_lp(hnet):
@@ -275,17 +275,15 @@ class ResidualFacet:
 
     facet_index: int
     forward: bool
-    residual: object          # Fraction or UNBOUNDED
 
 
 def residual_complex(hnet, values):
     out = []
     for j in range(hnet.facet_count()):
-        r = hnet.capacity(j) - values[j]
-        if r > 0:
-            out.append(ResidualFacet(j, True, r))
+        if hnet.capacity(j) - values[j] > 0:
+            out.append(ResidualFacet(j, True))
         if values[j] > 0:
-            out.append(ResidualFacet(j, False, values[j]))
+            out.append(ResidualFacet(j, False))
     return out
 
 
@@ -326,13 +324,6 @@ def find_augmenting_cycle(hnet, values):
     return AugmentingCycle(tuple(terms))
 
 
-@dataclass(frozen=True)
-class AugmentationStep:
-    cycle: AugmentingCycle
-    amount: Fraction
-    gain: Fraction
-
-
 AUGMENTATION_BUDGET = 500
 
 
@@ -367,7 +358,7 @@ def hmaxflow_augment(hnet, instrumented=False):
         gain = values[hnet.t_index] - before
         if gain <= 0:
             raise InvariantViolation("carried amount increases", where, [gain])
-        trace.append(AugmentationStep(cycle, amount, gain))
+        trace.append(amount)
         if instrumented:
             bad = hflow_violations(hnet, HFlow(tuple(values)))
             if bad:
@@ -459,15 +450,18 @@ def is_leaf(complex_, f_index, fp_index):
     return _is_leaf_of(complex_, range(len(complex_.facets)), f_index, fp_index)
 
 
-def is_simplicial_tree(complex_, max_facets=12):
+TREE_FACET_BUDGET = 12  # the tree tests below are exhaustive over 2^k facet subsets
+
+
+def is_simplicial_tree(complex_):
     """Connected, and every nonempty facet subset contains a leaf.
 
     Exhaustive over the 2^k facet subsets; refuses complexes with more
-    than `max_facets` facets.
+    than :data:`TREE_FACET_BUDGET` facets.
     """
     k = len(complex_.facets)
-    if k > max_facets:
-        raise BudgetExceeded(f"{k} facets exceed the subset budget of {max_facets}")
+    if k > TREE_FACET_BUDGET:
+        raise BudgetExceeded(f"{k} facets exceed the subset budget of {TREE_FACET_BUDGET}")
     if not complex_.is_connected():
         return False
     for size in range(2, k + 1):  # a single facet is a leaf of itself
@@ -478,17 +472,18 @@ def is_simplicial_tree(complex_, max_facets=12):
     return True
 
 
-def tu_certificate_via_tree(complex_, max_facets=12):
+def tu_certificate_via_tree(complex_):
     """Disjoint facets whose removal leaves a simplicial tree, if any.
 
-    Dimension 2 only.  A returned set certifies that the boundary matrix
-    is totally unimodular; absence of a certificate claims nothing.
+    Dimension 2 only, and at most :data:`TREE_FACET_BUDGET` facets.  A
+    returned set certifies that the boundary matrix is totally
+    unimodular; absence of a certificate claims nothing.
     """
     if complex_.dimension != 2:
         raise ComplexError("the tree certificate is stated for dimension 2")
     k = len(complex_.facets)
-    if k > max_facets:
-        raise BudgetExceeded(f"{k} facets exceed the search budget of {max_facets}")
+    if k > TREE_FACET_BUDGET:
+        raise BudgetExceeded(f"{k} facets exceed the search budget of {TREE_FACET_BUDGET}")
     for size in range(k):
         for removed in combinations(range(k), size):
             if any(complex_.facet_set(a) & complex_.facet_set(b)
@@ -498,7 +493,7 @@ def tu_certificate_via_tree(complex_, max_facets=12):
             if not remaining:
                 continue
             sub = OrientedComplex(complex_.dimension, remaining)
-            if is_simplicial_tree(sub, max_facets=max_facets):
+            if is_simplicial_tree(sub):
                 return tuple(removed)
     return None
 

@@ -25,8 +25,7 @@ reads off the residual graph and drains.  No graph solve builds a
 capacity Fraction.  Fractions come back only in ``MaxflowResult.value``
 and ``stats["value"]``, in ``MaxflowResult.flow``, which is built from the
 certified ints (``MaxflowResult.scaled``) when it is first read, and in
-the ``NormalizedTree`` that :func:`max_blocking_cut` and instrumented runs
-return.
+the ``NormalizedTree`` that instrumented runs return.
 
 Every solver ends in one certificate, read off its final residual graph
 in a single scaled-int pass over the arcs.  ``MaxflowResult.cut`` is the
@@ -53,13 +52,12 @@ import functools
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .decompose import recover_flow
 from .network import (
     Cut,
-    FlowAssignment,
     InvariantViolation,
     Network,
     NetworkError,
@@ -79,7 +77,7 @@ class MaxflowResult:
     value: Fraction
     cut: Cut                  # minimum cut: the source side reached in the final residual
     stats: dict
-    debug: dict | None = None
+    debug: dict | None        # what an instrumented run leaves for its checks, else None
 
     @functools.cached_property
     def flow(self):
@@ -127,7 +125,7 @@ def _certified(net, res, reached, stats):
     if bad:
         raise InvariantViolation("certificate", "final residual", bad)
     stats["value"] = value = Fraction(capacity, scale)
-    return MaxflowResult(ScaledFlow(tuple(pairs), scale), value, Cut(side), stats)
+    return MaxflowResult(ScaledFlow(tuple(pairs), scale), value, Cut(side), stats, None)
 
 
 # -- shortest augmenting paths -------------------------------------------
@@ -264,7 +262,7 @@ def push_relabel(net, instrumented=False):
     pushes = relabels = 0
 
     def checkpoint():
-        preflow = res.flow("preflow")
+        preflow = res.flow()
         bad = validate(net, preflow, "preflow") + labeling_violations(net, preflow, d)
         if bad:
             raise InvariantViolation("preflow+labeling",
@@ -362,11 +360,10 @@ def build_gst(g):
 @dataclass(frozen=True)
 class NormalizedTree:
     """Rooted spanning tree of the extended graph (source and sink merged
-    into `root`), with excess carried only by branch roots."""
+    into the root, ROOT), with excess carried only by branch roots."""
 
-    root: int
-    parent: dict = field(default_factory=dict)   # internal vertex -> parent (ROOT = child of root)
-    excess: dict = field(default_factory=dict)
+    parent: dict              # internal vertex -> parent (ROOT = child of the root)
+    excess: dict
 
     def strong_vertices(self):
         """The branches of the roots with positive excess, in one pass down."""
@@ -477,11 +474,11 @@ def _pseudoflow_core(net, instrumented=False):
     next_check = net.n
 
     def snapshot():
-        return NormalizedTree(ROOT, dict(parent),
+        return NormalizedTree(dict(parent),
                               {v: Fraction(x, res.scale) for v, x in excess.items()})
 
     def checkpoint(step):
-        pf, tree = res.flow("pseudoflow"), snapshot()
+        pf, tree = res.flow(), snapshot()
         bad = normalized_tree_violations(net, pf, tree)
         if bad:
             raise InvariantViolation("normalized tree", step, bad)
@@ -590,24 +587,21 @@ def _pseudoflow_core(net, instrumented=False):
 class BlockingCutResult:
     subset: frozenset
     surplus: Fraction
-    tree: NormalizedTree
-    pseudoflow: FlowAssignment
 
 
 def max_blocking_cut(g):
-    """Maximum surplus set of a weighted graph via the pseudoflow iteration."""
-    gst = build_gst(g)
-    snapshot, res, _, _ = _pseudoflow_core(gst)
-    tree = snapshot()
-    subset = frozenset(tree.strong_vertices())
-    return BlockingCutResult(subset, g.surplus(subset), tree, res.flow("pseudoflow"))
+    """Maximum surplus set of a weighted graph via the pseudoflow iteration:
+    the strong vertices of its final normalized tree."""
+    snapshot, _, _, _ = _pseudoflow_core(build_gst(g))
+    subset = frozenset(snapshot().strong_vertices())
+    return BlockingCutResult(subset, g.surplus(subset))
 
 
 def _reverse_network(net):
     """The network with every arc reversed, in the same arc order and
-    with the same ints and scale."""
+    with the same ints, scale and gadget vertices."""
     return Network(net.n, net.sink, net.source, [(v, u) for (u, v) in net.arcs],
-                   net.ints, net.scale)
+                   net.ints, net.scale, net.gadget_vertices)
 
 
 def hochbaum_maxflow(net, instrumented=False):
@@ -625,7 +619,7 @@ def hochbaum_maxflow(net, instrumented=False):
     work = _reverse_network(net) if reverse else net
     snapshot, res, stats, debug = _pseudoflow_core(work, instrumented=instrumented)
     if instrumented:
-        debug.update(final_tree=snapshot(), reversed=reverse, pseudoflow=res.flow("pseudoflow"))
+        debug.update(final_tree=snapshot(), reversed=reverse, pseudoflow=res.flow())
     recover_flow(res)
     if reverse:
         res.reverse(net)

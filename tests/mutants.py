@@ -48,6 +48,12 @@ MUTANTS = {
         "values.py", "g = math.gcd(x, scale)", "g = 1"),
     "face signs drop the (-1)^k of the alternating sum": (
         "simplicial.py", "-p if k % 2 else p", "p"),
+    "validate skips the preflow's excess check": (
+        "network.py", '    elif role == "preflow":\n', "    elif False:\n"),
+    "Bland's ratio test breaks ties by the largest index": (
+        "lp.py",
+        "(cand[0] * step[1], cand[2]) < (step[0] * cand[1], step[2])",
+        "(cand[0] * step[1], -cand[2]) < (step[0] * cand[1], -step[2])"),
 }
 
 

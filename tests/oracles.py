@@ -156,134 +156,6 @@ def incidence_by_definition(n, s, t, arcs, order):
     return matrix
 
 
-def rational_rank(matrix):
-    a = [[Fraction(x) for x in row] for row in matrix]
-    if not a:
-        return 0
-    rows, cols = len(a), len(a[0])
-    rank = 0
-    for col in range(cols):
-        piv = next((r for r in range(rank, rows) if a[r][col] != 0), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        a[rank] = [x / a[rank][col] for x in a[rank]]
-        for r in range(rows):
-            if r != rank and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
-        rank += 1
-    return rank
-
-
-def signed_permutation_match(a, b):
-    """A row/column relabeling with sign flips taking matrix `a` to `b`,
-    or None.  Returns (row_map, row_signs, col_map, col_signs) with
-    row_signs[i] * col_signs[j] * a[row_map[i]][col_map[j]] == b[i][j].
-    """
-    nr, nc = len(a), len(a[0])
-    if (nr, nc) != (len(b), len(b[0])):
-        return None
-
-    def col_profile(m, j):
-        return sorted(abs(m[i][j]) for i in range(len(m)))
-
-    def row_profile(m, i):
-        return sorted(abs(x) for x in m[i])
-
-    a_colprof = [col_profile(a, j) for j in range(nc)]
-    b_colprof = [col_profile(b, j) for j in range(nc)]
-    a_rowprof = [row_profile(a, i) for i in range(nr)]
-    b_rowprof = [row_profile(b, i) for i in range(nr)]
-
-    col_map = [None] * nc      # b column j comes from a column col_map[j]
-    used_cols = set()
-    row_map = [None] * nr
-    used_rows = set()
-
-    def rows_consistent():
-        # partial unsigned support check for assigned rows/columns
-        for i in range(nr):
-            if row_map[i] is None:
-                continue
-            for j in range(nc):
-                if col_map[j] is None:
-                    continue
-                if (a[row_map[i]][col_map[j]] == 0) != (b[i][j] == 0):
-                    return False
-        return True
-
-    def assign_rows(i):
-        if i == nr:
-            return solve_signs()
-        for r in range(nr):
-            if r in used_rows or a_rowprof[r] != b_rowprof[i]:
-                continue
-            row_map[i] = r
-            used_rows.add(r)
-            if rows_consistent() and assign_rows(i + 1):
-                return True
-            used_rows.discard(r)
-            row_map[i] = None
-        return False
-
-    def solve_signs():
-        # propagate sign constraints over the nonzero support
-        row_sign = [None] * nr
-        col_sign = [None] * nc
-        for start in range(nr):
-            if row_sign[start] is not None or all(x == 0 for x in b[start]):
-                continue
-            row_sign[start] = 1
-            stack = [("r", start)]
-            while stack:
-                kind, idx = stack.pop()
-                if kind == "r":
-                    for j in range(nc):
-                        if b[idx][j] == 0:
-                            continue
-                        need = b[idx][j] // (row_sign[idx] * a[row_map[idx]][col_map[j]])
-                        if col_sign[j] is None:
-                            col_sign[j] = need
-                            stack.append(("c", j))
-                        elif col_sign[j] != need:
-                            return False
-                else:
-                    for i in range(nr):
-                        if b[i][idx] == 0:
-                            continue
-                        need = b[i][idx] // (col_sign[idx] * a[row_map[i]][col_map[idx]])
-                        if row_sign[i] is None:
-                            row_sign[i] = need
-                            stack.append(("r", i))
-                        elif row_sign[i] != need:
-                            return False
-        nonlocal found_signs
-        found_signs = ([s or 1 for s in row_sign], [s or 1 for s in col_sign])
-        return True
-
-    found_signs = None
-
-    def assign_cols(j):
-        if j == nc:
-            return assign_rows(0)
-        for c in range(nc):
-            if c in used_cols or a_colprof[c] != b_colprof[j]:
-                continue
-            col_map[j] = c
-            used_cols.add(c)
-            if assign_cols(j + 1):
-                return True
-            used_cols.discard(c)
-            col_map[j] = None
-        return False
-
-    if not assign_cols(0):
-        return None
-    row_signs, col_signs = found_signs
-    return (list(row_map), row_signs, list(col_map), col_signs)
-
-
 def boundary_by_definition(facets):
     """The boundary matrix of oriented simplices by the definition
     ∂[v0, .., vd] = Σ (-1)^i [v0, .., v̂i, .., vd]: returns the faces (sorted

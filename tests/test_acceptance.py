@@ -189,7 +189,7 @@ def test_criterion_6_flow_decomposition(batch):
         assert len(comps) <= net.m
         total = {}
         for comp in comps:
-            for (u, v) in comp.arcs():
+            for (u, v) in zip(comp.vertices, comp.vertices[1:]):
                 total[(u, v)] = total.get((u, v), Fraction(0)) + comp.amount
         for (u, v) in net.arcs:
             assert total.get((u, v), Fraction(0)) == flow.value(u, v)
@@ -224,7 +224,7 @@ def test_criterion_8_hall_matchings():
             assert sorted(j for _, j in res.pairs) == list(range(1, n + 1))
             assert all(pair in set(g.edges) for pair in res.pairs)
         else:
-            assert len(g.neighborhood(res.subset)) < len(res.subset)
+            assert len({j for (i, j) in g.edges if i in res.subset}) < len(res.subset)
     print("\nACCEPTANCE 8 matching existence matches n! enumeration on 100 graphs, "
           "violations certified: PASS")
 

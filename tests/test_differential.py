@@ -119,6 +119,6 @@ def test_min_cut_of_a_networkx_flow_with_unbounded_arcs():
     value, flow_dict = nx.maximum_flow(nx_graph(n, arcs), 1, n)
     flow = FlowAssignment({(u, v): Fraction(x) for u, out in flow_dict.items()
                            for v, x in out.items() if x})
-    assert validate(net, flow) == []
+    assert validate(net, flow, "flow") == []
     cut = min_cut_from_flow(net, flow)
     assert cut_capacity(net, cut) == value

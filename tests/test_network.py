@@ -17,6 +17,7 @@ from flowkit.network import (
     ParseError,
     ResidualGraph,
     SourceSinkViolation,
+    Violation,
     build_network,
     cut_capacity,
     flow_across_cut,
@@ -71,7 +72,6 @@ def test_antiparallel_subdivided():
                         allow_antiparallel=True)
     assert net.n == 6
     assert net.gadget_vertices == {5, 6}
-    assert net.gadget_origin(5) == (2, 3) and net.gadget_origin(6) == (3, 2)
     assert (2, 5) in net.arcs and (5, 3) in net.arcs
     assert net.capacity(2, 5) == net.capacity(5, 3) == 1
     assert net.capacity(3, 6) == net.capacity(6, 2) == 2
@@ -118,11 +118,19 @@ def test_zero_flow_is_valid(g1):
 
 
 def test_initial_preflow_is_valid(g1):
-    saturated = FlowAssignment({(1, v): g1.capacity(1, v) for v in g1.out_neighbors(1)},
-                               role="preflow")
+    saturated = FlowAssignment({(1, v): g1.capacity(1, v) for v in g1.out_neighbors(1)})
     assert validate(g1, saturated, "preflow") == []
     # but it is not a flow: conservation fails downstream of the source
     assert any(v.kind == "conservation" for v in validate(g1, saturated, "flow"))
+
+
+def test_negative_excess_breaks_a_preflow_not_a_pseudoflow(g1):
+    # 3 sends t a unit it never received
+    f = FlowAssignment({(3, 4): 1})
+    assert validate(g1, f, "preflow") == [Violation("negative_excess", 3, Fraction(-1))]
+    assert validate(g1, f, "pseudoflow") == []
+    with pytest.raises(ValueError, match="unknown role 'circulation'"):
+        validate(g1, f, "circulation")
 
 
 def test_capacity_violation_reported_once(g1):
@@ -135,7 +143,7 @@ def test_capacity_violation_reported_once(g1):
 
 
 def test_antisymmetry_violation_detected(g1):
-    f = FlowAssignment({(1, 2): Fraction(1), (2, 1): Fraction(1)}, role="pseudoflow")
+    f = FlowAssignment({(1, 2): Fraction(1), (2, 1): Fraction(1)})
     bad = validate(g1, f, "pseudoflow")
     assert any(v.kind == "antisymmetry" for v in bad)
 
@@ -187,13 +195,13 @@ def test_cut_of_source_alone(single_arc):
 
 def test_residual_of_zero_flow(g1):
     res = ResidualGraph(g1, FlowAssignment())
-    assert set(res.arcs) == set(g1.arcs)
-    assert all(res.capacity(u, v) == g1.capacity(u, v) for (u, v) in g1.arcs)
+    assert {(u, v) for u, row in res.r.items() for v, x in row.items() if x > 0} == set(g1.arcs)
+    assert all(res.r[u][v] == g1.capacity(u, v) * res.scale for (u, v) in g1.arcs)
 
 
 def test_residual_of_saturated_arc(single_arc):
     res = ResidualGraph(single_arc, FlowAssignment({(1, 2): Fraction(5)}))
-    assert dict(res.arcs) == {(2, 1): Fraction(5)}
+    assert res.r == {1: {2: 0}, 2: {1: 5 * res.scale}}
 
 
 def test_residual_pair_identity(rng):
@@ -202,10 +210,10 @@ def test_residual_pair_identity(rng):
         net, _ = make_random_network(rng, max_n=7)
         flow = edmonds_karp(net).flow
         res = ResidualGraph(net, flow)
+        r = res.r
         for (u, v) in net.arcs:
-            total = res.capacity(u, v) + res.capacity(v, u)
-            assert total == net.cbar(u, v) + net.cbar(v, u)
-            assert res.capacity(u, v) >= 0 and res.capacity(v, u) >= 0
+            assert r[u][v] + r[v][u] == (net.cbar(u, v) + net.cbar(v, u)) * res.scale
+            assert r[u][v] >= 0 and r[v][u] >= 0
 
 
 def test_residual_of_a_flow_with_a_foreign_denominator():
@@ -214,12 +222,13 @@ def test_residual_of_a_flow_with_a_foreign_denominator():
                                   (3, 4, Fraction(9, 2)), (1, 3, Fraction(1, 5)), (2, 4, 1)])
     third = Fraction(1, 3)
     flow = FlowAssignment({(1, 2): third, (2, 3): third, (3, 4): third})
-    assert validate(net, flow) == []
+    assert validate(net, flow, "flow") == []
     res = ResidualGraph(net, flow)
+    r, scale = res.r, res.scale
     for (u, v) in net.arcs:
-        assert res.capacity(u, v) == net.cbar(u, v) - flow.value(u, v)
-        assert res.capacity(u, v) + res.capacity(v, u) == net.cbar(u, v) + net.cbar(v, u)
-    assert res.capacity(1, 2) == Fraction(19, 6) and res.capacity(2, 1) == third
+        assert r[u][v] == (net.cbar(u, v) - flow.value(u, v)) * scale
+        assert r[u][v] + r[v][u] == (net.cbar(u, v) + net.cbar(v, u)) * scale
+    assert Fraction(r[1][2], scale) == Fraction(19, 6) and Fraction(r[2][1], scale) == third
 
 
 def test_dimacs_round_trip(g1, rng):
@@ -328,7 +337,6 @@ def test_read_dimacs_equals_build_network_over_parse_value():
         assert net.capacities() == want.capacities(), (seed, text)
         assert all(type(c) is Fraction for c in net.capacities())
         assert net.gadget_vertices == want.gadget_vertices
-        assert all(net.gadget_origin(v) == want.gadget_origin(v) for v in net.vertices())
         assert net.scale == math.lcm(*{x.denominator for _, x in tokens}), (seed, text)
         assert net.ints == tuple(c * net.scale for c in net.capacities())
         gadgets += len(net.gadget_vertices)

@@ -53,8 +53,6 @@ from oracles import (
     all_cuts,
     boundary_by_definition,
     leaf_by_definition,
-    rational_rank,
-    signed_permutation_match,
 )
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -75,8 +73,9 @@ TETRA_MATRIX = [
 DOUBLE_FACETS = [(2, 3, 4), (1, 2, 4), (1, 4, 3),
                  (2, 3, 5), (1, 2, 5), (1, 5, 3), (1, 3, 2)]
 
-# the published 9x7 boundary matrix of the same complex, up to a signed
-# row/column relabeling
+# the published 9x7 boundary matrix of the same complex: its rows are the
+# faces in this order, and it orients (1, 3) and (2, 3) against sorted order
+DOUBLE_FACE_ORDER = [(1, 3), (2, 3), (3, 5), (3, 4), (1, 2), (1, 5), (1, 4), (2, 5), (2, 4)]
 DOUBLE_MATRIX = [
     [0, 0, 1, 0, 0, 1, -1],
     [-1, 0, 0, -1, 0, 0, 1],
@@ -237,18 +236,13 @@ def test_tetra_maxflow(tetra_net):
     assert aug.value == 1 and len(aug.trace) == 1
 
 
-def test_double_tetra_fixture(double, double_net):
-    b = boundary_matrix(double)
-    assert len(b) == 9 and len(b[0]) == 7
-    assert rational_rank(b) == rational_rank(DOUBLE_MATRIX)
-    assert is_totally_unimodular(b).is_tu
+def test_double_tetra_fixture(double):
+    assert sorted(DOUBLE_FACE_ORDER) == list(double.faces())
+    b = rows_in_order(double, DOUBLE_FACE_ORDER)
+    b[0], b[1] = [-x for x in b[0]], [-x for x in b[1]]
+    assert b == DOUBLE_MATRIX
+    assert is_totally_unimodular(boundary_matrix(double)).is_tu
     assert is_totally_unimodular(DOUBLE_MATRIX).is_tu
-    match = signed_permutation_match(b, DOUBLE_MATRIX)
-    assert match is not None
-    row_map, row_signs, col_map, col_signs = match
-    for i in range(9):
-        for j in range(7):
-            assert row_signs[i] * col_signs[j] * b[row_map[i]][col_map[j]] == DOUBLE_MATRIX[i][j]
 
 
 def test_double_tetra_flow_values(double_net):
@@ -260,13 +254,13 @@ def test_double_tetra_flow_values(double_net):
 
 
 def test_augmentation_steps_are_valid_flows(double_net, rng):
-    # replay the trace: every prefix is feasible with strictly rising value
+    # an instrumented run re-checks the flow after every step, and every
+    # step pushes a positive amount
     hmaxflow_augment(double_net, instrumented=True)
     for _ in range(10):
         hnet = random_hnetwork(rng)
         res = hmaxflow_augment(hnet, instrumented=True)
-        values = [step.gain for step in res.trace]
-        assert all(g > 0 for g in values)
+        assert all(amount > 0 for amount in res.trace)
 
 
 def test_residual_complex_members(tetra_net):
@@ -344,8 +338,15 @@ def test_simplicial_tree_fixtures(tetra):
     assert is_simplicial_tree(OrientedComplex(2, [(1, 2, 3), (2, 3, 4)]))
     # the boundary sphere of a 3-simplex has no leaf in its full facet set
     assert not is_simplicial_tree(tetra)
-    with pytest.raises(BudgetExceeded):
-        is_simplicial_tree(tetra, max_facets=2)
+
+
+def test_tree_tests_refuse_more_than_twelve_facets():
+    triangles = list(combinations(range(1, 7), 3))
+    assert not is_simplicial_tree(OrientedComplex(2, triangles[:12]))
+    thirteen = OrientedComplex(2, triangles[:13])
+    for test in (is_simplicial_tree, tu_certificate_via_tree):
+        with pytest.raises(BudgetExceeded, match="^13 facets exceed the .* budget of 12$"):
+            test(thirteen)
 
 
 def test_tree_certificate(tetra, double):

@@ -422,7 +422,7 @@ def test_strong_and_weak_vertices_on_a_deep_tree():
         parent[label[k]] = ROOT if start else label[rng.randint(max(0, k - 3), k - 1)]
     excess = {v: Fraction(rng.randint(-2, 2), rng.randint(1, 3)) if p == ROOT else Fraction(0)
               for v, p in parent.items()}
-    tree = NormalizedTree(ROOT, parent, excess)
+    tree = NormalizedTree(parent, excess)
 
     def branch_root(v):
         depth = 0
@@ -509,8 +509,12 @@ def test_concurrent_runs_are_independent(rng):
 
 
 def test_blocking_cut_tree_is_normalized(rng):
+    # the tree whose strong vertices max_blocking_cut returns, checked
+    # after every step of the run and at its end
     for _ in range(15):
         g = _random_weighted_graph(rng, max_n=6)
-        result = max_blocking_cut(g)
         gst = build_gst(g)
-        assert normalized_tree_violations(gst, result.pseudoflow, result.tree) == []
+        snapshot, res, _, _ = solvers._pseudoflow_core(gst, instrumented=True)
+        tree = snapshot()
+        assert normalized_tree_violations(gst, res.flow(), tree) == []
+        assert max_blocking_cut(g).subset == frozenset(tree.strong_vertices())

@@ -73,9 +73,9 @@ def test_unbounded_arc_in_cuts_and_residuals():
     assert cut_capacity(net, Cut(frozenset({1}))) is UNBOUNDED
     assert cut_capacity(net, Cut(frozenset({1, 2}))) == 5
     flow = FlowAssignment({(1, 2): 2, (2, 3): 2, (1, 3): 1, (3, 4): 3})
-    assert validate(net, flow) == []
+    assert validate(net, flow, "flow") == []
     res = ResidualGraph(net, flow)
-    assert res.capacity(1, 2) is UNBOUNDED and res.capacity(2, 1) == 2
+    assert res.r[1][2] is UNBOUNDED and res.r[2][1] == 2 * res.scale
     cut = min_cut_from_flow(net, flow)
     assert cut.source_side == {1, 2, 3} and cut_capacity(net, cut) == 3
 
