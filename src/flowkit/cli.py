@@ -289,7 +289,7 @@ def build_parser():
             "total unimodularity by exhaustive subdeterminants",
             "input: whitespace-separated integer rows, one row per line.")
     p.add_argument("matrix")
-    p.add_argument("--budget", type=int, default=200_000,
+    p.add_argument("--budget", type=int, default=lp.TU_SUBMATRIX_BUDGET,
                    help="largest admissible number of square submatrices")
 
     p = add("matching", cmd_matching, "bipartite perfect matching", MATCHING_GRAMMAR)
@@ -316,7 +316,7 @@ def build_parser():
     p.add_argument("--sprime",
                    help="comma-separated face indices forming the far side; "
                         "omit to sweep every partition and report the cheapest")
-    p.add_argument("--budget", type=int, default=4096)
+    p.add_argument("--budget", type=int, default=simplicial.HCUT_PARTITION_BUDGET)
 
     p = add("conjecture-probe", cmd_conjecture_probe,
             "compare the augmentation fixpoint with the LP optimum on random 2-complexes",
@@ -324,7 +324,7 @@ def build_parser():
             "are embedded as `inst <trial> <line>` records and re-runnable.")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--max-facets", type=int, default=8)
+    p.add_argument("--max-facets", type=int, default=simplicial.PROBE_MAX_FACETS)
 
     return parser
 

@@ -124,11 +124,9 @@ def recover_flow(res):
     served from the sink, each group lowest index first.  With no residual
     arc from the strong to the weak side, the recovered value is the
     capacity of that cut; the solver's certificate, not this function,
-    checks it.  The capacities must be finite.
+    checks it.
     """
     net, r = res.net, res.r
-    if net.has_unbounded:
-        raise NetworkError("flow recovery requires finite capacities")
     excess = dict.fromkeys(net.vertices(), 0)
     for (u, v), c in zip(net.arcs, res.caps):
         x = c - r[u][v]

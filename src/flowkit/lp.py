@@ -455,17 +455,14 @@ def build_primal(net):
     The program `max phi_s.x : [A; -A; I] x <= [0; 0; c]`: the objective is
     the source row phi_s of the incidence matrix, A its internal rows,
     written as both inequality directions of conservation, then one row
-    x_j <= c_j per finitely-capacitated arc, in arc order.
+    x_j <= c_j per arc, in arc order.
     :func:`simplex_solve` reads these rows back as A x = 0, 0 <= x <= c.
     """
     phi = incidence_matrix(net)
     balance = phi[1:-1]
     rows = balance + [[-x for x in r] for r in balance]
-    bounds = [0] * len(rows)
-    for j, cap in enumerate(net.capacities()):
-        if not is_unbounded(cap):
-            rows.append([int(i == j) for i in range(net.m)])
-            bounds.append(cap)
+    bounds = [0] * len(rows) + list(net.capacities())
+    rows += [[int(i == j) for i in range(net.m)] for j in range(net.m)]
     return make_lp("max", phi[0], rows, bounds)
 
 
@@ -493,16 +490,14 @@ def dual_point(net, point):
     multipliers ``simplex_solve(build_primal(net)).dual``, which come in
     the same order, as a :class:`DualPoint`.  Internal vertex i has the
     multipliers y+_i and y-_i of its two conservation rows and gets the
-    potential y+_i - y-_i; each capacity row's multiplier goes to its arc,
-    and an arc with no capacity row (UNBOUNDED) gets 0."""
+    potential y+_i - y-_i, and each capacity row's multiplier goes to its
+    arc."""
     internal = net.vertex_order()[1:-1]
     k = len(internal)
     v = {net.source: Fraction(-1), net.sink: Fraction(0)}
     for i, vertex in enumerate(internal):
         v[vertex] = point[i] - point[k + i]
-    capacity_rows = iter(point[2 * k:])
-    e = tuple(Fraction(0) if is_unbounded(c) else next(capacity_rows) for c in net.capacities())
-    return DualPoint(v, e)
+    return DualPoint(v, tuple(point[2 * k:]))
 
 
 def dual_from_cut(net, cut):
@@ -531,8 +526,7 @@ def dual_violations(net, point):
 
 
 def dual_objective(net, point):
-    return sum((c if is_unbounded(c) else c * x
-                for c, x in zip(net.capacities(), point.e) if x != 0), Fraction(0))
+    return sum((c * x for c, x in zip(net.capacities(), point.e)), Fraction(0))
 
 
 def cut_from_dual(net, point):
@@ -594,7 +588,10 @@ def det_int(matrix):
     return sign * a[-1][-1]
 
 
-def is_totally_unimodular(matrix, budget=200_000):
+TU_SUBMATRIX_BUDGET = 200_000  # square submatrices the exhaustive test enumerates at most
+
+
+def is_totally_unimodular(matrix, budget=TU_SUBMATRIX_BUDGET):
     """Exhaustive determinant test: every square submatrix must have
     determinant in {-1, 0, 1}.
 

@@ -1,13 +1,13 @@
 """Directed flow networks with exact rational capacities.
 
 A network is a finite simple directed graph with a source `s`, a sink `t`,
-and a non-negative capacity on every arc.  No arc enters the source and no
-arc leaves the sink.  Antiparallel arc pairs are either rejected (strict
-simple mode) or subdivided through fresh intermediate vertices, which
-preserves the maximum flow value.  A :class:`Network` stores its
-capacities once, as ints over one scale (the LCM of their reduced
-denominators), and :func:`read_dimacs` reads capacity tokens straight to
-those ints.
+and a finite non-negative capacity on every arc.  No arc enters the
+source and no arc leaves the sink.  Antiparallel arc pairs are either
+rejected (strict simple mode) or subdivided through fresh intermediate
+vertices, which preserves the maximum flow value.  A :class:`Network`
+stores its capacities once, as ints over one scale (the LCM of their
+reduced denominators), and :func:`read_dimacs` reads capacity tokens
+straight to those ints.
 
 A flow, a preflow and a pseudoflow are one kind of object, an
 antisymmetric function on vertex pairs (`f(u,v) = -f(v,u)`), a
@@ -21,22 +21,21 @@ which constraints it must meet:
 Every solver, flow recovery and cut extraction works on one residual state,
 :class:`ResidualGraph`: the residual capacity ``r(u, v) = cbar(u, v) -
 f(u, v)`` of every arc and of its reverse, stored as a Python int in units
-of ``1/scale``.  ``scale`` is the LCM of the denominators of every finite
+of ``1/scale``.  ``scale`` is the LCM of the denominators of every
 capacity and of every value of the starting flow, fixed once per solve, so
 every residual test and every push is integer arithmetic and exact at any
 LCM (Python ints do not overflow).  Pushing delta along (u, v) lowers
 r(u, v) and raises r(v, u) by the same amount, which keeps
-``r(u, v) + r(v, u) = cbar(u, v) + cbar(v, u)`` for every pair.  An
-UNBOUNDED arc keeps an UNBOUNDED residual capacity.  The arc capacities
-are kept in the same units beside the rows, so the flow on an arc, and
-from it every excess, is the int ``c - r`` with nothing converted back.
-Without a starting flow, ``scale`` and the capacities are the network's
-own ints.  Fractions appear only at the boundary: a network's
-``capacities``, ``capacity`` and ``cbar`` (built on first call and kept),
-a residual graph's ``flow``, and :class:`FlowAssignment` values.  A flow
-file is written from one form only: :func:`write_flow` takes a
-:class:`ScaledFlow`, a solver's certified ints, and the value it is
-given, and builds no Fraction.
+``r(u, v) + r(v, u) = cbar(u, v) + cbar(v, u)`` for every pair.  The
+arc capacities are kept in the same units beside the rows, so the flow
+on an arc, and from it every excess, is the int ``c - r`` with nothing
+converted back.  Without a starting flow, ``scale`` and the capacities
+are the network's own ints.  Fractions appear only at the boundary: a
+network's ``capacities``, ``capacity`` and ``cbar`` (built on first call
+and kept), a residual graph's ``flow``, and :class:`FlowAssignment`
+values.  A flow file is written from one form only: :func:`write_flow`
+takes a :class:`ScaledFlow`, a solver's certified ints, and the value it
+is given, and builds no Fraction.
 
 The capacities are stored by rows, built once per solve: ``r[u]`` maps
 each out- and in-neighbour v of u, in increasing index order, to
@@ -137,19 +136,18 @@ class Network:
     Vertices are the integers 1..n.  The vertex enumeration used by
     matrix-producing operations lists the source first and the sink last.
 
-    The capacities are stored once, in arc order, as `ints` in units of
-    ``1/scale``: ``scale`` is the LCM of the reduced denominators of the
-    finite capacities (1 when there are none), and UNBOUNDED stays in its
-    slot.  The constructor takes the ints over any common scale and
-    divides out the gcd of the scale and the finite ints, which leaves
-    that LCM; so equal capacities give equal ints.  `capacities`,
-    `capacity` and `cbar` build the Fractions on their first call and keep
-    them.  `has_unbounded` records once whether any capacity is UNBOUNDED.
-    `gadget_vertices` are the vertices that subdivide antiparallel pairs.
+    The capacities are finite and stored once, in arc order, as `ints` in
+    units of ``1/scale``: ``scale`` is the LCM of their reduced
+    denominators (1 when there are none).  The constructor takes the ints
+    over any common scale and divides out the gcd of the scale and the
+    ints, which leaves that LCM; so equal capacities give equal ints.
+    `capacities`, `capacity` and `cbar` build the Fractions on their first
+    call and keep them.  `gadget_vertices` are the vertices that subdivide
+    antiparallel pairs.
     """
 
     __slots__ = ("n", "source", "sink", "arcs", "ints", "scale", "_caps", "_index", "_out",
-                 "_in", "gadget_vertices", "has_unbounded")
+                 "_in", "gadget_vertices")
 
     def __init__(self, n, source, sink, arcs, ints, scale, gadget_vertices):
         self.n = n
@@ -157,14 +155,11 @@ class Network:
         self.sink = sink
         self.arcs = tuple(arcs)
         ints = tuple(ints)
-        values = set(ints)
-        self.has_unbounded = UNBOUNDED in values
         if scale > 1:
-            values.discard(UNBOUNDED)
-            g = math.gcd(scale, *values)
+            g = math.gcd(scale, *set(ints))
             if g > 1:
                 scale //= g
-                ints = tuple(c if c is UNBOUNDED else c // g for c in ints)
+                ints = tuple(c // g for c in ints)
         self.ints, self.scale = ints, scale
         self._caps = None
         self._index = {a: i for i, a in enumerate(self.arcs)}
@@ -198,10 +193,10 @@ class Network:
         return self.capacities()[self._index[(u, v)]]
 
     def capacities(self):
-        """The capacities in arc order, as Fractions (UNBOUNDED as it is)."""
+        """The capacities in arc order, as Fractions."""
         if self._caps is None:
             scale = self.scale
-            self._caps = tuple(c if c is UNBOUNDED else Fraction(c, scale) for c in self.ints)
+            self._caps = tuple(Fraction(c, scale) for c in self.ints)
         return self._caps
 
     def cbar(self, u, v):
@@ -233,9 +228,11 @@ class Network:
 def build_network(n, source, sink, arc_list, allow_antiparallel=False, scale=None):
     """Construct a network from `(u, v, capacity)` triples.
 
-    A capacity is an int, a Fraction, a `p/q` string or UNBOUNDED.  With
-    `scale`, every finite capacity is instead an int count of units
-    ``1/scale``, as :func:`read_dimacs` passes them.
+    A capacity is a finite non-negative int, Fraction or `p/q` string.
+    With `scale`, every capacity is instead an int count of units
+    ``1/scale``, as :func:`read_dimacs` passes them.  UNBOUNDED is refused
+    in either form: it is the capacity of a flow complex's source facet
+    (:mod:`flowkit.simplicial`), never of a graph arc.
 
     With ``allow_antiparallel=True`` every antiparallel pair (v,w),(w,v) is
     subdivided through two fresh vertices: (v,w) becomes v -> c_vw -> w and
@@ -268,11 +265,12 @@ def build_network(n, source, sink, arc_list, allow_antiparallel=False, scale=Non
         if (u, v) in seen:
             raise DuplicateArc(f"duplicate arc ({u}, {v})", k)
         seen[(u, v)] = k
-        if cap is not UNBOUNDED:
-            if scale is None:
-                cap = exact(cap)
-            if cap.numerator < 0:
-                raise NetworkError(f"negative capacity on ({u}, {v})", k)
+        if cap is UNBOUNDED:
+            raise NetworkError(f"unbounded capacity on ({u}, {v})", k)
+        if scale is None:
+            cap = exact(cap)
+        if cap.numerator < 0:
+            raise NetworkError(f"negative capacity on ({u}, {v})", k)
         triples.append((u, v, cap))
 
     paired = {(u, v) for (u, v, _) in triples if (v, u) in seen}
@@ -282,9 +280,8 @@ def build_network(n, source, sink, arc_list, allow_antiparallel=False, scale=Non
                            max(seen[(u, v)], seen[(v, u)]))
 
     if scale is None:
-        # 0 stands in for UNBOUNDED in the scaling, and UNBOUNDED goes back in its place
-        ints, scale = scaled([0 if c is UNBOUNDED else c for (_, _, c) in triples])
-        triples = [(u, v, c if c is UNBOUNDED else x) for (u, v, c), x in zip(triples, ints)]
+        ints, scale = scaled([c for (_, _, c) in triples])
+        triples = [(u, v, x) for (u, v, _), x in zip(triples, ints)]
     arcs, caps = [], []
     next_free = n
     for (u, v, cap) in triples:
@@ -481,12 +478,12 @@ class ResidualGraph:
     (the zero flow when none is given), under mutation.
 
     `r[u][v]` is the residual capacity of (u, v) in scaled units, the int
-    `c_f * scale` (UNBOUNDED stays UNBOUNDED).  Each row `r[u]` holds
-    every out- and in-neighbour of u, in increasing index order.  `caps`
-    holds the arc capacities in the same units, in arc order, so the flow
-    on arc i is ``caps[i] - r(u, v)``: the network's own `ints` and
-    `scale` when no flow is given.  `push` and `augment` work in scaled
-    units; `flow` returns Fractions.
+    `c_f * scale`.  Each row `r[u]` holds every out- and in-neighbour of u,
+    in increasing index order.  `caps` holds the arc capacities in the
+    same units, in arc order, so the flow on arc i is
+    ``caps[i] - r(u, v)``: the network's own `ints` and `scale` when no
+    flow is given.  `push` and `augment` work in scaled units; `flow`
+    returns Fractions.
     """
 
     __slots__ = ("net", "scale", "caps", "r")
@@ -500,7 +497,7 @@ class ResidualGraph:
             scale = math.lcm(scale, *{x.denominator for x in raw.values()})
             if scale != net.scale:
                 k = scale // net.scale
-                caps = tuple(c if c is UNBOUNDED else c * k for c in caps)
+                caps = tuple(c * k for c in caps)
         self.caps, self.scale = caps, scale
         out, inc = net.out_neighbors, net.in_neighbors
         r = {v: dict.fromkeys(sorted(out(v) + inc(v)), 0) for v in net.vertices()}
@@ -556,9 +553,7 @@ class ResidualGraph:
         self.net = net
 
     def flow(self):
-        """The assignment `cbar - r` on the arcs; needs finite capacities."""
-        if self.net.has_unbounded:
-            raise NetworkError("flow requires finite capacities")
+        """The assignment `cbar - r` on the arcs."""
         scale, r = self.scale, self.r
         values = {}
         for (u, v), c in zip(self.net.arcs, self.caps):
@@ -651,9 +646,12 @@ def incidence_matrix(net):
 
 
 def write_dimacs(net):
+    """The network in the max-flow problem format; each capacity is written
+    from its int over the scale by :func:`format_ratio`, so no Fraction is
+    built."""
+    scale = net.scale
     lines = [f"p max {net.n} {net.m}", f"n {net.source} s", f"n {net.sink} t"]
-    for i, (u, v) in enumerate(net.arcs):
-        lines.append(f"a {u} {v} {format_value(net.capacities()[i])}")
+    lines += [f"a {u} {v} {format_ratio(c, scale)}" for (u, v), c in zip(net.arcs, net.ints)]
     return "\n".join(lines) + "\n"
 
 

@@ -384,7 +384,10 @@ def make_hcut(complex_, s_side):
     return HCut(side)
 
 
-def all_hcuts(complex_, budget=4096):
+HCUT_PARTITION_BUDGET = 4096  # face partitions the cut sweep enumerates at most
+
+
+def all_hcuts(complex_, budget=HCUT_PARTITION_BUDGET):
     faces = complex_.faces()
     if 2 ** len(faces) > budget:
         raise BudgetExceeded(f"2^{len(faces)} partitions exceed the budget")
@@ -616,7 +619,10 @@ class ProbeReport:
         return [r for r in self.records if r.discrepancy]
 
 
-def random_hnetwork(rng, max_facets=8):
+PROBE_MAX_FACETS = 8  # facets of a random probe instance, at most
+
+
+def random_hnetwork(rng, max_facets=PROBE_MAX_FACETS):
     """Random dimension-2 flow network on 4 to 6 vertices: sampled
     triangles with random orientations, a source facet preferring
     well-shared edges, neighbor orientations flipped where needed to
@@ -649,7 +655,7 @@ def random_hnetwork(rng, max_facets=8):
     return build_hnetwork(cx, t_index, caps)
 
 
-def conjecture_probe(seed, trials, max_facets=8):
+def conjecture_probe(seed, trials, max_facets=PROBE_MAX_FACETS):
     """Compare the augmentation fixpoint with the LP optimum on random
     instances and report any instance where the fixpoint falls short.
 

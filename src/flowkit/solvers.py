@@ -85,11 +85,6 @@ class MaxflowResult:
         return self.scaled.assignment()
 
 
-def _require_finite(net):
-    if net.has_unbounded:
-        raise NetworkError("solver requires finite capacities")
-
-
 def _certified(net, res, reached, stats):
     """The flow, value and minimum cut of a final residual graph, checked.
 
@@ -139,7 +134,6 @@ def edmonds_karp(net, instrumented=False):
     reached vertex with room into t; this finds the same path as a fresh
     lowest-index search (proof at :func:`flowkit.network._bfs`).
     """
-    _require_finite(net)
     res = ResidualGraph(net)
     s, t = net.source, net.sink
     parent, queue, head = [-1] * (net.n + 1), [s], 0
@@ -204,7 +198,6 @@ def push_relabel(net, instrumented=False):
     When a relabel empties a label k < n, no vertex labeled between k and
     n can reach t any more, and the gap heuristic lifts them all to n + 1.
     """
-    _require_finite(net)
     n, s, t = net.n, net.source, net.sink
     res = ResidualGraph(net)
     r = res.r
@@ -611,7 +604,6 @@ def hochbaum_maxflow(net, instrumented=False):
     smaller side, so the iteration count is governed by min(M+, M-); both
     totals are sums of the network's ints.
     """
-    _require_finite(net)
     s, t = net.source, net.sink
     m_plus = sum(c for (u, _), c in zip(net.arcs, net.ints) if u == s)
     m_minus = sum(c for (_, v), c in zip(net.arcs, net.ints) if v == t)

@@ -6,17 +6,19 @@ to ints, shared by network construction, the simplex tableau and the
 cycle LP of `simplicial`; :func:`parse_ratio` and :func:`format_ratio`
 read and write a value as ints, for the paths that keep it as an int
 over a scale.
-A single distinguished UNBOUNDED value stands in for an infinite capacity.
-It supports exactly what a capacity sum or comparison needs:
+A single distinguished UNBOUNDED value stands in for an infinite capacity:
+the capacity of a flow complex's source facet, its one use (a graph arc's
+capacity is finite; ``build_network`` refuses UNBOUNDED).  It supports
+exactly what the source facet's bound, its bottlenecks and the capacity
+of a cut that prices it need:
 
 * ``<``, ``<=``, ``>``, ``>=`` against ints, Fractions and itself: it lies
   above every rational and equals only itself, so ``min``, ``max`` and
   ``sorted`` treat it as +infinity;
-* ``+`` with an int, a Fraction or itself is UNBOUNDED (so ``sum`` works);
 * ``UNBOUNDED - x`` is UNBOUNDED for a finite x, which makes the residual
-  capacity of an unbounded arc unbounded.
+  capacity of the source facet unbounded.
 
-Everything else raises ``TypeError``: ``x - UNBOUNDED``,
+Everything else raises ``TypeError``: ``+``, ``x - UNBOUNDED``,
 ``UNBOUNDED - UNBOUNDED``, negation, multiplication, division, comparison
 with floats, and ``exact(UNBOUNDED)``.
 """
@@ -51,11 +53,6 @@ class Unbounded:
 
     def __ge__(self, other):
         return True if _operand(other) else NotImplemented
-
-    def __add__(self, other):
-        return self if _operand(other) else NotImplemented
-
-    __radd__ = __add__
 
     def __sub__(self, other):
         return self if isinstance(other, (int, Fraction)) else NotImplemented

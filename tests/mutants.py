@@ -48,6 +48,11 @@ MUTANTS = {
         "values.py", "g = math.gcd(x, scale)", "g = 1"),
     "face signs drop the (-1)^k of the alternating sum": (
         "simplicial.py", "-p if k % 2 else p", "p"),
+    "build_network accepts an UNBOUNDED capacity": (
+        "network.py",
+        "        if cap is UNBOUNDED:\n"
+        "            raise NetworkError(f\"unbounded capacity on ({u}, {v})\", k)\n",
+        ""),
     "validate skips the preflow's excess check": (
         "network.py", '    elif role == "preflow":\n', "    elif False:\n"),
     "Bland's ratio test breaks ties by the largest index": (

@@ -13,7 +13,6 @@ from flowkit.decompose import (
 )
 from flowkit.network import (
     FlowAssignment,
-    NetworkError,
     ResidualGraph,
     build_network,
     cut_capacity,
@@ -28,7 +27,6 @@ from flowkit.solvers import (
     edmonds_karp,
     hochbaum_maxflow,
 )
-from flowkit.values import UNBOUNDED
 
 
 def test_zero_flow_decomposes_to_nothing(g1):
@@ -157,12 +155,6 @@ def test_the_certificate_rejects_a_non_optimal_pseudoflow(monkeypatch):
     assert err.value.invariant == "certificate"
     kinds = {kind for kind, _ in err.value.violations}
     assert kinds == {"cut_sides", "value_is_not_cut_capacity"}
-
-
-def test_recover_requires_finite_capacities():
-    net = build_network(3, 1, 3, [(1, 2, UNBOUNDED), (2, 3, 1)])
-    with pytest.raises(NetworkError, match="finite capacities"):
-        recover_flow(ResidualGraph(net))
 
 
 def test_recover_reports_an_invalid_result(monkeypatch):

@@ -15,7 +15,6 @@ import pytest
 from flowkit.decompose import min_cut_from_flow
 from flowkit.network import FlowAssignment, build_network, cut_capacity, validate
 from flowkit.solvers import ALGORITHMS
-from flowkit.values import UNBOUNDED
 
 nx = pytest.importorskip("networkx")
 
@@ -43,15 +42,10 @@ def network_spec(seed):
 
 
 def nx_graph(n, arcs):
-    """An arc whose capacity is UNBOUNDED gets no capacity attribute, which
-    networkx reads as infinite."""
     g = nx.DiGraph()
     g.add_nodes_from(range(1, n + 1))
     for (u, v), c in arcs.items():
-        if c is UNBOUNDED:
-            g.add_edge(u, v)
-        else:
-            g.add_edge(u, v, capacity=c)
+        g.add_edge(u, v, capacity=c)
     return g
 
 
@@ -111,10 +105,8 @@ def test_rational_networks_match_networkx_after_scaling(seed):
         assert cut_capacity(net, result.cut) * lcm == want, name
 
 
-def test_min_cut_of_a_networkx_flow_with_unbounded_arcs():
+def test_min_cut_of_a_networkx_flow():
     n, arcs = network_spec(0)
-    for u in range(2, n, 10):  # the source arcs stay finite: the value is finite
-        arcs[(u, u + 1)] = UNBOUNDED
     net = as_network(n, arcs)
     value, flow_dict = nx.maximum_flow(nx_graph(n, arcs), 1, n)
     flow = FlowAssignment({(u, v): Fraction(x) for u, out in flow_dict.items()

@@ -34,7 +34,6 @@ from flowkit.lp import (
 from flowkit.network import (
     FlowAssignment,
     InvariantViolation,
-    build_network,
     cut_capacity,
     net_flow,
     validate,
@@ -555,18 +554,13 @@ def test_cut_from_dual_round_trip(rng):
 def test_cut_from_dual_on_optimal_point(rng, single_arc):
     optimum = simplex_solve(build_dual(build_primal(single_arc))).point
     assert cut_from_dual(single_arc, dual_point(single_arc, optimum)).source_side == {1}
-    # build_primal writes no capacity row for the UNBOUNDED arc, which gets e = 0
-    net = build_network(3, 1, 3, [(1, 2, 4), (2, 3, UNBOUNDED)])
-    point = dual_point(net, simplex_solve(build_dual(build_primal(net))).point)
-    assert point.e == (1, 0) and dual_violations(net, point) == []
-    assert dual_objective(net, point) == 4
-    assert cut_from_dual(net, point).source_side == {1}
     for _ in range(15):
         net, _ = make_random_network(rng, max_n=6)
         res = simplex_solve(build_dual(build_primal(net)))
         point = dual_point(net, res.point)
-        cut = cut_from_dual(net, point)
-        assert cut_capacity(net, cut) == edmonds_karp(net).value
+        value = edmonds_karp(net).value
+        assert dual_violations(net, point) == [] and dual_objective(net, point) == value
+        assert cut_capacity(net, cut_from_dual(net, point)) == value
 
 
 def test_cut_from_dual_rejects_infeasible(single_arc):

@@ -343,12 +343,6 @@ def test_read_dimacs_equals_build_network_over_parse_value():
     assert gadgets > 0
 
 
-def test_residual_flow_requires_finite_capacities():
-    net = build_network(3, 1, 3, [(1, 2, UNBOUNDED), (2, 3, 1)])
-    with pytest.raises(NetworkError, match="^flow requires finite capacities$"):
-        ResidualGraph(net).flow()
-
-
 def test_dimacs_count_mismatch():
     with pytest.raises(ParseError):
         read_dimacs("p max 2 2\nn 1 s\nn 2 t\na 1 2 1\n")
@@ -374,22 +368,18 @@ def test_flow_format_rejects_wrong_total(g1):
         read_flow(g1, text)
 
 
-def test_unbounded_capacity_in_cuts_and_validation():
-    from flowkit.solvers import push_relabel
-    from flowkit.values import is_unbounded
-
-    net = build_network(3, 1, 3, [(1, 2, UNBOUNDED), (2, 3, 4)])
-    assert is_unbounded(cut_capacity(net, Cut(frozenset({1}))))
-    assert cut_capacity(net, Cut(frozenset({1, 2}))) == 4
-    flow = FlowAssignment({(1, 2): Fraction(4), (2, 3): Fraction(4)})
-    assert validate(net, flow, "flow") == []
-    with pytest.raises(NetworkError):
-        push_relabel(net)
-
-
 def test_float_capacities_refused():
     with pytest.raises(TypeError):
         build_network(2, 1, 2, [(1, 2, 0.1)])
+
+
+def test_unbounded_capacity_refused_with_its_arc_index():
+    # UNBOUNDED is the source facet's capacity, never a graph arc's, given
+    # as a value or among the ints over a scale
+    for scale in (None, 1):
+        with pytest.raises(NetworkError, match=r"^unbounded capacity on \(2, 3\)$") as err:
+            build_network(3, 1, 3, [(1, 2, 4), (2, 3, UNBOUNDED)], scale=scale)
+        assert err.value.at == 1
 
 
 def test_path_walk_is_bounded_by_the_reached_set():
