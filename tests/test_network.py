@@ -13,7 +13,6 @@ from flowkit.network import (
     FlowAssignment,
     InvalidFlow,
     InvariantViolation,
-    NetworkError,
     ParseError,
     ResidualGraph,
     SourceSinkViolation,
@@ -31,7 +30,7 @@ from flowkit.network import (
     _reached,
 )
 from flowkit.solvers import edmonds_karp
-from flowkit.values import UNBOUNDED, parse_value
+from flowkit.values import parse_value
 from oracles import all_cuts, brute_min_cut, incidence_by_definition, random_network_spec
 
 TABLE_4X5 = [
@@ -371,15 +370,6 @@ def test_flow_format_rejects_wrong_total(g1):
 def test_float_capacities_refused():
     with pytest.raises(TypeError):
         build_network(2, 1, 2, [(1, 2, 0.1)])
-
-
-def test_unbounded_capacity_refused_with_its_arc_index():
-    # UNBOUNDED is the source facet's capacity, never a graph arc's, given
-    # as a value or among the ints over a scale
-    for scale in (None, 1):
-        with pytest.raises(NetworkError, match=r"^unbounded capacity on \(2, 3\)$") as err:
-            build_network(3, 1, 3, [(1, 2, 4), (2, 3, UNBOUNDED)], scale=scale)
-        assert err.value.at == 1
 
 
 def test_path_walk_is_bounded_by_the_reached_set():

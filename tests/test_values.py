@@ -1,6 +1,7 @@
 """UNBOUNDED, the source facet's capacity, behaves as +infinity for
 ordering and for subtracting a rational, and refuses everything else,
-addition included; `scaled` turns rationals into ints over the LCM of
+addition included; `build_network` refuses it on a graph arc, so no
+solver is handed one; `scaled` turns rationals into ints over the LCM of
 their denominators; `parse_value` reads every token the way
 `Fraction(str)` does, and `read_dimacs`'s int reading as `parse_value`
 does; `format_value` writes `7`, `7/3` or `inf` and refuses what `exact`
@@ -12,7 +13,8 @@ from fractions import Fraction
 
 import pytest
 
-from flowkit.network import ParseError, read_dimacs
+from flowkit.network import NetworkError, ParseError, build_network, read_dimacs
+from flowkit.solvers import ALGORITHMS
 from flowkit.values import UNBOUNDED, exact, format_ratio, format_value, parse_value, scaled
 
 FINITE = [0, 7, -3, Fraction(0), Fraction(10**30, 7), Fraction(-5, 2)]
@@ -23,6 +25,10 @@ def test_unbounded_is_above_every_rational(x):
     assert UNBOUNDED > x and UNBOUNDED >= x and x < UNBOUNDED and x <= UNBOUNDED
     assert not (UNBOUNDED < x or UNBOUNDED <= x or x > UNBOUNDED or x >= UNBOUNDED)
     assert UNBOUNDED != x and x != UNBOUNDED
+
+
+@pytest.mark.parametrize("x", FINITE)
+def test_unbounded_absorbs_subtraction(x):
     assert UNBOUNDED - x is UNBOUNDED
 
 
@@ -49,6 +55,17 @@ def test_unbounded_equals_only_itself():
 def test_every_other_operation_is_refused(op):
     with pytest.raises(TypeError):
         op()
+
+
+@pytest.mark.parametrize("algo", sorted(ALGORITHMS))
+def test_solvers_refuse_unbounded(algo):
+    # UNBOUNDED is the source facet's capacity, never a graph arc's: the
+    # network is refused with the arc's index before any solver runs, given
+    # as a value or among the ints over a scale
+    for scale in (None, 1):
+        with pytest.raises(NetworkError, match=r"^unbounded capacity on \(2, 3\)$") as err:
+            ALGORITHMS[algo](build_network(3, 1, 3, [(1, 2, 4), (2, 3, UNBOUNDED)], scale=scale))
+        assert err.value.at == 1
 
 
 @pytest.mark.parametrize("values, ints, lcm", [
