@@ -14,7 +14,6 @@ Submodules:
 from .network import (  # noqa: F401
     Cut,
     FlowAssignment,
-    Network,
     build_network,
     cut_capacity,
     flow_across_cut,

@@ -3,10 +3,17 @@
 * Bipartite perfect matching with a Hall-condition certificate on failure.
 * Maximum sets of cover-disjoint maximal chains in a bounded poset.
 * Two-label image segmentation by minimum cut on a pixel network.
+
+Matching and chains pass unit-scale int capacities to `build_network`.
+An image keeps its probabilities and penalties as ints over one scale,
+the way a network keeps its capacities, from the PGM sample to the cut:
+segmentation builds no Fraction per pixel or per pair, only its score,
+cost and total mass at the end.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -15,7 +22,7 @@ from fractions import Fraction
 from .decompose import decompose, min_cut_from_flow  # noqa: F401
 from .network import InvariantViolation, NetworkError, ParseError, build_network
 from .solvers import edmonds_karp
-from .values import exact
+from .values import exact, scaled
 
 
 class NotBounded(NetworkError):
@@ -188,76 +195,68 @@ def max_disjoint_chains(p):
 
 
 def grid_neighbor_pairs(width, height):
+    """The 4-neighbour pairs (i, j), i < j, of a width x height grid whose
+    pixels are numbered row-major from 0; each pixel's pair to the right
+    comes before its pair below."""
+    size = width * height
     pairs = []
-    for y in range(height):
-        for x in range(width):
-            if x + 1 < width:
-                pairs.append(frozenset({(x, y), (x + 1, y)}))
-            if y + 1 < height:
-                pairs.append(frozenset({(x, y), (x, y + 1)}))
+    for i in range(size):
+        if (i + 1) % width:
+            pairs.append((i, i + 1))
+        if i + width < size:
+            pairs.append((i, i + width))
     return pairs
 
 
 class PixelImage:
     """Grid of pixels with foreground/background probabilities and
-    neighbor-separation penalties on the 4-neighborhood."""
+    neighbor-separation penalties on the 4-neighborhood.
 
-    __slots__ = ("width", "height", "fg", "bg", "penalty")
+    Pixel (x, y) is number ``y * width + x`` (row-major), and `pairs` lists
+    the 4-neighbour pairs by number (:func:`grid_neighbor_pairs`).  The
+    values are stored once, as ints in units of ``1/scale``, the way a
+    :class:`flowkit.network.Network` stores capacities: `fg` and `bg` per
+    pixel and `penalty` per pair, where ``scale`` is the LCM of their
+    reduced denominators.
 
-    def __init__(self, width, height, fg, bg, penalty):
+    The constructor takes dicts of ints, Fractions or `p/q` strings: `fg`
+    and `bg` keyed by (x, y) and `penalty` keyed by the frozenset of a
+    pair's two pixels, 0 for a pair it lacks.  With `scale`, they are
+    instead ints in units of ``1/scale``, per pixel and per pair in the
+    order above, as :func:`image_from_pgm` passes them.  Either way the
+    constructor divides out the gcd of the scale and the ints, and checks
+    in ints that every probability lies in [0, 1] and no penalty is
+    negative.
+    """
+
+    __slots__ = ("width", "height", "scale", "fg", "bg", "pairs", "penalty")
+
+    def __init__(self, width, height, fg, bg, penalty, scale=None):
         self.width = width
         self.height = height
-        self.fg = {}
-        self.bg = {}
-        for p in self.pixels():
-            a, b = exact(fg[p]), exact(bg[p])
-            if not (0 <= a <= 1) or not (0 <= b <= 1):
+        self.pairs = pairs = grid_neighbor_pairs(width, height)
+        pixels = self.pixels()
+        if scale is None:
+            values = [exact(fg[p]) for p in pixels] + [exact(bg[p]) for p in pixels]
+            values += [exact(penalty.get(frozenset({pixels[i], pixels[j]}), 0))
+                       for (i, j) in pairs]
+            ints, scale = scaled(values)
+            size = len(pixels)
+            fg, bg, penalty = ints[:size], ints[size:2 * size], ints[2 * size:]
+        for p, a, b in zip(pixels, fg, bg):
+            if not (0 <= a <= scale) or not (0 <= b <= scale):
                 raise NetworkError(f"probabilities at {p} outside [0, 1]")
-            self.fg[p], self.bg[p] = a, b
-        self.penalty = {}
-        for pair in self.neighbor_pairs():
-            val = exact(penalty[pair]) if pair in penalty else Fraction(0)
-            if val < 0:
-                raise NetworkError(f"negative penalty on {pair}")
-            self.penalty[pair] = val
+        for (i, j), c in zip(pairs, penalty):
+            if c < 0:
+                raise NetworkError(f"negative penalty on {frozenset({pixels[i], pixels[j]})}")
+        g = math.gcd(scale, *fg, *bg, *penalty)
+        self.scale = scale // g
+        self.fg = tuple(a // g for a in fg)
+        self.bg = tuple(b // g for b in bg)
+        self.penalty = tuple(c // g for c in penalty)
 
     def pixels(self):
         return [(x, y) for y in range(self.height) for x in range(self.width)]
-
-    def neighbor_pairs(self):
-        return grid_neighbor_pairs(self.width, self.height)
-
-    def total_mass(self):
-        return sum((self.fg[p] + self.bg[p] for p in self.pixels()), Fraction(0))
-
-
-def uniform_penalty(width, height, value):
-    return {pair: Fraction(value) for pair in grid_neighbor_pairs(width, height)}
-
-
-def segmentation_score(img, foreground):
-    """s(A, B): kept probabilities minus penalties across the boundary."""
-    fg = set(foreground)
-    total = Fraction(0)
-    for p in img.pixels():
-        total += img.fg[p] if p in fg else img.bg[p]
-    for pair in img.neighbor_pairs():
-        if len(pair & fg) == 1:
-            total -= img.penalty[pair]
-    return total
-
-
-def segmentation_cost(img, foreground):
-    """s'(A, B): discarded probabilities plus boundary penalties;
-    s + s' is the constant total mass."""
-    fg = set(foreground)
-    total = Fraction(0)
-    for p in img.pixels():
-        total += img.bg[p] if p in fg else img.fg[p]
-    for pair in img.neighbor_pairs():
-        if len(pair & fg) == 1:
-            total += img.penalty[pair]
-    return total
 
 
 @dataclass
@@ -276,25 +275,33 @@ def segment_image(img):
     an antiparallel penalty pair, subdivided to keep the network simple.
     The residual-reachability cut makes ties deterministic (ties fall to
     the background).
+
+    The network takes the image's ints over its scale, so no capacity
+    Fraction is built.  The score s(A, B) (kept probabilities less the
+    penalties across the boundary), the cost s'(A, B) (discarded
+    probabilities plus those penalties) and the total mass are three int
+    sums, each made a Fraction once; the cost must equal the certified
+    maximum flow value, else :class:`InvariantViolation` ("cut cost").
     """
-    pixels = img.pixels()
-    pid = {p: i + 1 for i, p in enumerate(pixels)}
-    npix = len(pixels)
-    s, t = npix + 1, npix + 2
-    arcs = [(s, pid[p], img.fg[p]) for p in pixels]
-    arcs += [(pid[p], t, img.bg[p]) for p in pixels]
-    for pair in img.neighbor_pairs():
-        p, q = sorted(pair)
-        arcs.append((pid[p], pid[q], img.penalty[pair]))
-        arcs.append((pid[q], pid[p], img.penalty[pair]))
-    net = build_network(npix + 2, s, t, arcs, allow_antiparallel=True)
+    size, scale = img.width * img.height, img.scale
+    s, t = size + 1, size + 2
+    arcs = [(s, v, a) for v, a in enumerate(img.fg, 1)]
+    arcs += [(v, t, b) for v, b in enumerate(img.bg, 1)]
+    for (i, j), c in zip(img.pairs, img.penalty):
+        arcs += [(i + 1, j + 1, c), (j + 1, i + 1, c)]
+    net = build_network(size + 2, s, t, arcs, allow_antiparallel=True, scale=scale)
     result = edmonds_karp(net)
-    foreground = frozenset(p for p in pixels if pid[p] in result.cut.source_side)
-    cost = segmentation_cost(img, foreground)
-    if cost != result.value:
-        raise InvariantViolation("cut cost", "segment_image", [cost, result.value])
-    return Segmentation(foreground, segmentation_score(img, foreground),
-                        cost, img.total_mass())
+    side = result.cut.source_side
+    inside = [v in side for v in range(1, size + 1)]
+    split = sum(c for (i, j), c in zip(img.pairs, img.penalty) if inside[i] != inside[j])
+    kept = sum(a if x else b for a, b, x in zip(img.fg, img.bg, inside))
+    cost = sum(b if x else a for a, b, x in zip(img.fg, img.bg, inside)) + split
+    value = result.value
+    if cost * value.denominator != value.numerator * scale:
+        raise InvariantViolation("cut cost", "segment_image", [Fraction(cost, scale), value])
+    foreground = frozenset(p for p, x in zip(img.pixels(), inside) if x)
+    return Segmentation(foreground, Fraction(kept - split, scale), Fraction(cost, scale),
+                        Fraction(sum(img.fg) + sum(img.bg), scale))
 
 
 # -- file formats -----------------------------------------------------------------
@@ -327,11 +334,21 @@ def read_pgm(text):
 
 def image_from_pgm(text, penalty_value):
     """Heuristic probabilities from gray levels: fg = g / maxval,
-    bg = 1 - fg, one uniform separation penalty."""
+    bg = 1 - fg, one uniform separation penalty p/q.
+
+    The values go to the image as ints over scale = lcm(maxval, q):
+    fg = g * (scale / maxval), bg = scale - fg and the penalty
+    p * (scale / q).  No Fraction is built per pixel or per pair.
+    """
     width, height, maxval, rows = read_pgm(text)
-    fg = {(x, y): Fraction(rows[y][x], maxval) for y in range(height) for x in range(width)}
-    bg = {p: 1 - v for p, v in fg.items()}
-    return PixelImage(width, height, fg, bg, uniform_penalty(width, height, penalty_value))
+    penalty = exact(penalty_value)
+    p, q = penalty.numerator, penalty.denominator
+    scale = math.lcm(maxval, q)
+    k = scale // maxval
+    fg = [g * k for row in rows for g in row]
+    npairs = (width - 1) * height + width * (height - 1)
+    return PixelImage(width, height, fg, [scale - a for a in fg], [p * (scale // q)] * npairs,
+                      scale=scale)
 
 
 def write_pbm(width, height, foreground):

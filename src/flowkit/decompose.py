@@ -49,7 +49,9 @@ def decompose(net, f):
 
     Paths are extracted first (breadth-first, lowest-index tie-break),
     then the remaining circulation is peeled into cycles.  Components
-    reproduce the flow arc-by-arc and number at most m.
+    reproduce the flow arc-by-arc and number at most m, because each one
+    zeroes the flow on an arc; one more raises :class:`InvariantViolation`
+    ("work budget") instead of looping on.
     """
     bad = validate(net, f, "flow")
     if bad:
@@ -61,25 +63,29 @@ def decompose(net, f):
         x = f.value(u, v)
         if x > 0:
             g[u][v] = x
+    components = []
 
-    def drop(walk, amount):
-        for (u, v) in zip(walk, walk[1:]):
+    def peel(kind, walk):
+        if len(components) == net.m:
+            raise InvariantViolation("work budget", f"component {net.m + 1}",
+                                     [f"more than m = {net.m} components"])
+        legs = list(zip(walk, walk[1:]))
+        amount = min(g[u][v] for (u, v) in legs)
+        for (u, v) in legs:
             g[u][v] -= amount
             if g[u][v] == 0:
                 del g[u][v]
+        components.append(FlowComponent(kind, tuple(walk), amount))
 
-    components = []
     # source-to-sink paths while the source still emits flow
     while g[s]:
         path, _ = _bfs(s, t, g)
         if path is None:
             raise InvariantViolation("flow", f"component {len(components) + 1}",
                                      ["positive outflow with no path to the sink"])
-        amount = min(g[u][v] for (u, v) in zip(path, path[1:]))
-        drop(path, amount)
-        components.append(FlowComponent("path", tuple(path), amount))
+        peel("path", path)
 
-    # what is left is a circulation: peel cycles
+    # what is left is a circulation: peel cycles; a walk meets each vertex once
     while any(g.values()):
         start = min(u for u, heads in g.items() if heads)
         walk = [start]
@@ -92,9 +98,7 @@ def decompose(net, f):
                 break
             seen[v] = len(walk)
             walk.append(v)
-        amount = min(g[u][v] for (u, v) in zip(cycle, cycle[1:]))
-        drop(cycle, amount)
-        components.append(FlowComponent("cycle", tuple(cycle), amount))
+        peel("cycle", cycle)
 
     return components
 

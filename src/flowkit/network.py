@@ -144,6 +144,11 @@ class Network:
     `capacities`, `capacity` and `cbar` build the Fractions on their first
     call and keep them.  `gadget_vertices` are the vertices that subdivide
     antiparallel pairs.
+
+    The constructor checks nothing and trusts its two callers:
+    :func:`build_network`, which checks the vertices, the arcs and the
+    capacities first, and ``solvers._reverse_network``, which reverses a
+    network built that way.  Build networks with :func:`build_network`.
     """
 
     __slots__ = ("n", "source", "sink", "arcs", "ints", "scale", "_caps", "_index", "_out",

@@ -133,16 +133,25 @@ def edmonds_karp(net, instrumented=False):
     saturated, keeping what was reached before, and stops at the first
     reached vertex with room into t; this finds the same path as a fresh
     lowest-index search (proof at :func:`flowkit.network._bfs`).
+
+    The paths are shortest, so each of the 2m residual arcs is the
+    bottleneck of at most n/2 of them (Edmonds & Karp, J. ACM 19 (1972)),
+    and every augmentation saturates one: at most n * m augmentations.
+    A run that finds one more path than that raises
+    :class:`InvariantViolation` ("work budget") instead of looping on.
     """
     res = ResidualGraph(net)
     s, t = net.source, net.sink
     parent, queue, head = [-1] * (net.n + 1), [s], 0
     parent[s] = 0
-    augmentations = 0
+    augmentations, budget = 0, net.n * net.m
     while True:
         path, _ = res.search(s, t, parent, queue, head)
         if path is None:
             break
+        if augmentations == budget:
+            raise InvariantViolation("work budget", f"augmentation {budget + 1}",
+                                     [f"more than n * m = {budget} augmenting paths"])
         _, i = res.augment(path)
         # keep what was reached before path[i + 1] and rescan the row that
         # reached it: path[i], or path[-3] when the arc into t saturated (the

@@ -55,6 +55,10 @@ MUTANTS = {
         ""),
     "validate skips the preflow's excess check": (
         "network.py", '    elif role == "preflow":\n', "    elif False:\n"),
+    "augment never lowers the residual of the arcs it pushes along": (
+        "network.py", "            r[u][v] -= amount\n", ""),
+    "image_from_pgm leaves the penalty unscaled by scale // q": (
+        "apps.py", "[p * (scale // q)]", "[p]"),
     "Bland's ratio test breaks ties by the largest index": (
         "lp.py",
         "(cand[0] * step[1], cand[2]) < (step[0] * cand[1], step[2])",

@@ -5,17 +5,21 @@ from raw subset enumeration over the arc list, total unimodularity from
 the row-subset signing criterion, ranks from a local Gaussian
 elimination, boundary signs from the alternating-sum definition, and so
 on; Edmonds-Karp's look-ahead, resumed searches are checked against
-fresh textbook ones.  The enumeration oracles at the end take the
-library's own objects and objective (cut capacity, segmentation score)
-and enumerate every candidate in place of the solver; a flow file is
-rendered from the Fractions, apart from the writer's ints.
+fresh textbook ones.  Segmentation scores and costs are summed from
+their definitions over the Fraction dicts of an image, and `segment`'s
+output is rebuilt from Fraction capacities, without `PixelImage`'s ints.
+The enumeration oracles at the end take the library's own objects and
+objective (cut capacity) and enumerate every candidate in place of the
+solver; a flow file is rendered from the Fractions, apart from the
+writer's ints.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from flowkit.apps import Poset, segmentation_score
-from flowkit.network import Cut, ResidualGraph, cut_capacity
+from flowkit.apps import Poset, read_pgm
+from flowkit.network import Cut, ResidualGraph, build_network, cut_capacity
+from flowkit.solvers import edmonds_karp
 from flowkit.values import format_value
 
 
@@ -261,16 +265,72 @@ def max_disjoint_chains_by_enumeration(p):
     return best
 
 
-def best_segmentation_by_enumeration(img):
-    """2^pixels oracle for desk-scale images."""
-    pixels = img.pixels()
-    best = None
-    for k in range(len(pixels) + 1):
-        for chosen in combinations(pixels, k):
-            score = segmentation_score(img, chosen)
-            if best is None or score > best:
-                best = score
-    return best
+def uniform_penalty(width, height, value):
+    """`value` on every 4-neighbour pair of a width x height grid, keyed
+    by the frozenset of the pair's two (x, y) pixels, row by row, each
+    pixel's pair to the right before its pair below."""
+    pairs = []
+    for y in range(height):
+        for x in range(width):
+            if x + 1 < width:
+                pairs.append(frozenset({(x, y), (x + 1, y)}))
+            if y + 1 < height:
+                pairs.append(frozenset({(x, y), (x, y + 1)}))
+    return {pair: Fraction(value) for pair in pairs}
+
+
+def segmentation_score(fg, bg, penalty, foreground):
+    """s(A, B) by its definition over Fraction dicts: the probabilities
+    each pixel keeps on its side, less the penalty of every pair the
+    split separates."""
+    chosen = frozenset(foreground)
+    kept = sum((fg[p] if p in chosen else bg[p] for p in fg), Fraction(0))
+    return kept - sum((c for pair, c in penalty.items() if len(pair & chosen) == 1), Fraction(0))
+
+
+def segmentation_cost(fg, bg, penalty, foreground):
+    """s'(A, B) by its definition: the probabilities each pixel discards,
+    plus the penalty of every pair the split separates."""
+    chosen = frozenset(foreground)
+    lost = sum((bg[p] if p in chosen else fg[p] for p in fg), Fraction(0))
+    return lost + sum((c for pair, c in penalty.items() if len(pair & chosen) == 1), Fraction(0))
+
+
+def best_segmentation_by_enumeration(fg, bg, penalty):
+    """2^pixels oracle for desk-scale images, over the Fraction dicts that
+    `PixelImage` is built from."""
+    pixels = list(fg)
+    return max(segmentation_score(fg, bg, penalty, chosen)
+               for k in range(len(pixels) + 1) for chosen in combinations(pixels, k))
+
+
+def segmentation_by_definition(text, penalty):
+    """The stdout and stderr of `flowkit segment --penalty <penalty>` on a
+    P2 image, from the Fraction construction: fg = g / maxval and
+    bg = 1 - fg as Fractions, the pixel network built from Fraction
+    capacities, the source side of its Edmonds-Karp minimum cut as the
+    foreground, and score, cost and mass summed as Fractions."""
+    width, height, maxval, rows = read_pgm(text)
+    pixels = [(x, y) for y in range(height) for x in range(width)]
+    fg = {(x, y): Fraction(rows[y][x], maxval) for (x, y) in pixels}
+    bg = {p: 1 - v for p, v in fg.items()}
+    pen = uniform_penalty(width, height, penalty)
+    pid = {p: k + 1 for k, p in enumerate(pixels)}
+    s, t = len(pixels) + 1, len(pixels) + 2
+    arcs = [(s, pid[p], fg[p]) for p in pixels] + [(pid[p], t, bg[p]) for p in pixels]
+    for pair, c in pen.items():
+        p, q = sorted(pair)
+        arcs += [(pid[p], pid[q], c), (pid[q], pid[p], c)]
+    cut = edmonds_karp(build_network(t, s, t, arcs, allow_antiparallel=True)).cut
+    chosen = frozenset(p for p in pixels if pid[p] in cut.source_side)
+    score = segmentation_score(fg, bg, pen, chosen)
+    cost = segmentation_cost(fg, bg, pen, chosen)
+    mass = sum(fg.values(), Fraction(0)) + sum(bg.values(), Fraction(0))
+    mask = [" ".join("1" if (x, y) in chosen else "0" for x in range(width))
+            for y in range(height)]
+    stdout = "\n".join(["P1", f"{width} {height}"] + mask) + "\n"
+    stderr = f"score={format_value(score)} cost={format_value(cost)} mass={format_value(mass)}\n"
+    return stdout, stderr
 
 
 def all_cuts(net):
@@ -316,7 +376,8 @@ def edmonds_karp_fresh(net):
     """Edmonds-Karp with a fresh textbook search from s every round, which
     the solver's look-ahead, resumed searches must match.  Returns the
     flow, its value, the number of augmentations and the cut of the last
-    search."""
+    search.  Like the solver, it fails past n * m augmentations, the
+    Edmonds-Karp bound, rather than loop on a broken `augment`."""
     res = ResidualGraph(net)
     s, t = net.source, net.sink
     augmentations = 0
@@ -324,6 +385,8 @@ def edmonds_karp_fresh(net):
         path, reached = textbook_search(res.r, s, t)
         if path is None:
             break
+        if augmentations == net.n * net.m:
+            raise AssertionError(f"more than n * m = {net.n * net.m} augmentations")
         res.augment(path)
         augmentations += 1
     flow = res.flow()

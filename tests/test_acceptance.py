@@ -21,7 +21,6 @@ from flowkit.apps import (
     max_disjoint_chains,
     perfect_matching,
     segment_image,
-    uniform_penalty,
 )
 from flowkit.decompose import decompose, min_cut_from_flow
 from flowkit.lp import (
@@ -58,6 +57,7 @@ from oracles import (
     matching_exists_by_enumeration,
     max_disjoint_chains_by_enumeration,
     random_bounded_poset,
+    uniform_penalty,
     random_network_spec,
 )
 from test_simplicial import (
@@ -252,7 +252,7 @@ def test_criterion_10_segmentation():
         pen = {pair: Fraction(rng.randint(0, 3), 10) for pair in uniform_penalty(3, 3, 0)}
         img = PixelImage(3, 3, fg, bg, pen)
         seg = segment_image(img)
-        assert seg.score == best_segmentation_by_enumeration(img)
+        assert seg.score == best_segmentation_by_enumeration(fg, bg, pen)
         assert seg.score + seg.cost == seg.total_mass
     print("\nACCEPTANCE 10 segmentation optimal over 2^9 partitions with exact "
           "certificate identity on 50 images: PASS")

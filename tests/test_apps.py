@@ -19,8 +19,6 @@ from flowkit.apps import (
     read_pgm,
     read_poset,
     segment_image,
-    segmentation_score,
-    uniform_penalty,
     write_pbm,
     _matching_network,
 )
@@ -31,6 +29,9 @@ from oracles import (
     matching_exists_by_enumeration,
     max_disjoint_chains_by_enumeration,
     random_bounded_poset,
+    segmentation_cost,
+    segmentation_score,
+    uniform_penalty,
 )
 
 
@@ -131,17 +132,22 @@ def test_zero_penalty_is_pointwise_argmax_with_background_ties():
 
 
 def test_segmentation_against_enumeration(rng):
+    def draw():
+        d = rng.randint(1, 12)
+        return Fraction(rng.randint(0, d), d)
+
     for _ in range(25):
-        w, h = 3, 3
-        fg = {(x, y): Fraction(rng.randint(0, 10), 10) for y in range(h) for x in range(w)}
-        bg = {(x, y): Fraction(rng.randint(0, 10), 10) for y in range(h) for x in range(w)}
-        pen = {pair: Fraction(rng.randint(0, 3), 10)
-               for pair in uniform_penalty(w, h, 0)}
+        w, h = rng.choice([(1, 1), (2, 1), (1, 3), (2, 2), (3, 2), (2, 4), (3, 3)])
+        fg = {(x, y): draw() for y in range(h) for x in range(w)}
+        bg = {(x, y): draw() for y in range(h) for x in range(w)}
+        # a pair left out has penalty 0
+        pen = {pair: draw() / 3 for pair in uniform_penalty(w, h, 0) if rng.random() < 0.8}
         img = PixelImage(w, h, fg, bg, pen)
         seg = segment_image(img)
-        assert seg.score == best_segmentation_by_enumeration(img)
-        assert seg.score == segmentation_score(img, seg.foreground)
-        assert seg.score + seg.cost == seg.total_mass
+        assert seg.score == best_segmentation_by_enumeration(fg, bg, pen)
+        assert seg.score == segmentation_score(fg, bg, pen, seg.foreground)
+        assert seg.cost == segmentation_cost(fg, bg, pen, seg.foreground)
+        assert seg.score + seg.cost == seg.total_mass == sum(fg.values()) + sum(bg.values())
 
 
 def test_pgm_parsing_and_mask_output():
@@ -150,8 +156,26 @@ def test_pgm_parsing_and_mask_output():
     assert (width, height, maxval) == (2, 2, 255)
     assert rows == [[0, 255], [128, 64]]
     img = image_from_pgm(text, Fraction(1, 10))
-    assert img.fg[(1, 0)] == 1 and img.bg[(1, 0)] == 0
+    # scale = lcm(255, 10); pixel (1, 0) is number 1
+    assert img.scale == 510 and img.fg[1] == 510 and img.bg[1] == 0
     assert write_pbm(2, 2, {(1, 0)}) == "P1\n2 2\n0 1\n0 0\n"
+
+
+def test_pgm_image_equals_its_fraction_construction(rng):
+    # (6, 1/3) on even samples: lcm(6, 3) = 6 and every int is even, so
+    # the image keeps scale 3, as the Fractions' reduced denominators give
+    for maxval, penalty, step in [(1, 0, 1), (2, 3, 1), (7, Fraction(2, 7), 1),
+                                  (255, Fraction(1, 10), 1), (65535, Fraction(13, 11), 1),
+                                  (6, Fraction(1, 3), 2), (4, Fraction(0), 2)]:
+        w, h = rng.randint(1, 5), rng.randint(1, 4)
+        rows = [[rng.randrange(0, maxval + 1, step) for _ in range(w)] for _ in range(h)]
+        text = f"P2\n{w} {h}\n{maxval}\n" + "\n".join(" ".join(map(str, r)) for r in rows)
+        img = image_from_pgm(text, penalty)
+        fg = {(x, y): Fraction(rows[y][x], maxval) for y in range(h) for x in range(w)}
+        ref = PixelImage(w, h, fg, {p: 1 - v for p, v in fg.items()},
+                         uniform_penalty(w, h, penalty))
+        assert (img.scale, img.fg, img.bg, img.penalty) == (ref.scale, ref.fg, ref.bg, ref.penalty)
+        assert segment_image(img) == segment_image(ref)
 
 
 def test_pgm_errors():

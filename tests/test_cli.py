@@ -1,6 +1,7 @@
 """End-to-end command-line checks over the documented formats."""
 
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from conftest import seeded_networks
 from flowkit import lp, network, solvers
 from flowkit.cli import main
-from oracles import flow_text_by_definition
+from oracles import flow_text_by_definition, segmentation_by_definition
 
 NET = "c tiny\np max 4 5\nn 1 s\nn 4 t\na 1 2 3\na 1 3 2\na 2 4 2\na 3 4 3\na 2 3 1\n"
 TETRA = "hnet dim 2\nf 2 3 4 1\nf 1 2 4 1\nf 1 4 3 1\nt 1 3 2\n"
@@ -237,6 +238,24 @@ def test_segment(capsys, tmp_path):
     assert code == 0
     assert out == "P1\n2 1\n1 0\n"
     assert "score=" in err
+
+
+def test_segment_matches_its_fraction_construction(capsys, tmp_path):
+    # 210 images: every (maxval, penalty) pairing six times, 1 x 1 and 9 x 7
+    # among the sizes; samples lean to 0 and maxval so that cuts vary
+    rng = random.Random(23)
+    path = tmp_path / "img.pgm"
+    penalties = ["0", "1", "3", "1/10", "2/7", "13/11", "0/5"]
+    for k in range(210):
+        w, h = [(1, 1), (9, 7)][k] if k < 2 else (rng.randint(1, 9), rng.randint(1, 7))
+        maxval, penalty = (1, 2, 7, 255, 65535)[k % 5], penalties[k % 7]
+        rows = [" ".join(str(rng.choice([0, maxval, rng.randint(0, maxval)])) for _ in range(w))
+                for _ in range(h)]
+        text = f"P2\n{w} {h}\n{maxval}\n" + "\n".join(rows) + "\n"
+        path.write_text(text)
+        code, out, err = run(capsys, "segment", str(path), "--penalty", penalty)
+        assert code == 0
+        assert (out, err) == segmentation_by_definition(text, Fraction(penalty)), (w, h, text)
 
 
 def test_segment_rejects_a_bad_penalty(capsys, tmp_path):

@@ -311,16 +311,13 @@ def segmentation_network(side):
     from Random(side), bg(p) = 1 - fg(p), penalty 1/10 on every
     4-neighbour pair, each antiparallel pair subdivided."""
     rng = random.Random(side)
-    pixels = [(x, y) for y in range(side) for x in range(side)]
-    pid = {p: i + 1 for i, p in enumerate(pixels)}
-    s, t = len(pixels) + 1, len(pixels) + 2
+    s, t = side * side + 1, side * side + 2
     arcs = []
-    for p in pixels:
+    for v in range(1, side * side + 1):
         fg = Fraction(rng.randint(0, 20), 20)
-        arcs += [(s, pid[p], fg), (pid[p], t, 1 - fg)]
-    for pair in grid_neighbor_pairs(side, side):
-        p, q = sorted(pair)
-        arcs += [(pid[p], pid[q], Fraction(1, 10)), (pid[q], pid[p], Fraction(1, 10))]
+        arcs += [(s, v, fg), (v, t, 1 - fg)]
+    for (i, j) in grid_neighbor_pairs(side, side):
+        arcs += [(i + 1, j + 1, Fraction(1, 10)), (j + 1, i + 1, Fraction(1, 10))]
     return build_network(t, s, t, arcs, allow_antiparallel=True)
 
 
@@ -334,6 +331,19 @@ def test_heuristics_bound_the_work_on_a_segmentation_network():
     assert pr.value == hoch.value == edmonds_karp(net).value
     assert pr.stats["pushes"] + pr.stats["relabels"] <= 10_000
     assert hoch.stats["iterations"] + hoch.stats["relabels"] <= 5_000
+
+
+def test_edmonds_karp_stops_at_its_work_budget(monkeypatch):
+    # an augmentation that pushes nothing leaves the same path forever;
+    # n * m = 6 augmentations are allowed, the 7th path raises
+    def stuck(self, path, limit=None):
+        return 1, 0
+
+    monkeypatch.setattr(ResidualGraph, "augment", stuck)
+    net = build_network(3, 1, 3, [(1, 2, 1), (2, 3, 1)])
+    with pytest.raises(InvariantViolation) as info:
+        edmonds_karp(net)
+    assert info.value.invariant == "work budget" and info.value.step == "augmentation 7"
 
 
 def test_hochbaum_instrumented_tree_and_initial_state(rng):
