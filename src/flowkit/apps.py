@@ -153,7 +153,7 @@ class Poset:
             above[a].add(b)
         out = []
         for a in self.elements:
-            heads = above[a].difference(*(above[z] for z in above[a]))
+            heads = above[a].difference(*[above[z] for z in above[a]])
             out.extend((a, b) for b in sorted(heads, key=self._order.__getitem__))
         return out
 
@@ -187,7 +187,7 @@ def max_disjoint_chains(p):
     for comp in components:
         if comp.kind != "path" or comp.amount != 1:  # unit caps on a DAG
             raise InvariantViolation("unit path", "max_disjoint_chains", [comp])
-        chains.append(tuple(names[v] for v in comp.vertices))
+        chains.append(tuple([names[v] for v in comp.vertices]))
     return chains
 
 
@@ -248,12 +248,12 @@ class PixelImage:
                 raise NetworkError(f"probabilities at {p} outside [0, 1]")
         for (i, j), c in zip(pairs, penalty):
             if c < 0:
-                raise NetworkError(f"negative penalty on {frozenset({pixels[i], pixels[j]})}")
+                raise NetworkError(f"negative penalty between {pixels[i]} and {pixels[j]}")
         g = math.gcd(scale, *fg, *bg, *penalty)
         self.scale = scale // g
-        self.fg = tuple(a // g for a in fg)
-        self.bg = tuple(b // g for b in bg)
-        self.penalty = tuple(c // g for c in penalty)
+        self.fg = tuple([a // g for a in fg])
+        self.bg = tuple([b // g for b in bg])
+        self.penalty = tuple([c // g for c in penalty])
 
     def pixels(self):
         return [(x, y) for y in range(self.height) for x in range(self.width)]
@@ -338,10 +338,14 @@ def image_from_pgm(text, penalty_value):
 
     The values go to the image as ints over scale = lcm(maxval, q):
     fg = g * (scale / maxval), bg = scale - fg and the penalty
-    p * (scale / q).  No Fraction is built per pixel or per pair.
+    p * (scale / q).  No Fraction is built per pixel or per pair.  A
+    negative penalty is refused once, before any pair, so also on an image
+    that has none.
     """
     width, height, maxval, rows = read_pgm(text)
     penalty = exact(penalty_value)
+    if penalty < 0:
+        raise NetworkError(f"negative penalty {penalty}")
     p, q = penalty.numerator, penalty.denominator
     scale = math.lcm(maxval, q)
     k = scale // maxval

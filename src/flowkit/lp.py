@@ -12,12 +12,23 @@ one common denominator, pivoted by the integer-preserving step `det_int`
 also uses.  A unit pivot, one equal to the denominator d (every pivot of
 a flow program), reduces the step to the exact integer update e - f*b/d,
 which touches only the pivot row's nonzero columns: it costs those, not
-the tableau's cells.  Each row enters the tableau through
-:func:`flowkit.values.scaled`, the one LCM scaling, shared with the
-residual graph and the cycle LP.
-`Fraction`s appear only in the inputs, the optimal point and its
-multipliers, and every duality assertion in the test-suite is exact
-rather than tolerance-based.
+the tableau's cells.  A row of ints enters the tableau as it is; any
+other row goes through :func:`flowkit.values.scaled`, the one LCM
+scaling, shared with the residual graph and the cycle LP.
+
+A program's cells are ints wherever their value is an integer, and
+`Fraction`s only where it is not (:func:`make_lp`): in a flow program
+every incidence, negated-incidence and identity cell is an int, and only
+a non-integral capacity bound is a Fraction.  The cells stay ints from
+:func:`build_primal` through the simplex and :func:`certify` to
+:func:`write_lp`; the optimal point and its multipliers are Fractions,
+and every duality assertion in the test-suite is exact rather than
+tolerance-based.
+
+Tuples here are built from lists, never from a generator or `map`: in
+CPython 3.11 each such tuple moves one tuple between free lists, which
+only a full collection empties, and a program of ints rarely triggers
+one (``tests/test_tuple_drift.py`` says more and guards the package).
 
 One solve gives a certified pair: :func:`simplex_solve` also reads one
 multiplier per row off the final objective row, and :func:`certify`
@@ -36,7 +47,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .network import Cut, InvariantViolation, ParseError, cut_capacity, incidence_matrix
-from .values import exact, format_value, is_unbounded, scaled
+from .values import exact, is_unbounded, scaled
 
 
 class Malformed(Exception):
@@ -80,12 +91,38 @@ class LPResult:
     dual: tuple | None = None
 
 
+def _cell(x):
+    """An exact cell (see :func:`exact`): an int as it is, and any other
+    value as its Fraction, or as that Fraction's int when it is integral."""
+    if type(x) is int:
+        return x
+    x = exact(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _cells(values):
+    """A tuple of exact cells (:func:`_cell`)."""
+    cells = list(values)
+    if set(map(type, cells)) <= {int}:  # as a flow program's rows: nothing to convert
+        return tuple(cells)
+    return tuple([_cell(x) for x in cells])
+
+
 def make_lp(sense, objective, rows, bounds):
-    """A :class:`LinearProgram` of exact values; see :func:`exact`."""
-    objective = tuple(map(exact, objective))
-    rows = tuple(tuple(map(exact, row)) for row in rows)
-    bounds = tuple(map(exact, bounds))
-    return LinearProgram(sense, objective, rows, bounds)
+    """A :class:`LinearProgram` of exact cells: ints where the value is an
+    integer, so that no Fraction is built from an int, and Fractions
+    elsewhere; floats are refused (see :func:`exact`)."""
+    return LinearProgram(sense, _cells(objective), tuple([_cells(row) for row in rows]),
+                         _cells(bounds))
+
+
+def _ints(values):
+    """A list of ints and Fractions as ints over the LCM of their
+    denominators, and that LCM (:func:`scaled`); values that are all ints
+    already come back as they are, over 1."""
+    if set(map(type, values)) <= {int}:
+        return values, 1
+    return scaled(values)
 
 
 # -- simplex core ----------------------------------------------------------
@@ -217,7 +254,7 @@ def _simplex(objective, ub_rows=(), ub_bounds=(), eq_rows=(), eq_bounds=(), uppe
 
     `upper[j]` bounds variable j (UNBOUNDED or missing: no bound; a
     negative bound makes the program infeasible).  Each row is scaled by
-    the LCM of its denominators (:func:`scaled`), and two kinds of ub row
+    the LCM of its denominators (:func:`_ints`), and two kinds of ub row
     are read off that int row: a row whose only nonzero is positive, with a
     bound >= 0, is a bound on its variable, and a pair (r, b), (-r, -b) is
     one equality.  Bounds stay out of the tableau: a variable at its bound
@@ -244,7 +281,7 @@ def _simplex(objective, ub_rows=(), ub_bounds=(), eq_rows=(), eq_bounds=(), uppe
     unpaired = {}    # ub rows by their scaled ints, waiting for their opposite
     bound_rows = {}  # variable -> index of the ub row its bound came from
     for k, (row, b) in enumerate(zip(ub_rows, ub_bounds)):
-        full, lam = scaled(list(row) + [b])
+        full, lam = _ints([*row, b])
         nonzero = [j for j in range(nvars) if full[j]]
         if len(nonzero) == 1 and full[nonzero[0]] > 0 and full[-1] >= 0:
             j = nonzero[0]
@@ -253,7 +290,7 @@ def _simplex(objective, ub_rows=(), ub_bounds=(), eq_rows=(), eq_bounds=(), uppe
                 bound[j] = u
                 bound_rows[j] = k
             continue
-        twin = unpaired.pop(tuple(-x for x in full), None)
+        twin = unpaired.pop(tuple([-x for x in full]), None)
         if twin is not None:
             twin[2] = True
             twin[4] = k
@@ -262,9 +299,9 @@ def _simplex(objective, ub_rows=(), ub_bounds=(), eq_rows=(), eq_bounds=(), uppe
         unpaired.setdefault(tuple(full), entry)
         entries.append(entry)
     for k, (row, b) in enumerate(zip(eq_rows, eq_bounds), start=len(ub_rows)):
-        entries.append([*scaled(list(row) + [b]), True, k, None])
+        entries.append([*_ints([*row, b]), True, k, None])
 
-    rhs_scale = math.lcm(*(u.denominator for u in bound if u is not None))
+    rhs_scale = math.lcm(*[u.denominator for u in bound if u is not None])
     nslack = sum(1 for entry in entries if not entry[2])
     free_units = None  # structural unit columns: no bound, one nonzero
     tableau = []
@@ -282,7 +319,7 @@ def _simplex(objective, ub_rows=(), ub_bounds=(), eq_rows=(), eq_bounds=(), uppe
             slacks += 1
         if start is None:
             if free_units is None:
-                columns = zip(*(entry[0][:nvars] for entry in entries))
+                columns = zip(*[entry[0][:nvars] for entry in entries])
                 free_units = [u is None and sum(map(bool, col)) == 1 for u, col in zip(bound, columns)]
             start = next((j for j in range(nvars) if free_units[j] and row[j] == 1), None)
         if start is None:
@@ -297,7 +334,7 @@ def _simplex(objective, ub_rows=(), ub_bounds=(), eq_rows=(), eq_bounds=(), uppe
     limits += [None] * (total - nvars)
     flipped = set()
 
-    costs, cost_scale = scaled(objective)
+    costs, cost_scale = _ints([*objective])
     obj_rows = [costs + [0] * (total - nvars + 1)]
     if any(row[-1] > 0 for row, col in zip(tableau, basis) if col in art_scales):
         unit = math.lcm(*art_scales.values())
@@ -419,17 +456,15 @@ def certify(lp, result):
     sense = 1 if lp.sense == "max" else -1
     xs, dx = scaled(x)  # x = xs / dx, and so on for y, b and c, so that the cells multiply ints
     ys, dy = scaled(y)
-    bs, db = scaled(lp.bounds)
-    cs, dc = scaled(lp.objective)
+    bs, db = _ints(lp.bounds)
+    cs, dc = _ints(lp.objective)
     bad = [("negative variable", j) for j, v in enumerate(xs) if v < 0]
     bad += [("negative multiplier", i) for i, v in enumerate(ys) if v < 0]
     columns = [0] * len(x)  # dy A^T y
     for i, (row, b, yi) in enumerate(zip(lp.rows, bs, ys)):
         activity = 0  # dx A_i x
-        for j, a in enumerate(row):
+        for j, a in enumerate(row):  # an int cell, as in the flow programs, multiplies ints
             if a:
-                if a.denominator == 1:  # as in the flow programs: an int multiplies ints
-                    a = a.numerator
                 activity += a * xs[j]
                 if yi:
                     columns[j] += a * yi
@@ -457,23 +492,30 @@ def build_primal(net):
     written as both inequality directions of conservation, then one row
     x_j <= c_j per arc, in arc order.
     :func:`simplex_solve` reads these rows back as A x = 0, 0 <= x <= c.
+    Every matrix cell is written as an int, and each capacity is read off
+    the network's ints: an int where it is integral, a Fraction elsewhere.
     """
     phi = incidence_matrix(net)
     balance = phi[1:-1]
     rows = balance + [[-x for x in r] for r in balance]
-    bounds = [0] * len(rows) + list(net.capacities())
-    rows += [[int(i == j) for i in range(net.m)] for j in range(net.m)]
+    scale = net.scale
+    bounds = [0] * len(rows) + [c // scale if c % scale == 0 else Fraction(c, scale)
+                                for c in net.ints]
+    for j in range(net.m):
+        unit = [0] * net.m
+        unit[j] = 1
+        rows.append(unit)
     return make_lp("max", phi[0], rows, bounds)
 
 
 def build_dual(lp):
     """Mechanical dual of a standard-form max program:
-    min b.y : A^T y >= c, y >= 0."""
+    min b.y : A^T y >= c, y >= 0.  The cells are the program's own,
+    transposed."""
     if lp.sense != "max":
         raise Malformed("mechanical dual expects a `max` program")
-    n = len(lp.objective)
-    transposed = [tuple(row[j] for row in lp.rows) for j in range(n)]
-    return make_lp("min", lp.bounds, transposed, lp.objective)
+    columns = list(zip(*lp.rows)) if lp.rows else [()] * len(lp.objective)
+    return LinearProgram("min", lp.bounds, tuple(columns), lp.objective)
 
 
 @dataclass(frozen=True)
@@ -505,8 +547,8 @@ def dual_from_cut(net, cut):
     on the source side and 0 elsewhere; its objective is the cut capacity."""
     side = cut.source_side
     v = {vertex: Fraction(-1) if vertex in side else Fraction(0) for vertex in net.vertices()}
-    e = tuple(Fraction(1) if (u in side and w not in side) else Fraction(0)
-              for (u, w) in net.arcs)
+    e = tuple([Fraction(1) if (u in side and w not in side) else Fraction(0)
+               for (u, w) in net.arcs])
     return DualPoint(v, e)
 
 
@@ -626,10 +668,15 @@ def is_totally_unimodular(matrix, budget=TU_SUBMATRIX_BUDGET):
 
 
 def write_lp(lp):
-    lines = [lp.sense, " ".join(format_value(x) for x in lp.objective)]
+    """The program as text: its sense, its objective, one line per row with
+    its bound after ``|``, and a line of 1s, one per variable, all of them
+    sign-restricted.  Each cell is written with `str`, which gives an int
+    and a Fraction the text :func:`flowkit.values.format_value` gives them
+    (`7`, `7/3`)."""
+    lines = [lp.sense, " ".join(map(str, lp.objective))]
     for row, b in zip(lp.rows, lp.bounds):
-        lines.append(" ".join(format_value(x) for x in row) + " | " + format_value(b))
-    lines.append(" ".join("1" for _ in lp.objective))  # every variable is sign-restricted
+        lines.append(f"{' '.join(map(str, row))} | {b}")
+    lines.append(" ".join(["1"] * len(lp.objective)))
     return "\n".join(lines) + "\n"
 
 

@@ -164,7 +164,7 @@ class Network:
             g = math.gcd(scale, *set(ints))
             if g > 1:
                 scale //= g
-                ints = tuple(c // g for c in ints)
+                ints = tuple([c // g for c in ints])
         self.ints, self.scale = ints, scale
         self._caps = None
         self._index = {a: i for i, a in enumerate(self.arcs)}
@@ -201,7 +201,7 @@ class Network:
         """The capacities in arc order, as Fractions."""
         if self._caps is None:
             scale = self.scale
-            self._caps = tuple(Fraction(c, scale) for c in self.ints)
+            self._caps = tuple([Fraction(c, scale) for c in self.ints])
         return self._caps
 
     def cbar(self, u, v):
@@ -502,7 +502,7 @@ class ResidualGraph:
             scale = math.lcm(scale, *{x.denominator for x in raw.values()})
             if scale != net.scale:
                 k = scale // net.scale
-                caps = tuple(c * k for c in caps)
+                caps = tuple([c * k for c in caps])
         self.caps, self.scale = caps, scale
         out, inc = net.out_neighbors, net.in_neighbors
         r = {v: dict.fromkeys(sorted(out(v) + inc(v)), 0) for v in net.vertices()}

@@ -65,7 +65,7 @@ class OrientedComplex:
         if dimension < 1:
             raise ComplexError("dimension must be at least 1")
         self.dimension = dimension
-        self.facets = tuple(tuple(f) for f in facets)
+        self.facets = tuple([tuple(f) for f in facets])
         sets = []
         signs = []
         face_set = set()
@@ -565,14 +565,14 @@ def read_hnet(text):
                 if len(fields) != dim + 2:
                     raise ParseError(f"source facet needs {dim + 1} vertices", line_no)
                 t_index = len(facets)
-                facets.append(tuple(int(x) for x in fields[1:]))
+                facets.append(tuple([int(x) for x in fields[1:]]))
             elif fields[0] == "f":
                 if dim is None:
                     raise ParseError("facet before header", line_no)
                 if len(fields) != dim + 3:
                     raise ParseError(f"expected `f <{dim + 1} vertices> <cap>`", line_no)
                 caps[len(facets)] = parse_value(fields[-1])
-                facets.append(tuple(int(x) for x in fields[1:-1]))
+                facets.append(tuple([int(x) for x in fields[1:-1]]))
             else:
                 raise ParseError(f"unknown record type {fields[0]!r}", line_no)
         except ValueError as exc:

@@ -1,7 +1,8 @@
 """Exact value helpers shared across the toolkit.
 
-All quantities (capacities, flows, LP entries) are `fractions.Fraction`
-at the library's surface.  :func:`scaled` is the one LCM scaling of them
+All quantities (capacities, flows, LP points) are `fractions.Fraction`
+at the library's surface; an LP cell is an int where its value is an
+integer.  :func:`scaled` is the one LCM scaling of them
 to ints, shared by network construction, the simplex tableau and the
 cycle LP of `simplicial`; :func:`parse_ratio` and :func:`format_ratio`
 read and write a value as ints, for the paths that keep it as an int

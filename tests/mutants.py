@@ -63,6 +63,12 @@ MUTANTS = {
         "lp.py",
         "(cand[0] * step[1], cand[2]) < (step[0] * cand[1], step[2])",
         "(cand[0] * step[1], -cand[2]) < (step[0] * cand[1], -step[2])"),
+    "make_lp truncates a non-integral cell to int": (
+        "lp.py", "    return x.numerator if x.denominator == 1 else x\n", "    return int(x)\n"),
+    "certify skips the int cells of a row": (
+        "lp.py",
+        "            if a:\n                activity += a * xs[j]\n",
+        "            if type(a) is not int:\n                activity += a * xs[j]\n"),
 }
 
 

@@ -11,16 +11,18 @@ output is rebuilt from Fraction capacities, without `PixelImage`'s ints.
 The enumeration oracles at the end take the library's own objects and
 objective (cut capacity) and enumerate every candidate in place of the
 solver; a flow file is rendered from the Fractions, apart from the
-writer's ints.
+writer's ints.  `lp-dual`'s output is rebuilt from a program whose every
+cell is a Fraction, written cell by cell with `format_value`.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from flowkit.apps import Poset, read_pgm
-from flowkit.network import Cut, ResidualGraph, build_network, cut_capacity
+from flowkit.lp import LinearProgram, certify, simplex_solve
+from flowkit.network import Cut, ResidualGraph, build_network, cut_capacity, incidence_matrix
 from flowkit.solvers import edmonds_karp
-from flowkit.values import format_value
+from flowkit.values import exact, format_value
 
 
 def random_network_spec(rng, max_n=8, max_cap=10, density=0.55, allow_st_arc=True):
@@ -403,3 +405,32 @@ def flow_text_by_definition(net, flow):
     value = sum((flow.value(net.source, v) for v in net.out_neighbors(net.source)), Fraction(0))
     lines.append(f"s {format_value(value)}")
     return "\n".join(lines) + "\n"
+
+
+def lp_dual_by_fractions(net):
+    """`lp-dual`'s stdout for `net` from a flow program of Fraction cells:
+    `exact` on every cell of `[A; -A; I] x <= [0; 0; c]` and of its
+    transpose, the same solve and certificate, and each cell written by
+    `format_value`."""
+    phi = incidence_matrix(net)
+    balance = phi[1:-1]
+    rows = balance + [[-x for x in r] for r in balance]
+    rows += [[int(i == j) for i in range(net.m)] for j in range(net.m)]
+    bounds = [0] * (len(rows) - net.m) + list(net.capacities())
+    primal = LinearProgram("max", tuple(map(exact, phi[0])),
+                           tuple(tuple(map(exact, row)) for row in rows), tuple(map(exact, bounds)))
+    dual = LinearProgram("min", primal.bounds,
+                         tuple(tuple(row[j] for row in primal.rows) for j in range(net.m)),
+                         primal.objective)
+    result = simplex_solve(primal)
+    dual_value = certify(primal, result)
+
+    def write(program):
+        lines = [program.sense, " ".join(format_value(x) for x in program.objective)]
+        lines += [" ".join(format_value(x) for x in row) + " | " + format_value(b)
+                  for row, b in zip(program.rows, program.bounds)]
+        lines.append(" ".join("1" for _ in program.objective))
+        return "\n".join(lines) + "\n"
+
+    return (write(primal) + "\n" + write(dual) + f"primal_opt {format_value(result.value)}\n"
+            f"dual_opt {format_value(dual_value)}\n")

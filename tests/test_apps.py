@@ -22,7 +22,7 @@ from flowkit.apps import (
     write_pbm,
     _matching_network,
 )
-from flowkit.network import Cut, ParseError, cut_capacity
+from flowkit.network import Cut, NetworkError, ParseError, cut_capacity
 from oracles import (
     best_segmentation_by_enumeration,
     chain_is_maximal,
@@ -176,6 +176,20 @@ def test_pgm_image_equals_its_fraction_construction(rng):
                          uniform_penalty(w, h, penalty))
         assert (img.scale, img.fg, img.bg, img.penalty) == (ref.scale, ref.fg, ref.bg, ref.penalty)
         assert segment_image(img) == segment_image(ref)
+
+
+
+def test_a_negative_penalty_is_refused_by_value_or_by_its_pair():
+    # once, before any pair, so that a 1 x 1 image with no pair refuses it too
+    for text in ["P2\n1 1\n10\n9\n", "P2\n2 1\n10\n9 1\n"]:
+        with pytest.raises(NetworkError, match=r"^negative penalty -1/10$"):
+            image_from_pgm(text, Fraction(-1, 10))
+    # a pair is named by its two pixels in row-major order
+    for w, h, far in [(2, 1, (1, 0)), (1, 2, (0, 1))]:
+        with pytest.raises(NetworkError, match=rf"^negative penalty between \(0, 0\) and "
+                                               rf"\({far[0]}, {far[1]}\)$"):
+            PixelImage(w, h, {(0, 0): 1, far: 0}, {(0, 0): 0, far: 1},
+                       {frozenset({far, (0, 0)}): -1})
 
 
 def test_pgm_errors():

@@ -9,7 +9,12 @@ import pytest
 from conftest import seeded_networks
 from flowkit import lp, network, solvers
 from flowkit.cli import main
-from oracles import flow_text_by_definition, segmentation_by_definition
+from oracles import (
+    flow_text_by_definition,
+    lp_dual_by_fractions,
+    random_network_spec,
+    segmentation_by_definition,
+)
 
 NET = "c tiny\np max 4 5\nn 1 s\nn 4 t\na 1 2 3\na 1 3 2\na 2 4 2\na 3 4 3\na 2 3 1\n"
 TETRA = "hnet dim 2\nf 2 3 4 1\nf 1 2 4 1\nf 1 4 3 1\nt 1 3 2\n"
@@ -159,6 +164,26 @@ def test_lp_dual(capsys, net_file, monkeypatch):
     assert solves == [5]  # one solve, of the primal's five arc variables
 
 
+def test_lp_dual_matches_its_fraction_program(capsys, tmp_path):
+    # 210 networks, n = 2..10, each capacity an integer, a coprime ratio
+    # (p/q in lowest terms, q > 1) or zero; the program of int cells must
+    # print the bytes a program of Fraction cells prints
+    rng = random.Random(24)
+    path = tmp_path / "net.dimacs"
+    sizes = set()
+    for k in range(210):
+        n, s, t, spec = random_network_spec(rng, max_n=10, density=0.4)
+        sizes.add(n)
+        caps = [rng.choice([0, rng.randint(1, 12), Fraction(rng.randint(1, 40), 41),
+                            Fraction(rng.choice([1, 5, 7]), 6)]) for _ in spec]
+        net = network.build_network(n, s, t, [(u, v, c) for (u, v, _), c in zip(spec, caps)])
+        path.write_text(network.write_dimacs(net))
+        code, out, err = run(capsys, "lp-dual", str(path))
+        assert code == 0 and err == ""
+        assert out == lp_dual_by_fractions(network.read_dimacs(path.read_text())), k
+    assert sizes == set(range(2, 11))
+
+
 def test_lp_dual_refuses_an_uncertified_dual(capsys, net_file, monkeypatch):
     solve = lp.simplex_solve
 
@@ -264,6 +289,15 @@ def test_segment_rejects_a_bad_penalty(capsys, tmp_path):
     code, out, err = run(capsys, "segment", str(path), "--penalty", "abc")
     assert code == 2 and out == ""
     assert err == "error: --penalty: not a rational value: 'abc'\n"
+
+
+@pytest.mark.parametrize("image", ["1 1\n10\n9\n", "2 1\n10\n9 1\n"], ids=["1x1", "2x1"])
+def test_segment_rejects_a_negative_penalty(capsys, tmp_path, image):
+    path = tmp_path / "img.pgm"
+    path.write_text("P2\n" + image)
+    code, out, err = run(capsys, "segment", str(path), "--penalty=-1")
+    assert code == 2 and out == ""
+    assert err == "error: negative penalty -1\n"
 
 
 @pytest.mark.parametrize("size", ["-1 -1", "0 0", "0 1", "1 -1"])

@@ -30,10 +30,12 @@ from flowkit.lp import (
     make_lp,
     read_matrix,
     simplex_solve,
+    write_lp,
 )
 from flowkit.network import (
     FlowAssignment,
     InvariantViolation,
+    build_network,
     cut_capacity,
     net_flow,
     validate,
@@ -491,6 +493,30 @@ def test_primal_block_structure(g1):
     assert len(lp.rows) == 2 * (g1.n - 2) + g1.m
     assert lp.bounds[:4] == (0, 0, 0, 0)
     assert lp.bounds[4:] == (3, 2, 2, 3, 1)
+
+
+def test_flow_program_cells_are_ints(g1):
+    # every incidence, negated-incidence and identity cell is an int, and so
+    # is an integral capacity; only a non-integral capacity is a Fraction
+    net = build_network(4, 1, 4, [(1, 2, Fraction(7, 3)), (1, 3, 2), (2, 4, Fraction(6, 3)),
+                                  (3, 4, 0), (2, 3, Fraction(1, 2))])
+    for program in (build_primal(g1), build_primal(net)):
+        cells = [*program.objective, *itertools.chain(*program.rows), *program.bounds[:4]]
+        assert all(type(x) is int for x in cells)
+        assert sorted(set(itertools.chain(*program.rows))) == [-1, 0, 1]
+        assert build_dual(program).rows == tuple(zip(*program.rows))
+    assert program.bounds[4:] == (Fraction(7, 3), 2, 2, 0, Fraction(1, 2))
+    assert [type(b) for b in program.bounds[4:]] == [Fraction, int, int, int, Fraction]
+
+
+def test_make_lp_keeps_ints_and_only_non_integral_fractions():
+    program = make_lp("max", [Fraction(4, 2), "3"], [[1, Fraction(-5, 5)], ["2/3", 0]],
+                      [Fraction(1, 2), True])
+    assert program == LinearProgram("max", (2, 3), ((1, -1), (Fraction(2, 3), 0)),
+                                    (Fraction(1, 2), 1))
+    assert [type(x) for x in (*program.objective, *program.rows[0], *program.bounds)] == [
+        int, int, int, int, Fraction, int]
+    assert write_lp(program) == "max\n2 3\n1 -1 | 1/2\n2/3 0 | 1\n1 1\n"
 
 
 def test_primal_matches_solvers(rng):
