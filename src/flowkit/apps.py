@@ -170,7 +170,8 @@ def max_disjoint_chains(p):
     """A maximum set of pairwise cover-disjoint maximal chains.
 
     Unit capacities on the cover relation turn the problem into integer
-    maxflow from bottom to top; decomposing the flow yields the chains.
+    maxflow from bottom to top; decomposing the certified flow's ints yields
+    the chains.
     Greedy chain peeling is deliberately avoided: it can get stuck below
     the maximum.
     """
@@ -181,7 +182,7 @@ def max_disjoint_chains(p):
     arcs = [(index[a], index[b], 1) for (a, b) in covers]
     net = build_network(len(p.elements), index[p.bottom], index[p.top], arcs, scale=1)
     result = edmonds_karp(net)
-    components = decompose(net, result.flow)
+    components = decompose(net, result.scaled)
     names = {i: e for e, i in index.items()}
     chains = []
     for comp in components:

@@ -277,8 +277,8 @@ def build_parser():
     p = add("lp-dual", cmd_lp_dual,
             "emit the flow LP and its dual, with their certified optima",
             "output: primal program, dual program (sense / objective / rows\n"
-            "`A | b` / a line of 1s: every variable is sign-restricted), then\n"
-            "`primal_opt` and `dual_opt` lines.  One simplex solve gives both:\n"
+            "`A | b`; every variable is sign-restricted), then `primal_opt`\n"
+            "and `dual_opt` lines.  One simplex solve gives both:\n"
             "`dual_opt` is b.y of the row multipliers y read off the primal's\n"
             "final basis, printed once `lp.certify` has checked y >= 0,\n"
             "A^T y >= c and b.y = c.x against the primal point.  The dual\n"

@@ -2,11 +2,13 @@
 
 A valid flow splits into at most m source-to-sink path-flows and
 cycle-flows; every extraction step zeroes the flow on at least one arc.
-A maximal flow yields a minimum cut as the set of vertices reachable from
-the source in the residual graph.  Recovery reads the excesses of the
-pseudoflow solver's core off its residual graph and drains them in place;
-it does not re-check the flow it leaves, because the solver's certificate
-is the only check of it.
+Decomposition takes the flow as a :class:`ScaledFlow` and trusts it, as a
+solver certified it or :func:`flowkit.network.read_flow` checked it: it
+peels the ints and checks nothing again.  A maximal flow yields a minimum
+cut as the set of vertices reachable from the source in the residual
+graph.  Recovery reads the excesses of the pseudoflow solver's core off its
+residual graph and drains them in place; it does not re-check the flow it
+leaves, because the solver's certificate is the only check of it.
 """
 
 from __future__ import annotations
@@ -44,25 +46,23 @@ class FlowComponent:
     amount: Fraction
 
 
-def decompose(net, f):
+def decompose(net, flow):
     """Split a valid flow into path-flows and cycle-flows summing to it.
 
-    Paths are extracted first (breadth-first, lowest-index tie-break),
-    then the remaining circulation is peeled into cycles.  Components
-    reproduce the flow arc-by-arc and number at most m, because each one
-    zeroes the flow on an arc; one more raises :class:`InvariantViolation`
-    ("work budget") instead of looping on.
+    `flow` is a :class:`ScaledFlow` that a solver certified or `read_flow`
+    checked, and is trusted: no ``validate`` runs, the ints are peeled and
+    each component builds one Fraction, its amount.  Paths are extracted
+    first (breadth-first, lowest-index tie-break), then the remaining
+    circulation is peeled into cycles.  Components reproduce the flow
+    arc-by-arc and number at most m, because each one zeroes the flow on
+    an arc; one more raises :class:`InvariantViolation` ("work budget")
+    instead of looping on.
     """
-    bad = validate(net, f, "flow")
-    if bad:
-        raise InvalidFlow(bad)
     s, t = net.source, net.sink
-    # g[u] maps each head v with f(u, v) > 0 to that amount, heads increasing
+    # g[u] maps each head v with flow x / scale > 0 on (u, v) to x, heads increasing
     g = {v: {} for v in net.vertices()}
-    for (u, v) in sorted(net.arcs):
-        x = f.value(u, v)
-        if x > 0:
-            g[u][v] = x
+    for (u, v), x in sorted(flow.pairs):
+        g[u][v] = x
     components = []
 
     def peel(kind, walk):
@@ -75,7 +75,7 @@ def decompose(net, f):
             g[u][v] -= amount
             if g[u][v] == 0:
                 del g[u][v]
-        components.append(FlowComponent(kind, tuple(walk), amount))
+        components.append(FlowComponent(kind, tuple(walk), Fraction(amount, flow.scale)))
 
     # source-to-sink paths while the source still emits flow
     while g[s]:

@@ -264,8 +264,7 @@ def _simplex(objective, ub_rows=(), ub_bounds=(), eq_rows=(), eq_bounds=(), uppe
     it moves no pivot.
 
     A row with a negative bound is negated.  Each row starts on a unit
-    column: its slack (ub rows with a bound >= 0), else a structural column
-    with no bound whose only nonzero is this row's +1, else an artificial.
+    column: its slack (ub rows with a bound >= 0), else an artificial.
     Phase 1 runs only if an artificial starts above 0.  After it, every
     artificial is bounded by 0 and stays basic until a step of length 0
     moves it out.  Scaling a row and the columns only it uses moves no
@@ -303,7 +302,6 @@ def _simplex(objective, ub_rows=(), ub_bounds=(), eq_rows=(), eq_bounds=(), uppe
 
     rhs_scale = math.lcm(*[u.denominator for u in bound if u is not None])
     nslack = sum(1 for entry in entries if not entry[2])
-    free_units = None  # structural unit columns: no bound, one nonzero
     tableau = []
     basis = []
     art_scales = {}
@@ -317,11 +315,6 @@ def _simplex(objective, ub_rows=(), ub_bounds=(), eq_rows=(), eq_bounds=(), uppe
             row[slacks] = sign
             start = slacks if sign > 0 else None
             slacks += 1
-        if start is None:
-            if free_units is None:
-                columns = zip(*[entry[0][:nvars] for entry in entries])
-                free_units = [u is None and sum(map(bool, col)) == 1 for u, col in zip(bound, columns)]
-            start = next((j for j in range(nvars) if free_units[j] and row[j] == 1), None)
         if start is None:
             start = nvars + nslack + len(art_scales)
             art_scales[start] = lam
@@ -367,38 +360,34 @@ def _simplex(objective, ub_rows=(), ub_bounds=(), eq_rows=(), eq_bounds=(), uppe
             point[col] = Fraction(limits[col] * d - x if col in flipped else x, scale)
     nrows = len(ub_rows) + len(eq_rows)
     return "optimal", point, lambda: _final_dual(
-        obj_rows[-1], d, cost_scale, costs, flipped, entries, starts, bound_rows, ub_rows,
+        obj_rows[-1], d, cost_scale, nvars, flipped, entries, starts, bound_rows, ub_rows,
         nrows, len(upper))
 
 
-def _final_dual(obj, d, cost_scale, costs, flipped, entries, starts, bound_rows, ub_rows,
+def _final_dual(obj, d, cost_scale, nvars, flipped, entries, starts, bound_rows, ub_rows,
                 nrows, nupper):
     """The multipliers of an optimal basis: one per ub row, then one per eq
     row, then one per entry of `upper`.
 
     `obj` is the final objective row: d times the reduced costs of the
-    scaled tableau, whose costs are `costs`, the objective times its LCM.
+    scaled tableau, whose costs are the objective times its LCM
+    `cost_scale` and whose first `nvars` columns are the structural ones.
     Entry i's multiplier y'_i in that tableau is read off its start column,
-    whose reduced cost is -y'_i (its slack or its artificial, cost 0),
-    y'_i (an artificial that left at its bound 0, complemented) or its cost
-    minus y'_i (a structural unit column).  Undoing the row's sign flip and
-    its LCM, and dividing by the cost LCM, gives the input row's
-    multiplier.  An opposite pair read as one equality splits its free
-    multiplier y into max(y, 0) and max(-y, 0).  A variable complemented at
-    its bound gives its reduced cost to that bound: to the `upper` entry, or
-    divided by the row's coefficient to the singleton row the bound was
-    read from.  So y >= 0 except on eq rows, A^T y >= objective with the
+    whose reduced cost is -y'_i (its slack or its artificial, cost 0) or
+    y'_i (an artificial that left at its bound 0, complemented).  Undoing
+    the row's sign flip and its LCM, and dividing by the cost LCM, gives
+    the input row's multiplier.  An opposite pair read as one equality
+    splits its free multiplier y into max(y, 0) and max(-y, 0).  A variable
+    complemented at its bound gives its reduced cost to that bound: to the
+    `upper` entry, or divided by the row's coefficient to the singleton row
+    the bound was read from.  So y >= 0 except on eq rows, A^T y >= objective with the
     bounds as rows, and b.y is the optimum (Chvatal, *Linear Programming*
     (1983), ch. 10).
     """
     y = [Fraction(0)] * (nrows + nupper)
     denominator = d * cost_scale
     for (full, lam, _, k, twin), col in zip(entries, starts):
-        r = obj[col]
-        if col < len(costs):
-            r -= d * costs[col]
-        elif col in flipped:
-            r = -r
+        r = -obj[col] if col in flipped else obj[col]
         # r = -d y'_i; the input row's multiplier is y'_i times its sign and
         # LCM over the cost LCM
         sign = -1 if full[-1] < 0 else 1
@@ -408,7 +397,7 @@ def _final_dual(obj, d, cost_scale, costs, flipped, entries, starts, bound_rows,
         else:
             y[twin] = -value
     for j in flipped:
-        if j < len(costs):  # a structural column; artificials are complemented at 0
+        if j < nvars:  # a structural column; artificials are complemented at 0
             k = bound_rows.get(j)
             if k is None:
                 y[nrows + j] = Fraction(-obj[j], denominator)
@@ -668,15 +657,14 @@ def is_totally_unimodular(matrix, budget=TU_SUBMATRIX_BUDGET):
 
 
 def write_lp(lp):
-    """The program as text: its sense, its objective, one line per row with
-    its bound after ``|``, and a line of 1s, one per variable, all of them
-    sign-restricted.  Each cell is written with `str`, which gives an int
+    """The program as text: its sense, its objective, and one line per row
+    with its bound after ``|``; every variable is sign-restricted, so no
+    line marks them.  Each cell is written with `str`, which gives an int
     and a Fraction the text :func:`flowkit.values.format_value` gives them
     (`7`, `7/3`)."""
     lines = [lp.sense, " ".join(map(str, lp.objective))]
     for row, b in zip(lp.rows, lp.bounds):
         lines.append(f"{' '.join(map(str, row))} | {b}")
-    lines.append(" ".join(["1"] * len(lp.objective)))
     return "\n".join(lines) + "\n"
 
 

@@ -33,9 +33,10 @@ converted back.  Without a starting flow, ``scale`` and the capacities
 are the network's own ints.  Fractions appear only at the boundary: a
 network's ``capacities``, ``capacity`` and ``cbar`` (built on first call
 and kept), a residual graph's ``flow``, and :class:`FlowAssignment`
-values.  A flow file is written from one form only: :func:`write_flow`
-takes a :class:`ScaledFlow`, a solver's certified ints, and the value it
-is given, and builds no Fraction.
+values.  A flow file is written and read as one form, a
+:class:`ScaledFlow`: :func:`write_flow` takes a solver's certified ints
+and the value it is given, and builds no Fraction; :func:`read_flow`, where
+a flow enters from a file, is that flow's one check, and returns its ints.
 
 The capacities are stored by rows, built once per solve: ``r[u]`` maps
 each out- and in-neighbour v of u, in increasing index order, to
@@ -353,9 +354,10 @@ class FlowAssignment:
 
 
 class ScaledFlow(NamedTuple):
-    """A flow kept as ints over one scale, as a solver certified it:
-    ``((u, v), x)`` for every arc whose flow x / scale is positive, in arc
-    order.  :meth:`assignment` builds its :class:`FlowAssignment`."""
+    """A flow kept as ints over one scale, as a solver certified it or
+    :func:`read_flow` checked it: ``((u, v), x)`` for every arc whose flow
+    x / scale is positive, in arc order.  :meth:`assignment` builds its
+    :class:`FlowAssignment`."""
 
     pairs: tuple
     scale: int
@@ -750,6 +752,11 @@ def write_flow(flow, value):
 
 
 def read_flow(net, text):
+    """Read a flow file and check it, once: :func:`validate` as a flow, and
+    the `s` line, when there is one, against the outflow of the source.
+    Returns the :class:`ScaledFlow` in arc order, over the LCM of
+    ``net.scale`` and the values' denominators.  Raises
+    :class:`ParseError` or :class:`InvalidFlow`."""
     values = {}
     stated = None
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
@@ -781,9 +788,14 @@ def read_flow(net, text):
                 raise ParseError(str(exc), line_no)
         else:
             raise ParseError(f"unknown record type {fields[0]!r}", line_no)
-    f = FlowAssignment(values)
+    bad = validate(net, FlowAssignment(values), "flow")
+    if bad:
+        raise InvalidFlow(bad)
+    # a valid flow is >= 0 on every arc, as no arc has an antiparallel twin
+    scale = math.lcm(net.scale, *{x.denominator for x in values.values()})
+    pairs = [(a, x.numerator * (scale // x.denominator)) for a in net.arcs if (x := values.get(a))]
     if stated is not None:
-        actual = net_flow(net, f)
+        actual = Fraction(sum(x for (u, _), x in pairs if u == net.source), scale)
         if actual != stated:
             raise ParseError(f"stated value {stated} does not match flow value {actual}")
-    return f
+    return ScaledFlow(tuple(pairs), scale)

@@ -585,18 +585,11 @@ def _pseudoflow_core(net, instrumented=False):
     return snapshot, res, {"iterations": iterations, "relabels": relabels}, debug
 
 
-@dataclass
-class BlockingCutResult:
-    subset: frozenset
-    surplus: Fraction
-
-
 def max_blocking_cut(g):
     """Maximum surplus set of a weighted graph via the pseudoflow iteration:
-    the strong vertices of its final normalized tree."""
+    the strong vertices of its final normalized tree, as a frozenset."""
     snapshot, _, _, _ = _pseudoflow_core(build_gst(g))
-    subset = frozenset(snapshot().strong_vertices())
-    return BlockingCutResult(subset, g.surplus(subset))
+    return frozenset(snapshot().strong_vertices())
 
 
 def _reverse_network(net):

@@ -53,6 +53,12 @@ MUTANTS = {
         "        if cap is UNBOUNDED:\n"
         "            raise NetworkError(f\"unbounded capacity on ({u}, {v})\", k)\n",
         ""),
+    "read_flow returns its flow unchecked": (
+        "network.py",
+        "    bad = validate(net, FlowAssignment(values), \"flow\")\n"
+        "    if bad:\n"
+        "        raise InvalidFlow(bad)\n",
+        ""),
     "validate skips the preflow's excess check": (
         "network.py", '    elif role == "preflow":\n', "    elif False:\n"),
     "augment never lowers the residual of the arcs it pushes along": (

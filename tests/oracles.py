@@ -429,7 +429,6 @@ def lp_dual_by_fractions(net):
         lines = [program.sense, " ".join(format_value(x) for x in program.objective)]
         lines += [" ".join(format_value(x) for x in row) + " | " + format_value(b)
                   for row, b in zip(program.rows, program.bounds)]
-        lines.append(" ".join("1" for _ in program.objective))
         return "\n".join(lines) + "\n"
 
     return (write(primal) + "\n" + write(dual) + f"primal_opt {format_value(result.value)}\n"

@@ -185,7 +185,7 @@ def test_criterion_6_flow_decomposition(batch):
     for rec in batch.instances:
         net = rec["net"]
         flow = rec["ek"].flow
-        comps = decompose(net, flow)
+        comps = decompose(net, rec["ek"].scaled)
         assert len(comps) <= net.m
         total = {}
         for comp in comps:

@@ -101,16 +101,18 @@ def test_mincut_and_segment_build_no_flow_assignment(capsys, net_file, tmp_path,
     monkeypatch.setattr(network.FlowAssignment, "__init__", counted)
     image = tmp_path / "img.pgm"
     image.write_text("P2\n3 2\n10\n9 1 4\n8 2 7\n")
-    for argv in (["mincut", "--algo=ek", net_file], ["mincut", "--algo=pr", net_file],
-                 ["mincut", "--algo=hoch", net_file], ["segment", str(image)],
-                 ["maxflow", "--algo=hoch", net_file]):
-        code, _, _ = run(capsys, *argv)
-        assert code == 0 and built == [], argv
-    # the count is not vacuous: `chains` decomposes its flow as Fractions
     poset = tmp_path / "poset.txt"
     poset.write_text("el a\nel b\nel c\nbottom a\ntop c\ncover a b\ncover b c\n")
-    code, _, _ = run(capsys, "chains", str(poset))
-    assert code == 0 and built
+    for argv in (["mincut", "--algo=ek", net_file], ["mincut", "--algo=pr", net_file],
+                 ["mincut", "--algo=hoch", net_file], ["segment", str(image)],
+                 ["maxflow", "--algo=hoch", net_file], ["chains", str(poset)]):
+        code, _, _ = run(capsys, *argv)
+        assert code == 0 and built == [], argv
+    # the count is not vacuous: `decompose` checks the flow it reads as Fractions
+    flow = tmp_path / "flow.txt"
+    flow.write_text("f 1 2 2\nf 2 4 2\ns 2\n")
+    code, _, _ = run(capsys, "decompose", net_file, str(flow))
+    assert code == 0 and len(built) == 1
 
 
 def test_decompose_round_trip(capsys, net_file, tmp_path):
@@ -121,6 +123,22 @@ def test_decompose_round_trip(capsys, net_file, tmp_path):
     assert code == 0
     assert all(line.split()[0] in ("path", "cycle") for line in out.strip().splitlines())
     assert "components=" in err
+
+
+@pytest.mark.parametrize("value_line", ["", "s 2\n"])
+@pytest.mark.parametrize("text, violation", [
+    ("f 1 2 2\nf 2 4 1\n", "Violation(kind='conservation', where=2, amount=Fraction(1, 1))"),
+    ("f 1 2 2\nf 2 3 2\nf 3 4 2\n",
+     "Violation(kind='capacity', where=(2, 3), amount=Fraction(1, 1))"),
+])
+def test_decompose_rejects_an_invalid_flow(capsys, net_file, tmp_path, text, violation,
+                                           value_line):
+    # with or without an `s` line, the flow is checked once and refused
+    flow_path = tmp_path / "flow.txt"
+    flow_path.write_text(text + value_line)
+    code, out, err = run(capsys, "decompose", net_file, str(flow_path))
+    assert code == 2 and out == ""
+    assert err == f"error: invalid flow: [{violation}]\n"
 
 
 def test_decompose_rejects_a_repeated_flow_line(capsys, net_file, tmp_path):

@@ -14,6 +14,7 @@ from flowkit.decompose import (
 from flowkit.network import (
     FlowAssignment,
     ResidualGraph,
+    ScaledFlow,
     build_network,
     cut_capacity,
     net_flow,
@@ -30,11 +31,11 @@ from flowkit.solvers import (
 
 
 def test_zero_flow_decomposes_to_nothing(g1):
-    assert decompose(g1, FlowAssignment()) == []
+    assert decompose(g1, ScaledFlow((), g1.scale)) == []
 
 
 def test_single_saturated_arc(single_arc):
-    comps = decompose(single_arc, FlowAssignment({(1, 2): Fraction(5)}))
+    comps = decompose(single_arc, ScaledFlow((((1, 2), 10),), 2))
     assert len(comps) == 1
     assert comps[0].kind == "path" and comps[0].vertices == (1, 2) and comps[0].amount == 5
 
@@ -42,8 +43,9 @@ def test_single_saturated_arc(single_arc):
 def test_components_resum_to_flow(rng):
     for _ in range(25):
         net, _ = make_random_network(rng)
-        flow = edmonds_karp(net).flow
-        comps = decompose(net, flow)
+        result = edmonds_karp(net)
+        flow = result.flow
+        comps = decompose(net, result.scaled)
         assert len(comps) <= net.m
         total = {}
         for comp in comps:
@@ -63,8 +65,8 @@ def test_components_resum_to_flow(rng):
 def test_decomposition_with_cycles():
     # a valid flow carrying an explicit circulation around 2 -> 3 -> 4 -> 2
     net = build_network(5, 1, 5, [(1, 2, 1), (2, 5, 1), (2, 3, 1), (3, 4, 1), (4, 2, 1)])
-    flow = FlowAssignment({(1, 2): 1, (2, 5): 1, (2, 3): 1, (3, 4): 1, (4, 2): 1})
-    assert validate(net, flow, "flow") == []
+    flow = ScaledFlow(tuple([(a, 1) for a in net.arcs]), 1)
+    assert validate(net, flow.assignment(), "flow") == []
     comps = decompose(net, flow)
     kinds = sorted(c.kind for c in comps)
     assert kinds == ["cycle", "path"]

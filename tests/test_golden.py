@@ -97,7 +97,7 @@ def solver_records():
             records.append(f"instance {i} algo={name} {stats}\n"
                            + write_flow(result.scaled, result.value)
                            + "cut " + " ".join(map(str, sorted(cut.source_side))) + "\n"
-                           + write_components(decompose(net, result.flow)))
+                           + write_components(decompose(net, result.scaled)))
     return records
 
 

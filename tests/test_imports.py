@@ -40,6 +40,7 @@ PAPER_IDENTITIES = {
     "simplicial.probe_instances": "re-reads a probe report's instances; waits on item 1",
     "simplicial.tu_certificate_via_tree": "trees give TU: a tree left by disjoint facets",
     "solvers.WeightedGraph": "the blocking cut: the input of max_blocking_cut",
+    "solvers.WeightedGraph.surplus": "the blocking cut: what max_blocking_cut maximizes",
     "solvers.MaxflowResult.debug": "instrumentation: the labels and trees of an instrumented run",
     "simplicial.hmaxflow_augment(instrumented)": "instrumentation: per-step flow checks",
     "solvers.edmonds_karp(instrumented)": "instrumentation: per-augmentation flow checks",

@@ -348,18 +348,16 @@ def test_certified_duals_of_random_programs(monkeypatch):
     kinds = Counter()
     real = lp_module._final_dual
 
-    def tally(obj, d, cost_scale, costs, flipped, entries, starts, bound_rows, ub_rows, nrows,
+    def tally(obj, d, cost_scale, nvars, flipped, entries, starts, bound_rows, ub_rows, nrows,
               nupper):
-        y = real(obj, d, cost_scale, costs, flipped, entries, starts, bound_rows, ub_rows, nrows,
+        y = real(obj, d, cost_scale, nvars, flipped, entries, starts, bound_rows, ub_rows, nrows,
                  nupper)
         for (full, _, eq, k, twin), col in zip(entries, starts):
-            if col >= len(costs) and (eq or full[-1] < 0) and full[-1]:
+            if (eq or full[-1] < 0) and full[-1]:
                 kinds["phase 1"] += 1
             if not y[k] and (twin is None or not y[twin]):
                 continue
-            if col < len(costs):
-                kinds["unit column"] += 1
-            elif not eq and full[-1] >= 0:
+            if not eq and full[-1] >= 0:
                 kinds["slack"] += 1
             else:
                 kinds["complemented artificial" if col in flipped else "artificial"] += 1
@@ -368,7 +366,7 @@ def test_certified_duals_of_random_programs(monkeypatch):
             if twin is not None:
                 kinds["pair, first row" if y[k] else "pair, opposite row"] += 1
         for j in flipped:
-            if j < len(costs) and obj[j]:
+            if j < nvars and obj[j]:
                 kinds["bound row" if j in bound_rows else "upper"] += 1
         return y
 
@@ -394,7 +392,7 @@ def test_certified_duals_of_random_programs(monkeypatch):
         assert flipped.dual == res.dual and certify(negated, flipped) == -value
     assert statuses["infeasible"] > 100 and statuses["unbounded"] > 100
     assert min(kinds[kind] for kind in (
-        "phase 1", "unit column", "slack", "artificial", "complemented artificial",
+        "phase 1", "slack", "artificial", "complemented artificial",
         "negated row", "eq row", "pair, first row", "pair, opposite row", "bound row",
         "upper")) >= 20, kinds
 
@@ -516,7 +514,7 @@ def test_make_lp_keeps_ints_and_only_non_integral_fractions():
                                     (Fraction(1, 2), 1))
     assert [type(x) for x in (*program.objective, *program.rows[0], *program.bounds)] == [
         int, int, int, int, Fraction, int]
-    assert write_lp(program) == "max\n2 3\n1 -1 | 1/2\n2/3 0 | 1\n1 1\n"
+    assert write_lp(program) == "max\n2 3\n1 -1 | 1/2\n2/3 0 | 1\n"
 
 
 def test_primal_matches_solvers(rng):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import make_random_network
+from conftest import make_random_network, seeded_networks
 from flowkit.network import (
     Cut,
     DuplicateArc,
@@ -15,6 +15,7 @@ from flowkit.network import (
     InvariantViolation,
     ParseError,
     ResidualGraph,
+    ScaledFlow,
     SourceSinkViolation,
     Violation,
     build_network,
@@ -29,7 +30,7 @@ from flowkit.network import (
     write_flow,
     _reached,
 )
-from flowkit.solvers import edmonds_karp
+from flowkit.solvers import ALGORITHMS, edmonds_karp
 from flowkit.values import parse_value
 from oracles import all_cuts, brute_min_cut, incidence_by_definition, random_network_spec
 
@@ -351,7 +352,21 @@ def test_flow_format_round_trip(g1):
     result = edmonds_karp(g1)
     text = write_flow(result.scaled, result.value)
     assert text.strip().splitlines()[-1] == "s 5"
-    assert read_flow(g1, text) == result.flow
+    assert read_flow(g1, text) == result.scaled
+
+
+def test_read_flow_gives_back_what_each_solver_certified():
+    for label, net in seeded_networks(200):
+        for name, solver in ALGORITHMS.items():
+            result = solver(net)
+            text = write_flow(result.scaled, result.value)
+            assert read_flow(net, text) == result.scaled, (label, name)
+
+
+def test_read_flow_returns_ints_in_arc_order_over_the_lcm(g1):
+    # lines out of arc order, a zero value, and a denominator g1's scale lacks
+    flow = read_flow(g1, "f 3 4 1/2\nf 1 2 0\nf 1 3 1/2\ns 1/2\n")
+    assert flow == ScaledFlow((((1, 3), 1), ((3, 4), 1)), 2)
 
 
 def test_flow_format_rejects_repeated_arc(g1):
