@@ -29,4 +29,5 @@ from .solvers import (  # noqa: F401
     max_blocking_cut,
     push_relabel,
 )
+from .simplicial import boundary_matrix  # noqa: F401
 from .values import UNBOUNDED  # noqa: F401

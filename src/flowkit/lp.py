@@ -142,15 +142,18 @@ def _pivot(rows, prow, col, d):
     unimodular program, such as a flow program, is one.  The quotient is
     an integer and so is e, hence so is f*b/d: a cell changes only where
     f != 0 and b != 0, and only the pivot row's nonzero columns of the
-    rows with f != 0 are updated.  Any other pivot rescales every entry of
-    every row.
+    rows with f != 0 are updated; the list of those columns is built when
+    the first such row is met, so a step that changes no row builds none.
+    Any other pivot rescales every entry of every row.
     """
     p = prow[col]
     if p == d:
-        nonzero = [(j, b) for j, b in enumerate(prow) if b]
+        nonzero = None
         for row in rows:
             f = row[col]
             if f and row is not prow:
+                if nonzero is None:
+                    nonzero = [(j, b) for j, b in enumerate(prow) if b]
                 for j, b in nonzero:
                     row[j] -= f * b // d
         return p
@@ -320,9 +323,13 @@ def _simplex(objective, ub_rows=(), ub_bounds=(), eq_rows=(), eq_bounds=(), uppe
             art_scales[start] = lam
         basis.append(start)
         tableau.append(row)
-    total = nvars + nslack + len(art_scales)
+    first_art = nvars + nslack
+    total = first_art + len(art_scales)
     for row, col in zip(tableau, basis):  # the artificial columns, now that they are counted
-        row[-1:-1] = [int(j == col) for j in range(nvars + nslack, total)]
+        arts = [0] * len(art_scales)
+        if col >= first_art:
+            arts[col - first_art] = 1
+        row[-1:-1] = arts
     limits = [None if u is None else u.numerator * (rhs_scale // u.denominator) for u in bound]
     limits += [None] * (total - nvars)
     flipped = set()

@@ -16,16 +16,23 @@ with the vertex/arc incidence matrix, and T plays the role of a
 sink-to-source return arc of unbounded capacity.
 
 The boundary operator has one owner: :class:`OrientedComplex` stores each
-facet's signed faces once, and ∂x (:meth:`~OrientedComplex.boundary`),
-∂ᵀλ (:meth:`~OrientedComplex.coboundary`) and the dense matrix
-(:func:`boundary_matrix`) are all read off that one sign table.  Cycle
-checks, cut capacities, dual points, the augmenting-cycle LP and the
-max-flow program are built from it.  :func:`hmaxflow_lp` hands the
-simplex the bounded form ∂x = 0, 0 <= x <= c directly.
+facet's signed faces once and builds from them, once, the int rows of ∂,
+one per face.  ∂x (:meth:`~OrientedComplex.boundary`), ∂ᵀλ
+(:meth:`~OrientedComplex.coboundary`), cycle checks, cut capacities and
+dual points read the sign table; the max-flow program and the
+augmenting-cycle LP read the rows, and :func:`boundary_matrix` hands out
+copies of them.  :func:`hmaxflow_lp` hands the simplex the bounded form
+∂x = 0, 0 <= x <= c directly.
+
+A flow network keeps its finite capacities as ints over one scale, as a
+graph :class:`~flowkit.network.Network` does, and the augmentation keeps
+its facet weights as ints over a scale that grows by each bottleneck's
+denominator; Fractions are built only for the results.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,7 +40,7 @@ from itertools import combinations
 
 from .lp import BudgetExceeded, solve_standard
 from .network import InvariantViolation, ParseError
-from .values import UNBOUNDED, exact, format_value, is_unbounded, parse_value, scaled
+from .values import UNBOUNDED, exact, format_value, is_unbounded, parse_ratio, scaled
 
 
 class ComplexError(Exception):
@@ -56,10 +63,11 @@ class OrientedComplex:
     Facets are tuples of d+1 distinct vertices; the tuple order is the
     orientation.  No two facets may coincide as vertex sets.  Lower faces
     are implied; the canonical reference orientation of any face is its
-    sorted vertex order.
+    sorted vertex order.  The boundary matrix is built once, as int rows
+    in face order, from the facets' signed faces.
     """
 
-    __slots__ = ("dimension", "facets", "_facet_sets", "_faces", "_signs")
+    __slots__ = ("dimension", "facets", "_facet_sets", "_faces", "_signs", "_rows")
 
     def __init__(self, dimension, facets):
         if dimension < 1:
@@ -85,6 +93,12 @@ class OrientedComplex:
         self._facet_sets = tuple(sets)
         self._faces = tuple(sorted(face_set))
         self._signs = tuple(signs)
+        index = {face: i for i, face in enumerate(self._faces)}
+        rows = [[0] * len(signs) for _ in self._faces]
+        for j, column in enumerate(signs):
+            for face, sign in column.items():
+                rows[index[face]][j] = sign
+        self._rows = tuple([tuple(row) for row in rows])
 
     def faces(self):
         """Canonical (d-1)-faces: sorted tuples in lexicographic order."""
@@ -135,11 +149,10 @@ class OrientedComplex:
 
 
 def boundary_matrix(complex_):
-    """Boundary operator as an integer matrix, read off the complex's sign
-    table: rows are the canonical (d-1)-faces (sorted tuples, lexicographic
+    """Boundary operator as an integer matrix, a copy of the complex's rows:
+    rows are the canonical (d-1)-faces (sorted tuples, lexicographic
     order), columns are facets in their given order."""
-    columns = complex_._signs
-    return [[column.get(face, 0) for column in columns] for face in complex_._faces]
+    return [list(row) for row in complex_._rows]
 
 
 def check_source_condition(complex_, t_index):
@@ -160,17 +173,38 @@ def check_source_condition(complex_, t_index):
 
 
 class HNetwork:
-    """Oriented complex with a source facet of unbounded capacity."""
+    """Oriented complex with a source facet of unbounded capacity.
 
-    __slots__ = ("complex", "t_index", "_caps")
+    The finite capacities are stored once, in facet order, as `ints` in
+    units of ``1/scale``: ``scale`` is the LCM of their reduced
+    denominators (1 when there are none), and the source facet's entry is
+    None.  The constructor takes the ints over any common scale and
+    divides out the gcd of the scale and the ints, which leaves that LCM,
+    as :class:`~flowkit.network.Network`'s does.  `capacity` is the
+    Fraction (or UNBOUNDED) of one facet; the Fractions are built on its
+    first call and kept.  Build flow networks with :func:`build_hnetwork`.
+    """
 
-    def __init__(self, complex_, t_index, caps):
+    __slots__ = ("complex", "t_index", "ints", "scale", "_caps")
+
+    def __init__(self, complex_, t_index, ints, scale):
         self.complex = complex_
         self.t_index = t_index
-        self._caps = dict(caps)
+        if scale > 1:
+            g = math.gcd(scale, *[c for c in ints if c is not None])
+            if g > 1:
+                scale //= g
+                ints = [None if c is None else c // g for c in ints]
+        self.ints, self.scale = tuple(ints), scale
+        self._caps = None
 
     def capacity(self, j):
-        return UNBOUNDED if j == self.t_index else self._caps[j]
+        if j == self.t_index:
+            return UNBOUNDED
+        if self._caps is None:
+            scale = self.scale
+            self._caps = tuple([None if c is None else Fraction(c, scale) for c in self.ints])
+        return self._caps[j]
 
     def facet_count(self):
         return len(self.complex.facets)
@@ -178,18 +212,20 @@ class HNetwork:
     def __eq__(self, other):
         if not isinstance(other, HNetwork):
             return NotImplemented
-        return (self.complex, self.t_index, self._caps) == \
-               (other.complex, other.t_index, other._caps)
+        return (self.complex, self.t_index, self.ints, self.scale) == \
+               (other.complex, other.t_index, other.ints, other.scale)
 
     def __repr__(self):
         return f"HNetwork(T={self.complex.facets[self.t_index]}, facets={self.facet_count()})"
 
 
-def build_hnetwork(complex_, t_index, capacities):
+def build_hnetwork(complex_, t_index, capacities, scale=None):
     """Validate the source condition and non-negative finite capacities.
 
     `capacities` is a dict that maps every facet index except `t_index` to
-    its capacity; an entry for `t_index` itself must be UNBOUNDED.
+    its capacity, an int, Fraction or `p/q` string; an entry for `t_index`
+    itself must be UNBOUNDED.  With `scale`, every capacity is instead an
+    int count of units ``1/scale``, as :func:`read_hnet` passes them.
     """
     if not (0 <= t_index < len(complex_.facets)):
         raise ComplexError(f"no facet with index {t_index}")
@@ -201,7 +237,7 @@ def build_hnetwork(complex_, t_index, capacities):
             continue
         if j not in capacities:
             raise ComplexError(f"missing capacity for facet {j}")
-        c = exact(capacities[j])
+        c = capacities[j] if scale is not None else exact(capacities[j])
         if c < 0:
             raise NegativeCapacity(f"capacity of facet {j} is negative")
         caps[j] = c
@@ -211,7 +247,11 @@ def build_hnetwork(complex_, t_index, capacities):
     ok, witnesses = check_source_condition(complex_, t_index)
     if not ok:
         raise SourceConditionViolated(witnesses)
-    return HNetwork(complex_, t_index, caps)
+    ints = list(caps.values())  # facet order, the source facet left out
+    if scale is None:
+        ints, scale = scaled(ints)
+    ints.insert(t_index, None)
+    return HNetwork(complex_, t_index, ints, scale)
 
 
 @dataclass(frozen=True)
@@ -255,7 +295,7 @@ class HMaxflowResult:
 def hmaxflow_lp(hnet):
     """Maximize the amount carried by the source facet, exactly."""
     k = hnet.facet_count()
-    eq_rows = boundary_matrix(hnet.complex)
+    eq_rows = hnet.complex._rows
     objective = [0] * k
     objective[hnet.t_index] = 1
     status, point = solve_standard(objective, eq_rows=eq_rows, eq_bounds=[0] * len(eq_rows),
@@ -268,22 +308,18 @@ def hmaxflow_lp(hnet):
 # -- residual complex and augmenting cycles ---------------------------------
 
 
-@dataclass(frozen=True)
-class ResidualFacet:
-    """One member of the residual multicomplex: a facet or its reversal
-    with strictly positive residual capacity."""
-
-    facet_index: int
-    forward: bool
-
-
-def residual_complex(hnet, values):
+def residual_complex(hnet, weights, scale):
+    """The residual multicomplex of the flow ``weights[j] / scale`` (ints
+    over any scale > 0): ``(j, 1)`` for each facet below its capacity,
+    then ``(j, -1)`` for each with positive weight, in facet order.  The
+    source facet's forward copy is always there."""
+    t, ints, base = hnet.t_index, hnet.ints, hnet.scale
     out = []
-    for j in range(hnet.facet_count()):
-        if hnet.capacity(j) - values[j] > 0:
-            out.append(ResidualFacet(j, True))
-        if values[j] > 0:
-            out.append(ResidualFacet(j, False))
+    for j, w in enumerate(weights):
+        if j == t or ints[j] * scale > w * base:  # c_j > w / scale, cross-multiplied
+            out.append((j, 1))
+        if w > 0:
+            out.append((j, -1))
     return out
 
 
@@ -295,32 +331,35 @@ class AugmentingCycle:
     terms: tuple              # (facet_index, direction +1/-1, coefficient)
 
 
-def find_augmenting_cycle(hnet, values):
-    """Smallest-mass residual cycle through the source facet, or None.
+def find_augmenting_cycle(hnet, weights, scale):
+    """Smallest-mass residual cycle through the source facet of the flow
+    ``weights[j] / scale``, or None.
 
     Solves an exact LP: unit coefficient on the forward source copy,
     boundary balance, non-negative coefficients supported on the residual
-    complex; :func:`scaled` turns its vertex into integers.  The reversed source
-    copy is excluded: a cycle using both source copies cancels and cannot
-    increase the carried amount.
+    complex.  Its rows are the complex's int boundary rows, one column per
+    residual copy, negated for a reversed one; :func:`scaled` turns its
+    vertex into integers.  The reversed source copy is excluded: a cycle
+    using both source copies cancels and cannot increase the carried
+    amount.
     """
-    copies = [rf for rf in residual_complex(hnet, values)
-              if not (rf.facet_index == hnet.t_index and not rf.forward)]
-    t_col = next(i for i, rf in enumerate(copies)
-                 if rf.facet_index == hnet.t_index and rf.forward)
-    eq_rows = [[row[rf.facet_index] if rf.forward else -row[rf.facet_index] for rf in copies]
-               for row in boundary_matrix(hnet.complex)]
-    eq_rows.append([int(i == t_col) for i in range(len(copies))])
+    t = hnet.t_index
+    copies = [copy for copy in residual_complex(hnet, weights, scale) if copy != (t, -1)]
+    t_col = copies.index((t, 1))
+    eq_rows = [[row[j] * direction for j, direction in copies] for row in hnet.complex._rows]
+    pin = [0] * len(copies)
+    pin[t_col] = 1
+    eq_rows.append(pin)
     eq_bounds = [0] * (len(eq_rows) - 1) + [1]
-    objective = [0 if i == t_col else -1 for i in range(len(copies))]
+    objective = [-1] * len(copies)
+    objective[t_col] = 0
     status, point = solve_standard(objective, eq_rows=eq_rows, eq_bounds=eq_bounds)
     if status == "infeasible":
         return None
     if status != "optimal":  # objective bounded above by zero
         raise InvariantViolation("bounded cycle LP", "find_augmenting_cycle", [status])
     coefficients, _ = scaled(point)
-    terms = [(rf.facet_index, 1 if rf.forward else -1, c)
-             for rf, c in zip(copies, coefficients) if c > 0]
+    terms = [(j, direction, c) for (j, direction), c in zip(copies, coefficients) if c > 0]
     return AugmentingCycle(tuple(terms))
 
 
@@ -332,35 +371,54 @@ def hmaxflow_augment(hnet, instrumented=False):
 
     Every step pushes `amount = min residual(X_i) / coefficient_i` around
     the cycle, which strictly increases the carried amount and saturates
-    at least one residual copy.  More than :data:`AUGMENTATION_BUDGET`
-    steps raise :class:`BudgetExceeded`.  With `instrumented`, every
-    intermediate flow is re-checked and a broken one raises
-    :class:`InvariantViolation` naming its step.
+    at least one residual copy.  The facet weights are ints over a scale
+    that starts at the network's: the bottleneck is found by
+    cross-multiplying, and the denominator of amount * scale in lowest
+    terms multiplies the scale, so that the amount and every new weight
+    are ints over it.  Fractions are built only for the result: the flow,
+    its value and the trace of amounts.  More than
+    :data:`AUGMENTATION_BUDGET` steps raise :class:`BudgetExceeded`.  With
+    `instrumented`, every intermediate flow is re-checked and a broken one
+    raises :class:`InvariantViolation` naming its step.
     """
-    values = [Fraction(0)] * hnet.facet_count()
+    t, ints = hnet.t_index, hnet.ints
+    scale = hnet.scale
+    weights = [0] * hnet.facet_count()
     trace = []
     for _ in range(AUGMENTATION_BUDGET):
-        cycle = find_augmenting_cycle(hnet, values)
+        cycle = find_augmenting_cycle(hnet, weights, scale)
         if cycle is None:
-            return HMaxflowResult(HFlow(tuple(values)), values[hnet.t_index], trace)
+            values = tuple([Fraction(w, scale) for w in weights])
+            return HMaxflowResult(HFlow(values), values[t], trace)
         where = f"augmentation {len(trace) + 1}"
-        bottlenecks = []
+        unit = scale // hnet.scale  # a capacity is ints[j] * unit over the scale
+        best = None  # the bottleneck as (residual, coefficient): residual / coefficient / scale
         for (j, direction, coeff) in cycle.terms:
-            r = hnet.capacity(j) - values[j] if direction > 0 else values[j]
-            if not is_unbounded(r):
-                bottlenecks.append(Fraction(r, coeff))
-        amount = min(bottlenecks, default=None)
-        if amount is None or amount <= 0:
+            if direction < 0:
+                r = weights[j]
+            elif j != t:
+                r = ints[j] * unit - weights[j]
+            else:
+                continue
+            if best is None or r * best[1] < best[0] * coeff:
+                best = (r, coeff)
+        if best is None or best[0] <= 0:
+            amount = None if best is None else Fraction(best[0], best[1] * scale)
             raise InvariantViolation("positive bottleneck", where, [amount])
-        before = values[hnet.t_index]
+        g = math.gcd(*best)
+        amount, q = best[0] // g, best[1] // g
+        if q > 1:  # amount / q in units of 1/scale: rescale so that it is an int
+            scale *= q
+            weights = [w * q for w in weights]
+        before = weights[t]
         for (j, direction, coeff) in cycle.terms:
-            values[j] += direction * coeff * amount
-        gain = values[hnet.t_index] - before
+            weights[j] += direction * coeff * amount
+        gain = weights[t] - before
         if gain <= 0:
-            raise InvariantViolation("carried amount increases", where, [gain])
-        trace.append(amount)
+            raise InvariantViolation("carried amount increases", where, [Fraction(gain, scale)])
+        trace.append(Fraction(amount, scale))
         if instrumented:
-            bad = hflow_violations(hnet, HFlow(tuple(values)))
+            bad = hflow_violations(hnet, HFlow(tuple([Fraction(w, scale) for w in weights])))
             if bad:
                 raise InvariantViolation("hflow", where, bad)
     raise BudgetExceeded(f"no fixpoint within {AUGMENTATION_BUDGET} augmentations")
@@ -518,8 +576,7 @@ def network_as_hnetwork(net):
     facets = [(v, u) for (u, v) in net.arcs]
     facets.append((net.source, net.sink))
     cx = OrientedComplex(1, facets)
-    caps = {j: net.capacities()[j] for j in range(net.m)}
-    return build_hnetwork(cx, len(facets) - 1, caps)
+    return build_hnetwork(cx, len(facets) - 1, dict(enumerate(net.ints)), scale=net.scale)
 
 
 def hcut_from_graph_cut(net, cut):
@@ -541,6 +598,12 @@ def write_hnet(hnet):
 
 
 def read_hnet(text):
+    """Parse the `hnet` format; raises ParseError with a line number.
+
+    Each capacity token is read as ints ``p/q`` (:func:`parse_ratio`), and
+    :func:`build_hnetwork` gets them as the ints ``p * (scale // q)`` over
+    ``scale``, the LCM of the q's; no capacity becomes a Fraction.
+    """
     dim = None
     facets = []
     caps = {}
@@ -571,7 +634,7 @@ def read_hnet(text):
                     raise ParseError("facet before header", line_no)
                 if len(fields) != dim + 3:
                     raise ParseError(f"expected `f <{dim + 1} vertices> <cap>`", line_no)
-                caps[len(facets)] = parse_value(fields[-1])
+                caps[len(facets)] = parse_ratio(fields[-1])
                 facets.append(tuple([int(x) for x in fields[1:-1]]))
             else:
                 raise ParseError(f"unknown record type {fields[0]!r}", line_no)
@@ -581,8 +644,10 @@ def read_hnet(text):
         raise ParseError("missing `hnet dim` header")
     if t_index is None:
         raise ParseError("missing source facet line")
+    scale = math.lcm(*{q for (_, q) in caps.values()})
     try:
-        return build_hnetwork(OrientedComplex(dim, facets), t_index, caps)
+        return build_hnetwork(OrientedComplex(dim, facets), t_index,
+                              {j: p * (scale // q) for j, (p, q) in caps.items()}, scale=scale)
     except ComplexError as exc:
         raise ParseError(str(exc))
 

@@ -3,10 +3,13 @@
 All quantities (capacities, flows, LP points) are `fractions.Fraction`
 at the library's surface; an LP cell is an int where its value is an
 integer.  :func:`scaled` is the one LCM scaling of them
-to ints, shared by network construction, the simplex tableau and the
-cycle LP of `simplicial`; :func:`parse_ratio` and :func:`format_ratio`
-read and write a value as ints, for the paths that keep it as an int
-over a scale.
+to ints, shared by network and flow-complex construction, the simplex
+tableau and the cycle LP of `simplicial`; :func:`parse_ratio` and
+:func:`format_ratio` read and write a value as ints, for the paths that
+keep it as an int over a scale.  A scale only grows: the residual graph
+takes the LCM with a starting flow's denominators, and the augmentation
+on complexes multiplies its scale by each bottleneck's reduced
+denominator.
 A single distinguished UNBOUNDED value stands in for an infinite capacity:
 the capacity of a flow complex's source facet, its one use (a graph arc's
 capacity is finite; ``build_network`` refuses UNBOUNDED).  It supports

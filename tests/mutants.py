@@ -48,6 +48,8 @@ MUTANTS = {
         "values.py", "g = math.gcd(x, scale)", "g = 1"),
     "face signs drop the (-1)^k of the alternating sum": (
         "simplicial.py", "-p if k % 2 else p", "p"),
+    "hmaxflow_augment skips the rescale by the bottleneck's denominator": (
+        "simplicial.py", "        if q > 1:", "        if False:"),
     "build_network accepts an UNBOUNDED capacity": (
         "network.py",
         "        if cap is UNBOUNDED:\n"

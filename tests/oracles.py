@@ -12,7 +12,9 @@ The enumeration oracles at the end take the library's own objects and
 objective (cut capacity) and enumerate every candidate in place of the
 solver; a flow file is rendered from the Fractions, apart from the
 writer's ints.  `lp-dual`'s output is rebuilt from a program whose every
-cell is a Fraction, written cell by cell with `format_value`.
+cell is a Fraction, written cell by cell with `format_value`.  The
+augmentation on complexes is rerun in Fractions; it shares the library's
+cycle LP and checks the ints over a growing scale that the library keeps.
 """
 
 from fractions import Fraction
@@ -21,8 +23,9 @@ from itertools import combinations, permutations, product
 from flowkit.apps import Poset, read_pgm
 from flowkit.lp import LinearProgram, certify, simplex_solve
 from flowkit.network import Cut, ResidualGraph, build_network, cut_capacity, incidence_matrix
+from flowkit.simplicial import AUGMENTATION_BUDGET, find_augmenting_cycle
 from flowkit.solvers import edmonds_karp
-from flowkit.values import exact, format_value
+from flowkit.values import exact, format_value, is_unbounded, scaled
 
 
 def random_network_spec(rng, max_n=8, max_cap=10, density=0.55, allow_st_arc=True):
@@ -433,3 +436,27 @@ def lp_dual_by_fractions(net):
 
     return (write(primal) + "\n" + write(dual) + f"primal_opt {format_value(result.value)}\n"
             f"dual_opt {format_value(dual_value)}\n")
+
+
+def hmaxflow_augment_by_fractions(hnet):
+    """The augmentation fixpoint with Fraction weights: the flow values,
+    the carried amount and the trace of amounts.  Each step takes the
+    library's cycle for the flow as ints over the LCM of its denominators,
+    and pushes ``min residual / coefficient`` over its finite residual
+    copies, each residual a Fraction off ``hnet.capacity``."""
+    values = [Fraction(0)] * hnet.facet_count()
+    trace = []
+    for _ in range(AUGMENTATION_BUDGET):
+        cycle = find_augmenting_cycle(hnet, *scaled(values))
+        if cycle is None:
+            return tuple(values), values[hnet.t_index], trace
+        bottlenecks = []
+        for (j, direction, coeff) in cycle.terms:
+            r = hnet.capacity(j) - values[j] if direction > 0 else values[j]
+            if not is_unbounded(r):
+                bottlenecks.append(Fraction(r, coeff))
+        amount = min(bottlenecks)
+        for (j, direction, coeff) in cycle.terms:
+            values[j] += direction * coeff * amount
+        trace.append(amount)
+    raise AssertionError(f"no fixpoint within {AUGMENTATION_BUDGET} augmentations")

@@ -48,11 +48,13 @@ from flowkit.simplicial import (
     write_probe_report,
 )
 from flowkit.solvers import edmonds_karp
-from flowkit.values import is_unbounded
+from flowkit.values import is_unbounded, scaled
 from oracles import (
     all_cuts,
     boundary_by_definition,
+    hmaxflow_augment_by_fractions,
     leaf_by_definition,
+    random_network_spec,
 )
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -264,18 +266,52 @@ def test_augmentation_steps_are_valid_flows(double_net, rng):
 
 
 def test_residual_complex_members(tetra_net):
-    zero = [Fraction(0)] * 4
-    members = residual_complex(tetra_net, zero)
-    assert {(m.facet_index, m.forward) for m in members} == {(j, True) for j in range(4)}
-    full = [Fraction(1)] * 4
-    members = residual_complex(tetra_net, full)
-    kinds = {(m.facet_index, m.forward) for m in members}
-    assert (3, True) in kinds and (0, False) in kinds and (0, True) not in kinds
+    zero = [0] * 4
+    members = residual_complex(tetra_net, zero, 1)
+    assert set(members) == {(j, 1) for j in range(4)}
+    full = [3] * 4  # every facet at capacity 1, over the scale 3
+    members = residual_complex(tetra_net, full, 3)
+    kinds = set(members)
+    assert (3, 1) in kinds and (0, -1) in kinds and (0, 1) not in kinds
 
 
 def test_no_augmenting_cycle_at_optimum(tetra_net):
     res = hmaxflow_lp(tetra_net)
-    assert find_augmenting_cycle(tetra_net, list(res.flow.values)) is None
+    weights, scale = scaled(res.flow.values)
+    assert find_augmenting_cycle(tetra_net, weights, scale) is None
+
+
+def test_int_augmentation_matches_the_fraction_one():
+    # the ints over a growing scale give the Fraction loop's trace, flow
+    # and value, step for step, and some step grows the scale
+    hnets = [read_hnet(SAMPLES.joinpath(name).read_text())
+             for name in ("tetra.hnet", "double-tetra.hnet", "torsion.hnet")]
+    for seed in range(200):
+        hnets.append(random_hnetwork(random.Random(f"int-augment:{seed}")))
+    for seed in range(100):
+        rng = random.Random(f"int-augment-graph:{seed}")
+        n, s, t, arcs = random_network_spec(rng, max_n=7, allow_st_arc=False)
+        arcs = [(u, v, Fraction(rng.randint(0, 30), rng.choice([7, 11, 13, 17])))
+                for u, v, _ in arcs]
+        hnets.append(network_as_hnetwork(build_network(n, s, t, arcs)))
+    # the torsion sample's cycles have a coefficient 2, so its bottlenecks can be halves
+    torsion = hnets[2]
+    for seed in range(30):
+        rng = random.Random(f"int-augment-torsion:{seed}")
+        caps = {j: Fraction(rng.randint(1, 12), rng.choice([1, 2, 3]))
+                for j in range(torsion.facet_count()) if j != torsion.t_index}
+        hnets.append(build_hnetwork(torsion.complex, torsion.t_index, caps))
+    assert len(hnets) == 333
+    rescaled = 0
+    for hnet in hnets:
+        res = hmaxflow_augment(hnet)
+        values, value, trace = hmaxflow_augment_by_fractions(hnet)
+        assert (res.trace, res.flow.values, res.value) == (trace, values, value)
+        assert all(type(x) is Fraction for x in (*res.trace, *res.flow.values, res.value))
+        # some step grows the scale exactly when some amount is not an int
+        # count of 1/hnet.scale, the scale the loop starts at
+        rescaled += any((amount * hnet.scale).denominator > 1 for amount in res.trace)
+    assert rescaled > 0
 
 
 def test_dimension_one_values_match(rng):
@@ -484,11 +520,10 @@ def test_augmentation_fixpoint_is_the_lp_optimum():
         if optimum.value == 0:
             continue
         positive += 1
-        x_star = list(optimum.flow.values)
-        half = [x / 2 for x in x_star]
-        cycle = find_augmenting_cycle(hnet, half)
+        x_star, scale = scaled(optimum.flow.values)
+        cycle = find_augmenting_cycle(hnet, x_star, 2 * scale)  # x*/2
         assert cycle is not None and (hnet.t_index, 1) in {(j, d) for j, d, _ in cycle.terms}
-        assert find_augmenting_cycle(hnet, x_star) is None
+        assert find_augmenting_cycle(hnet, x_star, scale) is None
     assert positive >= 10
 
 
