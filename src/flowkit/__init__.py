@@ -13,7 +13,6 @@ Submodules:
 
 from .network import (  # noqa: F401
     Cut,
-    FlowAssignment,
     build_network,
     cut_capacity,
     flow_across_cut,

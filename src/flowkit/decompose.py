@@ -104,7 +104,9 @@ def decompose(net, flow):
 
 
 def min_cut_from_flow(net, f):
-    """Minimum cut from a maximal flow: residual reachability from the source.
+    """Minimum cut from a maximal flow `f`, a :class:`ScaledFlow`: residual
+    reachability from the source.  `f` is checked first, as it may come
+    from anywhere; raises :class:`InvalidFlow` when it is not a flow.
 
     Raises :class:`NotMaximal` with an augmenting path when the flow still
     admits one.

@@ -9,34 +9,34 @@ stores its capacities once, as ints over one scale (the LCM of their
 reduced denominators), and :func:`read_dimacs` reads capacity tokens
 straight to those ints.
 
-A flow, a preflow and a pseudoflow are one kind of object, an
-antisymmetric function on vertex pairs (`f(u,v) = -f(v,u)`), a
-:class:`FlowAssignment`; the role that :func:`validate` is given selects
-which constraints it must meet:
+A flow, a preflow and a pseudoflow are one kind of object, a function on
+the arcs, as the capacity is: a :class:`ScaledFlow`, the int x of each
+arc whose value x / scale is not zero, over one scale.  The role that
+:func:`validate` is given selects which constraints it must meet:
 
 * ``flow``       capacity + conservation at every vertex except s, t
 * ``preflow``    capacity + non-negative excess at every vertex except s
 * ``pseudoflow`` capacity only
 
 Every solver, flow recovery and cut extraction works on one residual state,
-:class:`ResidualGraph`: the residual capacity ``r(u, v) = cbar(u, v) -
-f(u, v)`` of every arc and of its reverse, stored as a Python int in units
-of ``1/scale``.  ``scale`` is the LCM of the denominators of every
-capacity and of every value of the starting flow, fixed once per solve, so
-every residual test and every push is integer arithmetic and exact at any
-LCM (Python ints do not overflow).  Pushing delta along (u, v) lowers
-r(u, v) and raises r(v, u) by the same amount, which keeps
-``r(u, v) + r(v, u) = cbar(u, v) + cbar(v, u)`` for every pair.  The
-arc capacities are kept in the same units beside the rows, so the flow
-on an arc, and from it every excess, is the int ``c - r`` with nothing
+:class:`ResidualGraph`: the residual capacity ``r(u, v) = c(u, v) -
+f(u, v)`` of every arc and ``r(v, u) = f(u, v)`` of its reverse, stored as
+a Python int in units of ``1/scale``.  ``scale`` is the LCM of the
+denominators of every capacity and of the starting flow's scale, fixed
+once per solve, so every residual test and every push is integer
+arithmetic and exact at any LCM (Python ints do not overflow).  Pushing
+delta along (u, v) lowers r(u, v) and raises r(v, u) by the same amount,
+which keeps ``r(u, v) + r(v, u) = c(u, v)`` on every arc.  The arc
+capacities are kept in the same units beside the rows, so the flow on an
+arc, and from it every excess, is the int ``c - r`` with nothing
 converted back.  Without a starting flow, ``scale`` and the capacities
 are the network's own ints.  Fractions appear only at the boundary: a
-network's ``capacities``, ``capacity`` and ``cbar`` (built on first call
-and kept), a residual graph's ``flow``, and :class:`FlowAssignment`
-values.  A flow file is written and read as one form, a
-:class:`ScaledFlow`: :func:`write_flow` takes a solver's certified ints
-and the value it is given, and builds no Fraction; :func:`read_flow`, where
-a flow enters from a file, is that flow's one check, and returns its ints.
+network's ``capacities`` and ``capacity`` (built on first call and kept)
+and the amount of a reported :class:`Violation`.  A flow file is written
+and read as a :class:`ScaledFlow`: :func:`write_flow` takes a solver's
+certified ints and the value it is given, and builds no Fraction;
+:func:`read_flow`, where a flow enters from a file, is that flow's one
+check, and returns its ints.
 
 The capacities are stored by rows, built once per solve: ``r[u]`` maps
 each out- and in-neighbour v of u, in increasing index order, to
@@ -66,7 +66,6 @@ from .values import (
 )
 
 ROLES = ("flow", "preflow", "pseudoflow")
-_ZERO = Fraction(0)  # the value of an unstored pair: one object, as Fractions are immutable
 
 
 class NetworkError(Exception):
@@ -124,9 +123,11 @@ class ParseError(NetworkError):
 
 @dataclass(frozen=True)
 class Violation:
-    """One violated flow constraint: kind, location, offending amount."""
+    """One violated flow constraint: kind, location, offending amount (for
+    "capacity", how far the arc's value lies below 0 or above its capacity;
+    otherwise the excess)."""
 
-    kind: str            # "capacity" | "antisymmetry" | "conservation" | "negative_excess"
+    kind: str            # "capacity" | "conservation" | "negative_excess"
     where: tuple | int
     amount: Fraction
 
@@ -142,8 +143,8 @@ class Network:
     denominators (1 when there are none).  The constructor takes the ints
     over any common scale and divides out the gcd of the scale and the
     ints, which leaves that LCM; so equal capacities give equal ints.
-    `capacities`, `capacity` and `cbar` build the Fractions on their first
-    call and keep them.  `gadget_vertices` are the vertices that subdivide
+    `capacities` and `capacity` build the Fractions on their first call
+    and keep them.  `gadget_vertices` are the vertices that subdivide
     antiparallel pairs.
 
     The constructor checks nothing and trusts its two callers:
@@ -204,11 +205,6 @@ class Network:
             scale = self.scale
             self._caps = tuple([Fraction(c, scale) for c in self.ints])
         return self._caps
-
-    def cbar(self, u, v):
-        """Capacity extended by zero off the arc set."""
-        i = self._index.get((u, v))
-        return self.capacities()[i] if i is not None else _ZERO
 
     def out_neighbors(self, v):
         return self._out[v]
@@ -304,67 +300,27 @@ def build_network(n, source, sink, arc_list, allow_antiparallel=False, scale=Non
 
 
 class FlowAssignment:
-    """Antisymmetric value assignment on vertex pairs: a flow, a preflow or
-    a pseudoflow, as :func:`validate` checks it.
+    """A flow's per-arc Fractions, `raw`: ``{(u, v): x}`` for each arc with
+    flow x > 0.  flowkit reads a flow as a :class:`ScaledFlow`; only
+    ``MaxflowResult.flow`` builds this view of one, for the span tracer in
+    `perfbench/`, which reads `raw`."""
 
-    The constructor stores the given pairs verbatim; lookups derive the
-    reverse direction by antisymmetry.  Inconsistent inputs (both
-    directions stored with `f(u,v) != -f(v,u)`) are kept and surface as
-    antisymmetry violations in :func:`validate`.
-    """
+    __slots__ = ("raw",)
 
-    __slots__ = ("raw", "_touching")
-
-    def __init__(self, values=()):
-        self.raw = {(u, v): exact(x) for (u, v), x in dict(values).items()}
-        touching = {}
-        for (u, v) in self.raw:
-            touching.setdefault(u, set()).add(v)
-            touching.setdefault(v, set()).add(u)
-        self._touching = touching
-
-    def value(self, u, v):
-        x = self.raw.get((u, v))
-        if x is not None:
-            return x
-        x = self.raw.get((v, u))
-        if x is not None:
-            return -x
-        return _ZERO
-
-    def excess(self, v):
-        """Inflow minus outflow at v."""
-        return sum((self.value(u, v) for u in self._touching.get(v, ())), Fraction(0))
-
-    def support_pairs(self):
-        """Every stored pair together with its reverse."""
-        pairs = set(self.raw)
-        pairs.update((v, u) for (u, v) in self.raw)
-        return pairs
-
-    def __eq__(self, other):
-        if not isinstance(other, FlowAssignment):
-            return NotImplemented
-        pairs = self.support_pairs() | other.support_pairs()
-        return all(self.value(u, v) == other.value(u, v) for (u, v) in pairs)
-
-    def __repr__(self):
-        nonzero = {p: x for p, x in self.raw.items() if x != 0}
-        return f"FlowAssignment({nonzero})"
+    def __init__(self, raw):
+        self.raw = raw
 
 
 class ScaledFlow(NamedTuple):
-    """A flow kept as ints over one scale, as a solver certified it or
-    :func:`read_flow` checked it: ``((u, v), x)`` for every arc whose flow
-    x / scale is positive, in arc order.  :meth:`assignment` builds its
-    :class:`FlowAssignment`."""
+    """A flow, a preflow or a pseudoflow, the one form of each in flowkit:
+    ``((u, v), x)`` for every arc whose value x / scale is not zero, in arc
+    order, as ints over one scale.  A solver certifies one,
+    :func:`read_flow` checks one, :meth:`ResidualGraph.flow` reads one off
+    a residual graph, and :func:`validate` checks one in a role; a flow
+    that passed is positive on each of its arcs."""
 
     pairs: tuple
     scale: int
-
-    def assignment(self):
-        scale = self.scale
-        return FlowAssignment({a: Fraction(x, scale) for a, x in self.pairs})
 
 
 @dataclass(frozen=True)
@@ -481,27 +437,27 @@ def _reached(target, u, parent, queue):
 
 
 class ResidualGraph:
-    """Residual capacities `c_f = cbar - f` of a flow-like assignment
-    (the zero flow when none is given), under mutation.
+    """Residual capacities of a flow, a preflow or a pseudoflow, given as a
+    :class:`ScaledFlow` (the zero flow when none is given), under mutation.
 
-    `r[u][v]` is the residual capacity of (u, v) in scaled units, the int
-    `c_f * scale`.  Each row `r[u]` holds every out- and in-neighbour of u,
-    in increasing index order.  `caps` holds the arc capacities in the
-    same units, in arc order, so the flow on arc i is
-    ``caps[i] - r(u, v)``: the network's own `ints` and `scale` when no
-    flow is given.  `push` and `augment` work in scaled units; `flow`
-    returns Fractions.
+    `r[u][v]` is a residual capacity in units of ``1/scale``: ``c - x`` on
+    an arc (u, v) with capacity c and flow x, and ``x`` on its reverse
+    (v, u).  ``scale`` is the LCM of the network's scale and the flow's.
+    Each row `r[u]` holds every out- and in-neighbour of u, in increasing
+    index order.  `caps` holds the arc capacities in the same units, in arc
+    order, so the flow on arc i is ``caps[i] - r(u, v)``: the network's own
+    `ints` and `scale` when no flow is given.  `push` and `augment` work in
+    these units, and `flow` reads the flow back as a :class:`ScaledFlow`.
     """
 
     __slots__ = ("net", "scale", "caps", "r")
 
     def __init__(self, net, flow=None):
         self.net = net
-        raw = flow.raw if flow is not None else {}
-        # the network's ints, rescaled when the flow brings new denominators
+        # the network's ints, rescaled when the flow brings another scale
         caps, scale = net.ints, net.scale
-        if raw:
-            scale = math.lcm(scale, *{x.denominator for x in raw.values()})
+        if flow is not None:
+            scale = math.lcm(scale, flow.scale)
             if scale != net.scale:
                 k = scale // net.scale
                 caps = tuple([c * k for c in caps])
@@ -510,14 +466,11 @@ class ResidualGraph:
         r = {v: dict.fromkeys(sorted(out(v) + inc(v)), 0) for v in net.vertices()}
         for (u, v), c in zip(net.arcs, caps):
             r[u][v] = c
-        # r -= f on each stored pair (u, v) and, by antisymmetry, r += f on
-        # (v, u) unless the assignment stores (v, u) as well
-        for (u, v), f in raw.items():
-            x = f.numerator * (scale // f.denominator)
-            if x and v in r.get(u, ()):
-                r[u][v] -= x
-                if (v, u) not in raw:
-                    r[v][u] += x
+        if flow is not None:
+            k = scale // flow.scale
+            for (u, v), x in flow.pairs:
+                r[u][v] -= x * k
+                r[v][u] += x * k
         self.r = r
 
     def out_neighbors(self, u):
@@ -560,71 +513,70 @@ class ResidualGraph:
         self.net = net
 
     def flow(self):
-        """The assignment `cbar - r` on the arcs."""
-        scale, r = self.scale, self.r
-        values = {}
-        for (u, v), c in zip(self.net.arcs, self.caps):
-            x = c - r[u][v]
-            if x:
-                values[(u, v)] = Fraction(x, scale)
-        return FlowAssignment(values)
+        """The flow ``caps[i] - r(u, v)`` on each arc where it is not zero,
+        a :class:`ScaledFlow` over this residual's scale."""
+        r = self.r
+        pairs = [((u, v), c - r[u][v]) for (u, v), c in zip(self.net.arcs, self.caps)]
+        return ScaledFlow(tuple([(a, x) for a, x in pairs if x]), self.scale)
 
 
 def validate(net, f, role):
-    """Check `f` as a `role`, one of :data:`ROLES`; returns the list of
-    violations (empty = valid)."""
+    """Check `f`, a :class:`ScaledFlow`, as a `role`, one of :data:`ROLES`;
+    returns the list of violations (empty = valid).
+
+    The check is in ints.  An arc's value x / f.scale is compared with its
+    capacity c / net.scale by cross-multiplying, and an excess is a sum of
+    the x.  A Fraction is built only for the amount of a violation it
+    reports.  Capacity violations come first, in (u, v) order, then the
+    excesses, in vertex order.
+    """
     if role not in ROLES:
         raise ValueError(f"unknown role {role!r}")
+    caps, base, scale = dict(zip(net.arcs, net.ints)), net.scale, f.scale
+    excess = dict.fromkeys(net.vertices(), 0)
     violations = []
+    for (u, v), x in sorted(f.pairs):
+        c = caps.get((u, v), 0)  # no capacity off the arcs
+        if x < 0:
+            violations.append(Violation("capacity", (u, v), Fraction(x, scale)))
+        elif x * base > c * scale:
+            violations.append(Violation("capacity", (u, v),
+                                        Fraction(x * base - c * scale, scale * base)))
+        excess[u] -= x
+        excess[v] += x
 
-    for (u, v), x in sorted(f.raw.items()):
-        if (v, u) in f.raw and (u, v) < (v, u):
-            if x != -f.raw[(v, u)]:
-                violations.append(Violation("antisymmetry", (u, v), x + f.raw[(v, u)]))
-
-    for (u, v) in sorted(f.support_pairs()):
-        x = f.value(u, v)
-        if x > net.cbar(u, v):
-            violations.append(Violation("capacity", (u, v), x - net.cbar(u, v)))
-
+    s, t = net.source, net.sink
     if role == "flow":
-        for v in net.vertices():
-            if v in (net.source, net.sink):
-                continue
-            e = f.excess(v)
-            if e != 0:
-                violations.append(Violation("conservation", v, e))
+        violations += [Violation("conservation", v, Fraction(e, scale))
+                       for v, e in excess.items() if e and v != s and v != t]
     elif role == "preflow":
-        for v in net.vertices():
-            if v == net.source:
-                continue
-            e = f.excess(v)
-            if e < 0:
-                violations.append(Violation("negative_excess", v, e))
+        violations += [Violation("negative_excess", v, Fraction(e, scale))
+                       for v, e in excess.items() if e < 0 and v != s]
     return violations
 
 
 def net_flow(net, f):
-    """Total amount leaving the source."""
+    """Total amount leaving the source of a valid flow, a :class:`ScaledFlow`."""
     bad = validate(net, f, "flow")
     if bad:
         raise InvalidFlow(bad)
-    return sum((f.value(net.source, v) for v in net.out_neighbors(net.source)), Fraction(0))
+    return Fraction(sum(x for (u, _), x in f.pairs if u == net.source), f.scale)
 
 
 def flow_across_cut(net, f, cut):
-    """f(S, S-bar) - f(S-bar, S); equals the net flow for every cut."""
+    """f(S, S-bar) - f(S-bar, S) of a valid flow, a :class:`ScaledFlow`;
+    equals the net flow for every cut."""
     bad = validate(net, f, "flow")
     if bad:
         raise InvalidFlow(bad)
     side = cut.source_side
-    total = Fraction(0)
-    for (u, v) in net.arcs:
+    total = 0
+    for (u, v), x in f.pairs:
         if u in side and v not in side:
-            total += f.value(u, v)
+            total += x
         elif u not in side and v in side:
-            total -= f.value(u, v)
-    return total
+            total -= x
+    return Fraction(total, f.scale)
 
 
 def cut_capacity(net, cut):
@@ -754,9 +706,12 @@ def write_flow(flow, value):
 def read_flow(net, text):
     """Read a flow file and check it, once: :func:`validate` as a flow, and
     the `s` line, when there is one, against the outflow of the source.
-    Returns the :class:`ScaledFlow` in arc order, over the LCM of
-    ``net.scale`` and the values' denominators.  Raises
-    :class:`ParseError` or :class:`InvalidFlow`."""
+
+    Each value token is read as ints ``p/q`` in lowest terms
+    (:func:`parse_ratio`), and the flow is the :class:`ScaledFlow` of the
+    nonzero ones in arc order, over the LCM of ``net.scale`` and their
+    q's; that flow is what `validate` checks and what is returned.  A violation names the arc as the file
+    wrote it.  Raises :class:`ParseError` or :class:`InvalidFlow`."""
     values = {}
     stated = None
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
@@ -769,14 +724,15 @@ def read_flow(net, text):
                 raise ParseError("expected `f <u> <v> <value>`", line_no)
             try:
                 u, v = int(fields[1]), int(fields[2])
-                x = parse_value(fields[3])
+                p, q = parse_ratio(fields[3])
             except ValueError as exc:
                 raise ParseError(str(exc), line_no)
             if not net.has_arc(u, v):
                 raise ParseError(f"({u}, {v}) is not an arc of the network", line_no)
             if (u, v) in values:
                 raise ParseError(f"duplicate value for arc ({u}, {v})", line_no)
-            values[(u, v)] = x
+            g = math.gcd(p, q)  # lowest terms, so that the scale is the LCM of reduced q's
+            values[(u, v)] = (p // g, q // g)
         elif fields[0] == "s":
             if len(fields) != 2:
                 raise ParseError("expected `s <value>`", line_no)
@@ -788,14 +744,14 @@ def read_flow(net, text):
                 raise ParseError(str(exc), line_no)
         else:
             raise ParseError(f"unknown record type {fields[0]!r}", line_no)
-    bad = validate(net, FlowAssignment(values), "flow")
+    written = [(a, values[a]) for a in net.arcs if a in values and values[a][0]]
+    scale = math.lcm(net.scale, *{q for _, (_, q) in written})
+    flow = ScaledFlow(tuple([(a, p * (scale // q)) for a, (p, q) in written]), scale)
+    bad = validate(net, flow, "flow")
     if bad:
         raise InvalidFlow(bad)
-    # a valid flow is >= 0 on every arc, as no arc has an antiparallel twin
-    scale = math.lcm(net.scale, *{x.denominator for x in values.values()})
-    pairs = [(a, x.numerator * (scale // x.denominator)) for a in net.arcs if (x := values.get(a))]
     if stated is not None:
-        actual = Fraction(sum(x for (u, _), x in pairs if u == net.source), scale)
+        actual = Fraction(sum(x for (u, _), x in flow.pairs if u == net.source), scale)
         if actual != stated:
             raise ParseError(f"stated value {stated} does not match flow value {actual}")
-    return ScaledFlow(tuple(pairs), scale)
+    return flow

@@ -17,22 +17,24 @@ sink-to-source return arc of unbounded capacity.
 
 The boundary operator has one owner: :class:`OrientedComplex` stores each
 facet's signed faces once and builds from them, once, the int rows of ∂,
-one per face.  ∂x (:meth:`~OrientedComplex.boundary`), ∂ᵀλ
-(:meth:`~OrientedComplex.coboundary`), cycle checks, cut capacities and
-dual points read the sign table; the max-flow program and the
-augmenting-cycle LP read the rows, and :func:`boundary_matrix` hands out
-copies of them.  :func:`hmaxflow_lp` hands the simplex the bounded form
-∂x = 0, 0 <= x <= c directly.
+one per face.  ∂ᵀλ (:meth:`~OrientedComplex.coboundary`), cut capacities
+and dual points read the sign table; ∂x
+(:meth:`~OrientedComplex.boundary`), the cycle checks, the max-flow
+program and the augmenting-cycle LP read the rows, and
+:func:`boundary_matrix` hands out copies of them.  :func:`hmaxflow_lp`
+hands the simplex the bounded form ∂x = 0, 0 <= x <= c directly.
 
 A flow network keeps its finite capacities as ints over one scale, as a
 graph :class:`~flowkit.network.Network` does, and the augmentation keeps
 its facet weights as ints over a scale that grows by each bottleneck's
-denominator; Fractions are built only for the results.
+denominator, which :func:`hflow_violations` checks as they are;
+Fractions are built only for the results.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -113,12 +115,12 @@ class OrientedComplex:
 
     def boundary(self, values):
         """The boundary operator applied to facet values: {face: (∂x)_face}
-        over every canonical face."""
-        out = dict.fromkeys(self._faces, Fraction(0))
-        for column, x in zip(self._signs, values, strict=True):
-            for face, sign in column.items():
-                out[face] += sign * x
-        return out
+        over every canonical face, read off the int rows; ints for int
+        values."""
+        if len(values) != len(self.facets):
+            raise ValueError(f"{len(values)} values for {len(self.facets)} facets")
+        return {face: sum(map(operator.mul, row, values))
+                for face, row in zip(self._faces, self._rows)}
 
     def coboundary(self, lam):
         """Its transpose applied to face values {face: λ_face}: (∂ᵀλ)_j per
@@ -267,17 +269,19 @@ def is_weighted_cycle(complex_, values):
     return (not residuals, residuals)
 
 
-def hflow_violations(hnet, flow):
-    """The bounds 0 <= x <= c and the cycle rows ∂x = 0 that an
-    :class:`HFlow` breaks."""
-    values = flow.values
+def hflow_violations(hnet, weights, scale):
+    """The bounds 0 <= w and w / scale <= c and the cycle rows ∂w = 0 that
+    the flow ``weights[j] / scale`` (ints over any scale > 0) breaks.  The
+    capacity bound is checked against `hnet.ints` by cross-multiplying,
+    and the cycle rows on the ints; no Fraction is built."""
+    ints, base = hnet.ints, hnet.scale
     bad = []
-    for j, x in enumerate(values):
-        if x < 0:
+    for j, w in enumerate(weights):
+        if w < 0:
             bad.append(("negative", j))
-        if x > hnet.capacity(j):
+        if ints[j] is not None and w * base > ints[j] * scale:
             bad.append(("capacity", j))
-    ok, residuals = is_weighted_cycle(hnet.complex, values)
+    ok, residuals = is_weighted_cycle(hnet.complex, weights)
     bad.extend(("cycle", face) for face in sorted(residuals))
     return bad
 
@@ -378,8 +382,9 @@ def hmaxflow_augment(hnet, instrumented=False):
     are ints over it.  Fractions are built only for the result: the flow,
     its value and the trace of amounts.  More than
     :data:`AUGMENTATION_BUDGET` steps raise :class:`BudgetExceeded`.  With
-    `instrumented`, every intermediate flow is re-checked and a broken one
-    raises :class:`InvariantViolation` naming its step.
+    `instrumented`, every intermediate flow is re-checked on its ints by
+    :func:`hflow_violations`, and a broken one raises
+    :class:`InvariantViolation` naming its step.
     """
     t, ints = hnet.t_index, hnet.ints
     scale = hnet.scale
@@ -418,7 +423,7 @@ def hmaxflow_augment(hnet, instrumented=False):
             raise InvariantViolation("carried amount increases", where, [Fraction(gain, scale)])
         trace.append(Fraction(amount, scale))
         if instrumented:
-            bad = hflow_violations(hnet, HFlow(tuple([Fraction(w, scale) for w in weights])))
+            bad = hflow_violations(hnet, weights, scale)
             if bad:
                 raise InvariantViolation("hflow", where, bad)
     raise BudgetExceeded(f"no fixpoint within {AUGMENTATION_BUDGET} augmentations")

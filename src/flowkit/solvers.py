@@ -22,10 +22,13 @@ the LCM of the capacity denominators, the network's own), and so are the
 quantities a solver keeps beside it: the push-relabel and pseudoflow
 excesses, pseudoflow's M+ and M- and the amounts :func:`recover_flow`
 reads off the residual graph and drains.  No graph solve builds a
-capacity Fraction.  Fractions come back only in ``MaxflowResult.value``
-and ``stats["value"]``, in ``MaxflowResult.flow``, which is built from the
-certified ints (``MaxflowResult.scaled``) when it is first read, and in
-the ``NormalizedTree`` that instrumented runs return.
+capacity Fraction.  The flow comes back as those ints,
+``MaxflowResult.scaled``.  Fractions come back only in
+``MaxflowResult.value`` and ``stats["value"]``, in the ``NormalizedTree``
+that instrumented runs return, and in ``MaxflowResult.flow``, the
+certified ints as per-arc Fractions, built when it is first read.
+Nothing in flowkit reads that view; it is kept for the span tracer in
+`perfbench/`.
 
 Every solver ends in one certificate, read off its final residual graph
 in a single scaled-int pass over the arcs.  ``MaxflowResult.cut`` is the
@@ -41,9 +44,9 @@ cut minimal, and is the same source side
 :func:`flowkit.decompose.min_cut_from_flow` finds.  A failed check raises
 :class:`InvariantViolation` with the invariant ``"certificate"``.
 Instrumented mode also re-checks the per-step invariants (valid
-preflow/labeling, normalized-tree conditions, pseudoflow labels) and is
-meant for tests; a broken invariant raises :class:`InvariantViolation`,
-also under ``-O``.
+preflow/labeling, normalized-tree conditions, pseudoflow labels) on the
+ints of the residual graph it is checking, and is meant for tests; a
+broken invariant raises :class:`InvariantViolation`, also under ``-O``.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ from fractions import Fraction
 from .decompose import recover_flow
 from .network import (
     Cut,
+    FlowAssignment,
     InvariantViolation,
     Network,
     NetworkError,
@@ -81,8 +85,11 @@ class MaxflowResult:
 
     @functools.cached_property
     def flow(self):
-        """The flow as a :class:`FlowAssignment`, built on first read."""
-        return self.scaled.assignment()
+        """`scaled` as a :class:`FlowAssignment` of per-arc Fractions, built
+        on first read, for the span tracer in `perfbench/`; flowkit reads
+        `scaled`."""
+        scale = self.scaled.scale
+        return FlowAssignment({a: Fraction(x, scale) for a, x in self.scaled.pairs})
 
 
 def _certified(net, res, reached, stats):
@@ -172,9 +179,11 @@ def edmonds_karp(net, instrumented=False):
 # -- FIFO preflow-push ----------------------------------------------------
 
 
-def labeling_violations(net, f, labels):
-    """Distance labels d(v) are valid when d(s)=n, d(t)=0 and every
-    residual arc (u, v) satisfies d(u) <= d(v) + 1."""
+def labeling_violations(res, labels):
+    """Distance labels d(v) are valid for the residual graph `res` when
+    d(s)=n, d(t)=0 and every residual arc (u, v) satisfies
+    d(u) <= d(v) + 1."""
+    net = res.net
     bad = []
     if labels.get(net.source) != net.n:
         bad.append(("source_label", net.source))
@@ -184,7 +193,6 @@ def labeling_violations(net, f, labels):
         d = labels.get(v, math.inf)
         if d != math.inf and (d < 0 or d != int(d)):
             bad.append(("label_range", v))
-    res = ResidualGraph(net, f)
     for u in net.vertices():
         for v in res.out_neighbors(u):
             if labels.get(u, math.inf) > labels.get(v, math.inf) + 1:
@@ -264,8 +272,7 @@ def push_relabel(net, instrumented=False):
     pushes = relabels = 0
 
     def checkpoint():
-        preflow = res.flow()
-        bad = validate(net, preflow, "preflow") + labeling_violations(net, preflow, d)
+        bad = validate(net, res.flow(), "preflow") + labeling_violations(res, d)
         if bad:
             raise InvariantViolation("preflow+labeling",
                                      f"operation {pushes + relabels}", bad)
@@ -378,45 +385,43 @@ class NormalizedTree:
         return sorted(strong)
 
 
-def normalized_tree_violations(net, f, tree):
-    """Check the four normalized-tree conditions for a pseudoflow on `net`."""
+def normalized_tree_violations(res, tree):
+    """Check the four normalized-tree conditions for the pseudoflow of the
+    residual graph `res`, whose flow on an arc is the int c - r."""
+    net, r = res.net, res.r
     s, t = net.source, net.sink
-    bad = []
-    bad.extend(("pseudoflow",) + (v.kind, v.where) for v in validate(net, f, "pseudoflow"))
-    for v in net.out_neighbors(s):
-        if f.value(s, v) != net.capacity(s, v):
-            bad.append(("source_arc_not_saturated", (s, v)))
-    for v in net.in_neighbors(t):
-        if f.value(v, t) != net.capacity(v, t):
-            bad.append(("sink_arc_not_saturated", (v, t)))
+    pseudoflow = res.flow()
+    bad = [("pseudoflow", v.kind, v.where) for v in validate(net, pseudoflow, "pseudoflow")]
+    bad.extend(("source_arc_not_saturated", (s, v)) for v in net.out_neighbors(s) if r[s][v])
+    bad.extend(("sink_arc_not_saturated", (v, t)) for v in net.in_neighbors(t) if r[v][t])
     tree_edges = {(v, p) for v, p in tree.parent.items() if p != ROOT}
     tree_edges |= {(p, v) for (v, p) in tree_edges}
-    for (u, v) in net.arcs:
+    for (u, v), c in zip(net.arcs, res.caps):
         if u in (s, t) or v in (s, t) or (u, v) in tree_edges:
             continue
-        x = f.value(u, v)
-        if x != 0 and x != net.capacity(u, v):
+        if r[u][v] != 0 and r[u][v] != c:  # the flow c - r is neither c nor 0
             bad.append(("nontree_arc_partial", (u, v)))
     for v, p in tree.parent.items():
-        if p == ROOT:
-            continue
-        if net.cbar(p, v) - f.value(p, v) <= 0:
+        if p != ROOT and r[p].get(v, 0) <= 0:
             bad.append(("downward_residual", (p, v)))
-    for v in tree.parent:
-        if tree.parent[v] != ROOT and f.excess(v) != 0:
+    excess = dict.fromkeys(net.vertices(), 0)
+    for (u, v), x in pseudoflow.pairs:
+        excess[u] -= x
+        excess[v] += x
+    for v, p in tree.parent.items():
+        if p != ROOT and excess[v] != 0:
             bad.append(("interior_excess", v))
-        if tree.parent[v] == ROOT and f.excess(v) != tree.excess[v]:
+        if p == ROOT and Fraction(excess[v], res.scale) != tree.excess[v]:
             bad.append(("root_excess_mismatch", v))
     return bad
 
 
-def pseudoflow_labeling_violations(net, f, tree, labels):
-    """The labels of the lowest-label pseudoflow are valid when every
-    residual arc (u, w) between internal vertices, in particular every one
-    leaving a strong u, has l(u) <= l(w) + 1, and labels never decrease
-    from a parent to its child."""
+def pseudoflow_labeling_violations(res, tree, labels):
+    """The labels of the lowest-label pseudoflow are valid for its residual
+    graph `res` when every residual arc (u, w) between internal vertices,
+    in particular every one leaving a strong u, has l(u) <= l(w) + 1, and
+    labels never decrease from a parent to its child."""
     bad = []
-    res = ResidualGraph(net, f)
     for u in tree.parent:
         for w in res.out_neighbors(u):
             if w in tree.parent and labels[u] > labels[w] + 1:
@@ -480,11 +485,11 @@ def _pseudoflow_core(net, instrumented=False):
                               {v: Fraction(x, res.scale) for v, x in excess.items()})
 
     def checkpoint(step):
-        pf, tree = res.flow(), snapshot()
-        bad = normalized_tree_violations(net, pf, tree)
+        tree = snapshot()
+        bad = normalized_tree_violations(res, tree)
         if bad:
             raise InvariantViolation("normalized tree", step, bad)
-        bad = pseudoflow_labeling_violations(net, pf, tree, label)
+        bad = pseudoflow_labeling_violations(res, tree, label)
         if bad:
             raise InvariantViolation("pseudoflow labels", step, bad)
 

@@ -1,13 +1,14 @@
 """Exact value helpers shared across the toolkit.
 
-All quantities (capacities, flows, LP points) are `fractions.Fraction`
-at the library's surface; an LP cell is an int where its value is an
-integer.  :func:`scaled` is the one LCM scaling of them
+All quantities (capacities, flow values, LP points) are
+`fractions.Fraction` at the library's surface; a graph flow is ints over
+a scale (`network.ScaledFlow`), and an LP cell is an int where its value
+is an integer.  :func:`scaled` is the one LCM scaling of them
 to ints, shared by network and flow-complex construction, the simplex
 tableau and the cycle LP of `simplicial`; :func:`parse_ratio` and
 :func:`format_ratio` read and write a value as ints, for the paths that
 keep it as an int over a scale.  A scale only grows: the residual graph
-takes the LCM with a starting flow's denominators, and the augmentation
+takes the LCM with a starting flow's scale, and the augmentation
 on complexes multiplies its scale by each bottleneck's reduced
 denominator.
 A single distinguished UNBOUNDED value stands in for an infinite capacity:

@@ -57,10 +57,12 @@ MUTANTS = {
         ""),
     "read_flow returns its flow unchecked": (
         "network.py",
-        "    bad = validate(net, FlowAssignment(values), \"flow\")\n"
+        "    bad = validate(net, flow, \"flow\")\n"
         "    if bad:\n"
         "        raise InvalidFlow(bad)\n",
         ""),
+    "validate compares an arc's int with its capacity's without bringing the two scales together": (
+        "network.py", "        elif x * base > c * scale:\n", "        elif x > c:\n"),
     "validate skips the preflow's excess check": (
         "network.py", '    elif role == "preflow":\n', "    elif False:\n"),
     "augment never lowers the residual of the arcs it pushes along": (

@@ -10,9 +10,9 @@ their definitions over the Fraction dicts of an image, and `segment`'s
 output is rebuilt from Fraction capacities, without `PixelImage`'s ints.
 The enumeration oracles at the end take the library's own objects and
 objective (cut capacity) and enumerate every candidate in place of the
-solver; a flow file is rendered from the Fractions, apart from the
-writer's ints.  `lp-dual`'s output is rebuilt from a program whose every
-cell is a Fraction, written cell by cell with `format_value`.  The
+solver; a flow file is rendered from Fractions of the flow's ints, apart
+from the writer's gcd.  `lp-dual`'s output is rebuilt from a program
+whose every cell is a Fraction, written cell by cell with `format_value`.  The
 augmentation on complexes is rerun in Fractions; it shares the library's
 cycle LP and checks the ints over a growing scale that the library keeps.
 """
@@ -22,10 +22,25 @@ from itertools import combinations, permutations, product
 
 from flowkit.apps import Poset, read_pgm
 from flowkit.lp import LinearProgram, certify, simplex_solve
-from flowkit.network import Cut, ResidualGraph, build_network, cut_capacity, incidence_matrix
+from flowkit.network import (
+    Cut,
+    ResidualGraph,
+    ScaledFlow,
+    build_network,
+    cut_capacity,
+    incidence_matrix,
+)
 from flowkit.simplicial import AUGMENTATION_BUDGET, find_augmenting_cycle
 from flowkit.solvers import edmonds_karp
 from flowkit.values import exact, format_value, is_unbounded, scaled
+
+
+def scaled_flow(values):
+    """The :class:`ScaledFlow` of ``{arc: value}`` (ints, Fractions or
+    `p/q` strings): each nonzero value as an int over the LCM of their
+    denominators, in the order given."""
+    ints, scale = scaled([exact(x) for x in values.values()])
+    return ScaledFlow(tuple([(a, x) for a, x in zip(values, ints) if x]), scale)
 
 
 def random_network_spec(rng, max_n=8, max_cap=10, density=0.55, allow_st_arc=True):
@@ -395,17 +410,19 @@ def edmonds_karp_fresh(net):
         res.augment(path)
         augmentations += 1
     flow = res.flow()
-    value = sum((flow.value(s, v) for v in net.out_neighbors(s)), Fraction(0))
+    value = Fraction(sum(x for (u, _), x in flow.pairs if u == s), flow.scale)
     return flow, value, augmentations, Cut(frozenset(reached))
 
 
 def flow_text_by_definition(net, flow):
-    """The flow file of a FlowAssignment by its grammar: `f u v x` for each
-    arc with x > 0, in arc order, then `s` and the amount leaving the
-    source, each number as `format_value` renders the Fraction."""
-    lines = [f"f {u} {v} {format_value(flow.value(u, v))}" for (u, v) in net.arcs
-             if flow.value(u, v) > 0]
-    value = sum((flow.value(net.source, v) for v in net.out_neighbors(net.source)), Fraction(0))
+    """The flow file of a :class:`ScaledFlow` by its grammar: `f u v x` for
+    each arc with x > 0, in arc order, then `s` and the amount leaving the
+    source, each number as `format_value` renders its Fraction."""
+    values = {a: Fraction(x, flow.scale) for a, x in flow.pairs}
+    lines = [f"f {u} {v} {format_value(values[(u, v)])}" for (u, v) in net.arcs
+             if values.get((u, v), 0) > 0]
+    value = sum((values.get((net.source, v), 0) for v in net.out_neighbors(net.source)),
+                Fraction(0))
     lines.append(f"s {format_value(value)}")
     return "\n".join(lines) + "\n"
 

@@ -112,7 +112,7 @@ def test_criterion_1_cross_solver_agreement(batch):
 
 def test_criterion_2_maxflow_equals_mincut(batch):
     for rec in batch.instances:
-        cut = min_cut_from_flow(rec["net"], rec["ek"].flow)
+        cut = min_cut_from_flow(rec["net"], rec["ek"].scaled)
         assert cut_capacity(rec["net"], cut) == rec["ek"].value
     print("\nACCEPTANCE 2 min-cut extraction matches the flow value exactly: PASS")
 
@@ -174,9 +174,8 @@ def test_criterion_4_cut_dual_round_trips():
 def test_criterion_5_integrality(batch):
     for rec in batch.instances:
         for key in ("ek", "pr", "hoch"):
-            flow = rec[key].flow
-            for (u, v) in rec["net"].arcs:
-                assert flow.value(u, v).denominator == 1
+            flow = rec[key].scaled
+            assert all(x % flow.scale == 0 for _, x in flow.pairs)
     print("\nACCEPTANCE 5 integer capacities give integer flows on every arc, "
           "all solvers: PASS")
 
@@ -184,15 +183,14 @@ def test_criterion_5_integrality(batch):
 def test_criterion_6_flow_decomposition(batch):
     for rec in batch.instances:
         net = rec["net"]
-        flow = rec["ek"].flow
-        comps = decompose(net, rec["ek"].scaled)
+        flow = rec["ek"].scaled
+        comps = decompose(net, flow)
         assert len(comps) <= net.m
         total = {}
         for comp in comps:
             for (u, v) in zip(comp.vertices, comp.vertices[1:]):
                 total[(u, v)] = total.get((u, v), Fraction(0)) + comp.amount
-        for (u, v) in net.arcs:
-            assert total.get((u, v), Fraction(0)) == flow.value(u, v)
+        assert total == {a: Fraction(x, flow.scale) for a, x in flow.pairs}
     print("\nACCEPTANCE 6 decomposition re-sums exactly with at most m components: PASS")
 
 

@@ -87,7 +87,7 @@ def test_maxflow_prints_what_write_flow_writes_for_the_flow(capsys, tmp_path):
         for algo, solver in solvers.ALGORITHMS.items():
             result = solver(net)
             code, out, _ = run(capsys, "maxflow", f"--algo={algo}", str(path))
-            assert code == 0 and out == flow_text_by_definition(net, result.flow), (label, algo)
+            assert code == 0 and out == flow_text_by_definition(net, result.scaled), (label, algo)
 
 
 def test_mincut_and_segment_build_no_flow_assignment(capsys, net_file, tmp_path, monkeypatch):
@@ -103,16 +103,20 @@ def test_mincut_and_segment_build_no_flow_assignment(capsys, net_file, tmp_path,
     image.write_text("P2\n3 2\n10\n9 1 4\n8 2 7\n")
     poset = tmp_path / "poset.txt"
     poset.write_text("el a\nel b\nel c\nbottom a\ntop c\ncover a b\ncover b c\n")
-    for argv in (["mincut", "--algo=ek", net_file], ["mincut", "--algo=pr", net_file],
-                 ["mincut", "--algo=hoch", net_file], ["segment", str(image)],
-                 ["maxflow", "--algo=hoch", net_file], ["chains", str(poset)]):
-        code, _, _ = run(capsys, *argv)
-        assert code == 0 and built == [], argv
-    # the count is not vacuous: `decompose` checks the flow it reads as Fractions
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("p matching 2 2\ne 1 1\ne 2 2\n")
     flow = tmp_path / "flow.txt"
     flow.write_text("f 1 2 2\nf 2 4 2\ns 2\n")
-    code, _, _ = run(capsys, "decompose", net_file, str(flow))
-    assert code == 0 and len(built) == 1
+    for argv in (["mincut", "--algo=ek", net_file], ["mincut", "--algo=pr", net_file],
+                 ["mincut", "--algo=hoch", net_file], ["segment", str(image)],
+                 ["maxflow", "--algo=all", net_file], ["chains", str(poset)],
+                 ["matching", str(pairs)], ["decompose", net_file, str(flow)],
+                 ["lp-dual", net_file]):
+        code, _, _ = run(capsys, *argv)
+        assert code == 0 and built == [], argv
+    # the count is not vacuous: a result's `flow` builds one when first read
+    solvers.edmonds_karp(network.read_dimacs(NET)).flow
+    assert len(built) == 1
 
 
 def test_decompose_round_trip(capsys, net_file, tmp_path):
@@ -130,6 +134,9 @@ def test_decompose_round_trip(capsys, net_file, tmp_path):
     ("f 1 2 2\nf 2 4 1\n", "Violation(kind='conservation', where=2, amount=Fraction(1, 1))"),
     ("f 1 2 2\nf 2 3 2\nf 3 4 2\n",
      "Violation(kind='capacity', where=(2, 3), amount=Fraction(1, 1))"),
+    # the violation names the arc the file wrote, (1, 2), not its reverse
+    ("f 1 2 -1\n", "Violation(kind='capacity', where=(1, 2), amount=Fraction(-1, 1)), "
+                   "Violation(kind='conservation', where=2, amount=Fraction(-1, 1))"),
 ])
 def test_decompose_rejects_an_invalid_flow(capsys, net_file, tmp_path, text, violation,
                                            value_line):

@@ -12,7 +12,6 @@ from flowkit.decompose import (
     recover_flow,
 )
 from flowkit.network import (
-    FlowAssignment,
     ResidualGraph,
     ScaledFlow,
     build_network,
@@ -28,6 +27,7 @@ from flowkit.solvers import (
     edmonds_karp,
     hochbaum_maxflow,
 )
+from oracles import scaled_flow
 
 
 def test_zero_flow_decomposes_to_nothing(g1):
@@ -44,7 +44,7 @@ def test_components_resum_to_flow(rng):
     for _ in range(25):
         net, _ = make_random_network(rng)
         result = edmonds_karp(net)
-        flow = result.flow
+        flow = {a: Fraction(x, result.scaled.scale) for a, x in result.scaled.pairs}
         comps = decompose(net, result.scaled)
         assert len(comps) <= net.m
         total = {}
@@ -58,15 +58,14 @@ def test_components_resum_to_flow(rng):
             for (u, v) in zip(comp.vertices, comp.vertices[1:]):
                 assert net.has_arc(u, v)
                 total[(u, v)] = total.get((u, v), Fraction(0)) + comp.amount
-        for (u, v) in net.arcs:
-            assert total.get((u, v), Fraction(0)) == flow.value(u, v)
+        assert total == flow
 
 
 def test_decomposition_with_cycles():
     # a valid flow carrying an explicit circulation around 2 -> 3 -> 4 -> 2
     net = build_network(5, 1, 5, [(1, 2, 1), (2, 5, 1), (2, 3, 1), (3, 4, 1), (4, 2, 1)])
     flow = ScaledFlow(tuple([(a, 1) for a in net.arcs]), 1)
-    assert validate(net, flow.assignment(), "flow") == []
+    assert validate(net, flow, "flow") == []
     comps = decompose(net, flow)
     kinds = sorted(c.kind for c in comps)
     assert kinds == ["cycle", "path"]
@@ -74,8 +73,7 @@ def test_decomposition_with_cycles():
 
 
 def test_min_cut_from_flow_single_arc(single_arc):
-    flow = FlowAssignment({(1, 2): Fraction(5)})
-    cut = min_cut_from_flow(single_arc, flow)
+    cut = min_cut_from_flow(single_arc, scaled_flow({(1, 2): 5}))
     assert cut.source_side == {1}
     assert cut_capacity(single_arc, cut) == 5
 
@@ -84,17 +82,17 @@ def test_min_cut_equals_value(rng):
     for _ in range(25):
         net, _ = make_random_network(rng)
         result = edmonds_karp(net)
-        cut = min_cut_from_flow(net, result.flow)
+        cut = min_cut_from_flow(net, result.scaled)
         assert net.sink not in cut.source_side
         assert cut_capacity(net, cut) == result.value
 
 
 def test_min_cut_rejects_non_maximal(g1):
     with pytest.raises(NotMaximal) as err:
-        min_cut_from_flow(g1, FlowAssignment())
+        min_cut_from_flow(g1, scaled_flow({}))
     path = err.value.path
     assert path[0] == g1.source and path[-1] == g1.sink
-    r = ResidualGraph(g1, FlowAssignment()).r
+    r = ResidualGraph(g1).r
     assert all(r[path[i]][path[i + 1]] > 0 for i in range(len(path) - 1))
 
 
@@ -142,7 +140,7 @@ def test_the_certificate_rejects_a_non_optimal_pseudoflow(monkeypatch):
     import flowkit.solvers
 
     net = build_network(4, 1, 3, [(1, 2, 2), (2, 3, 2), (2, 4, 1), (4, 3, 1)])  # M+ = 2 <= M- = 3
-    pf = FlowAssignment({(1, 2): 2, (4, 3): 1})
+    pf = scaled_flow({(1, 2): 2, (4, 3): 1})
     cores = []
 
     def core(work, instrumented=False):

@@ -92,7 +92,7 @@ def solver_records():
             result = solver(net)
             stats = " ".join(f"{k}={format_value(v) if hasattr(v, 'denominator') else v}"
                              for k, v in sorted(result.stats.items()))
-            cut = min_cut_from_flow(net, result.flow)
+            cut = min_cut_from_flow(net, result.scaled)
             assert result.cut == cut, (i, name)
             records.append(f"instance {i} algo={name} {stats}\n"
                            + write_flow(result.scaled, result.value)

@@ -33,7 +33,6 @@ from flowkit.lp import (
     write_lp,
 )
 from flowkit.network import (
-    FlowAssignment,
     InvariantViolation,
     build_network,
     cut_capacity,
@@ -48,6 +47,7 @@ from oracles import (
     determinant_by_permutations,
     ghouila_houri_tu,
     min_cut_by_enumeration,
+    scaled_flow,
 )
 
 
@@ -473,7 +473,7 @@ def test_multipliers_of_the_dual_program_are_a_maximum_flow(rng):
         res = simplex_solve(program)
         value = edmonds_karp(net).value
         assert certify(program, res) == res.value == value
-        flow = FlowAssignment(dict(zip(net.arcs, res.dual)))
+        flow = scaled_flow(dict(zip(net.arcs, res.dual)))
         assert validate(net, flow, "flow") == [] and net_flow(net, flow) == value
 
 

@@ -10,7 +10,6 @@ from conftest import make_random_network, seeded_networks
 from flowkit.network import (
     Cut,
     DuplicateArc,
-    FlowAssignment,
     InvalidFlow,
     InvariantViolation,
     ParseError,
@@ -32,7 +31,13 @@ from flowkit.network import (
 )
 from flowkit.solvers import ALGORITHMS, edmonds_karp
 from flowkit.values import parse_value
-from oracles import all_cuts, brute_min_cut, incidence_by_definition, random_network_spec
+from oracles import (
+    all_cuts,
+    brute_min_cut,
+    incidence_by_definition,
+    random_network_spec,
+    scaled_flow,
+)
 
 TABLE_4X5 = [
     [1, 1, 0, 0, 0],
@@ -114,11 +119,11 @@ def test_incidence_against_definition_and_zero_columns(rng):
 
 
 def test_zero_flow_is_valid(g1):
-    assert validate(g1, FlowAssignment(), "flow") == []
+    assert validate(g1, scaled_flow({}), "flow") == []
 
 
 def test_initial_preflow_is_valid(g1):
-    saturated = FlowAssignment({(1, v): g1.capacity(1, v) for v in g1.out_neighbors(1)})
+    saturated = scaled_flow({(1, v): g1.capacity(1, v) for v in g1.out_neighbors(1)})
     assert validate(g1, saturated, "preflow") == []
     # but it is not a flow: conservation fails downstream of the source
     assert any(v.kind == "conservation" for v in validate(g1, saturated, "flow"))
@@ -126,7 +131,7 @@ def test_initial_preflow_is_valid(g1):
 
 def test_negative_excess_breaks_a_preflow_not_a_pseudoflow(g1):
     # 3 sends t a unit it never received
-    f = FlowAssignment({(3, 4): 1})
+    f = scaled_flow({(3, 4): 1})
     assert validate(g1, f, "preflow") == [Violation("negative_excess", 3, Fraction(-1))]
     assert validate(g1, f, "pseudoflow") == []
     with pytest.raises(ValueError, match="unknown role 'circulation'"):
@@ -134,47 +139,53 @@ def test_negative_excess_breaks_a_preflow_not_a_pseudoflow(g1):
 
 
 def test_capacity_violation_reported_once(g1):
-    flow = edmonds_karp(g1).flow
-    values = dict(flow.raw)
+    flow = edmonds_karp(g1).scaled
+    values = {a: Fraction(x, flow.scale) for a, x in flow.pairs}
     values[(2, 4)] = g1.capacity(2, 4) + 1
-    bad = validate(g1, FlowAssignment(values), "flow")
+    bad = validate(g1, scaled_flow(values), "flow")
     assert sum(1 for v in bad if v.kind == "capacity") == 1
     assert any(v.kind == "capacity" and v.where == (2, 4) for v in bad)
 
 
-def test_antisymmetry_violation_detected(g1):
-    f = FlowAssignment({(1, 2): Fraction(1), (2, 1): Fraction(1)})
-    bad = validate(g1, f, "pseudoflow")
-    assert any(v.kind == "antisymmetry" for v in bad)
+def test_a_negative_value_breaks_the_capacity_of_its_own_arc(g1):
+    assert validate(g1, scaled_flow({(1, 2): -1}), "pseudoflow") == [
+        Violation("capacity", (1, 2), Fraction(-1))]
 
 
-def test_flow_assignment_refuses_a_float():
-    with pytest.raises(TypeError):
-        FlowAssignment({(1, 2): 0.1})
-    f = FlowAssignment({(1, 2): "1/10", (2, 3): 3})
-    assert f.raw == {(1, 2): Fraction(1, 10), (2, 3): Fraction(3)}
-    assert all(type(x) is Fraction for x in f.raw.values())
+def test_validate_brings_the_flow_and_the_capacities_to_one_scale():
+    # the flow is in halves and the capacities are integers: 3/2 <= 2,
+    # though its int 3 over the scale 2 exceeds the capacity's int 2
+    net = build_network(3, 1, 3, [(1, 2, 2), (2, 3, 2)])
+    assert validate(net, scaled_flow({(1, 2): "3/2", (2, 3): "3/2"}), "flow") == []
+    assert validate(net, scaled_flow({(1, 2): "5/2", (2, 3): "5/2"}), "flow") == [
+        Violation("capacity", (1, 2), Fraction(1, 2)),
+        Violation("capacity", (2, 3), Fraction(1, 2))]
+    # and the other way round: 1 > 1/2, though the ints are 1 and 1
+    halves = build_network(3, 1, 3, [(1, 2, "1/2"), (2, 3, "1/2")])
+    assert validate(halves, scaled_flow({(1, 2): 1, (2, 3): 1}), "flow") == [
+        Violation("capacity", (1, 2), Fraction(1, 2)),
+        Violation("capacity", (2, 3), Fraction(1, 2))]
 
 
 def test_net_flow_trivia(single_arc):
-    assert net_flow(single_arc, FlowAssignment()) == 0
-    full = FlowAssignment({(1, 2): Fraction(5)})
+    assert net_flow(single_arc, scaled_flow({})) == 0
+    full = scaled_flow({(1, 2): 5})
     assert net_flow(single_arc, full) == 5
 
 
 def test_net_flow_requires_valid_flow(g1):
     with pytest.raises(InvalidFlow):
-        net_flow(g1, FlowAssignment({(1, 2): g1.capacity(1, 2) + 1}))
+        net_flow(g1, scaled_flow({(1, 2): g1.capacity(1, 2) + 1}))
 
 
 def test_flow_across_every_cut_equals_net_flow(rng):
     for _ in range(15):
         net, _ = make_random_network(rng, max_n=7)
-        flow = edmonds_karp(net).flow
+        flow = edmonds_karp(net).scaled
         value = net_flow(net, flow)
         for cut in all_cuts(net):
             assert flow_across_cut(net, flow, cut) == value
-            assert flow_across_cut(net, FlowAssignment(), cut) == 0
+            assert flow_across_cut(net, scaled_flow({}), cut) == 0
 
 
 def test_cut_capacity_dominates_flow(rng):
@@ -189,31 +200,32 @@ def test_cut_capacity_dominates_flow(rng):
 def test_cut_of_source_alone(single_arc):
     cut = Cut(frozenset({1}))
     assert cut_capacity(single_arc, cut) == 5
-    full = FlowAssignment({(1, 2): Fraction(5)})
+    full = scaled_flow({(1, 2): 5})
     assert flow_across_cut(single_arc, full, cut) == 5
 
 
 def test_residual_of_zero_flow(g1):
-    res = ResidualGraph(g1, FlowAssignment())
+    res = ResidualGraph(g1, scaled_flow({}))
     assert {(u, v) for u, row in res.r.items() for v, x in row.items() if x > 0} == set(g1.arcs)
     assert all(res.r[u][v] == g1.capacity(u, v) * res.scale for (u, v) in g1.arcs)
 
 
 def test_residual_of_saturated_arc(single_arc):
-    res = ResidualGraph(single_arc, FlowAssignment({(1, 2): Fraction(5)}))
+    res = ResidualGraph(single_arc, scaled_flow({(1, 2): 5}))
     assert res.r == {1: {2: 0}, 2: {1: 5 * res.scale}}
 
 
 def test_residual_pair_identity(rng):
-    # c_f(u,v) + c_f(v,u) == cbar(u,v) + cbar(v,u) on every touched pair
+    # c_f(u,v) + c_f(v,u) == c(u,v) on every arc, and the flow reads back
     for _ in range(10):
         net, _ = make_random_network(rng, max_n=7)
-        flow = edmonds_karp(net).flow
+        flow = edmonds_karp(net).scaled
         res = ResidualGraph(net, flow)
         r = res.r
-        for (u, v) in net.arcs:
-            assert r[u][v] + r[v][u] == (net.cbar(u, v) + net.cbar(v, u)) * res.scale
+        for (u, v), c in zip(net.arcs, net.capacities()):
+            assert r[u][v] + r[v][u] == c * res.scale
             assert r[u][v] >= 0 and r[v][u] >= 0
+        assert res.flow() == flow
 
 
 def test_residual_of_a_flow_with_a_foreign_denominator():
@@ -221,13 +233,15 @@ def test_residual_of_a_flow_with_a_foreign_denominator():
     net = build_network(4, 1, 4, [(1, 2, Fraction(7, 2)), (2, 3, Fraction(6, 5)),
                                   (3, 4, Fraction(9, 2)), (1, 3, Fraction(1, 5)), (2, 4, 1)])
     third = Fraction(1, 3)
-    flow = FlowAssignment({(1, 2): third, (2, 3): third, (3, 4): third})
+    values = {(1, 2): third, (2, 3): third, (3, 4): third}
+    flow = scaled_flow(values)
     assert validate(net, flow, "flow") == []
     res = ResidualGraph(net, flow)
     r, scale = res.r, res.scale
-    for (u, v) in net.arcs:
-        assert r[u][v] == (net.cbar(u, v) - flow.value(u, v)) * scale
-        assert r[u][v] + r[v][u] == (net.cbar(u, v) + net.cbar(v, u)) * scale
+    assert scale == 30
+    for (u, v), c in zip(net.arcs, net.capacities()):
+        x = values.get((u, v), 0)
+        assert r[u][v] == (c - x) * scale and r[v][u] == x * scale
     assert Fraction(r[1][2], scale) == Fraction(19, 6) and Fraction(r[2][1], scale) == third
 
 
@@ -367,6 +381,8 @@ def test_read_flow_returns_ints_in_arc_order_over_the_lcm(g1):
     # lines out of arc order, a zero value, and a denominator g1's scale lacks
     flow = read_flow(g1, "f 3 4 1/2\nf 1 2 0\nf 1 3 1/2\ns 1/2\n")
     assert flow == ScaledFlow((((1, 3), 1), ((3, 4), 1)), 2)
+    # a token not in lowest terms gives the same flow over the same scale
+    assert read_flow(g1, "f 3 4 2/4\nf 1 3 3/6\n") == flow
 
 
 def test_flow_format_rejects_repeated_arc(g1):

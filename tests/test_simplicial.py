@@ -252,7 +252,7 @@ def test_double_tetra_flow_values(double_net):
     aug = hmaxflow_augment(double_net)
     assert res.value == aug.value == 2
     assert len(aug.trace) == 2
-    assert hflow_violations(double_net, aug.flow) == []
+    assert hflow_violations(double_net, *scaled(aug.flow.values)) == []
 
 
 def test_augmentation_steps_are_valid_flows(double_net, rng):
@@ -263,6 +263,21 @@ def test_augmentation_steps_are_valid_flows(double_net, rng):
         hnet = random_hnetwork(rng)
         res = hmaxflow_augment(hnet, instrumented=True)
         assert all(amount > 0 for amount in res.trace)
+
+
+def test_the_hflow_check_reads_ints_over_any_scale(tetra):
+    # capacities 1/2, 3/4 and 2/3, ints over the network's scale 12; the
+    # weights come over scales of their own
+    hnet = build_hnetwork(tetra, 3, {0: "1/2", 1: "3/4", 2: "2/3"})
+    assert hnet.scale == 12
+    assert hflow_violations(hnet, [1, 1, 1, 1], 2) == []           # 1/2 around the cycle
+    assert hflow_violations(hnet, [3, 3, 3, 3], 4) == [             # 3/4 exceeds two
+        ("capacity", 0), ("capacity", 2)]
+    assert hflow_violations(hnet, [-1] * 4, 7) == [("negative", j) for j in range(4)]
+    ok, residuals = is_weighted_cycle(tetra, [0, 1, 0, 0])
+    assert not ok and residuals
+    assert hflow_violations(hnet, [0, 1, 0, 0], 2) == [("cycle", face)
+                                                       for face in sorted(residuals)]
 
 
 def test_residual_complex_members(tetra_net):
@@ -460,7 +475,7 @@ def test_rational_capacities(tetra):
     lp_res = hmaxflow_lp(hnet)
     aug_res = hmaxflow_augment(hnet)
     assert lp_res.value == aug_res.value == Fraction(1, 2)
-    assert hflow_violations(hnet, aug_res.flow) == []
+    assert hflow_violations(hnet, *scaled(aug_res.flow.values)) == []
 
 
 def test_augment_with_mixed_rational_capacities(rng):
@@ -472,7 +487,7 @@ def test_augment_with_mixed_rational_capacities(rng):
         lp_res = hmaxflow_lp(hnet)
         aug_res = hmaxflow_augment(hnet)
         assert aug_res.value == lp_res.value
-        assert hflow_violations(hnet, aug_res.flow) == []
+        assert hflow_violations(hnet, *scaled(aug_res.flow.values)) == []
 
 
 def test_triple_glued_spheres():

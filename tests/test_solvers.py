@@ -36,7 +36,13 @@ from flowkit.solvers import (
     pseudoflow_labeling_violations,
     push_relabel,
 )
-from oracles import brute_max_surplus, brute_min_cut, brute_min_cut_sides, edmonds_karp_fresh
+from oracles import (
+    brute_max_surplus,
+    brute_min_cut,
+    brute_min_cut_sides,
+    edmonds_karp_fresh,
+    scaled_flow,
+)
 
 SOLVERS = [edmonds_karp, push_relabel, hochbaum_maxflow]
 
@@ -45,7 +51,7 @@ SOLVERS = [edmonds_karp, push_relabel, hochbaum_maxflow]
 def test_single_arc(solver, single_arc):
     result = solver(single_arc)
     assert result.value == 5
-    assert validate(single_arc, result.flow, "flow") == []
+    assert validate(single_arc, result.scaled, "flow") == []
 
 
 def test_single_arc_needs_one_augmentation(single_arc):
@@ -62,8 +68,8 @@ def test_zero_capacities_need_no_work():
 def test_integrality(solver, rng):
     for _ in range(10):
         net, _ = make_random_network(rng, max_n=6)
-        flow = solver(net).flow
-        assert all(x.denominator == 1 for x in flow.raw.values())
+        flow = solver(net).scaled
+        assert all(x % flow.scale == 0 for _, x in flow.pairs)
 
 
 def test_rational_capacities_agree(rng):
@@ -83,7 +89,7 @@ def test_cross_solver_agreement_with_oracle(rng):
         for solver in SOLVERS:
             result = solver(net)
             assert result.value == want
-            assert validate(net, result.flow, "flow") == []
+            assert validate(net, result.scaled, "flow") == []
 
 
 def test_cuts_agree_on_rational_networks_with_antiparallel_pairs(rng):
@@ -164,7 +170,7 @@ def _same_run_as_fresh_searches(net, paths):
     paths.most = len(fresh)
     result = edmonds_karp(net)
     assert paths == fresh
-    assert result.flow == flow and result.value == value and result.cut == cut
+    assert result.scaled == flow and result.value == value and result.cut == cut
     assert result.stats["augmentations"] == augmentations == len(fresh)
     return fresh, paths.saturated
 
@@ -241,8 +247,8 @@ def test_exact_at_a_huge_common_denominator():
     for solver in SOLVERS:
         result = solver(net)
         assert result.value == want, solver.__name__
-        assert validate(net, result.flow, "flow") == []
-        assert cut_capacity(net, min_cut_from_flow(net, result.flow)) == want
+        assert validate(net, result.scaled, "flow") == []
+        assert cut_capacity(net, min_cut_from_flow(net, result.scaled)) == want
     primal = build_primal(net)
     assert simplex_solve(primal).value == simplex_solve(build_dual(primal)).value == want
 
@@ -254,10 +260,10 @@ def test_certificate_rejects_a_doctored_flow_and_a_doctored_cut():
     result = edmonds_karp(net)
     side = result.cut.source_side
     assert side == {1, 2} and result.value == Fraction(11, 6)
-    again = solvers._certified(net, ResidualGraph(net, result.flow), side, {})
-    assert (again.flow, again.value, again.cut) == (result.flow, result.value, result.cut)
+    again = solvers._certified(net, ResidualGraph(net, result.scaled), side, {})
+    assert (again.scaled, again.value, again.cut) == (result.scaled, result.value, result.cut)
 
-    res = ResidualGraph(net, result.flow)
+    res = ResidualGraph(net, result.scaled)
     res.push(1, 2, 1)  # one more unit of 1/6 into vertex 2
     with pytest.raises(InvariantViolation) as err:
         solvers._certified(net, res, side, {})
@@ -265,7 +271,7 @@ def test_certificate_rejects_a_doctored_flow_and_a_doctored_cut():
     assert ("conservation", 2) in err.value.violations
 
     with pytest.raises(InvariantViolation) as err:
-        solvers._certified(net, ResidualGraph(net, result.flow), side - {2}, {})
+        solvers._certified(net, ResidualGraph(net, result.scaled), side - {2}, {})
     assert err.value.invariant == "certificate"
     assert err.value.violations == [("value_is_not_cut_capacity",
                                      (Fraction(11, 6), Fraction(5, 2)))]
@@ -277,7 +283,7 @@ def test_push_relabel_instrumented_invariants(rng):
         net, _ = make_random_network(rng, max_n=6)
         result = push_relabel(net, instrumented=True)
         labels = result.debug["labels"]
-        assert labeling_violations(net, result.flow, labels) == []
+        assert labeling_violations(ResidualGraph(net, result.scaled), labels) == []
 
 
 @pytest.mark.parametrize("solver, invariant, step", [
@@ -357,10 +363,9 @@ def test_hochbaum_instrumented_tree_and_initial_state(rng):
         # vertex an independent branch hanging off the root
         assert all(p == ROOT for p in initial.parent.values())
         work = _reverse_network(net) if result.debug["reversed"] else net
-        assert normalized_tree_violations(work, result.debug["pseudoflow"],
-                                          result.debug["final_tree"]) == []
-        assert pseudoflow_labeling_violations(work, result.debug["pseudoflow"],
-                                              result.debug["final_tree"],
+        res = ResidualGraph(work, result.debug["pseudoflow"])
+        assert normalized_tree_violations(res, result.debug["final_tree"]) == []
+        assert pseudoflow_labeling_violations(res, result.debug["final_tree"],
                                               result.debug["labels"]) == []
 
 
@@ -375,10 +380,10 @@ def test_instrumented_labels_on_larger_networks(rng):
             net = build_network(net.n, net.source, net.sink,
                                 [(u, v, Fraction(c, 7)) for (u, v, c) in arcs])
         pr = push_relabel(net, instrumented=True)
-        assert labeling_violations(net, pr.flow, pr.debug["labels"]) == []
+        assert labeling_violations(ResidualGraph(net, pr.scaled), pr.debug["labels"]) == []
         hoch = hochbaum_maxflow(net, instrumented=True)
         work = _reverse_network(net) if hoch.debug["reversed"] else net
-        assert pseudoflow_labeling_violations(work, hoch.debug["pseudoflow"],
+        assert pseudoflow_labeling_violations(ResidualGraph(work, hoch.debug["pseudoflow"]),
                                               hoch.debug["final_tree"],
                                               hoch.debug["labels"]) == []
         assert pr.value == hoch.value == edmonds_karp(net).value
@@ -388,13 +393,33 @@ def test_pseudoflow_labeling_check_can_fail(g1):
     # one merger: 2 hangs under 3 and saturates (2, 3), so the only
     # residual arc between internal vertices is (3, 2)
     result = hochbaum_maxflow(g1, instrumented=True)
-    tree, pf = result.debug["final_tree"], result.debug["pseudoflow"]
+    tree, res = result.debug["final_tree"], ResidualGraph(g1, result.debug["pseudoflow"])
     assert tree.parent == {2: 3, 3: ROOT} and result.debug["labels"] == {2: 1, 3: 0}
-    assert pseudoflow_labeling_violations(g1, pf, tree, {2: 1, 3: 1}) == []
-    assert pseudoflow_labeling_violations(g1, pf, tree, {2: 0, 3: 1}) == [
+    assert pseudoflow_labeling_violations(res, tree, {2: 1, 3: 1}) == []
+    assert pseudoflow_labeling_violations(res, tree, {2: 0, 3: 1}) == [
         ("branch_order", (3, 2))]
-    assert pseudoflow_labeling_violations(g1, pf, tree, {2: 0, 3: 2}) == [
+    assert pseudoflow_labeling_violations(res, tree, {2: 0, 3: 2}) == [
         ("residual_edge", (3, 2)), ("branch_order", (3, 2))]
+
+
+def test_normalized_tree_check_can_fail(g1):
+    # the zero flow saturates no source or sink arc, and leaves no residual
+    # room down the tree edge from 3 to 2
+    tree = NormalizedTree({2: 3, 3: ROOT}, {2: Fraction(0), 3: Fraction(0)})
+    assert normalized_tree_violations(ResidualGraph(g1), tree) == [
+        ("source_arc_not_saturated", (1, 2)), ("source_arc_not_saturated", (1, 3)),
+        ("sink_arc_not_saturated", (2, 4)), ("sink_arc_not_saturated", (3, 4)),
+        ("downward_residual", (3, 2))]
+    # half a unit on (2, 3): partial off the tree, and excesses of 1/2 and
+    # -1/2 that only roots may hold, and only as the tree records them
+    outer = {(1, 2): 3, (1, 3): 2, (2, 4): 2, (3, 4): 3}
+    half = ResidualGraph(g1, scaled_flow({**outer, (2, 3): "1/2"}))
+    apart = NormalizedTree({2: ROOT, 3: ROOT}, {2: Fraction(1, 2), 3: Fraction(-1, 2)})
+    assert normalized_tree_violations(half, apart) == [("nontree_arc_partial", (2, 3))]
+    assert normalized_tree_violations(half, tree) == [
+        ("interior_excess", 2), ("root_excess_mismatch", 3)]
+    over = ResidualGraph(g1, scaled_flow({**outer, (2, 3): 2}))
+    assert ("pseudoflow", "capacity", (2, 3)) in normalized_tree_violations(over, tree)
 
 
 def test_hochbaum_iteration_bound(rng):
@@ -524,5 +549,5 @@ def test_blocking_cut_tree_is_normalized(rng):
         gst = build_gst(g)
         snapshot, res, _, _ = solvers._pseudoflow_core(gst, instrumented=True)
         tree = snapshot()
-        assert normalized_tree_violations(gst, res.flow(), tree) == []
+        assert normalized_tree_violations(res, tree) == []
         assert max_blocking_cut(g) == frozenset(tree.strong_vertices())
