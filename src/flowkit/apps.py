@@ -22,7 +22,7 @@ from fractions import Fraction
 from .decompose import decompose, min_cut_from_flow  # noqa: F401
 from .network import InvariantViolation, NetworkError, ParseError, build_network
 from .solvers import edmonds_karp
-from .values import exact, scaled
+from .values import exact, lowest_terms, scaled
 
 
 class NotBounded(NetworkError):
@@ -225,9 +225,9 @@ class PixelImage:
     pair's two pixels, 0 for a pair it lacks.  With `scale`, they are
     instead ints in units of ``1/scale``, per pixel and per pair in the
     order above, as :func:`image_from_pgm` passes them.  Either way the
-    constructor divides out the gcd of the scale and the ints, and checks
-    in ints that every probability lies in [0, 1] and no penalty is
-    negative.
+    constructor checks in ints that every probability lies in [0, 1] and
+    no penalty is negative, and reduces the ints over the scale by
+    :func:`flowkit.values.lowest_terms`, as a network does.
     """
 
     __slots__ = ("width", "height", "scale", "fg", "bg", "pairs", "penalty")
@@ -237,24 +237,22 @@ class PixelImage:
         self.height = height
         self.pairs = pairs = grid_neighbor_pairs(width, height)
         pixels = self.pixels()
+        size = len(pixels)
         if scale is None:
             values = [exact(fg[p]) for p in pixels] + [exact(bg[p]) for p in pixels]
             values += [exact(penalty.get(frozenset({pixels[i], pixels[j]}), 0))
                        for (i, j) in pairs]
             ints, scale = scaled(values)
-            size = len(pixels)
-            fg, bg, penalty = ints[:size], ints[size:2 * size], ints[2 * size:]
-        for p, a, b in zip(pixels, fg, bg):
-            if not (0 <= a <= scale) or not (0 <= b <= scale):
+        else:
+            ints = [*fg, *bg, *penalty]
+        ints, self.scale = lowest_terms(ints, scale)
+        self.fg, self.bg, self.penalty = ints[:size], ints[size:2 * size], ints[2 * size:]
+        for p, a, b in zip(pixels, self.fg, self.bg):
+            if not (0 <= a <= self.scale) or not (0 <= b <= self.scale):
                 raise NetworkError(f"probabilities at {p} outside [0, 1]")
-        for (i, j), c in zip(pairs, penalty):
+        for (i, j), c in zip(pairs, self.penalty):
             if c < 0:
                 raise NetworkError(f"negative penalty between {pixels[i]} and {pixels[j]}")
-        g = math.gcd(scale, *fg, *bg, *penalty)
-        self.scale = scale // g
-        self.fg = tuple([a // g for a in fg])
-        self.bg = tuple([b // g for b in bg])
-        self.penalty = tuple([c // g for c in penalty])
 
     def pixels(self):
         return [(x, y) for y in range(self.height) for x in range(self.width)]

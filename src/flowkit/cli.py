@@ -74,6 +74,14 @@ def _diag(line):
     sys.stderr.write(line + "\n")
 
 
+def _negative(option, value):
+    """Whether the count given to `option` is negative, which is refused
+    up front (exit code 2); says so on stderr when it is."""
+    if value < 0:
+        _diag(f"error: {option} must be non-negative, got {value}")
+    return value < 0
+
+
 def _stats_line(algo, stats):
     parts = [f"algo={algo}"] + [f"{k}={format_value(v) if hasattr(v, 'denominator') else v}"
                                 for k, v in sorted(stats.items())]
@@ -130,6 +138,8 @@ def cmd_lp_dual(args):
 
 
 def cmd_tu_check(args):
+    if _negative("--budget", args.budget):
+        return 2
     matrix = lp.read_matrix(_read(args.matrix))
     result = lp.is_totally_unimodular(matrix, budget=args.budget)
     if result.is_tu:
@@ -198,6 +208,8 @@ def _run_hflow(hnet, algo):
 
 
 def cmd_hcut(args):
+    if _negative("--budget", args.budget):
+        return 2
     hnet = simplicial.read_hnet(_read(args.complex))
     faces = hnet.complex.faces()
     for i, face in enumerate(faces):
@@ -230,8 +242,7 @@ def cmd_hcut(args):
 
 
 def cmd_conjecture_probe(args):
-    if args.trials < 0:
-        _diag(f"error: --trials must be non-negative, got {args.trials}")
+    if _negative("--trials", args.trials):
         return 2
     report = simplicial.conjecture_probe(args.seed, args.trials, max_facets=args.max_facets)
     _diag(f"discrepancies={len(report.discrepancies())}")

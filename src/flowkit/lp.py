@@ -12,9 +12,9 @@ one common denominator, pivoted by the integer-preserving step `det_int`
 also uses.  A unit pivot, one equal to the denominator d (every pivot of
 a flow program), reduces the step to the exact integer update e - f*b/d,
 which touches only the pivot row's nonzero columns: it costs those, not
-the tableau's cells.  A row of ints enters the tableau as it is; any
-other row goes through :func:`flowkit.values.scaled`, the one LCM
-scaling, shared with the residual graph and the cycle LP.
+the tableau's cells.  Every row goes through
+:func:`flowkit.values.scaled`, the one LCM scaling, shared with the
+residual graph and the cycle LP; a row of ints comes back as it is.
 
 A program's cells are ints wherever their value is an integer, and
 `Fraction`s only where it is not (:func:`make_lp`): in a flow program
@@ -47,7 +47,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .network import Cut, InvariantViolation, ParseError, cut_capacity, incidence_matrix
-from .values import exact, is_unbounded, scaled
+from .values import exact, scaled
 
 
 class Malformed(Exception):
@@ -114,15 +114,6 @@ def make_lp(sense, objective, rows, bounds):
     elsewhere; floats are refused (see :func:`exact`)."""
     return LinearProgram(sense, _cells(objective), tuple([_cells(row) for row in rows]),
                          _cells(bounds))
-
-
-def _ints(values):
-    """A list of ints and Fractions as ints over the LCM of their
-    denominators, and that LCM (:func:`scaled`); values that are all ints
-    already come back as they are, over 1."""
-    if set(map(type, values)) <= {int}:
-        return values, 1
-    return scaled(values)
 
 
 # -- simplex core ----------------------------------------------------------
@@ -255,9 +246,9 @@ def _simplex(objective, ub_rows=(), ub_bounds=(), eq_rows=(), eq_bounds=(), uppe
     (:func:`_final_dual`), so that a caller who does not ask for them pays
     nothing.
 
-    `upper[j]` bounds variable j (UNBOUNDED or missing: no bound; a
-    negative bound makes the program infeasible).  Each row is scaled by
-    the LCM of its denominators (:func:`_ints`), and two kinds of ub row
+    `upper[j]` bounds variable j (None or missing: no bound; a negative
+    bound makes the program infeasible).  Each row is scaled by the LCM of
+    its denominators (:func:`~flowkit.values.scaled`), and two kinds of ub row
     are read off that int row: a row whose only nonzero is positive, with a
     bound >= 0, is a bound on its variable, and a pair (r, b), (-r, -b) is
     one equality.  Bounds stay out of the tableau: a variable at its bound
@@ -275,7 +266,7 @@ def _simplex(objective, ub_rows=(), ub_bounds=(), eq_rows=(), eq_bounds=(), uppe
     reciprocal of its row's scale.
     """
     nvars = len(objective)
-    bound = [None if is_unbounded(u) else u for u in upper] + [None] * (nvars - len(upper))
+    bound = list(upper) + [None] * (nvars - len(upper))
     if any(u is not None and u < 0 for u in bound):
         return "infeasible", None, None
     # [scaled row with its bound, scale, is an equality, row index, opposite row index]
@@ -283,7 +274,7 @@ def _simplex(objective, ub_rows=(), ub_bounds=(), eq_rows=(), eq_bounds=(), uppe
     unpaired = {}    # ub rows by their scaled ints, waiting for their opposite
     bound_rows = {}  # variable -> index of the ub row its bound came from
     for k, (row, b) in enumerate(zip(ub_rows, ub_bounds)):
-        full, lam = _ints([*row, b])
+        full, lam = scaled([*row, b])
         nonzero = [j for j in range(nvars) if full[j]]
         if len(nonzero) == 1 and full[nonzero[0]] > 0 and full[-1] >= 0:
             j = nonzero[0]
@@ -301,7 +292,7 @@ def _simplex(objective, ub_rows=(), ub_bounds=(), eq_rows=(), eq_bounds=(), uppe
         unpaired.setdefault(tuple(full), entry)
         entries.append(entry)
     for k, (row, b) in enumerate(zip(eq_rows, eq_bounds), start=len(ub_rows)):
-        entries.append([*_ints([*row, b]), True, k, None])
+        entries.append([*scaled([*row, b]), True, k, None])
 
     rhs_scale = math.lcm(*[u.denominator for u in bound if u is not None])
     nslack = sum(1 for entry in entries if not entry[2])
@@ -334,7 +325,7 @@ def _simplex(objective, ub_rows=(), ub_bounds=(), eq_rows=(), eq_bounds=(), uppe
     limits += [None] * (total - nvars)
     flipped = set()
 
-    costs, cost_scale = _ints([*objective])
+    costs, cost_scale = scaled([*objective])
     obj_rows = [costs + [0] * (total - nvars + 1)]
     if any(row[-1] > 0 for row, col in zip(tableau, basis) if col in art_scales):
         unit = math.lcm(*art_scales.values())
@@ -452,8 +443,8 @@ def certify(lp, result):
     sense = 1 if lp.sense == "max" else -1
     xs, dx = scaled(x)  # x = xs / dx, and so on for y, b and c, so that the cells multiply ints
     ys, dy = scaled(y)
-    bs, db = _ints(lp.bounds)
-    cs, dc = _ints(lp.objective)
+    bs, db = scaled(lp.bounds)
+    cs, dc = scaled(lp.objective)
     bad = [("negative variable", j) for j, v in enumerate(xs) if v < 0]
     bad += [("negative multiplier", i) for i, v in enumerate(ys) if v < 0]
     columns = [0] * len(x)  # dy A^T y
@@ -564,7 +555,9 @@ def dual_violations(net, point):
 
 
 def dual_objective(net, point):
-    return sum((c * x for c, x in zip(net.capacities(), point.e)), Fraction(0))
+    """The capacities weighted by the arc values: a sum over `net.ints`,
+    made one Fraction over the network's scale."""
+    return Fraction(sum([c * x for c, x in zip(net.ints, point.e)]), net.scale)
 
 
 def cut_from_dual(net, point):

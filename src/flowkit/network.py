@@ -6,8 +6,9 @@ source and no arc leaves the sink.  Antiparallel arc pairs are either
 rejected (strict simple mode) or subdivided through fresh intermediate
 vertices, which preserves the maximum flow value.  A :class:`Network`
 stores its capacities once, as ints over one scale (the LCM of their
-reduced denominators), and :func:`read_dimacs` reads capacity tokens
-straight to those ints.
+reduced denominators), and that is their only stored form:
+:func:`read_dimacs` reads capacity tokens straight to those ints, and
+:func:`cut_capacity` sums them.
 
 A flow, a preflow and a pseudoflow are one kind of object, a function on
 the arcs, as the capacity is: a :class:`ScaledFlow`, the int x of each
@@ -31,8 +32,8 @@ capacities are kept in the same units beside the rows, so the flow on an
 arc, and from it every excess, is the int ``c - r`` with nothing
 converted back.  Without a starting flow, ``scale`` and the capacities
 are the network's own ints.  Fractions appear only at the boundary: a
-network's ``capacities`` and ``capacity`` (built on first call and kept)
-and the amount of a reported :class:`Violation`.  A flow file is written
+cut's capacity, a flow's value and the amount of a reported
+:class:`Violation`, each built once from an int sum.  A flow file is written
 and read as a :class:`ScaledFlow`: :func:`write_flow` takes a solver's
 certified ints and the value it is given, and builds no Fraction;
 :func:`read_flow`, where a flow enters from a file, is that flow's one
@@ -60,6 +61,7 @@ from .values import (
     exact,
     format_ratio,
     format_value,
+    lowest_terms,
     parse_ratio,
     parse_value,
     scaled,
@@ -139,13 +141,13 @@ class Network:
     matrix-producing operations lists the source first and the sink last.
 
     The capacities are finite and stored once, in arc order, as `ints` in
-    units of ``1/scale``: ``scale`` is the LCM of their reduced
+    units of ``1/scale``, and in no other form: arc i's capacity is
+    ``ints[i] / scale``, where ``scale`` is the LCM of their reduced
     denominators (1 when there are none).  The constructor takes the ints
-    over any common scale and divides out the gcd of the scale and the
-    ints, which leaves that LCM; so equal capacities give equal ints.
-    `capacities` and `capacity` build the Fractions on their first call
-    and keep them.  `gadget_vertices` are the vertices that subdivide
-    antiparallel pairs.
+    over any common scale and reduces them by
+    :func:`~flowkit.values.lowest_terms`, which leaves that LCM; so equal
+    capacities give equal ints.  `gadget_vertices` are the vertices that
+    subdivide antiparallel pairs.
 
     The constructor checks nothing and trusts its two callers:
     :func:`build_network`, which checks the vertices, the arcs and the
@@ -153,23 +155,16 @@ class Network:
     network built that way.  Build networks with :func:`build_network`.
     """
 
-    __slots__ = ("n", "source", "sink", "arcs", "ints", "scale", "_caps", "_index", "_out",
-                 "_in", "gadget_vertices")
+    __slots__ = ("n", "source", "sink", "arcs", "ints", "scale", "_arc_set", "_out", "_in",
+                 "gadget_vertices")
 
     def __init__(self, n, source, sink, arcs, ints, scale, gadget_vertices):
         self.n = n
         self.source = source
         self.sink = sink
         self.arcs = tuple(arcs)
-        ints = tuple(ints)
-        if scale > 1:
-            g = math.gcd(scale, *set(ints))
-            if g > 1:
-                scale //= g
-                ints = tuple([c // g for c in ints])
-        self.ints, self.scale = ints, scale
-        self._caps = None
-        self._index = {a: i for i, a in enumerate(self.arcs)}
+        self.ints, self.scale = lowest_terms(ints, scale)
+        self._arc_set = frozenset(self.arcs)
         out = {v: [] for v in range(1, n + 1)}
         inc = {v: [] for v in range(1, n + 1)}
         for (u, v) in self.arcs:
@@ -194,17 +189,7 @@ class Network:
         return [self.source] + middle + [self.sink]
 
     def has_arc(self, u, v):
-        return (u, v) in self._index
-
-    def capacity(self, u, v):
-        return self.capacities()[self._index[(u, v)]]
-
-    def capacities(self):
-        """The capacities in arc order, as Fractions."""
-        if self._caps is None:
-            scale = self.scale
-            self._caps = tuple([Fraction(c, scale) for c in self.ints])
-        return self._caps
+        return (u, v) in self._arc_set
 
     def out_neighbors(self, v):
         return self._out[v]
@@ -580,10 +565,11 @@ def flow_across_cut(net, f, cut):
 
 
 def cut_capacity(net, cut):
-    """Sum of the capacities of the arcs directed from S to S-bar."""
+    """Sum of the capacities of the arcs directed from S to S-bar: an int
+    sum of `net.ints`, made one Fraction over the network's scale."""
     side = cut.source_side
-    return sum((c for (u, v), c in zip(net.arcs, net.capacities())
-                if u in side and v not in side), Fraction(0))
+    return Fraction(sum([c for (u, v), c in zip(net.arcs, net.ints)
+                         if u in side and v not in side]), net.scale)
 
 
 def incidence_matrix(net):

@@ -25,10 +25,13 @@ program and the augmenting-cycle LP read the rows, and
 hands the simplex the bounded form ∂x = 0, 0 <= x <= c directly.
 
 A flow network keeps its finite capacities as ints over one scale, as a
-graph :class:`~flowkit.network.Network` does, and the augmentation keeps
-its facet weights as ints over a scale that grows by each bottleneck's
-denominator, which :func:`hflow_violations` checks as they are;
-Fractions are built only for the results.
+graph :class:`~flowkit.network.Network` does, and in no other form: a
+cut's capacity is an int sum made one Fraction, :func:`write_hnet`
+writes each int over the scale, and :func:`hmaxflow_lp` builds its
+bounds from the ints.  The augmentation keeps its facet weights as ints
+over a scale that grows by each bottleneck's denominator, which
+:func:`hflow_violations` checks as they are; Fractions are built only
+for the results.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from itertools import combinations
 
 from .lp import BudgetExceeded, solve_standard
 from .network import InvariantViolation, ParseError
-from .values import UNBOUNDED, exact, format_value, is_unbounded, parse_ratio, scaled
+from .values import UNBOUNDED, exact, format_ratio, format_value, lowest_terms, parse_ratio, scaled
 
 
 class ComplexError(Exception):
@@ -178,35 +181,21 @@ class HNetwork:
     """Oriented complex with a source facet of unbounded capacity.
 
     The finite capacities are stored once, in facet order, as `ints` in
-    units of ``1/scale``: ``scale`` is the LCM of their reduced
+    units of ``1/scale``, and in no other form: facet j's capacity is
+    ``ints[j] / scale``, where ``scale`` is the LCM of their reduced
     denominators (1 when there are none), and the source facet's entry is
     None.  The constructor takes the ints over any common scale and
-    divides out the gcd of the scale and the ints, which leaves that LCM,
-    as :class:`~flowkit.network.Network`'s does.  `capacity` is the
-    Fraction (or UNBOUNDED) of one facet; the Fractions are built on its
-    first call and kept.  Build flow networks with :func:`build_hnetwork`.
+    reduces them by :func:`~flowkit.values.lowest_terms`, which leaves
+    that LCM, as :class:`~flowkit.network.Network`'s does.  Build flow
+    networks with :func:`build_hnetwork`.
     """
 
-    __slots__ = ("complex", "t_index", "ints", "scale", "_caps")
+    __slots__ = ("complex", "t_index", "ints", "scale")
 
     def __init__(self, complex_, t_index, ints, scale):
         self.complex = complex_
         self.t_index = t_index
-        if scale > 1:
-            g = math.gcd(scale, *[c for c in ints if c is not None])
-            if g > 1:
-                scale //= g
-                ints = [None if c is None else c // g for c in ints]
-        self.ints, self.scale = tuple(ints), scale
-        self._caps = None
-
-    def capacity(self, j):
-        if j == self.t_index:
-            return UNBOUNDED
-        if self._caps is None:
-            scale = self.scale
-            self._caps = tuple([None if c is None else Fraction(c, scale) for c in self.ints])
-        return self._caps[j]
+        self.ints, self.scale = lowest_terms(ints, scale)
 
     def facet_count(self):
         return len(self.complex.facets)
@@ -234,7 +223,7 @@ def build_hnetwork(complex_, t_index, capacities, scale=None):
     caps = {}
     for j in range(len(complex_.facets)):
         if j == t_index:
-            if j in capacities and not is_unbounded(capacities[j]):
+            if j in capacities and capacities[j] is not UNBOUNDED:
                 raise ComplexError("the source facet capacity is fixed at UNBOUNDED")
             continue
         if j not in capacities:
@@ -297,13 +286,14 @@ class HMaxflowResult:
 
 
 def hmaxflow_lp(hnet):
-    """Maximize the amount carried by the source facet, exactly."""
-    k = hnet.facet_count()
+    """Maximize the amount carried by the source facet, exactly; the bounds
+    are Fractions of `hnet.ints`, and None (no bound) on the source facet."""
     eq_rows = hnet.complex._rows
-    objective = [0] * k
+    objective = [0] * hnet.facet_count()
     objective[hnet.t_index] = 1
+    upper = [None if c is None else Fraction(c, hnet.scale) for c in hnet.ints]
     status, point = solve_standard(objective, eq_rows=eq_rows, eq_bounds=[0] * len(eq_rows),
-                                   upper=[hnet.capacity(j) for j in range(k)])
+                                   upper=upper)
     if status != "optimal":
         raise InvariantViolation("bounded feasible program", "hmaxflow_lp", [status])
     return HMaxflowResult(HFlow(tuple(point)), point[hnet.t_index])
@@ -470,22 +460,23 @@ def hcut_capacity(hnet, hcut):
 
     Potentials: 0 on the cut side, 1 elsewhere.  Facet variables make each
     dual inequality tight from below.  The capacity is the weighted sum of
-    the non-source capacities; a positive source variable prices the
-    unbounded source capacity, making the capacity unbounded as well (the
-    upper bound on the carried amount is then vacuous).
+    the non-source capacities, summed over `hnet.ints` and divided by the
+    scale once; a positive source variable prices the unbounded source
+    capacity, making the capacity UNBOUNDED as well (the upper bound on
+    the carried amount is then vacuous).
     """
+    t, ints = hnet.t_index, hnet.ints
     lam = {face: Fraction(0) if face in hcut.s_side else Fraction(1)
            for face in hnet.complex.faces()}
     eta = {}
-    capacity = Fraction(0)
+    total = 0
     for j, g in enumerate(hnet.complex.coboundary(lam)):
-        if j == hnet.t_index:
+        if j == t:
             eta[j] = max(Fraction(0), Fraction(1) - g)
         else:
             eta[j] = max(Fraction(0), -g)
-            capacity += eta[j] * hnet.capacity(j)
-    if eta[hnet.t_index] > 0:
-        capacity = UNBOUNDED
+            total += eta[j] * ints[j]
+    capacity = UNBOUNDED if eta[t] > 0 else Fraction(total, hnet.scale)
     return capacity, HDualPoint(lam, eta)
 
 
@@ -592,13 +583,17 @@ def hcut_from_graph_cut(net, cut):
 
 
 def write_hnet(hnet):
+    """The flow network in the `hnet` format; each capacity is written from
+    its int over the scale by :func:`format_ratio`, as
+    :func:`~flowkit.network.write_dimacs` writes an arc's."""
+    scale = hnet.scale
     lines = [f"hnet dim {hnet.complex.dimension}"]
-    for j, facet in enumerate(hnet.complex.facets):
+    for j, (facet, c) in enumerate(zip(hnet.complex.facets, hnet.ints)):
         verts = " ".join(str(v) for v in facet)
         if j == hnet.t_index:
             lines.append(f"t {verts}")
         else:
-            lines.append(f"f {verts} {format_value(hnet.capacity(j))}")
+            lines.append(f"f {verts} {format_ratio(c, scale)}")
     return "\n".join(lines) + "\n"
 
 

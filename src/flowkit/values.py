@@ -1,31 +1,32 @@
 """Exact value helpers shared across the toolkit.
 
 All quantities (capacities, flow values, LP points) are
-`fractions.Fraction` at the library's surface; a graph flow is ints over
-a scale (`network.ScaledFlow`), and an LP cell is an int where its value
-is an integer.  :func:`scaled` is the one LCM scaling of them
-to ints, shared by network and flow-complex construction, the simplex
-tableau and the cycle LP of `simplicial`; :func:`parse_ratio` and
-:func:`format_ratio` read and write a value as ints, for the paths that
-keep it as an int over a scale.  A scale only grows: the residual graph
-takes the LCM with a starting flow's scale, and the augmentation
-on complexes multiplies its scale by each bottleneck's reduced
-denominator.
+`fractions.Fraction` at the library's surface.  Inside, a capacity and
+a graph flow (`network.ScaledFlow`) are ints over a scale, and an LP
+cell is an int where its value is an integer.  :func:`scaled` is the one
+LCM scaling of values to ints, shared by network and flow-complex
+construction, the simplex tableau and the cycle LP of `simplicial`;
+:func:`lowest_terms` is the one rule that reduces the ints that
+`Network`, `HNetwork` and `PixelImage` store; :func:`parse_ratio` and
+:func:`format_ratio` read and write a value as ints.  A scale only
+grows: the residual graph takes the LCM with a starting flow's scale,
+and the augmentation on complexes multiplies its scale by each
+bottleneck's reduced denominator.
+
 A single distinguished UNBOUNDED value stands in for an infinite capacity:
-the capacity of a flow complex's source facet, its one use (a graph arc's
-capacity is finite; ``build_network`` refuses UNBOUNDED).  It supports
-exactly what the source facet's bound, its bottlenecks and the capacity
-of a cut that prices it need:
+the capacity of a flow complex's source facet as ``build_hnetwork`` takes
+it and as a cut that prices it reports it (inside, that capacity is
+None).  It is read in four places: ``build_hnetwork``'s source entry,
+``build_network``'s refusal (a graph arc's capacity is finite),
+``format_value``, which writes it as ``inf``, and the comparisons that
+pick the cheapest cut (``cmd_hcut``'s ``min``).  So it supports exactly
+``<``, ``<=``, ``>``, ``>=`` against ints, Fractions and itself: it lies
+above every rational and equals only itself, so ``min``, ``max`` and
+``sorted`` treat it as +infinity.
 
-* ``<``, ``<=``, ``>``, ``>=`` against ints, Fractions and itself: it lies
-  above every rational and equals only itself, so ``min``, ``max`` and
-  ``sorted`` treat it as +infinity;
-* ``UNBOUNDED - x`` is UNBOUNDED for a finite x, which makes the residual
-  capacity of the source facet unbounded.
-
-Everything else raises ``TypeError``: ``+``, ``x - UNBOUNDED``,
-``UNBOUNDED - UNBOUNDED``, negation, multiplication, division, comparison
-with floats, and ``exact(UNBOUNDED)``.
+Everything else raises ``TypeError``: ``+``, ``-``, negation,
+multiplication, division, comparison with floats, and
+``exact(UNBOUNDED)``.
 """
 
 from __future__ import annotations
@@ -59,9 +60,6 @@ class Unbounded:
     def __ge__(self, other):
         return True if _operand(other) else NotImplemented
 
-    def __sub__(self, other):
-        return self if isinstance(other, (int, Fraction)) else NotImplemented
-
 
 UNBOUNDED = Unbounded()
 
@@ -69,10 +67,6 @@ UNBOUNDED = Unbounded()
 def _operand(x) -> bool:
     """An int, a Fraction or UNBOUNDED itself."""
     return x is UNBOUNDED or isinstance(x, (int, Fraction))
-
-
-def is_unbounded(x) -> bool:
-    return x is UNBOUNDED
 
 
 def exact(x) -> Fraction:
@@ -87,9 +81,27 @@ def exact(x) -> Fraction:
 
 def scaled(values):
     """A sequence of ints and Fractions times the LCM of their denominators,
-    as ints, and that LCM; reads each value as it is and builds no Fraction."""
+    as ints, and that LCM; reads each value as it is and builds no Fraction.
+    Values that are all ints come back as they are, over 1."""
+    if set(map(type, values)) <= {int}:
+        return values, 1
     lcm = math.lcm(*{x.denominator for x in values})
     return [x.numerator * (lcm // x.denominator) for x in values], lcm
+
+
+def lowest_terms(ints, scale):
+    """Ints over a scale > 0 as a tuple of ints over the smallest scale:
+    both divided by the gcd of the scale and the ints, so that equal values
+    over different scales give equal ints.  A None entry (the unbounded
+    source facet of a flow complex) stays None and does not count."""
+    ints = tuple(ints)
+    if scale > 1:
+        found = set(ints)
+        found.discard(None)
+        g = math.gcd(scale, *found)
+        if g > 1:
+            return tuple([c if c is None else c // g for c in ints]), scale // g
+    return ints, scale
 
 
 def parse_ratio(token: str) -> tuple[int, int]:

@@ -79,6 +79,8 @@ MUTANTS = {
         "lp.py",
         "            if a:\n                activity += a * xs[j]\n",
         "            if type(a) is not int:\n                activity += a * xs[j]\n"),
+    "lowest_terms divides the ints by g and leaves the scale undivided": (
+        "values.py", "), scale // g\n", "), scale\n"),
 }
 
 

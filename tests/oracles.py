@@ -32,7 +32,14 @@ from flowkit.network import (
 )
 from flowkit.simplicial import AUGMENTATION_BUDGET, find_augmenting_cycle
 from flowkit.solvers import edmonds_karp
-from flowkit.values import exact, format_value, is_unbounded, scaled
+from flowkit.values import exact, format_value, scaled
+
+
+def capacities(net):
+    """The capacities of a network or a flow complex as Fractions, in arc
+    or facet order, read off its ints over its scale; a complex's source
+    facet reads None."""
+    return [None if c is None else Fraction(c, net.scale) for c in net.ints]
 
 
 def scaled_flow(values):
@@ -436,7 +443,7 @@ def lp_dual_by_fractions(net):
     balance = phi[1:-1]
     rows = balance + [[-x for x in r] for r in balance]
     rows += [[int(i == j) for i in range(net.m)] for j in range(net.m)]
-    bounds = [0] * (len(rows) - net.m) + list(net.capacities())
+    bounds = [0] * (len(rows) - net.m) + capacities(net)
     primal = LinearProgram("max", tuple(map(exact, phi[0])),
                            tuple(tuple(map(exact, row)) for row in rows), tuple(map(exact, bounds)))
     dual = LinearProgram("min", primal.bounds,
@@ -460,7 +467,8 @@ def hmaxflow_augment_by_fractions(hnet):
     the carried amount and the trace of amounts.  Each step takes the
     library's cycle for the flow as ints over the LCM of its denominators,
     and pushes ``min residual / coefficient`` over its finite residual
-    copies, each residual a Fraction off ``hnet.capacity``."""
+    copies, each residual a Fraction off :func:`capacities`."""
+    caps = capacities(hnet)
     values = [Fraction(0)] * hnet.facet_count()
     trace = []
     for _ in range(AUGMENTATION_BUDGET):
@@ -469,9 +477,10 @@ def hmaxflow_augment_by_fractions(hnet):
             return tuple(values), values[hnet.t_index], trace
         bottlenecks = []
         for (j, direction, coeff) in cycle.terms:
-            r = hnet.capacity(j) - values[j] if direction > 0 else values[j]
-            if not is_unbounded(r):
-                bottlenecks.append(Fraction(r, coeff))
+            if direction < 0:
+                bottlenecks.append(Fraction(values[j], coeff))
+            elif caps[j] is not None:  # the source facet's forward copy has no bound
+                bottlenecks.append(Fraction(caps[j] - values[j], coeff))
         amount = min(bottlenecks)
         for (j, direction, coeff) in cycle.terms:
             values[j] += direction * coeff * amount

@@ -52,6 +52,7 @@ from oracles import (
     all_cuts,
     best_segmentation_by_enumeration,
     brute_min_cut,
+    capacities,
     chain_is_maximal,
     ghouila_houri_tu,
     matching_exists_by_enumeration,
@@ -199,10 +200,9 @@ def test_criterion_7_complexity_guards(batch):
         net = rec["net"]
         ops = rec["pr"].stats["pushes"] + rec["pr"].stats["relabels"]
         assert ops <= C_PUSH_RELABEL * net.n * net.n * net.m
-        m_plus = sum((net.capacity(net.source, v)
-                      for v in net.out_neighbors(net.source)), Fraction(0))
-        m_minus = sum((net.capacity(v, net.sink)
-                       for v in net.in_neighbors(net.sink)), Fraction(0))
+        caps = list(zip(net.arcs, capacities(net)))
+        m_plus = sum(c for (u, _), c in caps if u == net.source)
+        m_minus = sum(c for (_, v), c in caps if v == net.sink)
         assert rec["hoch"].stats["iterations"] <= C_PSEUDOFLOW * net.n * min(m_plus, m_minus)
     print(f"\nACCEPTANCE 7 operation counts within {C_PUSH_RELABEL}*n^2*m and "
           f"{C_PSEUDOFLOW}*n*min(M+,M-): PASS")

@@ -380,6 +380,20 @@ def test_probe_rejects_a_negative_trial_count(capsys):
     assert err == "error: --trials must be non-negative, got -3\n"
 
 
+def test_tu_check_rejects_a_negative_budget(capsys, tmp_path):
+    path = tmp_path / "id.txt"
+    path.write_text("1 0\n0 1\n")
+    code, out, err = run(capsys, "tu-check", str(path), "--budget", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: --budget must be non-negative, got -1\n"
+
+
+def test_hcut_rejects_a_negative_budget(capsys, tetra_file):
+    code, out, err = run(capsys, "hcut", tetra_file, "--budget", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: --budget must be non-negative, got -1\n"
+
+
 def test_parse_error_exit_code(capsys, tmp_path):
     path = tmp_path / "bad.dimacs"
     path.write_text("p max x y\n")

@@ -40,7 +40,6 @@ from flowkit.network import (
     validate,
 )
 from flowkit.solvers import edmonds_karp
-from flowkit.values import UNBOUNDED
 from oracles import (
     all_cuts,
     dense_pivot,
@@ -253,7 +252,7 @@ def test_simplex_against_vertex_enumeration(rng):
             eq_rows = [row + [a if i == 0 else 0] for i, row in enumerate(eq_rows)]
             eq_bounds[0] = abs(eq_bounds[0])
         status, point, _ = lp_module._simplex(objective, ub_rows, ub_bounds, eq_rows, eq_bounds,
-                                              [UNBOUNDED if u is None else u for u in upper])
+                                              upper)
         want, value = _bounded_form_by_vertex_enumeration(objective, ub_rows, ub_bounds,
                                                           eq_rows, eq_bounds, upper)
         assert status == want
@@ -276,14 +275,14 @@ def _random_bounded_program(rng):
     0 <= x <= upper` with every row kind `_simplex` reads: general ub
     rows (some with a negative right-hand side), singleton rows read as
     bounds (a looser duplicate too), opposite pairs read as equalities, eq
-    rows, finite and missing `upper` entries, and a column whose one
+    rows, finite, None and missing `upper` entries, and a column whose one
     nonzero is a +1 in an equality, which starts basic when it is free.
     Most rows pass through a point x0 >= 0 or just miss it, so many
     programs are feasible, and phase 1 runs whenever an artificial starts
     above 0."""
     n = rng.randint(1, 4)
     x0 = [Fraction(rng.randint(0, 5), rng.choice((1, 2, 3))) for _ in range(n)]
-    upper = [UNBOUNDED] * n
+    upper = [None] * n
     ub_rows, ub_bounds = [], []
 
     def near_x0(row, lo=-2):
@@ -315,11 +314,11 @@ def _random_bounded_program(rng):
     objective = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
     if eq_rows and rng.random() < 0.4:  # a unit column in the first equality
         objective.append(Fraction(rng.randint(-2, 1)))
-        upper.append(rng.choice((UNBOUNDED, UNBOUNDED, Fraction(3, 2))))
+        upper.append(rng.choice((None, None, Fraction(3, 2))))
         ub_rows = [row + [0] for row in ub_rows]
         eq_rows = [row + [int(i == 0)] for i, row in enumerate(eq_rows)]
         eq_bounds[0] = abs(eq_bounds[0])
-    while upper and upper[-1] is UNBOUNDED and rng.random() < 0.5:
+    while upper and upper[-1] is None and rng.random() < 0.5:
         upper.pop()  # a missing entry is no bound
     return objective, ub_rows, ub_bounds, eq_rows, eq_bounds, upper
 
@@ -330,7 +329,7 @@ def _as_inequality_form(objective, ub_rows, ub_bounds, eq_rows, eq_bounds, upper
     multiplier per ub row, eq row and `upper` entry, spread over its rows:
     an equality's free multiplier v goes to max(v, 0) and max(-v, 0)."""
     n = len(objective)
-    finite = [j for j, u in enumerate(upper) if u is not UNBOUNDED]
+    finite = [j for j, u in enumerate(upper) if u is not None]
     rows = ub_rows + eq_rows + [[-a for a in row] for row in eq_rows]
     rows += [[int(i == j) for i in range(n)] for j in finite]
     bounds = ub_bounds + eq_bounds + [-b for b in eq_bounds] + [upper[j] for j in finite]

@@ -48,7 +48,7 @@ from flowkit.simplicial import (
     write_probe_report,
 )
 from flowkit.solvers import edmonds_karp
-from flowkit.values import is_unbounded, scaled
+from flowkit.values import UNBOUNDED, scaled
 from oracles import (
     all_cuts,
     boundary_by_definition,
@@ -341,7 +341,7 @@ def test_hcut_all_faces_on_near_side(tetra_net):
     cap, point = hcut_capacity(tetra_net, cut)
     assert point.eta[3] == 1
     assert all(point.eta[j] == 0 for j in range(3))
-    assert is_unbounded(cap)
+    assert cap is UNBOUNDED
     assert hdual_violations(tetra_net, point) == []
 
 
@@ -350,7 +350,7 @@ def test_hcut_weak_duality_over_all_partitions(tetra_net):
     for cut in all_hcuts(tetra_net.complex):
         cap, point = hcut_capacity(tetra_net, cut)
         assert hdual_violations(tetra_net, point) == []
-        if not is_unbounded(cap):
+        if cap is not UNBOUNDED:
             best = cap if best is None or cap < best else best
     assert best is not None and best >= hmaxflow_lp(tetra_net).value == 1
 
@@ -519,7 +519,7 @@ def test_min_cut_capacity_attained_on_sphere_fixtures(tetra_net, double_net):
         best = None
         for cut in all_hcuts(hnet.complex, budget=1 << 16):
             cap, _ = hcut_capacity(hnet, cut)
-            if not is_unbounded(cap) and (best is None or cap < best):
+            if cap is not UNBOUNDED and (best is None or cap < best):
                 best = cap
         assert best == hmaxflow_lp(hnet).value
 

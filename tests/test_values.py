@@ -1,8 +1,9 @@
 """UNBOUNDED, the source facet's capacity, behaves as +infinity for
-ordering and for subtracting a rational, and refuses everything else,
-addition included; `build_network` refuses it on a graph arc, so no
-solver is handed one; `scaled` turns rationals into ints over the LCM of
-their denominators; `parse_value` reads every token the way
+ordering and refuses everything else, addition and subtraction
+included; `build_network` refuses it on a graph arc, so no solver is
+handed one; `scaled` turns rationals into ints over the LCM of their
+denominators; `lowest_terms` reduces ints over a scale and keeps None;
+`parse_value` reads every token the way
 `Fraction(str)` does, and `read_dimacs`'s int reading as `parse_value`
 does; `format_value` writes `7`, `7/3` or `inf` and refuses what `exact`
 refuses, and `format_ratio` writes what it writes for a Fraction."""
@@ -13,9 +14,19 @@ from fractions import Fraction
 
 import pytest
 
+from flowkit.apps import PixelImage
 from flowkit.network import NetworkError, ParseError, build_network, read_dimacs
+from flowkit.simplicial import OrientedComplex, build_hnetwork
 from flowkit.solvers import ALGORITHMS
-from flowkit.values import UNBOUNDED, exact, format_ratio, format_value, parse_value, scaled
+from flowkit.values import (
+    UNBOUNDED,
+    exact,
+    format_ratio,
+    format_value,
+    lowest_terms,
+    parse_value,
+    scaled,
+)
 
 FINITE = [0, 7, -3, Fraction(0), Fraction(10**30, 7), Fraction(-5, 2)]
 
@@ -25,11 +36,6 @@ def test_unbounded_is_above_every_rational(x):
     assert UNBOUNDED > x and UNBOUNDED >= x and x < UNBOUNDED and x <= UNBOUNDED
     assert not (UNBOUNDED < x or UNBOUNDED <= x or x > UNBOUNDED or x >= UNBOUNDED)
     assert UNBOUNDED != x and x != UNBOUNDED
-
-
-@pytest.mark.parametrize("x", FINITE)
-def test_unbounded_absorbs_subtraction(x):
-    assert UNBOUNDED - x is UNBOUNDED
 
 
 def test_unbounded_equals_only_itself():
@@ -51,6 +57,7 @@ def test_unbounded_equals_only_itself():
     lambda: UNBOUNDED + 1.5,
     lambda: exact(UNBOUNDED),
     lambda: UNBOUNDED + 1,
+    lambda: UNBOUNDED - 1,
 ])
 def test_every_other_operation_is_refused(op):
     with pytest.raises(TypeError):
@@ -81,6 +88,53 @@ def test_scaled_is_the_values_times_the_lcm_of_their_denominators(values, ints, 
 
 def test_scaled_of_nothing():
     assert scaled([]) == ([], 1)
+
+
+@pytest.mark.parametrize("ints, scale, reduced, lowest", [
+    ([], 12, (), 1),
+    ([0, 0], 5, (0, 0), 1),
+    ([3, 9], 1, (3, 9), 1),
+    ([4, -6, 0], 8, (2, -3, 0), 4),
+    ([None, 6, 10], 4, (None, 3, 5), 2),
+    ([7, 14], 3, (7, 14), 3),
+    ([None], 6, (None,), 1),
+    ([10**30 * 6, 9], 3 * 10**30, (2 * 10**30, 3), 10**30),
+])
+def test_lowest_terms_divides_out_the_gcd_of_the_scale_and_the_ints(ints, scale, reduced, lowest):
+    assert lowest_terms(ints, scale) == (reduced, lowest)
+    assert lowest_terms(reduced, lowest) == (reduced, lowest)
+
+
+# five values in lowest terms over 12: arc capacities, finite facet
+# capacities, or an image's two fg, two bg and one penalty
+LOWEST = (6, 9, 6, 3, 2)
+ARCS = [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)]
+
+
+def _network(ints, scale):
+    net = build_network(4, 1, 4, [(u, v, c) for (u, v), c in zip(ARCS, ints)], scale=scale)
+    return net.ints, net.scale
+
+
+def _hnetwork(ints, scale):
+    # the network above as a 1-complex, its return facet (1, 4) last
+    cx = OrientedComplex(1, [(v, u) for (u, v) in ARCS] + [(1, 4)])
+    hnet = build_hnetwork(cx, len(ARCS), dict(enumerate(ints)), scale=scale)
+    return hnet.ints, hnet.scale
+
+
+def _image(ints, scale):
+    img = PixelImage(2, 1, ints[:2], ints[2:4], ints[4:], scale=scale)
+    return img.fg + img.bg + img.penalty, img.scale
+
+
+@pytest.mark.parametrize("build, lowest", [
+    (_network, LOWEST), (_hnetwork, LOWEST + (None,)), (_image, LOWEST)])
+def test_every_store_of_ints_over_a_scale_keeps_them_in_lowest_terms(build, lowest):
+    """The same values over 12 and over k * 12 give equal stored ints and
+    scale, the ones `lowest_terms` gives."""
+    for k in (1, 2, 5, 12, 10**20):
+        assert build([c * k for c in LOWEST], 12 * k) == (lowest, 12), k
 
 
 def _through_fraction_str(token):
@@ -129,7 +183,6 @@ def test_read_dimacs_reads_every_capacity_token_as_parse_value_does(token):
     except ParseError as exc:
         assert (str(exc), exc.line_no) == (want, 4)
     else:
-        assert net.capacity(1, 2) == want and type(net.capacity(1, 2)) is Fraction
         assert net.ints == (want.numerator,) and net.scale == want.denominator
 
 
