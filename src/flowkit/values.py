@@ -22,11 +22,12 @@ None).  It is read in four places: ``build_hnetwork``'s source entry,
 pick the cheapest cut (``cmd_hcut``'s ``min``).  So it supports exactly
 ``<``, ``<=``, ``>``, ``>=`` against ints, Fractions and itself: it lies
 above every rational and equals only itself, so ``min``, ``max`` and
-``sorted`` treat it as +infinity.
+``sorted`` treat it as +infinity; and ``UNBOUNDED - x`` is UNBOUNDED for
+a finite x, as a residual capacity of +infinity would be.
 
-Everything else raises ``TypeError``: ``+``, ``-``, negation,
-multiplication, division, comparison with floats, and
-``exact(UNBOUNDED)``.
+Everything else raises ``TypeError``: ``+``, ``x - UNBOUNDED``,
+``UNBOUNDED - UNBOUNDED``, negation, multiplication, division,
+comparison with floats, and ``exact(UNBOUNDED)``.
 """
 
 from __future__ import annotations
@@ -59,6 +60,9 @@ class Unbounded:
 
     def __ge__(self, other):
         return True if _operand(other) else NotImplemented
+
+    def __sub__(self, other):
+        return self if isinstance(other, (int, Fraction)) else NotImplemented
 
 
 UNBOUNDED = Unbounded()
