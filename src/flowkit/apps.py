@@ -323,9 +323,11 @@ def read_pgm(text):
         raise ParseError(str(exc))
     if width < 1 or height < 1:
         raise ParseError(f"image size must be at least 1 x 1, got {width} x {height}")
+    if maxval < 1:
+        raise ParseError(f"maxval must be at least 1, got {maxval}")
     if len(data) != width * height:
         raise ParseError(f"expected {width * height} samples, found {len(data)}")
-    if maxval <= 0 or any(not (0 <= g <= maxval) for g in data):
+    if any(not (0 <= g <= maxval) for g in data):
         raise ParseError("samples outside the declared range")
     rows = [data[y * width:(y + 1) * width] for y in range(height)]
     return width, height, maxval, rows
@@ -408,6 +410,8 @@ def read_bipartite(text):
                 if len(fields) != 4 or fields[1] != "matching":
                     raise ParseError("expected `p matching <n> <m>`", line_no)
                 n, m = int(fields[2]), int(fields[3])
+                if n < 0:
+                    raise ParseError(f"vertex count must be non-negative, got {n}", line_no)
             elif fields[0] == "e":
                 if n is None:
                     raise ParseError("edge before problem line", line_no)

@@ -39,9 +39,11 @@ certified ints and the value it is given, and builds no Fraction;
 :func:`read_flow`, where a flow enters from a file, is that flow's one
 check, and returns its ints.
 
-The capacities are stored by rows, built once per solve: ``r[u]`` maps
-each out- and in-neighbour v of u, in increasing index order, to
-r(u, v).  A row is also u's adjacency list.  The one breadth-first search
+The residual capacities are stored by rows, built once per solve from
+``Network.arcs``: ``r[u]`` maps each out- and in-neighbour v of u, in
+increasing index order, to r(u, v).  A row is also u's adjacency list,
+and the network keeps no other; as no arc enters s or leaves t, rows s
+and t list the arcs out of s and into t.  The one breadth-first search
 scans it in order, so every solver breaks ties by lowest index, and no
 lookup builds a pair key.  The search stops at the first reached vertex
 with room into the target, and Edmonds-Karp resumes it from a kept state
@@ -146,8 +148,9 @@ class Network:
     denominators (1 when there are none).  The constructor takes the ints
     over any common scale and reduces them by
     :func:`~flowkit.values.lowest_terms`, which leaves that LCM; so equal
-    capacities give equal ints.  `gadget_vertices` are the vertices that
-    subdivide antiparallel pairs.
+    capacities give equal ints.  The arcs are stored once, in `arcs`; a
+    vertex's neighbours are the keys of its :class:`ResidualGraph` row.
+    `gadget_vertices` are the vertices that subdivide antiparallel pairs.
 
     The constructor checks nothing and trusts its two callers:
     :func:`build_network`, which checks the vertices, the arcs and the
@@ -155,8 +158,7 @@ class Network:
     network built that way.  Build networks with :func:`build_network`.
     """
 
-    __slots__ = ("n", "source", "sink", "arcs", "ints", "scale", "_arc_set", "_out", "_in",
-                 "gadget_vertices")
+    __slots__ = ("n", "source", "sink", "arcs", "ints", "scale", "_arc_set", "gadget_vertices")
 
     def __init__(self, n, source, sink, arcs, ints, scale, gadget_vertices):
         self.n = n
@@ -165,13 +167,6 @@ class Network:
         self.arcs = tuple(arcs)
         self.ints, self.scale = lowest_terms(ints, scale)
         self._arc_set = frozenset(self.arcs)
-        out = {v: [] for v in range(1, n + 1)}
-        inc = {v: [] for v in range(1, n + 1)}
-        for (u, v) in self.arcs:
-            out[u].append(v)
-            inc[v].append(u)
-        self._out = {v: tuple(sorted(ws)) for v, ws in out.items()}
-        self._in = {v: tuple(sorted(ws)) for v, ws in inc.items()}
         self.gadget_vertices = frozenset(gadget_vertices)
 
     # -- basic accessors -------------------------------------------------
@@ -190,12 +185,6 @@ class Network:
 
     def has_arc(self, u, v):
         return (u, v) in self._arc_set
-
-    def out_neighbors(self, v):
-        return self._out[v]
-
-    def in_neighbors(self, v):
-        return self._in[v]
 
     def _key(self):
         return (self.n, self.source, self.sink, self.arcs, self.ints, self.scale)
@@ -429,10 +418,11 @@ class ResidualGraph:
     an arc (u, v) with capacity c and flow x, and ``x`` on its reverse
     (v, u).  ``scale`` is the LCM of the network's scale and the flow's.
     Each row `r[u]` holds every out- and in-neighbour of u, in increasing
-    index order.  `caps` holds the arc capacities in the same units, in arc
-    order, so the flow on arc i is ``caps[i] - r(u, v)``: the network's own
-    `ints` and `scale` when no flow is given.  `push` and `augment` work in
-    these units, and `flow` reads the flow back as a :class:`ScaledFlow`.
+    index order, read off ``net.arcs``.  `caps` holds the arc capacities
+    in the same units, in arc order, so the flow on arc i is
+    ``caps[i] - r(u, v)``: the network's own `ints` and `scale` when no
+    flow is given.  `push` and `augment` work in these units, and `flow`
+    reads the flow back as a :class:`ScaledFlow`.
     """
 
     __slots__ = ("net", "scale", "caps", "r")
@@ -447,8 +437,11 @@ class ResidualGraph:
                 k = scale // net.scale
                 caps = tuple([c * k for c in caps])
         self.caps, self.scale = caps, scale
-        out, inc = net.out_neighbors, net.in_neighbors
-        r = {v: dict.fromkeys(sorted(out(v) + inc(v)), 0) for v in net.vertices()}
+        ends = {v: [] for v in net.vertices()}
+        for (u, v) in net.arcs:
+            ends[u].append(v)
+            ends[v].append(u)
+        r = {v: dict.fromkeys(sorted(ws), 0) for v, ws in ends.items()}
         for (u, v), c in zip(net.arcs, caps):
             r[u][v] = c
         if flow is not None:

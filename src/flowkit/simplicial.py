@@ -15,23 +15,22 @@ the oriented 1-simplex (v, u), which makes the boundary matrix coincide
 with the vertex/arc incidence matrix, and T plays the role of a
 sink-to-source return arc of unbounded capacity.
 
-The boundary operator has one owner: :class:`OrientedComplex` stores each
-facet's signed faces once and builds from them, once, the int rows of ∂,
-one per face.  ∂ᵀλ (:meth:`~OrientedComplex.coboundary`), cut capacities
-and dual points read the sign table; ∂x
-(:meth:`~OrientedComplex.boundary`), the cycle checks, the max-flow
-program and the augmenting-cycle LP read the rows, and
-:func:`boundary_matrix` hands out copies of them.  :func:`hmaxflow_lp`
-hands the simplex the bounded form ∂x = 0, 0 <= x <= c directly.
+The boundary operator has one owner and one stored form, the int rows
+of ∂, one per face, that :class:`OrientedComplex` builds once.  ∂x, ∂ᵀλ
+(:meth:`~OrientedComplex.coboundary`), face signs, cut capacities, the
+cycle checks, the max-flow program and the augmenting-cycle LP read
+them, so int values give ints, and :func:`boundary_matrix` hands out
+copies.  :func:`hmaxflow_lp` hands the simplex the bounded form ∂x = 0,
+0 <= x <= c directly.
 
 A flow network keeps its finite capacities as ints over one scale, as a
 graph :class:`~flowkit.network.Network` does, and in no other form: a
 cut's capacity is an int sum made one Fraction, :func:`write_hnet`
 writes each int over the scale, and :func:`hmaxflow_lp` builds its
-bounds from the ints.  The augmentation keeps its facet weights as ints
-over a scale that grows by each bottleneck's denominator, which
-:func:`hflow_violations` checks as they are; Fractions are built only
-for the results.
+bounds from the ints.  A flow, an :class:`HFlow`, is int weights over
+one scale too: the augmentation's, whose scale grows by each
+bottleneck's denominator, or the LP optimum through :func:`scaled`.
+Fractions are built only for a result's value and trace.
 """
 
 from __future__ import annotations
@@ -42,6 +41,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from .lp import BudgetExceeded, solve_standard
 from .network import InvariantViolation, ParseError
@@ -68,11 +68,11 @@ class OrientedComplex:
     Facets are tuples of d+1 distinct vertices; the tuple order is the
     orientation.  No two facets may coincide as vertex sets.  Lower faces
     are implied; the canonical reference orientation of any face is its
-    sorted vertex order.  The boundary matrix is built once, as int rows
-    in face order, from the facets' signed faces.
+    sorted vertex order.  ∂ is built and stored once, as int rows in face
+    order, `_rows`, with `_row_of` giving each face's row.
     """
 
-    __slots__ = ("dimension", "facets", "_facet_sets", "_faces", "_signs", "_rows")
+    __slots__ = ("dimension", "facets", "_facet_sets", "_faces", "_row_of", "_rows")
 
     def __init__(self, dimension, facets):
         if dimension < 1:
@@ -80,7 +80,7 @@ class OrientedComplex:
         self.dimension = dimension
         self.facets = tuple([tuple(f) for f in facets])
         sets = []
-        signs = []
+        columns = []
         face_set = set()
         for f in self.facets:
             if len(f) != dimension + 1 or len(set(f)) != dimension + 1:
@@ -91,19 +91,15 @@ class OrientedComplex:
             ref = tuple(sorted(f))
             p = -1 if sum(a > b for a, b in combinations(f, 2)) % 2 else 1
             column = {ref[:k] + ref[k + 1:]: -p if k % 2 else p for k in range(len(ref))}
-            signs.append(column)
+            columns.append(column)
             face_set.update(column)
         if len(set(sets)) != len(sets):
             raise ComplexError("two facets coincide as vertex sets")
         self._facet_sets = tuple(sets)
         self._faces = tuple(sorted(face_set))
-        self._signs = tuple(signs)
-        index = {face: i for i, face in enumerate(self._faces)}
-        rows = [[0] * len(signs) for _ in self._faces]
-        for j, column in enumerate(signs):
-            for face, sign in column.items():
-                rows[index[face]][j] = sign
-        self._rows = tuple([tuple(row) for row in rows])
+        self._row_of = {face: i for i, face in enumerate(self._faces)}
+        self._rows = tuple([tuple([column.get(face, 0) for column in columns])
+                            for face in self._faces])
 
     def faces(self):
         """Canonical (d-1)-faces: sorted tuples in lexicographic order."""
@@ -114,7 +110,8 @@ class OrientedComplex:
 
     def face_sign(self, face_ref, j):
         """Sign of the canonically-oriented face in the boundary of facet j."""
-        return self._signs[j].get(face_ref, 0)
+        i = self._row_of.get(face_ref)
+        return 0 if i is None else self._rows[i][j]
 
     def boundary(self, values):
         """The boundary operator applied to facet values: {face: (∂x)_face}
@@ -127,9 +124,9 @@ class OrientedComplex:
 
     def coboundary(self, lam):
         """Its transpose applied to face values {face: λ_face}: (∂ᵀλ)_j per
-        facet j."""
-        return [sum((sign * lam[face] for face, sign in column.items()), Fraction(0))
-                for column in self._signs]
+        facet j, read down the int rows; ints for int values."""
+        values = [lam[face] for face in self._faces]
+        return [sum(map(operator.mul, column, values)) for column in zip(*self._rows)]
 
     def is_connected(self):
         if not self.facets:
@@ -245,11 +242,13 @@ def build_hnetwork(complex_, t_index, capacities, scale=None):
     return HNetwork(complex_, t_index, ints, scale)
 
 
-@dataclass(frozen=True)
-class HFlow:
-    """Non-negative facet weights; the amount carried is the source entry."""
+class HFlow(NamedTuple):
+    """Facet weights as ints over one scale, as a graph
+    :class:`~flowkit.network.ScaledFlow` is: facet j carries
+    ``weights[j] / scale``; the amount carried is the source entry."""
 
-    values: tuple
+    weights: tuple
+    scale: int
 
 
 def is_weighted_cycle(complex_, values):
@@ -287,7 +286,8 @@ class HMaxflowResult:
 
 def hmaxflow_lp(hnet):
     """Maximize the amount carried by the source facet, exactly; the bounds
-    are Fractions of `hnet.ints`, and None (no bound) on the source facet."""
+    are Fractions of `hnet.ints`, and None (no bound) on the source facet.
+    The flow is the optimum through :func:`scaled`."""
     eq_rows = hnet.complex._rows
     objective = [0] * hnet.facet_count()
     objective[hnet.t_index] = 1
@@ -296,7 +296,8 @@ def hmaxflow_lp(hnet):
                                    upper=upper)
     if status != "optimal":
         raise InvariantViolation("bounded feasible program", "hmaxflow_lp", [status])
-    return HMaxflowResult(HFlow(tuple(point)), point[hnet.t_index])
+    weights, scale = scaled(point)
+    return HMaxflowResult(HFlow(tuple(weights), scale), point[hnet.t_index])
 
 
 # -- residual complex and augmenting cycles ---------------------------------
@@ -369,8 +370,8 @@ def hmaxflow_augment(hnet, instrumented=False):
     that starts at the network's: the bottleneck is found by
     cross-multiplying, and the denominator of amount * scale in lowest
     terms multiplies the scale, so that the amount and every new weight
-    are ints over it.  Fractions are built only for the result: the flow,
-    its value and the trace of amounts.  More than
+    are ints over it, and the flow it returns is those ints.  Fractions are
+    built only for its value and the trace of amounts.  More than
     :data:`AUGMENTATION_BUDGET` steps raise :class:`BudgetExceeded`.  With
     `instrumented`, every intermediate flow is re-checked on its ints by
     :func:`hflow_violations`, and a broken one raises
@@ -383,8 +384,7 @@ def hmaxflow_augment(hnet, instrumented=False):
     for _ in range(AUGMENTATION_BUDGET):
         cycle = find_augmenting_cycle(hnet, weights, scale)
         if cycle is None:
-            values = tuple([Fraction(w, scale) for w in weights])
-            return HMaxflowResult(HFlow(values), values[t], trace)
+            return HMaxflowResult(HFlow(tuple(weights), scale), Fraction(weights[t], scale), trace)
         where = f"augmentation {len(trace) + 1}"
         unit = scale // hnet.scale  # a capacity is ints[j] * unit over the scale
         best = None  # the bottleneck as (residual, coefficient): residual / coefficient / scale
@@ -451,30 +451,27 @@ def all_hcuts(complex_, budget=HCUT_PARTITION_BUDGET):
 
 @dataclass(frozen=True)
 class HDualPoint:
-    lam: dict                 # face -> 0 or 1
-    eta: dict                 # facet index -> Fraction (source included)
+    lam: dict                 # face -> int 0 or 1
+    eta: dict                 # facet index -> int (source included)
 
 
 def hcut_capacity(hnet, hcut):
     """Dual-feasible point of a cut and its capacity.
 
-    Potentials: 0 on the cut side, 1 elsewhere.  Facet variables make each
-    dual inequality tight from below.  The capacity is the weighted sum of
-    the non-source capacities, summed over `hnet.ints` and divided by the
-    scale once; a positive source variable prices the unbounded source
-    capacity, making the capacity UNBOUNDED as well (the upper bound on
-    the carried amount is then vacuous).
+    Int potentials: 0 on the cut side, 1 elsewhere.  Int facet variables
+    make each dual inequality tight from below.  The capacity is the
+    weighted sum of the non-source capacities, an int sum over
+    `hnet.ints` made one Fraction; a positive source variable prices the
+    unbounded source capacity, making the capacity UNBOUNDED as well (the
+    upper bound on the carried amount is then vacuous).
     """
     t, ints = hnet.t_index, hnet.ints
-    lam = {face: Fraction(0) if face in hcut.s_side else Fraction(1)
-           for face in hnet.complex.faces()}
+    lam = {face: int(face not in hcut.s_side) for face in hnet.complex.faces()}
     eta = {}
     total = 0
     for j, g in enumerate(hnet.complex.coboundary(lam)):
-        if j == t:
-            eta[j] = max(Fraction(0), Fraction(1) - g)
-        else:
-            eta[j] = max(Fraction(0), -g)
+        eta[j] = max(0, int(j == t) - g)
+        if j != t:
             total += eta[j] * ints[j]
     capacity = UNBOUNDED if eta[t] > 0 else Fraction(total, hnet.scale)
     return capacity, HDualPoint(lam, eta)
@@ -485,7 +482,7 @@ def hdual_violations(hnet, point):
     for j, g in enumerate(hnet.complex.coboundary(point.lam)):
         if point.eta[j] < 0:
             bad.append(("negative_eta", j))
-        needed = Fraction(1) if j == hnet.t_index else Fraction(0)
+        needed = int(j == hnet.t_index)
         if g + point.eta[j] < needed:
             bad.append(("facet_inequality", j))
     return bad
@@ -653,8 +650,11 @@ def read_hnet(text):
 
 
 def write_hflow(hnet, flow):
-    lines = [f"hf {j} {format_value(flow.values[j])}" for j in range(hnet.facet_count())]
-    lines.append(f"s {format_value(flow.values[hnet.t_index])}")
+    """`hf <j> <x>` per facet, then `s` and the source facet's x, each
+    written from the :class:`HFlow`'s ints by :func:`format_ratio`."""
+    weights, scale = flow
+    lines = [f"hf {j} {format_ratio(w, scale)}" for j, w in enumerate(weights)]
+    lines.append(f"s {format_ratio(weights[hnet.t_index], scale)}")
     return "\n".join(lines) + "\n"
 
 

@@ -21,8 +21,9 @@ whose residual capacities are ints in units of ``1/scale`` (``scale`` is
 the LCM of the capacity denominators, the network's own), and so are the
 quantities a solver keeps beside it: the push-relabel and pseudoflow
 excesses, pseudoflow's M+ and M- and the amounts :func:`recover_flow`
-reads off the residual graph and drains.  No graph solve builds a
-capacity Fraction.  The flow comes back as those ints,
+reads off the residual graph and drains.  No arc enters s or leaves t, so
+the rows ``r[s]`` and ``r[t]`` list the arcs at s and t.  No graph solve
+builds a capacity Fraction.  The flow comes back as those ints,
 ``MaxflowResult.scaled``.  Fractions come back only in
 ``MaxflowResult.value`` and ``stats["value"]``, in the ``NormalizedTree``
 that instrumented runs return, and in ``MaxflowResult.flow``, the
@@ -219,8 +220,7 @@ def push_relabel(net, instrumented=False):
     res = ResidualGraph(net)
     r = res.r
     excess = dict.fromkeys(net.vertices(), 0)
-    for v in net.out_neighbors(s):
-        c = r[s][v]
+    for v, c in r[s].items():
         res.push(s, v, c)
         excess[v] += c
         excess[s] -= c
@@ -392,8 +392,8 @@ def normalized_tree_violations(res, tree):
     s, t = net.source, net.sink
     pseudoflow = res.flow()
     bad = [("pseudoflow", v.kind, v.where) for v in validate(net, pseudoflow, "pseudoflow")]
-    bad.extend(("source_arc_not_saturated", (s, v)) for v in net.out_neighbors(s) if r[s][v])
-    bad.extend(("sink_arc_not_saturated", (v, t)) for v in net.in_neighbors(t) if r[v][t])
+    bad.extend(("source_arc_not_saturated", (s, v)) for v, x in r[s].items() if x)
+    bad.extend(("sink_arc_not_saturated", (v, t)) for v in r[t] if r[v][t])
     tree_edges = {(v, p) for v, p in tree.parent.items() if p != ROOT}
     tree_edges |= {(p, v) for (v, p) in tree_edges}
     for (u, v), c in zip(net.arcs, res.caps):
@@ -460,12 +460,11 @@ def _pseudoflow_core(net, instrumented=False):
     res = ResidualGraph(net)
     r = res.r
     excess = dict.fromkeys(internal, 0)
-    for v in net.out_neighbors(s):
-        c = r[s][v]
+    for v, c in r[s].items():
         res.push(s, v, c)
         if v != t:
             excess[v] += c
-    for v in net.in_neighbors(t):
+    for v in r[t]:
         if v != s:  # a direct (s, t) arc is already saturated
             c = r[v][t]
             res.push(v, t, c)

@@ -81,6 +81,11 @@ MUTANTS = {
         "            if type(a) is not int:\n                activity += a * xs[j]\n"),
     "lowest_terms divides the ints by g and leaves the scale undivided": (
         "values.py", "), scale // g\n", "), scale\n"),
+    "the residual rows leave each arc's tail out of its head's row": (
+        "network.py", "            ends[v].append(u)\n", ""),
+    "coboundary pairs each potential with the wrong face": (
+        "simplicial.py", "values = [lam[face] for face in self._faces]",
+        "values = [lam[face] for face in reversed(self._faces)]"),
 }
 
 

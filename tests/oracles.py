@@ -428,8 +428,7 @@ def flow_text_by_definition(net, flow):
     values = {a: Fraction(x, flow.scale) for a, x in flow.pairs}
     lines = [f"f {u} {v} {format_value(values[(u, v)])}" for (u, v) in net.arcs
              if values.get((u, v), 0) > 0]
-    value = sum((values.get((net.source, v), 0) for v in net.out_neighbors(net.source)),
-                Fraction(0))
+    value = sum((x for (u, _), x in values.items() if u == net.source), Fraction(0))
     lines.append(f"s {format_value(value)}")
     return "\n".join(lines) + "\n"
 

@@ -259,6 +259,15 @@ def test_matching_rejects_a_repeated_problem_line(capsys, tmp_path):
     assert err == "error: line 3: duplicate problem line\n"
 
 
+def test_matching_refuses_a_negative_vertex_count(capsys, tmp_path):
+    # the p line is at fault, not the network built from it
+    path = tmp_path / "graph.txt"
+    path.write_text("c two sides of -2 vertices\np matching -2 0\n")
+    code, out, err = run(capsys, "matching", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: line 2: vertex count must be non-negative, got -2\n"
+
+
 def test_chains(capsys, tmp_path):
     path = tmp_path / "poset.txt"
     path.write_text("el b\nel x\nel y\nel t\nbottom b\ntop t\n"
@@ -332,6 +341,16 @@ def test_segment_rejects_an_image_size_below_one(capsys, tmp_path, size):
     code, out, err = run(capsys, "segment", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: image size must be at least 1 x 1")
+
+
+@pytest.mark.parametrize("maxval", ["0", "-3"])
+def test_segment_refuses_a_maxval_below_one(capsys, tmp_path, maxval):
+    # every sample lies in [0, maxval] for maxval 0, so the fault is maxval
+    path = tmp_path / "img.pgm"
+    path.write_text(f"P2\n2 1\n{maxval}\n0 0\n")
+    code, out, err = run(capsys, "segment", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: maxval must be at least 1, got {maxval}\n"
 
 
 def test_hflow(capsys, tetra_file):

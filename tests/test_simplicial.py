@@ -19,6 +19,8 @@ from flowkit.network import (
 from flowkit.simplicial import (
     BudgetExceeded,
     ComplexError,
+    HCut,
+    HFlow,
     NegativeCapacity,
     OrientedComplex,
     SourceConditionViolated,
@@ -44,11 +46,12 @@ from flowkit.simplicial import (
     read_hnet,
     residual_complex,
     tu_certificate_via_tree,
+    write_hflow,
     write_hnet,
     write_probe_report,
 )
 from flowkit.solvers import edmonds_karp
-from flowkit.values import UNBOUNDED, scaled
+from flowkit.values import UNBOUNDED, format_value
 from oracles import (
     all_cuts,
     boundary_by_definition,
@@ -163,7 +166,7 @@ def random_complex(rng, dimension, max_facets=8):
 
 
 def test_boundary_products_match_the_matrix(tetra, double):
-    # the matrix comes from the definition, not from the complex's sign table
+    # the matrix comes from the definition, not from the complex's rows
     rng = random.Random(41)
     torsion = read_hnet(SAMPLES.joinpath("torsion.hnet").read_text()).complex
     complexes = [tetra, double, torsion] + [random_hnetwork(rng).complex for _ in range(40)]
@@ -233,7 +236,7 @@ def test_weighted_cycle_checks(tetra):
 def test_tetra_maxflow(tetra_net):
     res = hmaxflow_lp(tetra_net)
     assert res.value == 1
-    assert res.flow.values == (1, 1, 1, 1)
+    assert res.flow == ((1, 1, 1, 1), 1)
     aug = hmaxflow_augment(tetra_net)
     assert aug.value == 1 and len(aug.trace) == 1
 
@@ -252,7 +255,7 @@ def test_double_tetra_flow_values(double_net):
     aug = hmaxflow_augment(double_net)
     assert res.value == aug.value == 2
     assert len(aug.trace) == 2
-    assert hflow_violations(double_net, *scaled(aug.flow.values)) == []
+    assert hflow_violations(double_net, *aug.flow) == []
 
 
 def test_augmentation_steps_are_valid_flows(double_net, rng):
@@ -292,8 +295,21 @@ def test_residual_complex_members(tetra_net):
 
 def test_no_augmenting_cycle_at_optimum(tetra_net):
     res = hmaxflow_lp(tetra_net)
-    weights, scale = scaled(res.flow.values)
+    weights, scale = res.flow
     assert find_augmenting_cycle(tetra_net, weights, scale) is None
+
+
+def torsion_rescale_cases(torsion):
+    """The torsion sample under 30 seeded capacities with denominators 1 to
+    3: its cycles have a coefficient 2, so its bottlenecks can be halves,
+    and the augmentation grows its scale."""
+    cases = []
+    for seed in range(30):
+        rng = random.Random(f"int-augment-torsion:{seed}")
+        caps = {j: Fraction(rng.randint(1, 12), rng.choice([1, 2, 3]))
+                for j in range(torsion.facet_count()) if j != torsion.t_index}
+        cases.append(build_hnetwork(torsion.complex, torsion.t_index, caps))
+    return cases
 
 
 def test_int_augmentation_matches_the_fraction_one():
@@ -309,24 +325,61 @@ def test_int_augmentation_matches_the_fraction_one():
         arcs = [(u, v, Fraction(rng.randint(0, 30), rng.choice([7, 11, 13, 17])))
                 for u, v, _ in arcs]
         hnets.append(network_as_hnetwork(build_network(n, s, t, arcs)))
-    # the torsion sample's cycles have a coefficient 2, so its bottlenecks can be halves
-    torsion = hnets[2]
-    for seed in range(30):
-        rng = random.Random(f"int-augment-torsion:{seed}")
-        caps = {j: Fraction(rng.randint(1, 12), rng.choice([1, 2, 3]))
-                for j in range(torsion.facet_count()) if j != torsion.t_index}
-        hnets.append(build_hnetwork(torsion.complex, torsion.t_index, caps))
+    hnets += torsion_rescale_cases(hnets[2])
     assert len(hnets) == 333
     rescaled = 0
     for hnet in hnets:
         res = hmaxflow_augment(hnet)
         values, value, trace = hmaxflow_augment_by_fractions(hnet)
-        assert (res.trace, res.flow.values, res.value) == (trace, values, value)
-        assert all(type(x) is Fraction for x in (*res.trace, *res.flow.values, res.value))
+        weights, scale = res.flow
+        assert (res.trace, tuple([Fraction(w, scale) for w in weights]), res.value) == \
+            (trace, values, value)
+        assert all(type(x) is Fraction for x in (*res.trace, res.value))
         # some step grows the scale exactly when some amount is not an int
         # count of 1/hnet.scale, the scale the loop starts at
         rescaled += any((amount * hnet.scale).denominator > 1 for amount in res.trace)
     assert rescaled > 0
+
+
+def test_both_solvers_return_ints_over_one_scale():
+    # an HFlow is int weights over an int scale > 0, which the int check
+    # accepts as they are and write_hflow prints as their Fractions would
+    hnets = [read_hnet(SAMPLES.joinpath(name).read_text())
+             for name in ("tetra.hnet", "double-tetra.hnet", "torsion.hnet")]
+    hnets += [random_hnetwork(random.Random(f"hflow-ints:{seed}")) for seed in range(200)]
+    hnets += torsion_rescale_cases(hnets[2])
+    for hnet in hnets:
+        for res in (hmaxflow_lp(hnet), hmaxflow_augment(hnet)):
+            flow = res.flow
+            weights, scale = flow
+            assert type(flow) is HFlow and type(weights) is tuple
+            assert type(scale) is int and scale > 0
+            assert len(weights) == hnet.facet_count()
+            assert all(type(w) is int for w in weights)
+            assert hflow_violations(hnet, *flow) == []
+            assert res.value == Fraction(weights[hnet.t_index], scale)
+            values = [Fraction(w, scale) for w in weights]
+            text = [f"hf {j} {format_value(x)}" for j, x in enumerate(values)]
+            text.append(f"s {format_value(values[hnet.t_index])}")
+            assert write_hflow(hnet, flow) == "\n".join(text) + "\n"
+
+
+def test_coboundary_of_int_potentials_is_ints(tetra, double):
+    # ∂ has int entries, so ∂ᵀλ of an int λ is ints, and so is the dual
+    # point of every cut
+    rng = random.Random(29)
+    torsion = read_hnet(SAMPLES.joinpath("torsion.hnet").read_text())
+    complexes = [tetra, double, torsion.complex] + [random_complex(rng, d)
+                                                    for d in (1, 2, 3) for _ in range(20)]
+    for cx in complexes:
+        lam = {face: rng.randint(-3, 3) for face in cx.faces()}
+        assert all(type(g) is int for g in cx.coboundary(lam))
+    for hnet in (build_hnetwork(tetra, 3, {0: 1, 1: "1/2", 2: 2}), torsion):
+        for _ in range(40):
+            cut = HCut(frozenset(f for f in hnet.complex.faces() if rng.random() < 0.5))
+            cap, point = hcut_capacity(hnet, cut)
+            assert all(type(x) is int for x in (*point.lam.values(), *point.eta.values()))
+            assert cap is UNBOUNDED or type(cap) is Fraction
 
 
 def test_dimension_one_values_match(rng):
@@ -462,9 +515,8 @@ def test_flow_sums_stay_cycles(rng):
     # property (capacity feasibility is not claimed)
     for _ in range(10):
         hnet = random_hnetwork(rng)
-        f1 = hmaxflow_lp(hnet).flow.values
-        f2 = hmaxflow_augment(hnet).flow.values
-        total = [a + b for a, b in zip(f1, f2)]
+        (w1, s1), (w2, s2) = hmaxflow_lp(hnet).flow, hmaxflow_augment(hnet).flow
+        total = [a * s2 + b * s1 for a, b in zip(w1, w2)]  # the sum, times s1 * s2
         assert all(x >= 0 for x in total)
         ok, _ = is_weighted_cycle(hnet.complex, total)
         assert ok
@@ -475,7 +527,7 @@ def test_rational_capacities(tetra):
     lp_res = hmaxflow_lp(hnet)
     aug_res = hmaxflow_augment(hnet)
     assert lp_res.value == aug_res.value == Fraction(1, 2)
-    assert hflow_violations(hnet, *scaled(aug_res.flow.values)) == []
+    assert hflow_violations(hnet, *aug_res.flow) == []
 
 
 def test_augment_with_mixed_rational_capacities(rng):
@@ -487,7 +539,7 @@ def test_augment_with_mixed_rational_capacities(rng):
         lp_res = hmaxflow_lp(hnet)
         aug_res = hmaxflow_augment(hnet)
         assert aug_res.value == lp_res.value
-        assert hflow_violations(hnet, *scaled(aug_res.flow.values)) == []
+        assert hflow_violations(hnet, *aug_res.flow) == []
 
 
 def test_triple_glued_spheres():
@@ -535,7 +587,7 @@ def test_augmentation_fixpoint_is_the_lp_optimum():
         if optimum.value == 0:
             continue
         positive += 1
-        x_star, scale = scaled(optimum.flow.values)
+        x_star, scale = optimum.flow
         cycle = find_augmenting_cycle(hnet, x_star, 2 * scale)  # x*/2
         assert cycle is not None and (hnet.t_index, 1) in {(j, d) for j, d, _ in cycle.terms}
         assert find_augmenting_cycle(hnet, x_star, scale) is None

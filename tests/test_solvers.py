@@ -507,7 +507,8 @@ def test_blocking_cut_against_subset_enumeration(rng):
 def test_build_gst_trivia():
     g = WeightedGraph(2, {1: 0, 2: 0}, {(1, 2): 3})
     net = build_gst(g)
-    assert net.out_neighbors(net.source) == () and net.in_neighbors(net.sink) == ()
+    assert [v for (u, v) in net.arcs if u == net.source] == []
+    assert [u for (u, v) in net.arcs if v == net.sink] == []
     g = WeightedGraph(2, {1: 4, 2: -2}, {})
     net = build_gst(g)
     assert net.arcs == ((3, 1), (2, 4))
