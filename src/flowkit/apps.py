@@ -395,8 +395,12 @@ def read_poset(text):
 
 
 def read_bipartite(text):
-    """`p matching <n> <m>` header and `e <i> <j>` edge lines."""
-    n = m = None
+    """`p matching <n> <m>` header and `e <i> <j>` edge lines.
+
+    A negative vertex or edge count, and an edge count that the `e` lines
+    do not match, are errors at the `p` line, which they name.
+    """
+    n = m = p_line = None
     edges = []
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
@@ -409,9 +413,11 @@ def read_bipartite(text):
                     raise ParseError("duplicate problem line", line_no)
                 if len(fields) != 4 or fields[1] != "matching":
                     raise ParseError("expected `p matching <n> <m>`", line_no)
-                n, m = int(fields[2]), int(fields[3])
+                n, m, p_line = int(fields[2]), int(fields[3]), line_no
                 if n < 0:
                     raise ParseError(f"vertex count must be non-negative, got {n}", line_no)
+                if m < 0:
+                    raise ParseError(f"edge count must be non-negative, got {m}", line_no)
             elif fields[0] == "e":
                 if n is None:
                     raise ParseError("edge before problem line", line_no)
@@ -424,8 +430,8 @@ def read_bipartite(text):
             raise ParseError(str(exc), line_no)
     if n is None:
         raise ParseError("missing problem line")
-    if m is not None and m != len(edges):
-        raise ParseError(f"problem line announced {m} edges, found {len(edges)}")
+    if m != len(edges):
+        raise ParseError(f"problem line announced {m} edges, found {len(edges)}", p_line)
     try:
         return BipartiteGraph(n, edges)
     except NetworkError as exc:

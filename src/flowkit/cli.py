@@ -274,9 +274,15 @@ def build_parser():
     p.add_argument("--allow-antiparallel", action="store_true",
                    help="subdivide antiparallel arc pairs instead of rejecting them")
 
-    p = add("mincut", cmd_mincut, "minimum cut from a maximal flow", DIMACS_GRAMMAR)
+    p = add("mincut", cmd_mincut, "minimum cut from a maximal flow",
+            "output: `v <id>` for each vertex on the source side that a\n"
+            "residual search from s reaches after the solve, then `s <value>`.\n"
+            "That side is the minimal minimum cut, the same for every maximum\n"
+            "flow, so every --algo prints the same stdout; push-relabel (pr),\n"
+            "the default, is the solver that scales.\n\n" + DIMACS_GRAMMAR)
     p.add_argument("network")
-    p.add_argument("--algo", choices=["ek", "pr", "hoch"], default="ek")
+    p.add_argument("--algo", choices=["ek", "pr", "hoch"], default="pr",
+                   help="maximum-flow solver (default: pr)")
     p.add_argument("--allow-antiparallel", action="store_true")
 
     p = add("decompose", cmd_decompose,

@@ -7,7 +7,10 @@
   which finds the path a fresh textbook search would.
 * :func:`push_relabel` — FIFO preflow-push with distance labels, the gap
   heuristic and a two-sided global relabel (from t, then from s offset by
-  n) at the start and after every n relabels.
+  n) at the start and after every n relabels.  Its discharge loop pushes
+  on the residual rows in place, with no call per push, and stops at
+  Goldberg and Tarjan's bound on pushes and relabels.  It is the
+  default solver of ``flowkit mincut``.
 * :func:`hochbaum_maxflow` — the lowest-label pseudoflow algorithm on a
   normalized tree, solving the maximum blocking cut problem first and
   recovering a flow from its residual graph.  Strong roots are served
@@ -215,6 +218,41 @@ def push_relabel(net, instrumented=False):
     reach t (2n for a vertex that reaches neither; it holds no excess).
     When a relabel empties a label k < n, no vertex labeled between k and
     n can reach t any more, and the gap heuristic lifts them all to n + 1.
+
+    A push of delta = min(e(v), r(v, w)) is done in place on the residual
+    rows, ``row[w] = x - delta`` and ``r[w][v] += delta``, and the excess
+    of the vertex being discharged stays in a local until its discharge
+    ends.  Pushes and relabels come in the order that a
+    :meth:`ResidualGraph.push` call per push would give.
+
+    Work budget: more than 2n^2 + 2nm + 4n^2m pushes and relabels raise
+    :class:`InvariantViolation` ("work budget").  The labeling stays valid
+    (d(u) <= d(w) + 1 on every residual arc): a relabel sets the least
+    label that keeps it so, the global relabel sets exact residual
+    distances, and the gap heuristic lifts only vertices that no longer
+    reach t.  None of the three lowers a label: under a valid labeling a
+    label is at most the residual distance, and an active vertex has no
+    admissible arc when relabeled.  An active vertex has a residual path
+    to s, so its label is at most d(s) + n - 1 = 2n - 1.  Hence, as for
+    the generic algorithm (Goldberg & Tarjan, J. ACM 35 (1988)):
+
+    * a relabel raises the label of an active vertex by at least 1, so
+      each of the n - 2 inner vertices is relabeled fewer than 2n times:
+      fewer than 2n^2 relabels;
+    * between two saturating pushes along a residual arc (v, w), d(v)
+      rises by at least 2 and stays in [1, 2n - 1]: at most n such pushes
+      on each of the 2m residual arcs, 2nm in all;
+    * Phi, the sum of the labels of the active vertices, gets from its
+      start and from all label rises together at most 2n - 1 per vertex
+      that ever holds excess, as labels never fall, and at most 2m
+      vertices do (each lies on an arc).  Each saturating push adds at
+      most 2n - 2 and each non-saturating one removes at least 1, so
+      there are at most 2m(2n - 1) + 2nm(2n - 2) <= 4n^2m non-saturating
+      pushes.
+
+    Working code never reaches the budget; a broken variant stops there
+    instead of looping on.  The check runs once per scan of the vertex's
+    row, that is, once per discharge and once per relabel.
     """
     n, s, t = net.n, net.source, net.sink
     res = ResidualGraph(net)
@@ -252,7 +290,11 @@ def push_relabel(net, instrumented=False):
     def relabel(v):
         nonlocal high
         old = d[v]
-        d[v] = new = min(d[w] for w, x in r[v].items() if x > 0) + 1
+        low = 2 * n
+        for w, x in r[v].items():
+            if x > 0 and d[w] < low:
+                low = d[w]
+        d[v] = new = low + 1
         if new < n:
             layers[new].add(v)
             high = max(high, new)
@@ -270,6 +312,7 @@ def push_relabel(net, instrumented=False):
                   if v not in (s, t) and excess[v] > 0)
     queued = set(queue)
     pushes = relabels = 0
+    budget = 2 * n * n + 2 * n * net.m + 4 * n * n * net.m
 
     def checkpoint():
         bad = validate(net, res.flow(), "preflow") + labeling_violations(res, d)
@@ -281,13 +324,19 @@ def push_relabel(net, instrumented=False):
         v = queue.popleft()
         queued.discard(v)
         row = r[v]
+        ev = excess[v]
         while True:
+            if pushes + relabels > budget:
+                raise InvariantViolation("work budget", f"operation {pushes + relabels}",
+                                         [f"more than 2n^2 + 2nm + 4n^2m = {budget} "
+                                          "pushes and relabels"])
             below = d[v] - 1
             for w, x in row.items():
                 if x > 0 and d[w] == below:
-                    delta = min(excess[v], x)
-                    res.push(v, w, delta)
-                    excess[v] -= delta
+                    delta = ev if ev < x else x
+                    row[w] = x - delta
+                    r[w][v] += delta
+                    ev -= delta
                     excess[w] += delta
                     pushes += 1
                     if instrumented:
@@ -295,9 +344,9 @@ def push_relabel(net, instrumented=False):
                     if w != s and w != t and w not in queued:
                         queue.append(w)
                         queued.add(w)
-                    if not excess[v]:
+                    if not ev:
                         break
-            if not excess[v]:
+            if not ev:
                 break
             relabel(v)
             relabels += 1
@@ -305,6 +354,7 @@ def push_relabel(net, instrumented=False):
                 global_relabel()
             if instrumented:
                 checkpoint()
+        excess[v] = 0
 
     _, reached = res.search(s, t)
     result = _certified(net, res, reached, {"pushes": pushes, "relabels": relabels})

@@ -86,6 +86,8 @@ MUTANTS = {
     "coboundary pairs each potential with the wrong face": (
         "simplicial.py", "values = [lam[face] for face in self._faces]",
         "values = [lam[face] for face in reversed(self._faces)]"),
+    "push-relabel's relabel leaves out the + 1 above the lowest residual neighbour": (
+        "solvers.py", "        d[v] = new = low + 1\n", "        d[v] = new = low\n"),
 }
 
 

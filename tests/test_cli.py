@@ -3,6 +3,7 @@
 import dataclasses
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,7 @@ from oracles import (
     segmentation_by_definition,
 )
 
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 NET = "c tiny\np max 4 5\nn 1 s\nn 4 t\na 1 2 3\na 1 3 2\na 2 4 2\na 3 4 3\na 2 3 1\n"
 TETRA = "hnet dim 2\nf 2 3 4 1\nf 1 2 4 1\nf 1 4 3 1\nt 1 3 2\n"
 
@@ -76,6 +78,52 @@ def test_mincut(capsys, net_file):
     assert code == 0
     assert out.splitlines()[-1] == "s 5"
     assert out.splitlines()[0] == "v 1"
+
+
+def _default_mincut_is_ek_bytes_on_pr(capsys, path, *flags):
+    """A default `mincut` prints the stdout of `--algo=ek` and reports
+    push-relabel on stderr."""
+    code, out, err = run(capsys, "mincut", *flags, str(path))
+    ek = run(capsys, "mincut", "--algo=ek", *flags, str(path))
+    assert (code, out) == ek[:2] and code == 0
+    assert err.startswith("algo=pr ") and err.count("\n") == 1
+
+
+def test_default_mincut_prints_the_ek_cut_on_every_sample(capsys):
+    samples = sorted(SAMPLES.glob("*.dimacs"))
+    assert samples
+    for path in samples:
+        _default_mincut_is_ek_bytes_on_pr(capsys, path)
+
+
+def test_default_mincut_prints_the_ek_cut_on_seeded_networks(capsys, tmp_path):
+    # integer, rational and 0/1 capacities, written out and read back
+    path = tmp_path / "net.dimacs"
+    kinds = set()
+    for label, net in seeded_networks(240):
+        if label.startswith("gadget"):
+            continue
+        kinds.add(label.split()[0])
+        path.write_text(network.write_dimacs(net))
+        _default_mincut_is_ek_bytes_on_pr(capsys, path)
+    assert kinds == {"integer", "rational", "unit"}
+
+
+def test_default_mincut_prints_the_ek_cut_with_antiparallel_pairs(capsys, tmp_path):
+    # the file keeps its antiparallel pairs; --allow-antiparallel subdivides them
+    path = tmp_path / "net.dimacs"
+    pairs_seen = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        n = rng.randint(4, 12)
+        pairs = [(u, v) for u in range(1, n) for v in range(2, n + 1)
+                 if u != v and rng.random() < 0.4]
+        pairs_seen += sum((v, u) in pairs for (u, v) in pairs)
+        caps = [Fraction(rng.randint(0, 30), rng.choice([1, 7, 11, 13])) for _ in pairs]
+        path.write_text(f"p max {n} {len(pairs)}\nn 1 s\nn {n} t\n" + "".join(
+            f"a {u} {v} {c}\n" for (u, v), c in zip(pairs, caps)))
+        _default_mincut_is_ek_bytes_on_pr(capsys, path, "--allow-antiparallel")
+    assert pairs_seen > 0
 
 
 def test_maxflow_prints_what_write_flow_writes_for_the_flow(capsys, tmp_path):
@@ -266,6 +314,18 @@ def test_matching_refuses_a_negative_vertex_count(capsys, tmp_path):
     code, out, err = run(capsys, "matching", str(path))
     assert code == 2 and out == ""
     assert err == "error: line 2: vertex count must be non-negative, got -2\n"
+
+
+@pytest.mark.parametrize("text, err", [
+    ("p matching 2 -1\n", "line 1: edge count must be non-negative, got -1"),
+    ("c one edge short\np matching 2 2\ne 1 1\n", "line 2: problem line announced 2 edges, found 1"),
+    ("p matching 2 1\ne 1 1\ne 2 2\n", "line 1: problem line announced 1 edges, found 2"),
+], ids=["negative", "too-few", "too-many"])
+def test_matching_names_the_p_line_of_a_wrong_edge_count(capsys, tmp_path, text, err):
+    path = tmp_path / "graph.txt"
+    path.write_text(text)
+    code, out, got = run(capsys, "matching", str(path))
+    assert (code, out, got) == (2, "", f"error: {err}\n")
 
 
 def test_chains(capsys, tmp_path):

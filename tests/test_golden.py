@@ -31,7 +31,8 @@ CLI_CASES = {
     "maxflow-ek": ["maxflow", "--algo=ek", "net.dimacs"],
     "maxflow-pr": ["maxflow", "--algo=pr", "net.dimacs"],
     "maxflow-hoch": ["maxflow", "--algo=hoch", "net.dimacs"],
-    "mincut-ek": ["mincut", "net.dimacs"],
+    "mincut-default": ["mincut", "net.dimacs"],
+    "mincut-ek": ["mincut", "--algo=ek", "net.dimacs"],
     "mincut-pr": ["mincut", "--algo=pr", "net.dimacs"],
     "mincut-hoch": ["mincut", "--algo=hoch", "net.dimacs"],
     "decompose": ["decompose", "net.dimacs", FLOW],
@@ -109,6 +110,13 @@ def golden():
 @pytest.mark.parametrize("name", sorted(CLI_CASES))
 def test_cli_output_is_pinned(golden, name, tmp_path):
     assert cli_record(name, tmp_path) == golden["cli"][name]
+
+
+def test_default_mincut_record_is_the_ek_cut_from_push_relabel(golden):
+    # the default solver changes the stats line only, never the cut
+    cli = golden["cli"]
+    assert cli["mincut-default"]["stdout"] == cli["mincut-ek"]["stdout"]
+    assert cli["mincut-default"]["stderr"] == cli["mincut-pr"]["stderr"]
 
 
 def test_solver_outputs_are_pinned(golden):

@@ -353,6 +353,17 @@ def test_edmonds_karp_stops_at_its_work_budget(monkeypatch):
     assert info.value.invariant == "work budget" and info.value.step == "augmentation 7"
 
 
+def test_push_relabel_stops_at_its_work_budget(monkeypatch):
+    # a preflow that leaves the source arcs unsaturated: vertex 2 holds 2
+    # units it cannot send home, pushes 1 to t and relabels forever;
+    # 2n^2 + 2nm + 4n^2m = 102 operations are allowed, the 103rd raises
+    monkeypatch.setattr(ResidualGraph, "push", lambda self, u, v, delta: None)
+    net = build_network(3, 1, 3, [(1, 2, 2), (2, 3, 1)])
+    with pytest.raises(InvariantViolation) as info:
+        push_relabel(net)
+    assert info.value.invariant == "work budget" and info.value.step == "operation 103"
+
+
 def test_hochbaum_instrumented_tree_and_initial_state(rng):
     from flowkit.solvers import _reverse_network
 
