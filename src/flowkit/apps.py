@@ -20,7 +20,7 @@ from fractions import Fraction
 # min_cut_from_flow is uncalled here; its binding stays because perfbench's
 # tracer test wraps it in this module
 from .decompose import decompose, min_cut_from_flow  # noqa: F401
-from .network import InvariantViolation, NetworkError, ParseError, build_network
+from .network import InvariantViolation, NetworkError, ParseError, ScaledFlow, build_network
 from .solvers import edmonds_karp
 from .values import exact, lowest_terms, scaled
 
@@ -38,18 +38,20 @@ class NotPartialOrder(NetworkError):
 
 class BipartiteGraph:
     """Balanced bipartite graph; edges are (i, j) pairs meaning v_i ~ w_j,
-    both sides indexed 1..n."""
+    both sides indexed 1..n.  An error about an edge carries ``at``, its
+    index in `edges` (the later edge of a repeated pair), as
+    :func:`flowkit.network.build_network` does for an arc."""
 
     __slots__ = ("n", "edges")
 
     def __init__(self, n, edges):
         self.n = n
         seen = set()
-        for (i, j) in edges:
+        for k, (i, j) in enumerate(edges):
             if not (1 <= i <= n) or not (1 <= j <= n):
-                raise NetworkError(f"edge ({i}, {j}) out of range")
+                raise NetworkError(f"edge ({i}, {j}) out of range", k)
             if (i, j) in seen:
-                raise NetworkError(f"duplicate edge ({i}, {j})")
+                raise NetworkError(f"duplicate edge ({i}, {j})", k)
             seen.add((i, j))
         self.edges = tuple(sorted(seen))
 
@@ -75,15 +77,53 @@ def _matching_network(g):
     return build_network(2 * n + 2, s, t, arcs, scale=1)
 
 
+def _greedy_start(g):
+    """The flow of a greedy matching on :func:`_matching_network`: the lefts
+    in index order, each taking its lowest-index free neighbour, and unit
+    flow on s -> i -> n+j -> t for each pair (i, j), in arc order."""
+    n = g.n
+    s, t = 2 * n + 1, 2 * n + 2
+    taken = [False] * (2 * n + 1)   # lefts 1..n and rights n+1..2n already matched
+    pairs = []
+    for (i, j) in g.edges:
+        if not taken[i] and not taken[n + j]:
+            taken[i] = taken[n + j] = True
+            pairs.append((i, n + j))
+    arcs = [(s, i) for i, _ in pairs] + pairs
+    arcs += [(w, t) for w in range(n + 1, 2 * n + 1) if taken[w]]
+    return ScaledFlow(tuple([(a, 1) for a in arcs]), 1)
+
+
 def perfect_matching(g):
     """A perfect matching, or a subset of the left side that witnesses the
     failure of the marriage condition.
 
     The witness is the left part of the minimum-cut source side; the cut
     accounting forces |N(S)| < |S| whenever the maximum flow is below n.
+
+    Edmonds-Karp starts from :func:`_greedy_start`, the flow its first
+    phase reaches, so it skips that phase's searches.  A resumed search
+    finds what a fresh one does (:func:`flowkit.network._bfs`), so take a
+    fresh search on the residual graph of a partial greedy matching.  Row
+    s lists the lefts in index order, with room to the unmatched ones
+    only, and no left has an arc into t, so the search reaches every
+    unmatched left before it scans any row but s.  It then scans their
+    rows in index order, all of them before any right row, since rights
+    are reached only from left rows and matched lefts only from right
+    rows.  A right with room into t is free and triggers the look-ahead
+    where it is first reached, so every right reached before it is
+    matched.  Hence the search returns s, i, n+j, t, where i is the
+    lowest unmatched left with a free neighbour and j its lowest free
+    neighbour: the greedy's next pair, as a left that finds no free
+    neighbour at its turn never finds one later, rights only being taken.
+    When no unmatched left has a free neighbour, the shortest path has
+    length at least 5 and the phase of length-3 paths is over.  So the run
+    from the greedy flow makes the same later augmentations on the same
+    residual graphs, one per greedy pair fewer, and ends in the same flow
+    and cut: the pairs and the Hall witness do not change.
     """
     net = _matching_network(g)
-    result = edmonds_karp(net)
+    result = edmonds_karp(net, flow=_greedy_start(g))
     n = g.n
     if result.value == n:
         pairs = tuple(sorted((u, v - n) for (u, v), _ in result.scaled.pairs
@@ -100,22 +140,27 @@ class Poset:
     """Finite poset with distinct bottom and top.
 
     Built from strict-order pairs (covers or any relation; the transitive
-    closure is taken on ingest).  Raises NotPartialOrder on cycles.
+    closure is taken on ingest).  Raises NotPartialOrder on cycles, on a
+    repeated element, and on a pair that is reflexive or names an unknown
+    element; the last three carry ``at``: ``("elements", k)`` for the
+    later copy of a repeated element, ``("relation", k)`` for a pair.
     """
 
     __slots__ = ("elements", "less", "bottom", "top", "_order")
 
     def __init__(self, elements, relation, bottom=None, top=None):
         self.elements = tuple(elements)
-        order = {e: i for i, e in enumerate(self.elements)}
-        if len(order) != len(self.elements):
-            raise NotPartialOrder("duplicate elements")
+        order = {}
+        for k, e in enumerate(self.elements):
+            if e in order:
+                raise NotPartialOrder(f"duplicate element {e}", ("elements", k))
+            order[e] = k
         above = {e: set() for e in self.elements}
-        for (a, b) in relation:
+        for k, (a, b) in enumerate(relation):
             if a not in order or b not in order:
-                raise NotPartialOrder(f"unknown element in pair ({a}, {b})")
+                raise NotPartialOrder(f"unknown element in pair ({a}, {b})", ("relation", k))
             if a == b:
-                raise NotPartialOrder(f"reflexive pair ({a}, {b})")
+                raise NotPartialOrder(f"reflexive pair ({a}, {b})", ("relation", k))
             above[a].add(b)
         # transitive closure: one depth-first search per element
         less = set()
@@ -266,6 +311,31 @@ class Segmentation:
     total_mass: Fraction      # score + cost
 
 
+def _segment_network(img):
+    """Pixel v = 1..size (row-major), s = size + 1, t = size + 2: the arcs
+    s -> v of capacity fg, then v -> t of capacity bg, then each neighbour
+    pair both ways at its penalty, subdivided; the image's ints over its
+    scale."""
+    size = img.width * img.height
+    s, t = size + 1, size + 2
+    arcs = [(s, v, a) for v, a in enumerate(img.fg, 1)]
+    arcs += [(v, t, b) for v, b in enumerate(img.bg, 1)]
+    for (i, j), c in zip(img.pairs, img.penalty):
+        arcs += [(i + 1, j + 1, c), (j + 1, i + 1, c)]
+    return build_network(size + 2, s, t, arcs, allow_antiparallel=True, scale=img.scale)
+
+
+def _segment_start(img):
+    """The flow min(fg, bg) on s -> v -> t for each pixel v of
+    :func:`_segment_network`, in arc order, over the image's scale."""
+    size = img.width * img.height
+    s, t = size + 1, size + 2
+    low = [a if a < b else b for a, b in zip(img.fg, img.bg)]
+    pairs = [((s, v), x) for v, x in enumerate(low, 1) if x]
+    pairs += [((v, t), x) for v, x in enumerate(low, 1) if x]
+    return ScaledFlow(tuple(pairs), img.scale)
+
+
 def segment_image(img):
     """Best foreground/background split via minimum cut.
 
@@ -275,6 +345,17 @@ def segment_image(img):
     The residual-reachability cut makes ties deterministic (ties fall to
     the background).
 
+    Edmonds-Karp starts from :func:`_segment_start`, the flow its phase of
+    length-2 paths reaches.  Those paths are s -> v -> t, as no arc joins
+    s to t, and a fresh search (which a resumed one matches,
+    :func:`flowkit.network._bfs`) scans row s, the pixels in index order,
+    and returns the first pixel with room on both of its arcs.  Its
+    augmentation pushes min(fg, bg) and saturates one of the two, so each
+    pixel is taken once, in row-s order, and the phase ends with
+    min(fg, bg) on each pixel's two arcs.  The run from that flow makes the
+    same later augmentations, one per pixel with min(fg, bg) > 0 fewer,
+    and ends in the same flow and cut.
+
     The network takes the image's ints over its scale, so no capacity
     Fraction is built.  The score s(A, B) (kept probabilities less the
     penalties across the boundary), the cost s'(A, B) (discarded
@@ -283,13 +364,7 @@ def segment_image(img):
     maximum flow value, else :class:`InvariantViolation` ("cut cost").
     """
     size, scale = img.width * img.height, img.scale
-    s, t = size + 1, size + 2
-    arcs = [(s, v, a) for v, a in enumerate(img.fg, 1)]
-    arcs += [(v, t, b) for v, b in enumerate(img.bg, 1)]
-    for (i, j), c in zip(img.pairs, img.penalty):
-        arcs += [(i + 1, j + 1, c), (j + 1, i + 1, c)]
-    net = build_network(size + 2, s, t, arcs, allow_antiparallel=True, scale=scale)
-    result = edmonds_karp(net)
+    result = edmonds_karp(_segment_network(img), flow=_segment_start(img))
     side = result.cut.source_side
     inside = [v in side for v in range(1, size + 1)]
     split = sum(c for (i, j), c in zip(img.pairs, img.penalty) if inside[i] != inside[j])
@@ -366,8 +441,13 @@ def write_pbm(width, height, foreground):
 
 
 def read_poset(text):
-    elements = []
-    pairs = []
+    """`el <name>`, `cover <a> <b>`, `bottom <name>` and `top <name>` lines.
+
+    A repeated element is an error at its later `el` line, and a pair that
+    is reflexive or names an unknown element at its `cover` line.
+    """
+    elements, el_lines = [], []
+    pairs, cover_lines = [], []
     bottom = top = None
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
@@ -376,8 +456,10 @@ def read_poset(text):
         fields = line.split()
         if fields[0] == "el" and len(fields) == 2:
             elements.append(fields[1])
+            el_lines.append(line_no)
         elif fields[0] == "cover" and len(fields) == 3:
             pairs.append((fields[1], fields[2]))
+            cover_lines.append(line_no)
         elif fields[0] == "bottom" and len(fields) == 2:
             if bottom is not None:
                 raise ParseError("duplicate bottom line", line_no)
@@ -391,17 +473,23 @@ def read_poset(text):
     try:
         return Poset(elements, pairs, bottom=bottom, top=top)
     except NotPartialOrder as exc:
-        raise ParseError(str(exc))
+        line_no = None
+        if exc.at is not None:
+            where, k = exc.at
+            line_no = (el_lines if where == "elements" else cover_lines)[k]
+        raise ParseError(str(exc), line_no)
 
 
 def read_bipartite(text):
     """`p matching <n> <m>` header and `e <i> <j>` edge lines.
 
     A negative vertex or edge count, and an edge count that the `e` lines
-    do not match, are errors at the `p` line, which they name.
+    do not match, are errors at the `p` line, which they name.  An edge
+    out of range, or repeated, is an error at its `e` line (the later one
+    of a repeated pair).
     """
     n = m = p_line = None
-    edges = []
+    edges, edge_lines = [], []
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
         if not line or line.startswith("c"):
@@ -424,6 +512,7 @@ def read_bipartite(text):
                 if len(fields) != 3:
                     raise ParseError("expected `e <i> <j>`", line_no)
                 edges.append((int(fields[1]), int(fields[2])))
+                edge_lines.append(line_no)
             else:
                 raise ParseError(f"unknown record type {fields[0]!r}", line_no)
         except ValueError as exc:
@@ -435,4 +524,4 @@ def read_bipartite(text):
     try:
         return BipartiteGraph(n, edges)
     except NetworkError as exc:
-        raise ParseError(str(exc))
+        raise ParseError(str(exc), edge_lines[exc.at])

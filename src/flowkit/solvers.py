@@ -1,10 +1,12 @@
 """Three exact maximum-flow algorithms.
 
 * :func:`edmonds_karp` — augmenting paths, always choosing the
-  lowest-index breadth-first shortest path in the residual graph.  Each
-  search resumes the last one at the first arc its augmentation
-  saturated and stops at the first reached vertex with room into t,
-  which finds the path a fresh textbook search would.
+  lowest-index breadth-first shortest path in the residual graph, from
+  the zero flow or from a given valid flow.  Each search resumes the
+  last one at the first arc its augmentation saturated and stops at the
+  first reached vertex with room into t, which finds the path a fresh
+  textbook search would.  Matching and segmentation start it from the
+  flow its first phase would reach, written down directly.
 * :func:`push_relabel` — FIFO preflow-push with distance labels, the gap
   heuristic and a two-sided global relabel (from t, then from s offset by
   n) at the start and after every n relabels.  Its discharge loop pushes
@@ -137,8 +139,17 @@ def _certified(net, res, reached, stats):
 # -- shortest augmenting paths -------------------------------------------
 
 
-def edmonds_karp(net, instrumented=False):
+def edmonds_karp(net, instrumented=False, flow=None):
     """Maximum flow by shortest augmenting paths; terminates on rational input.
+
+    The run augments from `flow`, a :class:`ScaledFlow` that must be a
+    valid flow on `net`, or from the zero flow when it is None.  A caller
+    that knows the shortest paths of the first phase passes the flow they
+    carry, and the run skips their searches (see
+    :func:`flowkit.apps.perfect_matching` and
+    :func:`flowkit.apps.segment_image`).  The start is not checked up
+    front: :func:`_certified` checks the whole final flow, and an
+    instrumented run checks the start before its first augmentation.
 
     Each search resumes the last one at the first arc its augmentation
     saturated, keeping what was reached before, and stops at the first
@@ -148,10 +159,16 @@ def edmonds_karp(net, instrumented=False):
     The paths are shortest, so each of the 2m residual arcs is the
     bottleneck of at most n/2 of them (Edmonds & Karp, J. ACM 19 (1972)),
     and every augmentation saturates one: at most n * m augmentations.
+    The argument needs only that residual distances never fall, which
+    holds from any feasible start, so the budget holds from any `flow`.
     A run that finds one more path than that raises
     :class:`InvariantViolation` ("work budget") instead of looping on.
     """
-    res = ResidualGraph(net)
+    if instrumented and flow is not None:
+        bad = validate(net, flow, "flow")
+        if bad:
+            raise InvariantViolation("flow", "start", bad)
+    res = ResidualGraph(net, flow)
     s, t = net.source, net.sink
     parent, queue, head = [-1] * (net.n + 1), [s], 0
     parent[s] = 0

@@ -88,6 +88,11 @@ MUTANTS = {
         "values = [lam[face] for face in reversed(self._faces)]"),
     "push-relabel's relabel leaves out the + 1 above the lowest residual neighbour": (
         "solvers.py", "        d[v] = new = low + 1\n", "        d[v] = new = low\n"),
+    "the greedy start takes a left vertex's highest free neighbour": (
+        "apps.py", "    for (i, j) in g.edges:\n",
+        "    for (i, j) in sorted(g.edges, key=lambda e: (e[0], -e[1])):\n"),
+    "edmonds_karp ignores its starting flow": (
+        "solvers.py", "res = ResidualGraph(net, flow)", "res = ResidualGraph(net)"),
 }
 
 

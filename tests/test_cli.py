@@ -328,6 +328,19 @@ def test_matching_names_the_p_line_of_a_wrong_edge_count(capsys, tmp_path, text,
     assert (code, out, got) == (2, "", f"error: {err}\n")
 
 
+@pytest.mark.parametrize("text, err", [
+    ("p matching 2 2\ne 1 1\ne 1 1\n", "line 3: duplicate edge (1, 1)"),
+    ("p matching 3 2\ne 1 1\nc the left side has 3 vertices\ne 4 1\n",
+     "line 4: edge (4, 1) out of range"),
+    ("p matching 2 1\ne 2 0\n", "line 2: edge (2, 0) out of range"),
+], ids=["duplicate", "left-out-of-range", "right-out-of-range"])
+def test_matching_names_the_e_line_of_a_bad_edge(capsys, tmp_path, text, err):
+    path = tmp_path / "graph.txt"
+    path.write_text(text)
+    code, out, got = run(capsys, "matching", str(path))
+    assert (code, out, got) == (2, "", f"error: {err}\n")
+
+
 def test_chains(capsys, tmp_path):
     path = tmp_path / "poset.txt"
     path.write_text("el b\nel x\nel y\nel t\nbottom b\ntop t\n"
@@ -348,6 +361,18 @@ def test_chains_rejects_a_repeated_bottom_or_top(capsys, tmp_path, kind, records
     code, out, err = run(capsys, "chains", str(path))
     assert code == 2 and out == ""
     assert err == f"error: line {line}: duplicate {kind} line\n"
+
+
+@pytest.mark.parametrize("records, err", [
+    ("cover a x\n", "line 6: unknown element in pair (a, x)"),
+    ("cover a a\n", "line 6: reflexive pair (a, a)"),
+    ("el b\n", "line 6: duplicate element b"),
+], ids=["unknown", "reflexive", "duplicate"])
+def test_chains_names_the_line_of_a_bad_element_or_pair(capsys, tmp_path, records, err):
+    path = tmp_path / "poset.txt"
+    path.write_text("el a\nel b\nbottom a\ntop b\ncover a b\n" + records)
+    code, out, got = run(capsys, "chains", str(path))
+    assert (code, out, got) == (2, "", f"error: {err}\n")
 
 
 def test_segment(capsys, tmp_path):

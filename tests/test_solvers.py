@@ -11,12 +11,23 @@ import pytest
 
 from conftest import make_random_network, seeded_networks
 from flowkit import solvers
-from flowkit.apps import grid_neighbor_pairs
+from flowkit.apps import (
+    BipartiteGraph,
+    PerfectMatching,
+    _greedy_start,
+    _matching_network,
+    _segment_network,
+    _segment_start,
+    grid_neighbor_pairs,
+    image_from_pgm,
+    perfect_matching,
+)
 from flowkit.decompose import min_cut_from_flow
 from flowkit.lp import build_dual, build_primal, simplex_solve
 from flowkit.network import (
     NetworkError,
     ResidualGraph,
+    ScaledFlow,
     Violation,
     build_network,
     cut_capacity,
@@ -203,6 +214,89 @@ def test_resumed_searches_find_the_paths_of_fresh_ones(augmenting_paths):
 def test_resumed_searches_on_hand_built_bottlenecks(augmenting_paths, label, n, arcs, want):
     assert _same_run_as_fresh_searches(build_network(n, 1, n, arcs),
                                        augmenting_paths)[0] == want
+
+
+def _first_phase_skipped(net, start, length, paths):
+    """Edmonds-Karp from `start` against its run from the zero flow, whose
+    paths with `length` arcs come first: the run from `start` makes the
+    zero start's later paths, and only those, and ends in the same flow,
+    value and cut.  Returns the number of paths it skipped."""
+    paths.clear()
+    zero = edmonds_karp(net)
+    every = list(paths)
+    skipped = sum(len(p) == length + 1 for p in every)
+    assert all(len(p) == length + 1 for p in every[:skipped])
+    paths.clear()
+    started = edmonds_karp(net, flow=start)
+    assert paths == every[skipped:]
+    assert (started.scaled, started.value, started.cut) == (zero.scaled, zero.value, zero.cut)
+    assert zero.stats["augmentations"] == started.stats["augmentations"] + skipped
+    return skipped
+
+
+def bipartite_graphs():
+    """Two seeded graphs per n = 0, 4, ..., 80, about four edges per left:
+    one with a perfect matching planted, and one that violates Hall's
+    condition, where k lefts see only k - 1 rights."""
+    for n in range(0, 81, 4):
+        rng = random.Random(n)
+        planted = list(range(1, n + 1))
+        rng.shuffle(planted)
+        edges = {(i, j) for i in range(1, n + 1) for j in range(1, n + 1)
+                 if j == planted[i - 1] or rng.random() < 4 / n}
+        yield True, BipartiteGraph(n, sorted(edges))
+        if n:
+            k = rng.randint(1, min(n, 6))
+            crowded, few = rng.sample(range(1, n + 1), k), rng.sample(range(1, n + 1), k - 1)
+            yield False, BipartiteGraph(n, sorted((i, j) for (i, j) in edges
+                                                  if i not in crowded or j in few))
+
+
+def test_greedy_matching_is_the_first_phase_of_edmonds_karp(augmenting_paths):
+    skipped = 0
+    for perfect, g in bipartite_graphs():
+        net = _matching_network(g)
+        skipped += _first_phase_skipped(net, _greedy_start(g), 3, augmenting_paths)
+        assert isinstance(perfect_matching(g), PerfectMatching) == perfect, g.n
+    assert skipped > 1000
+
+
+def test_segment_start_is_the_first_phase_of_edmonds_karp(augmenting_paths):
+    rng = random.Random(31)
+    skipped = 0
+    for (width, height) in [(1, 1), (1, 16), (16, 1), (2, 3), (5, 4), (8, 8), (11, 7),
+                            (16, 16)]:
+        for maxval in (1, 4, 255):
+            levels = [rng.choice((0, maxval, rng.randint(0, maxval)))
+                      for _ in range(width * height)]
+            text = f"P2 {width} {height} {maxval} " + " ".join(map(str, levels))
+            img = image_from_pgm(text, rng.choice(("0", "1/10", "1/3", "1")))
+            paths = _first_phase_skipped(_segment_network(img), _segment_start(img), 2,
+                                         augmenting_paths)
+            # a pixel at 0 or at maxval has no room on one of its two arcs
+            assert paths == sum(0 < g < maxval for g in levels)
+            skipped += paths
+    assert skipped > 200
+
+
+def test_edmonds_karp_from_a_maximum_flow_makes_no_augmentation():
+    for label, net in seeded_networks(200):
+        for solver in (edmonds_karp, push_relabel):
+            best = solver(net)
+            again = edmonds_karp(net, instrumented=True, flow=best.scaled)
+            assert again.stats["augmentations"] == 0, label
+            assert (again.scaled, again.value, again.cut) == (best.scaled, best.value, best.cut)
+
+
+def test_edmonds_karp_refuses_an_invalid_start(g1):
+    # arc (1, 2) has capacity 3, and 2 keeps the 4 units it gets
+    start = ScaledFlow((((1, 2), 4),), 1)
+    with pytest.raises(InvariantViolation) as err:
+        edmonds_karp(g1, instrumented=True, flow=start)
+    assert (err.value.invariant, err.value.step) == ("flow", "start")
+    with pytest.raises(InvariantViolation) as err:
+        edmonds_karp(g1, flow=start)
+    assert err.value.invariant == "certificate"
 
 
 def _pinned(result):
