@@ -140,10 +140,12 @@ class Poset:
     """Finite poset with distinct bottom and top.
 
     Built from strict-order pairs (covers or any relation; the transitive
-    closure is taken on ingest).  Raises NotPartialOrder on cycles, on a
-    repeated element, and on a pair that is reflexive or names an unknown
-    element; the last three carry ``at``: ``("elements", k)`` for the
-    later copy of a repeated element, ``("relation", k)`` for a pair.
+    closure is taken on ingest).  Raises NotPartialOrder on a repeated
+    element, on a pair that is reflexive or names an unknown element, and
+    on a cycle, and NotBounded on a `bottom` or `top` that names no
+    element.  Each carries ``at``: ``("elements", k)`` for the later copy
+    of a repeated element, ``("relation", k)`` for a pair (for a cycle,
+    one pair on it), ``("bottom", 0)`` or ``("top", 0)``.
     """
 
     __slots__ = ("elements", "less", "bottom", "top", "_order")
@@ -162,6 +164,9 @@ class Poset:
             if a == b:
                 raise NotPartialOrder(f"reflexive pair ({a}, {b})", ("relation", k))
             above[a].add(b)
+        for role, name in (("bottom", bottom), ("top", top)):
+            if name is not None and name not in order:
+                raise NotBounded(f"unknown {role} element {name}", (role, 0))
         # transitive closure: one depth-first search per element
         less = set()
         for a in self.elements:
@@ -173,7 +178,8 @@ class Poset:
                     seen.add(b)
                     stack.extend(above[b])
             if a in seen:
-                raise NotPartialOrder("relation contains a cycle")
+                raise NotPartialOrder(f"relation contains a cycle through {a}",
+                                      ("relation", _pair_on_cycle(a, relation, above)))
             less.update((a, b) for b in seen)
         self.less = frozenset(less)
         self._order = order
@@ -209,6 +215,22 @@ class Poset:
                         for x in self.elements)
                 and all(x == self.top or (x, self.top) in self.less
                         for x in self.elements))
+
+
+def _pair_on_cycle(a, relation, above):
+    """The index of the first pair (a, b) of `relation` from which a can be
+    reached along `above`, so that the pair lies on a cycle through a.
+    Called only once a cycle through a is known."""
+    for k, (x, b) in enumerate(relation):
+        if x == a:
+            seen, stack = set(), [b]
+            while stack:
+                v = stack.pop()
+                if v == a:
+                    return k
+                if v not in seen:
+                    seen.add(v)
+                    stack.extend(above[v])
 
 
 def max_disjoint_chains(p):
@@ -443,12 +465,15 @@ def write_pbm(width, height, foreground):
 def read_poset(text):
     """`el <name>`, `cover <a> <b>`, `bottom <name>` and `top <name>` lines.
 
-    A repeated element is an error at its later `el` line, and a pair that
-    is reflexive or names an unknown element at its `cover` line.
+    A repeated element is an error at its later `el` line, a pair that is
+    reflexive or names an unknown element at its `cover` line, a cycle at
+    the `cover` line of one of its pairs, and a `bottom` or `top` that
+    names no element at its own line.
     """
     elements, el_lines = [], []
     pairs, cover_lines = [], []
     bottom = top = None
+    lines = {"elements": el_lines, "relation": cover_lines}
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
@@ -463,21 +488,18 @@ def read_poset(text):
         elif fields[0] == "bottom" and len(fields) == 2:
             if bottom is not None:
                 raise ParseError("duplicate bottom line", line_no)
-            bottom = fields[1]
+            bottom, lines["bottom"] = fields[1], [line_no]
         elif fields[0] == "top" and len(fields) == 2:
             if top is not None:
                 raise ParseError("duplicate top line", line_no)
-            top = fields[1]
+            top, lines["top"] = fields[1], [line_no]
         else:
             raise ParseError(f"unknown record {line!r}", line_no)
     try:
         return Poset(elements, pairs, bottom=bottom, top=top)
-    except NotPartialOrder as exc:
-        line_no = None
-        if exc.at is not None:
-            where, k = exc.at
-            line_no = (el_lines if where == "elements" else cover_lines)[k]
-        raise ParseError(str(exc), line_no)
+    except (NotPartialOrder, NotBounded) as exc:
+        where, k = exc.at
+        raise ParseError(str(exc), lines[where][k])
 
 
 def read_bipartite(text):

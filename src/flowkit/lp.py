@@ -259,11 +259,19 @@ def _simplex(objective, ub_rows=(), ub_bounds=(), eq_rows=(), eq_bounds=(), uppe
 
     A row with a negative bound is negated.  Each row starts on a unit
     column: its slack (ub rows with a bound >= 0), else an artificial.
-    Phase 1 runs only if an artificial starts above 0.  After it, every
-    artificial is bounded by 0 and stays basic until a step of length 0
-    moves it out.  Scaling a row and the columns only it uses moves no
-    pivot of the rational tableau, provided phase 1 charges artificial i the
-    reciprocal of its row's scale.
+    The artificials are counted first, so each row is built once in its
+    final layout: structural columns, slacks, artificials, right-hand
+    side.  The unit starting basis is priced out without a pivot.  Every
+    starting column costs 0 in phase 2, so that row needs nothing.  Phase 1
+    charges artificial i -(unit // lam_i), where lam_i is its row's scale
+    and unit the LCM of those scales; pricing out row i adds unit // lam_i
+    times the row, so the phase-1 row is that weighted sum of the
+    artificial rows, with 0 on the artificial columns.  Phase 1 runs only
+    if an artificial starts above 0.  After it, every artificial is
+    bounded by 0 and stays basic until a step of length 0 moves it out.
+    Scaling a row and the columns only it uses moves no pivot of the
+    rational tableau, provided phase 1 charges artificial i the reciprocal
+    of its row's scale, as these weights do.
     """
     nvars = len(objective)
     bound = list(upper) + [None] * (nvars - len(upper))
@@ -296,44 +304,43 @@ def _simplex(objective, ub_rows=(), ub_bounds=(), eq_rows=(), eq_bounds=(), uppe
 
     rhs_scale = math.lcm(*[u.denominator for u in bound if u is not None])
     nslack = sum(1 for entry in entries if not entry[2])
+    first_art = nvars + nslack
+    total = first_art + sum(1 for full, _, eq, _, _ in entries if eq or full[-1] < 0)
+    pad = [0] * (total - nvars)  # the slack and artificial cells of a row
     tableau = []
     basis = []
     art_scales = {}
-    slacks = nvars
+    slack, art = nvars, first_art
     for full, lam, eq, _, _ in entries:
-        sign = -1 if full[-1] < 0 else 1
-        row = [sign * x for x in full[:-1]] + [0] * nslack
-        row.append(sign * full[-1] * rhs_scale)
-        start = None
+        b = full[-1]
+        row = (full[:-1] if b >= 0 else [-x for x in full[:-1]]) + pad
+        row.append(abs(b) * rhs_scale)
+        start = slack
         if not eq:
-            row[slacks] = sign
-            start = slacks if sign > 0 else None
-            slacks += 1
-        if start is None:
-            start = nvars + nslack + len(art_scales)
-            art_scales[start] = lam
+            row[slack] = 1 if b >= 0 else -1
+            slack += 1
+        if eq or b < 0:
+            start = art
+            row[art] = 1
+            art_scales[art] = lam
+            art += 1
         basis.append(start)
         tableau.append(row)
-    first_art = nvars + nslack
-    total = first_art + len(art_scales)
-    for row, col in zip(tableau, basis):  # the artificial columns, now that they are counted
-        arts = [0] * len(art_scales)
-        if col >= first_art:
-            arts[col - first_art] = 1
-        row[-1:-1] = arts
     limits = [None if u is None else u.numerator * (rhs_scale // u.denominator) for u in bound]
     limits += [None] * (total - nvars)
     flipped = set()
 
+    # the starting basis priced out: nothing in phase 2, and in phase 1 the
+    # artificial rows weighted by unit // lam, 0 on their own columns
     costs, cost_scale = scaled([*objective])
     obj_rows = [costs + [0] * (total - nvars + 1)]
-    if any(row[-1] > 0 for row, col in zip(tableau, basis) if col in art_scales):
+    if any(row[-1] > 0 for row, col in zip(tableau, basis) if col >= first_art):
         unit = math.lcm(*art_scales.values())
-        obj_rows.insert(0, [0] * (total + 1))
-        for art, lam in art_scales.items():
-            obj_rows[0][art] = -(unit // lam)
-    for row, col in zip(tableau, basis):  # price out the unit starting basis
-        _pivot(obj_rows, row, col, 1)
+        weighted = [row if art_scales[col] == unit else [unit // art_scales[col] * x for x in row]
+                    for row, col in zip(tableau, basis) if col >= first_art]
+        phase1 = list(map(sum, zip(*weighted)))
+        phase1[first_art:total] = [0] * (total - first_art)
+        obj_rows.insert(0, phase1)
     starts = basis[:]
 
     d = 1
@@ -351,7 +358,8 @@ def _simplex(objective, ub_rows=(), ub_bounds=(), eq_rows=(), eq_bounds=(), uppe
     if status == "unbounded":
         return "unbounded", None, None
     scale = d * rhs_scale
-    point = [Fraction(limits[j], rhs_scale) if j in flipped else Fraction(0) for j in range(nvars)]
+    zero = Fraction(0)  # one, shared by every variable at 0
+    point = [Fraction(limits[j], rhs_scale) if j in flipped else zero for j in range(nvars)]
     for row, col in zip(tableau, basis):
         if col < nvars:
             x = row[-1]

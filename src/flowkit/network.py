@@ -422,7 +422,10 @@ class ResidualGraph:
     in the same units, in arc order, so the flow on arc i is
     ``caps[i] - r(u, v)``: the network's own `ints` and `scale` when no
     flow is given.  `push` and `augment` work in these units, and `flow`
-    reads the flow back as a :class:`ScaledFlow`.
+    reads the flow back as a :class:`ScaledFlow`.  A pair of the given flow
+    that is not an arc of `net`, its reverse included, raises
+    :class:`InvalidFlow` with the "capacity" violation :func:`validate`
+    reports for it; nothing else about the flow is checked here.
     """
 
     __slots__ = ("net", "scale", "caps", "r")
@@ -447,6 +450,8 @@ class ResidualGraph:
         if flow is not None:
             k = scale // flow.scale
             for (u, v), x in flow.pairs:
+                if not net.has_arc(u, v):  # as `validate` reports a pair off the arcs
+                    raise InvalidFlow([Violation("capacity", (u, v), Fraction(x, flow.scale))])
                 r[u][v] -= x * k
                 r[v][u] += x * k
         self.r = r

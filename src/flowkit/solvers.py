@@ -149,7 +149,9 @@ def edmonds_karp(net, instrumented=False, flow=None):
     :func:`flowkit.apps.perfect_matching` and
     :func:`flowkit.apps.segment_image`).  The start is not checked up
     front: :func:`_certified` checks the whole final flow, and an
-    instrumented run checks the start before its first augmentation.
+    instrumented run checks the start before its first augmentation.  A
+    pair that is not an arc raises :class:`~flowkit.network.InvalidFlow` at
+    once, from :class:`ResidualGraph`.
 
     Each search resumes the last one at the first arc its augmentation
     saturated, keeping what was reached before, and stops at the first

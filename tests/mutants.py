@@ -73,6 +73,10 @@ MUTANTS = {
         "lp.py",
         "(cand[0] * step[1], cand[2]) < (step[0] * cand[1], step[2])",
         "(cand[0] * step[1], -cand[2]) < (step[0] * cand[1], -step[2])"),
+    "phase-1 pricing weighs every artificial row by 1": (
+        "lp.py", "[unit // art_scales[col] * x for x in row]", "row"),
+    "phase-1 pricing leaves the artificial columns' costs in place": (
+        "lp.py", "        phase1[first_art:total] = [0] * (total - first_art)\n", ""),
     "make_lp truncates a non-integral cell to int": (
         "lp.py", "    return x.numerator if x.denominator == 1 else x\n", "    return int(x)\n"),
     "certify skips the int cells of a row": (

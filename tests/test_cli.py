@@ -375,6 +375,25 @@ def test_chains_names_the_line_of_a_bad_element_or_pair(capsys, tmp_path, record
     assert (code, out, got) == (2, "", f"error: {err}\n")
 
 
+@pytest.mark.parametrize("records, err", [
+    ("bottom x\ntop b\n", "line 3: unknown bottom element x"),
+    ("bottom a\ntop y\n", "line 4: unknown top element y"),
+], ids=["bottom", "top"])
+def test_chains_names_the_line_of_an_unknown_bottom_or_top(capsys, tmp_path, records, err):
+    path = tmp_path / "poset.txt"
+    path.write_text("el a\nel b\n" + records + "cover a b\n")
+    code, out, got = run(capsys, "chains", str(path))
+    assert (code, out, got) == (2, "", f"error: {err}\n")
+
+
+def test_chains_names_a_cover_line_on_a_cycle(capsys, tmp_path):
+    # a < b is no part of the cycle b < c < b, so line 6 is not named
+    path = tmp_path / "poset.txt"
+    path.write_text("el a\nel b\nel c\nbottom a\ntop c\ncover a b\ncover b c\ncover c b\n")
+    code, out, got = run(capsys, "chains", str(path))
+    assert (code, out, got) == (2, "", "error: line 7: relation contains a cycle through b\n")
+
+
 def test_segment(capsys, tmp_path):
     path = tmp_path / "img.pgm"
     path.write_text("P2\n2 1\n10\n9 1\n")

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -421,6 +422,40 @@ def test_pivots_match_the_dense_formula(monkeypatch):
         n = rng.randint(3, 7)
         det_int([[rng.choice((-1, 0, 0, 1, 2)) for _ in range(n)] for _ in range(n)])
     assert len(kinds) == 4 and min(kinds.values()) >= 100, kinds
+
+
+# sha256 of `(status, point, multipliers)` of `_simplex` on the 2,400
+# programs of `test_simplex_results_are_pinned`, as the simplex gave them
+# when each starting column was priced out by its own pivot
+PINNED_SIMPLEX = "fb03e1673ff27852e4288a1331b8426cee148cd238c104b6c56b4439557922ff"
+
+
+def test_simplex_results_are_pinned():
+    """Every status, point and multiplier of 2,400 seeded bounded-form
+    programs is the recorded one, so a change to the tableau's set-up that
+    moves any pivot fails here.  The tally shows that the programs have
+    every row kind `_simplex` reads, `upper` entries as ints and as
+    Fractions, and all three outcomes."""
+    rng = random.Random(20261020)
+    kinds, results = Counter(), []
+    for _ in range(2400):
+        objective, ub_rows, ub_bounds, eq_rows, eq_bounds, upper = _random_bounded_program(rng)
+        upper = [int(u) if u is not None and u.denominator == 1 and rng.random() < 0.5 else u
+                 for u in upper]
+        status, point, dual = lp_module._simplex(objective, ub_rows, ub_bounds, eq_rows,
+                                                 eq_bounds, upper)
+        results.append((status, point, dual and dual()))
+        kinds[status] += 1
+        kinds["negative ub bound"] += any(b < 0 for b in ub_bounds)
+        kinds["opposite pair"] += any([-a for a in row] in ub_rows for row in ub_rows)
+        kinds["bound row"] += any(sum(1 for a in row if a) == 1 for row in ub_rows)
+        kinds["eq row"] += bool(eq_rows)
+        kinds["int upper"] += any(type(u) is int for u in upper)
+        kinds["Fraction upper"] += any(isinstance(u, Fraction) for u in upper)
+    assert min(kinds[kind] for kind in (
+        "optimal", "unbounded", "infeasible", "negative ub bound", "opposite pair",
+        "bound row", "eq row", "int upper", "Fraction upper")) >= 100, kinds
+    assert hashlib.sha256(repr(results).encode()).hexdigest() == PINNED_SIMPLEX
 
 
 def test_certify_rejects_a_wrong_certificate():

@@ -25,6 +25,7 @@ from flowkit.apps import (
 from flowkit.decompose import min_cut_from_flow
 from flowkit.lp import build_dual, build_primal, simplex_solve
 from flowkit.network import (
+    InvalidFlow,
     NetworkError,
     ResidualGraph,
     ScaledFlow,
@@ -297,6 +298,17 @@ def test_edmonds_karp_refuses_an_invalid_start(g1):
     with pytest.raises(InvariantViolation) as err:
         edmonds_karp(g1, flow=start)
     assert err.value.invariant == "certificate"
+
+
+@pytest.mark.parametrize("pair", [(1, 4), (2, 1)], ids=["no arc", "reverse of an arc"])
+def test_edmonds_karp_refuses_a_start_off_the_arcs(g1, pair):
+    # the violation `validate` reports first, raised before any search
+    start = ScaledFlow(((pair, 1),), 2)
+    want = [Violation("capacity", pair, Fraction(1, 2))]
+    assert validate(g1, start, "flow")[:1] == want
+    with pytest.raises(InvalidFlow) as err:
+        edmonds_karp(g1, flow=start)
+    assert err.value.violations == want
 
 
 def _pinned(result):
