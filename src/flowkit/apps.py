@@ -102,22 +102,18 @@ def perfect_matching(g):
     accounting forces |N(S)| < |S| whenever the maximum flow is below n.
 
     Edmonds-Karp starts from :func:`_greedy_start`, the flow its first
-    phase reaches, so it skips that phase's searches.  A resumed search
-    finds what a fresh one does (:func:`flowkit.network._bfs`), so take a
-    fresh search on the residual graph of a partial greedy matching.  Row
-    s lists the lefts in index order, with room to the unmatched ones
-    only, and no left has an arc into t, so the search reaches every
-    unmatched left before it scans any row but s.  It then scans their
-    rows in index order, all of them before any right row, since rights
-    are reached only from left rows and matched lefts only from right
-    rows.  A right with room into t is free and triggers the look-ahead
-    where it is first reached, so every right reached before it is
-    matched.  Hence the search returns s, i, n+j, t, where i is the
-    lowest unmatched left with a free neighbour and j its lowest free
-    neighbour: the greedy's next pair, as a left that finds no free
-    neighbour at its turn never finds one later, rights only being taken.
-    When no unmatched left has a free neighbour, the shortest path has
-    length at least 5 and the phase of length-3 paths is over.  So the run
+    phase reaches, so it skips that phase.  Each of its paths is the
+    least shortest s-t path, comparing paths as vertex sequences
+    (:func:`flowkit.solvers.edmonds_karp`).  Take the residual graph of a
+    partial greedy matching.  Row s holds only the lefts, and no left has
+    an arc into t, so a path with 3 arcs is s, i, n+j, t: room on s -> i
+    makes the left i unmatched, room on n+j -> t makes the right j free,
+    and (i, j) is an edge.  The least of them takes the lowest unmatched
+    left i with a free neighbour, and j its lowest free neighbour: the
+    greedy's next pair, as a left that finds no free neighbour at its
+    turn never finds one later, rights only being taken.  When no
+    unmatched left has a free neighbour, no path with 3 arcs is left and
+    the phase is over.  So the run
     from the greedy flow makes the same later augmentations on the same
     residual graphs, one per greedy pair fewer, and ends in the same flow
     and cut: the pairs and the Hall witness do not change.
@@ -142,10 +138,14 @@ class Poset:
     Built from strict-order pairs (covers or any relation; the transitive
     closure is taken on ingest).  Raises NotPartialOrder on a repeated
     element, on a pair that is reflexive or names an unknown element, and
-    on a cycle, and NotBounded on a `bottom` or `top` that names no
-    element.  Each carries ``at``: ``("elements", k)`` for the later copy
-    of a repeated element, ``("relation", k)`` for a pair (for a cycle,
-    one pair on it), ``("bottom", 0)`` or ``("top", 0)``.
+    on a cycle.  It raises NotBounded on a `bottom` or `top` that names no
+    element, on a given top equal to the given bottom, and on the first
+    element, in element order, that is not above a given bottom or not
+    below a given top.  Each carries ``at``: ``("elements", k)`` for the
+    later copy of a repeated element or for the element out of bounds,
+    ``("relation", k)`` for a pair (for a cycle, one pair on it),
+    ``("bottom", 0)`` or ``("top", 0)``, the top for a top equal to the
+    bottom.
     """
 
     __slots__ = ("elements", "less", "bottom", "top", "_order")
@@ -181,6 +181,14 @@ class Poset:
                 raise NotPartialOrder(f"relation contains a cycle through {a}",
                                       ("relation", _pair_on_cycle(a, relation, above)))
             less.update((a, b) for b in seen)
+        if bottom is not None and bottom == top:
+            raise NotBounded(f"bottom and top are the same element {top}", ("top", 0))
+        for k, x in enumerate(self.elements):
+            if bottom is not None and x != bottom and (bottom, x) not in less:
+                raise NotBounded(f"element {x} is not above the bottom {bottom}",
+                                 ("elements", k))
+            if top is not None and x != top and (x, top) not in less:
+                raise NotBounded(f"element {x} is not below the top {top}", ("elements", k))
         self.less = frozenset(less)
         self._order = order
         self.bottom = bottom if bottom is not None else self._find_bottom()
@@ -369,11 +377,11 @@ def segment_image(img):
 
     Edmonds-Karp starts from :func:`_segment_start`, the flow its phase of
     length-2 paths reaches.  Those paths are s -> v -> t, as no arc joins
-    s to t, and a fresh search (which a resumed one matches,
-    :func:`flowkit.network._bfs`) scans row s, the pixels in index order,
-    and returns the first pixel with room on both of its arcs.  Its
+    s to t, and each path Edmonds-Karp takes is the least shortest one as
+    a vertex sequence (:func:`flowkit.solvers.edmonds_karp`): the one
+    through the lowest pixel with room on both of its arcs.  Its
     augmentation pushes min(fg, bg) and saturates one of the two, so each
-    pixel is taken once, in row-s order, and the phase ends with
+    pixel is taken once, in index order, and the phase ends with
     min(fg, bg) on each pixel's two arcs.  The run from that flow makes the
     same later augmentations, one per pixel with min(fg, bg) > 0 fewer,
     and ends in the same flow and cut.
@@ -468,7 +476,9 @@ def read_poset(text):
     A repeated element is an error at its later `el` line, a pair that is
     reflexive or names an unknown element at its `cover` line, a cycle at
     the `cover` line of one of its pairs, and a `bottom` or `top` that
-    names no element at its own line.
+    names no element at its own line.  A `top` equal to the `bottom` is
+    an error at the `top` line, and the first element not above the
+    bottom or not below the top at its `el` line.
     """
     elements, el_lines = [], []
     pairs, cover_lines = [], []

@@ -46,8 +46,10 @@ and the network keeps no other; as no arc enters s or leaves t, rows s
 and t list the arcs out of s and into t.  The one breadth-first search
 scans it in order, so every solver breaks ties by lowest index, and no
 lookup builds a pair key.  The search stops at the first reached vertex
-with room into the target, and Edmonds-Karp resumes it from a kept state
-instead of starting it afresh; see :func:`_bfs`.
+with room into the target; see :func:`_bfs`.  It gives every solver's
+final cut and the paths of :mod:`flowkit.decompose`.  Edmonds-Karp finds
+its paths without it, a phase at a time, by walking the same rows in the
+same order (:func:`flowkit.solvers.edmonds_karp`).
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import NamedTuple
 
 from .values import (
@@ -304,7 +305,7 @@ class Cut:
     source_side: frozenset
 
 
-def _bfs(origin, target, r, parent=None, queue=None, head=0):
+def _bfs(origin, target, r):
     """Breadth-first search from `origin` to `target`.  `r[u]` maps u's
     candidate heads, in increasing index order, to amounts; the step to v
     is admissible when `r[u][v] > 0`.  The vertices are 1..n, the keys of
@@ -327,57 +328,13 @@ def _bfs(origin, target, r, parent=None, queue=None, head=0):
     they return the same path; a failed search finds no such vertex, so
     both reach the same set.  Only the state after a success is shorter:
     the look-ahead search does not scan the rows in between.
-
-    Given a kept `parent` and `queue`, the search resumes instead: it
-    scans the rows of ``queue[head:]`` and extends both in place (the
-    origin is then ``queue[0]``).  Edmonds-Karp keeps them across
-    augmentations.  After it augments along the path p[0] .. p[d] that
-    the search returned, let (p[i], p[i+1]) be the first path arc the
-    augmentation saturated.  It cuts both back to the vertices reached
-    before p[i+1] and resumes at the row that reached p[i+1]: p[i] when
-    i <= d-2, p[d-2] when i = d-1 (the look-ahead found the target while
-    scanning row p[d-2], on reaching p[d-1]), and the origin, head 0, when
-    the path is [p[0], p[1]].  This gives the path and the reached set
-    that a fresh search from p[0] gives on the new residual:
-
-    * The reach order rises along the path: p[j+1] is reached while row
-      p[j] is scanned, a row is scanned only after its vertex is reached,
-      and the target comes last, right after p[d-1].
-    * The augmentation changed only the path arcs (p[j], p[j+1]), which
-      shrank, and their reverses (p[j+1], p[j]), which grew.  No arc into
-      the target grew, because no path uses an arc leaving the target.
-      So the look-ahead test of a kept vertex, false when it was reached,
-      stays false.
-    * So a fresh search makes the same reads, with the same outcomes, as
-      the old one did before it reached p[i+1].  A read of (p[j], p[j+1])
-      with j < i still finds room, as that arc was not saturated.  A read
-      of (p[j+1], p[j]) happens in row p[j+1], after p[j] was reached, so
-      its amount is never looked at.
-    * i <= d-2: just before the old search read (p[i], p[i+1]), it had
-      reached exactly the kept vertices, with the kept parents, and was
-      scanning row p[i].  The fresh search is in the same state at the
-      same read, and finds no room on (p[i], p[i+1]) now.  Rescanning row
-      p[i] from its start reaches nothing new before p[i+1]: those
-      entries are unchanged but for p[i-1], which is kept, and what they
-      reached the first time is kept.  From there both searches read the
-      same residual in the same state.
-    * i = d-1, d >= 2: the kept vertices are the ones reached up to
-      p[d-1], and the fresh search reaches them in the same order while
-      scanning row p[d-2], but its look-ahead at p[d-1] now fails.
-      Rescanning row p[d-2] from its start reaches nothing new up to
-      p[d-1] (kept), and the rest of the row is unread.  From there both
-      searches read the same residual in the same state.
-    * i = d-1, d = 1: only the origin is kept, and the search starts
-      over from it; its look-ahead fails, as (p[0], p[1]) is saturated.
     """
-    if parent is None:
-        parent, queue = [-1] * (len(r) + 1), [origin]
-        parent[origin] = 0
-    origin = queue[0]
+    parent, queue = [-1] * (len(r) + 1), [origin]
+    parent[origin] = 0
     if r[origin].get(target, 0) > 0:
         return _reached(target, origin, parent, queue)
     # a list iterator also yields the items appended while it runs
-    for u in islice(queue, head, None):
+    for u in queue:
         for v, x in r[u].items():
             if parent[v] < 0 and x > 0:
                 parent[v] = u
@@ -463,10 +420,9 @@ class ResidualGraph:
         self.r[u][v] -= delta
         self.r[v][u] += delta
 
-    def search(self, origin, target, parent=None, queue=None, head=0):
-        """Lowest-index breadth-first residual search, fresh or resumed;
-        see :func:`_bfs`."""
-        return _bfs(origin, target, self.r, parent, queue, head)
+    def search(self, origin, target):
+        """Lowest-index breadth-first residual search; see :func:`_bfs`."""
+        return _bfs(origin, target, self.r)
 
     def augment(self, path, limit=None):
         """Push the bottleneck (at most `limit`) along the path.

@@ -2,11 +2,13 @@
 
 * :func:`edmonds_karp` — augmenting paths, always choosing the
   lowest-index breadth-first shortest path in the residual graph, from
-  the zero flow or from a given valid flow.  Each search resumes the
-  last one at the first arc its augmentation saturated and stops at the
-  first reached vertex with room into t, which finds the path a fresh
-  textbook search would.  Matching and segmentation start it from the
-  flow its first phase would reach, written down directly.
+  the zero flow or from a given valid flow.  It finds the paths of one
+  length in one phase: a reverse breadth-first search labels each vertex
+  with its residual distance to t, and a walk along the arcs whose label
+  falls by one, keeping a current arc per vertex, meets them in the
+  order that fresh textbook searches would.  Matching and segmentation
+  start it from the flow its first phase would reach, written down
+  directly.
 * :func:`push_relabel` — FIFO preflow-push with distance labels, the gap
   heuristic and a two-sided global relabel (from t, then from s offset by
   n) at the start and after every n relabels.  Its discharge loop pushes
@@ -39,10 +41,10 @@ Nothing in flowkit reads that view; it is kept for the span tracer in
 Every solver ends in one certificate, read off its final residual graph
 in a single scaled-int pass over the arcs.  ``MaxflowResult.cut`` is the
 source side reached by a residual search from the source: Edmonds-Karp
-keeps the one of its last, failed search; push-relabel searches its
-final residual once; pseudoflow searches its core's residual after
-:func:`recover_flow` drains it in place and, when it solved the reversed
-network, after it is re-read on the one given.  The pass checks 0 <= f
+and push-relabel search their final residual once; pseudoflow searches
+its core's residual after :func:`recover_flow` drains it in place and,
+when it solved the reversed network, after it is re-read on the one
+given.  The pass checks 0 <= f
 <= c on every arc, conservation off s and t, s inside and t outside the
 cut, and that the value |f| equals the cut capacity (for pseudoflow, the
 only check of the recovered flow); this proves the flow maximal and the
@@ -145,7 +147,7 @@ def edmonds_karp(net, instrumented=False, flow=None):
     The run augments from `flow`, a :class:`ScaledFlow` that must be a
     valid flow on `net`, or from the zero flow when it is None.  A caller
     that knows the shortest paths of the first phase passes the flow they
-    carry, and the run skips their searches (see
+    carry, and the run skips that phase (see
     :func:`flowkit.apps.perfect_matching` and
     :func:`flowkit.apps.segment_image`).  The start is not checked up
     front: :func:`_certified` checks the whole final flow, and an
@@ -153,50 +155,127 @@ def edmonds_karp(net, instrumented=False, flow=None):
     pair that is not an arc raises :class:`~flowkit.network.InvalidFlow` at
     once, from :class:`ResidualGraph`.
 
-    Each search resumes the last one at the first arc its augmentation
-    saturated, keeping what was reached before, and stops at the first
-    reached vertex with room into t; this finds the same path as a fresh
-    lowest-index search (proof at :func:`flowkit.network._bfs`).
+    Each augmenting path is the lowest-index breadth-first path, the one a
+    fresh textbook search from s finds (its rows scanned in index order),
+    but the paths of one length are found in one phase (Dinic, Soviet
+    Math. Dokl. 11 (1970); Ahuja & Orlin, Naval Res. Logist. 38 (1991)):
 
-    The paths are shortest, so each of the 2m residual arcs is the
-    bottleneck of at most n/2 of them (Edmonds & Karp, J. ACM 19 (1972)),
-    and every augmentation saturates one: at most n * m augmentations.
-    The argument needs only that residual distances never fall, which
-    holds from any feasible start, so the budget holds from any `flow`.
-    A run that finds one more path than that raises
+    * A reverse breadth-first search labels each vertex v with d(v), its
+      residual distance to t, and stops once the layer that holds s is
+      complete; the run ends when it does not reach s.
+    * A walk starts at s and follows only admissible arcs, residual arcs
+      (u, w) with d(w) = d(u) - 1.  It scans each row in index order from
+      the vertex's current arc, which only moves forward in a phase.
+    * When the walk reaches t it augments along itself and is cut back to
+      the tail of the first arc the augmentation saturated.
+    * A vertex whose row has no admissible arc left is dead: its label is
+      cleared, so no arc into it is admissible for the rest of the phase,
+      and the walk steps back.  The phase ends when s dies.
+
+    These are Edmonds-Karp's paths, in its order:
+
+    * Compare paths as vertex sequences.  The lowest-index search reaches
+      the vertices at distance k from s in the order of their least
+      shortest paths, and its path to each is that least one: row s
+      reaches distance 1 in index order, and a vertex w at distance k + 1
+      is reached first from the earliest reached u at distance k with an
+      arc into w, whose least path followed by w is the least path to w.
+      So the search returns the least shortest s-t path (its look-ahead
+      changes no path, :func:`flowkit.network._bfs`).
+    * An augmentation along admissible arcs adds residual room only on
+      their reverses, which climb one label.  So in a phase the labels
+      stay valid, d(u) <= d(w) + 1 on every residual arc (u, w): every s-t
+      path has at least d(s) arcs, and one with d(s) arcs falls one label
+      at each.  The shortest paths, while some has d(s) arcs, are
+      therefore exactly the admissible s-t paths, and no arc or dead
+      vertex that the walk passed over becomes admissible again.
+    * The walk is a depth-first search of the admissible arcs, which
+      form an acyclic graph as labels fall along them; it tries each row
+      in index order, so it meets the least admissible s-t path first.
+      Its state after a cut is one that a fresh walk on the new residual
+      passes through: the entries behind each current arc are still not
+      admissible, and the kept walk is still admissible, as none of its
+      arcs was saturated.  So each path is the least shortest one, and
+      the next phase starts when none with d(s) arcs is left.
+
+    Work budget.  The paths are shortest, so each of the 2m residual arcs
+    is the bottleneck of at most n/2 of them (Edmonds & Karp, J. ACM 19
+    (1972)), and every augmentation saturates one: at most n * m
+    augmentations.  The argument needs only that residual distances never
+    fall, which holds from any feasible start, so the budget holds from
+    any `flow`.  Within a phase, each vertex dies at most once, and each
+    augmentation cuts at most n vertices off the walk.  Every vertex the
+    walk advances to leaves it in one of these two ways before the phase
+    ends, so a phase with k augmentations makes at most n * (k + 1)
+    advances.  A scan passes over entries of its row, at most 2m in the
+    phase as current arcs only move forward, and ends in one advance or
+    one death: at most 2m + n * (k + 2) steps in all.  One more
+    augmentation, or one more step in a phase, raises
     :class:`InvariantViolation` ("work budget") instead of looping on.
+    The final search from s gives the cut.
     """
     if instrumented and flow is not None:
         bad = validate(net, flow, "flow")
         if bad:
             raise InvariantViolation("flow", "start", bad)
     res = ResidualGraph(net, flow)
-    s, t = net.source, net.sink
-    parent, queue, head = [-1] * (net.n + 1), [s], 0
-    parent[s] = 0
-    augmentations, budget = 0, net.n * net.m
+    r = res.r
+    n, s, t = net.n, net.source, net.sink
+    rows = [()] + [tuple(r[v]) for v in net.vertices()]
+    augmentations, budget = 0, n * net.m
     while True:
-        path, _ = res.search(s, t, parent, queue, head)
-        if path is None:
+        d = [-1] * (n + 1)          # -1: unlabelled, or dead in this phase
+        d[t] = 0
+        frontier = [t]
+        while frontier and d[s] < 0:
+            ahead = []
+            for w in frontier:
+                for u in rows[w]:
+                    if d[u] < 0 and r[u][w] > 0:
+                        d[u] = d[w] + 1
+                        ahead.append(u)
+            frontier = ahead
+        if d[s] < 0:
             break
-        if augmentations == budget:
-            raise InvariantViolation("work budget", f"augmentation {budget + 1}",
-                                     [f"more than n * m = {budget} augmenting paths"])
-        _, i = res.augment(path)
-        # keep what was reached before path[i + 1] and rescan the row that
-        # reached it: path[i], or path[-3] when the arc into t saturated (the
-        # look-ahead found t inside that row), or row s for the path [s, t]
-        cut = queue.index(path[i + 1])
-        for v in queue[cut:]:
-            parent[v] = -1
-        del queue[cut:]
-        head = queue.index(path[min(i, max(len(path) - 3, 0))])
-        augmentations += 1
-        if instrumented:
-            bad = validate(net, res.flow(), "flow")
-            if bad:
-                raise InvariantViolation("flow", f"augmentation {augmentations}", bad)
-    return _certified(net, res, queue, {"augmentations": augmentations})
+        current = [0] * (n + 1)
+        walk = [s]
+        steps, limit = 0, 2 * net.m + 2 * n
+        while walk:
+            u = walk[-1]
+            if u == t:
+                if augmentations == budget:
+                    raise InvariantViolation("work budget", f"augmentation {budget + 1}",
+                                             [f"more than n * m = {budget} augmenting paths"])
+                _, i = res.augment(walk)
+                del walk[i + 1:]
+                augmentations += 1
+                limit += n
+                if instrumented:
+                    bad = validate(net, res.flow(), "flow")
+                    if bad:
+                        raise InvariantViolation("flow", f"augmentation {augmentations}", bad)
+                continue
+            row, ru, below = rows[u], r[u], d[u] - 1
+            i = start = current[u]
+            end = len(row)
+            while i < end:
+                w = row[i]
+                if d[w] == below and ru[w] > 0:
+                    break
+                i += 1
+            current[u] = i
+            steps += i - start + 1
+            if steps > limit:
+                raise InvariantViolation("work budget", f"augmentation {augmentations + 1}",
+                                         [f"more than {limit} walk steps in a phase, "
+                                          "2m + n(k + 2) for its k augmentations"])
+            if i < end:
+                walk.append(w)
+            else:
+                d[u] = -1           # dead for the rest of the phase
+                walk.pop()
+    _, reached = res.search(s, t)
+    return _certified(net, res, reached, {"augmentations": augmentations})
 
 
 # -- FIFO preflow-push ----------------------------------------------------

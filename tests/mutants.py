@@ -97,6 +97,11 @@ MUTANTS = {
         "    for (i, j) in sorted(g.edges, key=lambda e: (e[0], -e[1])):\n"),
     "edmonds_karp ignores its starting flow": (
         "solvers.py", "res = ResidualGraph(net, flow)", "res = ResidualGraph(net)"),
+    "a dead end is not marked dead": (
+        "solvers.py", "                d[u] = -1           # dead for the rest of the phase\n", ""),
+    "the walk tries a row's highest-index admissible arc first": (
+        "solvers.py", "rows = [()] + [tuple(r[v]) for v in net.vertices()]",
+        "rows = [()] + [tuple(reversed(r[v])) for v in net.vertices()]"),
 }
 
 

@@ -4,8 +4,8 @@ Nothing here calls the code path it is used to verify: minimum cuts come
 from raw subset enumeration over the arc list, total unimodularity from
 the row-subset signing criterion, ranks from a local Gaussian
 elimination, boundary signs from the alternating-sum definition, and so
-on; Edmonds-Karp's look-ahead, resumed searches are checked against
-fresh textbook ones.  Segmentation scores and costs are summed from
+on; the paths that Edmonds-Karp's phases walk are checked against fresh
+textbook searches.  Segmentation scores and costs are summed from
 their definitions over the Fraction dicts of an image, and `segment`'s
 output is rebuilt from Fraction capacities, without `PixelImage`'s ints.
 The enumeration oracles at the end take the library's own objects and
@@ -400,8 +400,8 @@ def textbook_search(r, origin, target):
 
 
 def edmonds_karp_fresh(net):
-    """Edmonds-Karp with a fresh textbook search from s every round, which
-    the solver's look-ahead, resumed searches must match.  Returns the
+    """Edmonds-Karp with a fresh textbook search from s every round, whose
+    paths the solver's phases must find in the same order.  Returns the
     flow, its value, the number of augmentations and the cut of the last
     search.  Like the solver, it fails past n * m augmentations, the
     Edmonds-Karp bound, rather than loop on a broken `augment`."""

@@ -386,6 +386,18 @@ def test_chains_names_the_line_of_an_unknown_bottom_or_top(capsys, tmp_path, rec
     assert (code, out, got) == (2, "", f"error: {err}\n")
 
 
+@pytest.mark.parametrize("records, err", [
+    ("bottom a\ntop c\ncover a c\n", "line 2: element b is not above the bottom a"),
+    ("bottom a\ntop c\ncover a b\ncover a c\n", "line 2: element b is not below the top c"),
+    ("bottom b\ntop b\ncover a b\ncover b c\n", "line 5: bottom and top are the same element b"),
+], ids=["not above the bottom", "not below the top", "bottom is top"])
+def test_chains_names_the_line_of_an_element_out_of_bounds(capsys, tmp_path, records, err):
+    path = tmp_path / "poset.txt"
+    path.write_text("el a\nel b\nel c\n" + records)
+    code, out, got = run(capsys, "chains", str(path))
+    assert (code, out, got) == (2, "", f"error: {err}\n")
+
+
 def test_chains_names_a_cover_line_on_a_cycle(capsys, tmp_path):
     # a < b is no part of the cycle b < c < b, so line 6 is not named
     path = tmp_path / "poset.txt"

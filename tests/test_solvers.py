@@ -1,6 +1,7 @@
 """The three maxflow algorithms and the blocking-cut machinery."""
 
 import hashlib
+import inspect
 import math
 import random
 import re
@@ -215,6 +216,56 @@ def test_resumed_searches_find_the_paths_of_fresh_ones(augmenting_paths):
 def test_resumed_searches_on_hand_built_bottlenecks(augmenting_paths, label, n, arcs, want):
     assert _same_run_as_fresh_searches(build_network(n, 1, n, arcs),
                                        augmenting_paths)[0] == want
+
+
+def layered_networks(count=800):
+    """`count` seeded layered networks: s, 6 to 12 layers of 4 to 7
+    vertices, t.  s feeds every vertex of the first layer and the last
+    layer feeds t, at 5 to 30; each vertex has arcs to 2 to 4 vertices of
+    the next layer, at 1 to 9.  Every other network has integer
+    capacities, the rest coprime-rational ones over 7, 11, ..., 23."""
+    for seed in range(count):
+        rng = random.Random(seed)
+        layers, width = rng.randint(6, 12), rng.randint(4, 7)
+        rational = seed % 2 == 1
+
+        def capacity(lo, hi):
+            if not rational:
+                return rng.randint(lo, hi)
+            q = rng.choice([7, 11, 13, 17, 19, 23])
+            return Fraction(rng.randint(lo * q, hi * q), q)
+
+        s, t = 1, layers * width + 2
+        first, last = range(2, 2 + width), range(t - width, t)
+        arcs = [(s, v, capacity(5, 30)) for v in first]
+        for u in range(2, t - width):
+            base = 2 + (u - 2) // width * width + width
+            arcs += [(u, base + k, capacity(1, 9))
+                     for k in sorted(rng.sample(range(width), rng.randint(2, 4)))]
+        arcs += [(v, t, capacity(5, 30)) for v in last]
+        yield f"{'rational' if rational else 'integer'} seed {seed}", build_network(t, s, t, arcs)
+
+
+def test_phases_find_the_paths_of_fresh_searches_on_layered_networks(augmenting_paths):
+    # a phase holds the paths of one length, as lengths only grow; after an
+    # augmentation cut back to path[i], i > 0, that vertex died unless the
+    # next path of the phase keeps path[: i + 1]
+    cases = Counter()
+    for label, net in layered_networks():
+        try:
+            fresh, saturated = _same_run_as_fresh_searches(net, augmenting_paths)
+        except AssertionError as exc:
+            raise AssertionError(label) from exc
+        lengths = Counter(map(len, fresh))
+        cases["phases with two or more paths"] += sum(k >= 2 for k in lengths.values())
+        cases["runs with three or more phases"] += len(lengths) >= 3
+        for path, i, after in zip(fresh, saturated, fresh[1:] + [()]):
+            if i:
+                cases["walks cut back to an inner vertex"] += 1
+                if len(after) != len(path) or after[:i + 1] != path[:i + 1]:
+                    cases["dead ends"] += 1
+    # the comparison is not vacuous: each case occurs at least 200 times
+    assert min(cases.values()) >= 200 and len(cases) == 4, cases
 
 
 def _first_phase_skipped(net, start, length, paths):
@@ -457,6 +508,25 @@ def test_edmonds_karp_stops_at_its_work_budget(monkeypatch):
     with pytest.raises(InvariantViolation) as info:
         edmonds_karp(net)
     assert info.value.invariant == "work budget" and info.value.step == "augmentation 7"
+
+
+def test_edmonds_karp_stops_at_its_walk_budget():
+    # the walk's steps cannot outrun its bound unless the walk itself is
+    # broken, so break a copy: a dead end left unmarked is walked into
+    # again and again.  The path 1, 2, 4 saturates (2, 4), 2 is a dead end,
+    # and 1 re-enters it; 2m + n(k + 2) = 20 steps are allowed with k = 1
+    dead = "                d[u] = -1           # dead for the rest of the phase\n"
+    source = inspect.getsource(solvers.edmonds_karp)
+    assert source.count(dead) == 1
+    namespace = dict(vars(solvers))
+    exec(compile(source.replace(dead, ""), solvers.__file__, "exec"), namespace)
+    net = build_network(4, 1, 4, [(1, 2, 2), (2, 4, 1), (1, 3, 1), (3, 4, 1)])
+    assert edmonds_karp(net).stats["augmentations"] == 2
+    with pytest.raises(InvariantViolation) as info:
+        namespace["edmonds_karp"](net)
+    assert (info.value.invariant, info.value.step) == ("work budget", "augmentation 2")
+    assert info.value.violations == [
+        "more than 20 walk steps in a phase, 2m + n(k + 2) for its k augmentations"]
 
 
 def test_push_relabel_stops_at_its_work_budget(monkeypatch):
