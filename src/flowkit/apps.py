@@ -141,11 +141,17 @@ class Poset:
     on a cycle.  It raises NotBounded on a `bottom` or `top` that names no
     element, on a given top equal to the given bottom, and on the first
     element, in element order, that is not above a given bottom or not
-    below a given top.  Each carries ``at``: ``("elements", k)`` for the
-    later copy of a repeated element or for the element out of bounds,
-    ``("relation", k)`` for a pair (for a cycle, one pair on it),
-    ``("bottom", 0)`` or ``("top", 0)``, the top for a top equal to the
-    bottom.
+    below a given top.  A bottom or top that is not given is found as the
+    one minimal or maximal element; NotBounded is raised at the second
+    one in element order when there are two or more, and at the only
+    element of a poset of one.  So every Poset has distinct bottom and
+    top, below and above every element.  Each error carries
+    ``at``: ``("elements", k)`` for the later copy of a repeated element,
+    for the element out of bounds, the second minimal or maximal one or
+    the only one, ``("relation", k)`` for a pair (for a cycle, one pair
+    on it), ``("bottom", 0)`` or ``("top", 0)``, the top for a top equal
+    to the bottom; a poset with no elements raises NotBounded without
+    ``at``.
     """
 
     __slots__ = ("elements", "less", "bottom", "top", "_order")
@@ -189,20 +195,30 @@ class Poset:
                                  ("elements", k))
             if top is not None and x != top and (x, top) not in less:
                 raise NotBounded(f"element {x} is not below the top {top}", ("elements", k))
+        if bottom is None:
+            bottom = self._bound({b for (_, b) in less}, "least", "minimal")
+        if top is None:
+            top = self._bound({a for (a, _) in less}, "greatest", "maximal")
+        if bottom == top:  # only a poset of one element gets here
+            raise NotBounded(f"bottom and top are the same element {top}", ("elements", 0))
         self.less = frozenset(less)
         self._order = order
-        self.bottom = bottom if bottom is not None else self._find_bottom()
-        self.top = top if top is not None else self._find_top()
+        self.bottom, self.top = bottom, top
 
-    def _find_bottom(self):
-        below = [e for e in self.elements
-                 if all(x == e or (e, x) in self.less for x in self.elements)]
-        return below[0] if len(below) == 1 else None
-
-    def _find_top(self):
-        above = [e for e in self.elements
-                 if all(x == e or (x, e) in self.less for x in self.elements)]
-        return above[0] if len(above) == 1 else None
+    def _bound(self, inner, bound, extreme):
+        """The one element not in `inner`, the elements with something
+        below (or above) them: in a finite order the one minimal (maximal)
+        element is the least (greatest).  Raises NotBounded at the second
+        such element in element order when there are two or more, and
+        without ``at`` when there are no elements."""
+        ends = [k for k, e in enumerate(self.elements) if e not in inner]
+        if not ends:
+            raise NotBounded(f"no {bound} element: the poset has no elements")
+        if len(ends) > 1:
+            a, b = self.elements[ends[0]], self.elements[ends[1]]
+            raise NotBounded(f"no {bound} element: {a} and {b} are both {extreme}",
+                             ("elements", ends[1]))
+        return self.elements[ends[0]]
 
     def covers(self):
         """Pairs (a, b) with a < b and nothing strictly between, in element
@@ -215,14 +231,6 @@ class Poset:
             heads = above[a].difference(*[above[z] for z in above[a]])
             out.extend((a, b) for b in sorted(heads, key=self._order.__getitem__))
         return out
-
-    def is_bounded(self):
-        return (self.bottom is not None and self.top is not None
-                and self.bottom != self.top
-                and all(x == self.bottom or (self.bottom, x) in self.less
-                        for x in self.elements)
-                and all(x == self.top or (x, self.top) in self.less
-                        for x in self.elements))
 
 
 def _pair_on_cycle(a, relation, above):
@@ -250,8 +258,6 @@ def max_disjoint_chains(p):
     Greedy chain peeling is deliberately avoided: it can get stuck below
     the maximum.
     """
-    if not p.is_bounded():
-        raise NotBounded("poset needs distinct bottom and top below/above everything")
     index = {e: i + 1 for i, e in enumerate(p.elements)}
     covers = p.covers()
     arcs = [(index[a], index[b], 1) for (a, b) in covers]
@@ -478,7 +484,9 @@ def read_poset(text):
     the `cover` line of one of its pairs, and a `bottom` or `top` that
     names no element at its own line.  A `top` equal to the `bottom` is
     an error at the `top` line, and the first element not above the
-    bottom or not below the top at its `el` line.
+    bottom or not below the top at its `el` line.  Without a `bottom` (or
+    `top`) line, a second minimal (maximal) element is an error at its
+    `el` line, and so is the element of a file with only one.
     """
     elements, el_lines = [], []
     pairs, cover_lines = [], []
@@ -508,6 +516,8 @@ def read_poset(text):
     try:
         return Poset(elements, pairs, bottom=bottom, top=top)
     except (NotPartialOrder, NotBounded) as exc:
+        if exc.at is None:  # a file with no `el` line
+            raise ParseError(str(exc))
         where, k = exc.at
         raise ParseError(str(exc), lines[where][k])
 

@@ -10,6 +10,14 @@ reduced denominators), and that is their only stored form:
 :func:`read_dimacs` reads capacity tokens straight to those ints, and
 :func:`cut_capacity` sums them.
 
+Input goes by columns where it can.  :func:`read_dimacs` reads a text in
+the layout :func:`write_dimacs` writes with one ``split`` and converts
+each column of `a` fields at once, and any other text line by line;
+:func:`build_network` checks an arc list as columns and runs its per-arc
+loop only when a check fails there.  Each fast path gives the network
+its loop gives, or leaves the input to the loop, which raises the error
+it always raised; the two docstrings prove it.
+
 A flow, a preflow and a pseudoflow are one kind of object, a function on
 the arcs, as the capacity is: a :class:`ScaledFlow`, the int x of each
 arc whose value x / scale is not zero, over one scale.  The role that
@@ -55,6 +63,8 @@ same order (:func:`flowkit.solvers.edmonds_karp`).
 from __future__ import annotations
 
 import math
+import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -151,6 +161,8 @@ class Network:
     :func:`~flowkit.values.lowest_terms`, which leaves that LCM; so equal
     capacities give equal ints.  The arcs are stored once, in `arcs`; a
     vertex's neighbours are the keys of its :class:`ResidualGraph` row.
+    Their set, which `has_arc` reads, is the one :func:`build_network`
+    checked them with, or is built on the first `has_arc`.
     `gadget_vertices` are the vertices that subdivide antiparallel pairs.
 
     The constructor checks nothing and trusts its two callers:
@@ -167,7 +179,7 @@ class Network:
         self.sink = sink
         self.arcs = tuple(arcs)
         self.ints, self.scale = lowest_terms(ints, scale)
-        self._arc_set = frozenset(self.arcs)
+        self._arc_set = None  # built by `has_arc` when first asked, if not handed over
         self.gadget_vertices = frozenset(gadget_vertices)
 
     # -- basic accessors -------------------------------------------------
@@ -185,6 +197,8 @@ class Network:
         return [self.source] + middle + [self.sink]
 
     def has_arc(self, u, v):
+        if self._arc_set is None:
+            self._arc_set = frozenset(self.arcs)
         return (u, v) in self._arc_set
 
     def _key(self):
@@ -220,6 +234,26 @@ def build_network(n, source, sink, arc_list, allow_antiparallel=False, scale=Non
     arc at fault (the later arc of a repeated or antiparallel pair); an
     error about the vertex count, the source or the sink carries
     ``at = "n"``, ``"source"`` or ``"sink"``.
+
+    The arcs are checked as columns first (:func:`_arcs_in_bulk`), and
+    only a list that fails a check there goes through the per-arc loop
+    (:func:`_arcs_one_by_one`), which raises its first fault.  Every bulk
+    check is one the loop applies to every arc, or a stricter one:
+    endpoints must be ints, and capacities ints over a given `scale`, or
+    ints and Fractions without one.  On ints, ``min`` and ``max`` bound
+    every endpoint as the loop's range test does, ``map(operator.eq, ...)``
+    is its self-loop test, ``source in vs`` and ``sink in us`` its tests of
+    the arcs into s and out of t, the size of the arc set its repeat test,
+    and a reversed arc found in that set its antiparallel test; ``min`` of
+    the ints is its sign test, and :func:`~flowkit.values.scaled` of the
+    ints and Fractions gives the ints and scale that the loop's
+    :func:`~flowkit.values.exact` and `scaled` give.  So a list the bulk
+    path accepts is one the loop accepts, with the arcs, ints, scale and
+    antiparallel pairs the loop would find; a list it refuses reaches the
+    loop, which raises exactly the error it always raised, or, for a list
+    only the stricter checks refused (a float endpoint, a `p/q` string),
+    builds the network itself.  Gadgets are built only when a pair
+    exists.
     """
     if n < 2:
         raise InvalidVertex(f"need at least two vertices, got n={n}", "n")
@@ -230,6 +264,72 @@ def build_network(n, source, sink, arc_list, allow_antiparallel=False, scale=Non
     if source == sink:
         raise InvalidVertex("source and sink must differ", "sink")
 
+    arc_list = list(arc_list)  # read twice when a bulk check fails
+    checked = _arcs_in_bulk(n, source, sink, arc_list, allow_antiparallel, scale)
+    if checked is None:
+        checked = _arcs_one_by_one(n, source, sink, arc_list, allow_antiparallel, scale)
+    arcs, ints, scale, arc_set, paired = checked
+    if not paired:
+        net = Network(n, source, sink, arcs, ints, scale, ())
+        net._arc_set = arc_set
+        return net
+
+    gadget_arcs, caps = [], []
+    next_free = n
+    for (u, v), cap in zip(arcs, ints):
+        if (u, v) in paired:
+            next_free += 1
+            c_uv = next_free
+            gadget_arcs.extend([(u, c_uv), (c_uv, v)])
+            caps.extend([cap, cap])
+        else:
+            gadget_arcs.append((u, v))
+            caps.append(cap)
+    return Network(next_free, source, sink, gadget_arcs, caps, scale, range(n + 1, next_free + 1))
+
+
+def _arcs_in_bulk(n, source, sink, arc_list, allow_antiparallel, scale):
+    """`(arcs, ints, scale, arc_set, paired)` of an arc list that passes
+    every check of :func:`_arcs_one_by_one`, read column by column, or
+    None when a check fails: an endpoint that is not an int in 1..n, a
+    self-loop, an arc into the source or out of the sink, a repeated arc,
+    an antiparallel pair in simple mode, or a capacity that is not an int
+    (with `scale`) or not an int or Fraction (without), or is negative."""
+    try:
+        us, vs, caps = zip(*arc_list, strict=True)
+    except (TypeError, ValueError):  # no arcs, or not all triples: the loop sees to both
+        return None
+    if ({*map(type, us), *map(type, vs)} != {int}
+            or min(us) < 1 or max(us) > n or min(vs) < 1 or max(vs) > n
+            or any(map(operator.eq, us, vs))
+            or source in vs or sink in us):
+        return None
+    arcs = list(zip(us, vs))
+    arc_set = frozenset(arcs)
+    if len(arc_set) < len(arcs):
+        return None
+    kinds = set(map(type, caps))
+    if scale is not None:
+        if kinds != {int}:
+            return None
+        ints = list(caps)
+    elif kinds <= {int, Fraction}:
+        ints, scale = scaled(list(caps))
+    else:
+        return None
+    if min(ints) < 0:
+        return None
+    paired = ()
+    if not arc_set.isdisjoint(zip(vs, us)):
+        if not allow_antiparallel:
+            return None
+        paired = {(u, v) for (u, v) in arcs if (v, u) in arc_set}
+    return arcs, ints, scale, arc_set, paired
+
+
+def _arcs_one_by_one(n, source, sink, arc_list, allow_antiparallel, scale):
+    """:func:`_arcs_in_bulk`'s result by a loop over the arcs, which
+    raises the first fault it meets, with the fault's ``at``."""
     triples = []
     seen = {}
     for k, (u, v, cap) in enumerate(arc_list):
@@ -256,22 +356,10 @@ def build_network(n, source, sink, arc_list, allow_antiparallel=False, scale=Non
         raise DuplicateArc(f"antiparallel pair ({u},{v})/({v},{u}) not allowed in simple mode",
                            max(seen[(u, v)], seen[(v, u)]))
 
+    caps = [c for (_, _, c) in triples]
     if scale is None:
-        ints, scale = scaled([c for (_, _, c) in triples])
-        triples = [(u, v, x) for (u, v, _), x in zip(triples, ints)]
-    arcs, caps = [], []
-    next_free = n
-    for (u, v, cap) in triples:
-        if (u, v) in paired:
-            next_free += 1
-            c_uv = next_free
-            arcs.extend([(u, c_uv), (c_uv, v)])
-            caps.extend([cap, cap])
-        else:
-            arcs.append((u, v))
-            caps.append(cap)
-
-    return Network(next_free, source, sink, arcs, caps, scale, range(n + 1, next_free + 1))
+        caps, scale = scaled(caps)
+    return [(u, v) for (u, v, _) in triples], caps, scale, frozenset(seen), paired
 
 
 class FlowAssignment:
@@ -554,6 +642,16 @@ def write_dimacs(net):
     return "\n".join(lines) + "\n"
 
 
+# The layout `write_dimacs` writes, after a block of `c` lines: a `p`
+# line, two `n` lines, one `a` line per arc, single spaces, ASCII digits,
+# a denominator with a nonzero digit, and `\n` after every line.  A
+# comment holds printable ASCII only, so it hides no line break that
+# `str.splitlines` would see.  Group 1 is the text after the comments.
+_LAYOUT = re.compile(r"(?:c[ -~]*\n)*"
+                     r"(p max [0-9]+ [0-9]+\n(?:n [0-9]+ [st]\n){2}"
+                     r"(?:a [0-9]+ [0-9]+ [0-9]+(?:/0*[1-9][0-9]*)?\n)*)")
+
+
 def read_dimacs(text, allow_antiparallel=False):
     """Parse the max-flow problem format; raises ParseError with a line number.
 
@@ -564,7 +662,26 @@ def read_dimacs(text, allow_antiparallel=False):
     fault (the second line of a repeated or antiparallel pair), the `n`
     line of the source or sink at fault, or the `p` line for a vertex
     count below two or an arc count that the `a` lines do not match.
+
+    A text in :data:`_LAYOUT` is read by columns (:func:`_read_columns`);
+    every other text, and one whose arc count or network check fails
+    there, is read line by line, and only the line loop names a line in
+    an error.  On the layout both read the same ints: every line is one
+    record whose fields are its space-separated tokens, a comment line is
+    skipped by both, a token of ASCII digits is the int `parse_ratio`
+    reads, and a denominator with a nonzero digit is the q it reads.  So
+    both pass the same n, source, sink, triples and scale to
+    :func:`build_network`, and give the same network or reach the loop's
+    error.
     """
+    net = _read_columns(text, allow_antiparallel)
+    return net if net is not None else _read_lines(text, allow_antiparallel)
+
+
+def _read_lines(text, allow_antiparallel):
+    """:func:`read_dimacs` of any text, line by line: every record, the
+    checks that name a line, and the errors of :func:`build_network`
+    mapped to the lines of the records at fault."""
     n = m = None
     source = sink = None
     arcs, arc_lines, ends = [], [], {}
@@ -631,6 +748,40 @@ def read_dimacs(text, allow_antiparallel=False):
     except NetworkError as exc:
         at = exc.at
         raise ParseError(str(exc), arc_lines[at] if isinstance(at, int) else ends.get(at))
+
+
+def _read_columns(text, allow_antiparallel):
+    """The network of a text in :data:`_LAYOUT`, read by columns, or None
+    for any other text, an `a` line count that is not m, a token `int`
+    refuses (more digits than the interpreter converts), or a network
+    that :func:`build_network` refuses."""
+    layout = _LAYOUT.fullmatch(text)
+    if layout is None:
+        return None
+    body = layout[1]
+    tokens = body.split()  # p max n m, n x s|t, n y s|t, then a u v cap per arc
+    try:
+        n, m = int(tokens[2]), int(tokens[3])
+        if len(tokens) - 10 != 4 * m or tokens[6] == tokens[9]:
+            return None
+        ends = {tokens[6]: int(tokens[5]), tokens[9]: int(tokens[8])}
+        us, vs = list(map(int, tokens[11::4])), list(map(int, tokens[12::4]))
+        caps = tokens[13::4]
+        if "/" not in body:
+            ints, scale = list(map(int, caps)), 1
+        else:
+            ps, _, qs = zip(*[c.partition("/") for c in caps])  # q is "" for an int
+            factor = {q: int(q or 1) for q in set(qs)}
+            scale = math.lcm(*factor.values())
+            factor = {q: scale // d for q, d in factor.items()}
+            ints = list(map(operator.mul, map(int, ps), map(factor.__getitem__, qs)))
+    except ValueError:
+        return None
+    try:
+        return build_network(n, ends["s"], ends["t"], list(zip(us, vs, ints)),
+                             allow_antiparallel=allow_antiparallel, scale=scale)
+    except NetworkError:
+        return None
 
 
 def write_flow(flow, value):

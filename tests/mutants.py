@@ -99,6 +99,12 @@ MUTANTS = {
         "solvers.py", "res = ResidualGraph(net, flow)", "res = ResidualGraph(net)"),
     "a dead end is not marked dead": (
         "solvers.py", "                d[u] = -1           # dead for the rest of the phase\n", ""),
+    "the column check lets a repeated arc through": (
+        "network.py", "    if len(arc_set) < len(arcs):\n        return None\n", ""),
+    "the column path drops the antiparallel refusal": (
+        "network.py", "        if not allow_antiparallel:\n            return None\n", ""),
+    "the layout check accepts a zero denominator": (
+        "network.py", "(?:/0*[1-9][0-9]*)?", "(?:/[0-9]+)?"),
     "the walk tries a row's highest-index admissible arc first": (
         "solvers.py", "rows = [()] + [tuple(r[v]) for v in net.vertices()]",
         "rows = [()] + [tuple(reversed(r[v])) for v in net.vertices()]"),

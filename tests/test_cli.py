@@ -398,6 +398,26 @@ def test_chains_names_the_line_of_an_element_out_of_bounds(capsys, tmp_path, rec
     assert (code, out, got) == (2, "", f"error: {err}\n")
 
 
+@pytest.mark.parametrize("text, err", [
+    ("el a\nel b\nel c\ncover a c\n", "line 2: no least element: a and b are both minimal"),
+    ("el a\nel b\nel c\ncover a b\ncover a c\n",
+     "line 3: no greatest element: b and c are both maximal"),
+    ("el a\nel b\nel c\ntop c\ncover b c\ncover a c\n",
+     "line 2: no least element: a and b are both minimal"),
+    ("el a\nel b\nel c\nbottom a\ncover a c\ncover a b\n",
+     "line 3: no greatest element: b and c are both maximal"),
+    ("# one\nel a\n", "line 2: bottom and top are the same element a"),
+    ("el a\nbottom a\n", "line 1: bottom and top are the same element a"),
+    ("", "no least element: the poset has no elements"),
+], ids=["two minimal", "two maximal", "two minimal below a top", "two maximal above a bottom",
+        "one element", "one element as bottom", "no element"])
+def test_chains_names_the_line_of_a_missing_bottom_or_top(capsys, tmp_path, text, err):
+    path = tmp_path / "poset.txt"
+    path.write_text(text)
+    code, out, got = run(capsys, "chains", str(path))
+    assert (code, out, got) == (2, "", f"error: {err}\n")
+
+
 def test_chains_names_a_cover_line_on_a_cycle(capsys, tmp_path):
     # a < b is no part of the cycle b < c < b, so line 6 is not named
     path = tmp_path / "poset.txt"
