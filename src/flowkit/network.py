@@ -49,15 +49,14 @@ check, and returns its ints.
 
 The residual capacities are stored by rows, built once per solve from
 ``Network.arcs``: ``r[u]`` maps each out- and in-neighbour v of u, in
-increasing index order, to r(u, v).  A row is also u's adjacency list,
-and the network keeps no other; as no arc enters s or leaves t, rows s
-and t list the arcs out of s and into t.  The one breadth-first search
-scans it in order, so every solver breaks ties by lowest index, and no
-lookup builds a pair key.  The search stops at the first reached vertex
-with room into the target; see :func:`_bfs`.  It gives every solver's
-final cut and the paths of :mod:`flowkit.decompose`.  Edmonds-Karp finds
-its paths without it, a phase at a time, by walking the same rows in the
-same order (:func:`flowkit.solvers.edmonds_karp`).
+increasing index order, to r(u, v), and ``adj[u]`` lists them in that
+order; the network keeps no other adjacency lists.  Every scan goes in
+index order, so every solver breaks ties by lowest index.  There is one
+search each way: :func:`_bfs`, the textbook lowest-index breadth-first
+search forward to a target, gives every final cut and the paths of
+:mod:`flowkit.decompose`; :meth:`ResidualGraph.distances`, a reverse
+breadth-first search, gives the distance labels of Edmonds-Karp's phases
+and of push-relabel's global relabel.
 """
 
 from __future__ import annotations
@@ -160,9 +159,9 @@ class Network:
     over any common scale and reduces them by
     :func:`~flowkit.values.lowest_terms`, which leaves that LCM; so equal
     capacities give equal ints.  The arcs are stored once, in `arcs`; a
-    vertex's neighbours are the keys of its :class:`ResidualGraph` row.
-    Their set, which `has_arc` reads, is the one :func:`build_network`
-    checked them with, or is built on the first `has_arc`.
+    vertex's neighbours are listed in ``ResidualGraph.adj``.  The arc set,
+    which `has_arc` reads, is the one :func:`build_network` checked them
+    with, or is built on the first `has_arc`.
     `gadget_vertices` are the vertices that subdivide antiparallel pairs.
 
     The constructor checks nothing and trusts its two callers:
@@ -221,39 +220,37 @@ def build_network(n, source, sink, arc_list, allow_antiparallel=False, scale=Non
 
     A capacity is a finite non-negative int, Fraction or `p/q` string.
     With `scale`, every capacity is instead an int count of units
-    ``1/scale``, as :func:`read_dimacs` passes them.  UNBOUNDED is refused
-    in either form: it is the capacity of a flow complex's source facet
-    (:mod:`flowkit.simplicial`), never of a graph arc.
+    ``1/scale``, as :func:`read_dimacs` passes them; a bool is no int.
+    UNBOUNDED is refused in either form: it is the capacity of a flow
+    complex's source facet (:mod:`flowkit.simplicial`), never of an arc.
 
     With ``allow_antiparallel=True`` every antiparallel pair (v,w),(w,v) is
     subdivided through two fresh vertices: (v,w) becomes v -> c_vw -> w and
     (w,v) becomes w -> c_wv -> v, each leg keeping the original capacity.
     The subdivision does not change the maximum flow value.
 
-    An error about an arc carries ``at``, the index in `arc_list` of the
-    arc at fault (the later arc of a repeated or antiparallel pair); an
-    error about the vertex count, the source or the sink carries
-    ``at = "n"``, ``"source"`` or ``"sink"``.
+    Endpoints are ints.  An error about an arc carries ``at``, the index
+    in `arc_list` of the arc at fault (the later arc of a repeated or
+    antiparallel pair); an error about the vertex count, the source or the
+    sink carries ``at = "n"``, ``"source"`` or ``"sink"``.
 
-    The arcs are checked as columns first (:func:`_arcs_in_bulk`), and
-    only a list that fails a check there goes through the per-arc loop
+    The arcs are checked as columns first (:func:`_arcs_in_bulk`), and only
+    a list that fails a check there goes through the per-arc loop
     (:func:`_arcs_one_by_one`), which raises its first fault.  Every bulk
-    check is one the loop applies to every arc, or a stricter one:
-    endpoints must be ints, and capacities ints over a given `scale`, or
-    ints and Fractions without one.  On ints, ``min`` and ``max`` bound
-    every endpoint as the loop's range test does, ``map(operator.eq, ...)``
-    is its self-loop test, ``source in vs`` and ``sink in us`` its tests of
-    the arcs into s and out of t, the size of the arc set its repeat test,
-    and a reversed arc found in that set its antiparallel test; ``min`` of
-    the ints is its sign test, and :func:`~flowkit.values.scaled` of the
-    ints and Fractions gives the ints and scale that the loop's
-    :func:`~flowkit.values.exact` and `scaled` give.  So a list the bulk
-    path accepts is one the loop accepts, with the arcs, ints, scale and
-    antiparallel pairs the loop would find; a list it refuses reaches the
-    loop, which raises exactly the error it always raised, or, for a list
-    only the stricter checks refused (a float endpoint, a `p/q` string),
-    builds the network itself.  Gadgets are built only when a pair
-    exists.
+    check is one the loop applies to every arc, or a stricter one
+    (capacities must be ints or Fractions without `scale`).  On ints, ``min``
+    and ``max`` bound every endpoint as the loop's range test does,
+    ``map(operator.eq, ...)`` is its self-loop test, ``source in vs`` and
+    ``sink in us`` its tests of the arcs into s and out of t, the size of
+    the arc set its repeat test, and a reversed arc found in that set its
+    antiparallel test; ``min`` of the ints is its sign test, and
+    :func:`~flowkit.values.scaled` of the ints and Fractions gives the ints
+    and scale that the loop's :func:`~flowkit.values.exact` and `scaled`
+    give.  So a list the bulk path accepts is one the loop accepts, with the
+    arcs, ints, scale and antiparallel pairs the loop would find; a list it
+    refuses reaches the loop, which raises exactly the error it always
+    raised, or, for a list only the stricter check refused (a `p/q` string),
+    builds the network itself.  Gadgets are built only when a pair exists.
     """
     if n < 2:
         raise InvalidVertex(f"need at least two vertices, got n={n}", "n")
@@ -333,6 +330,8 @@ def _arcs_one_by_one(n, source, sink, arc_list, allow_antiparallel, scale):
     triples = []
     seen = {}
     for k, (u, v, cap) in enumerate(arc_list):
+        if type(u) is not int or type(v) is not int:
+            raise InvalidVertex(f"arc endpoint is not an int: ({u!r}, {v!r})", k)
         if not (1 <= u <= n) or not (1 <= v <= n):
             raise InvalidVertex(f"arc endpoint out of range: ({u}, {v})", k)
         if u == v:
@@ -346,6 +345,8 @@ def _arcs_one_by_one(n, source, sink, arc_list, allow_antiparallel, scale):
             raise NetworkError(f"unbounded capacity on ({u}, {v})", k)
         if scale is None:
             cap = exact(cap)
+        elif type(cap) is not int:
+            raise NetworkError(f"capacity on ({u}, {v}) is not an int over the scale: {cap!r}", k)
         if cap.numerator < 0:
             raise NetworkError(f"negative capacity on ({u}, {v})", k)
         triples.append((u, v, cap))
@@ -399,36 +400,24 @@ def _bfs(origin, target, r):
     is admissible when `r[u][v] > 0`.  The vertices are 1..n, the keys of
     `r`.
 
-    `parent[v]` is the vertex whose row reached v (0 for the origin, -1
-    for a vertex not reached), and `queue` lists the reached vertices in
-    the order they were reached, which is the order their rows are
-    scanned.  Returns the path to `target` (None when it is unreachable)
-    and `queue`, the reached set; on success the target ends `queue`.
-
-    The goal test looks one step ahead: as each vertex w is reached
-    (the origin first), the search checks `r[w][target] > 0`, and on the
-    first hit it appends the target with parent w and returns.  The
-    textbook lowest-index search tests only the target itself.  It reaches
-    the target only through an arc into it, while scanning the row of a
-    reached vertex, and it scans rows in reach order; so the target's
-    parent is the first reached vertex with room into it.  Until that
-    vertex both searches reach the same vertices in the same order, so
-    they return the same path; a failed search finds no such vertex, so
-    both reach the same set.  Only the state after a success is shorter:
-    the look-ahead search does not scan the rows in between.
+    Rows are scanned in reach order, each in index order, and the search
+    stops when an admissible step reaches `target`, so its path is the
+    least shortest one.  `parent[v]` is the vertex whose row reached v (0
+    for the origin, -1 for a vertex not reached), and `queue` lists the
+    reached vertices in reach order.  Returns the path to `target` (None
+    when it is unreachable) and `queue`, the reached set; on success the
+    target ends `queue`.
     """
     parent, queue = [-1] * (len(r) + 1), [origin]
     parent[origin] = 0
-    if r[origin].get(target, 0) > 0:
-        return _reached(target, origin, parent, queue)
     # a list iterator also yields the items appended while it runs
     for u in queue:
         for v, x in r[u].items():
             if parent[v] < 0 and x > 0:
+                if v == target:
+                    return _reached(target, u, parent, queue)
                 parent[v] = u
                 queue.append(v)
-                if r[v].get(target, 0) > 0:
-                    return _reached(target, v, parent, queue)
     return None, queue
 
 
@@ -437,9 +426,9 @@ def _reached(target, u, parent, queue):
     path to it and `queue`.
 
     The path's vertices are distinct and all in `queue`, so the walk up
-    `parent` reaches the origin (parent 0) within len(queue) steps.  A walk
-    that has not by then is caught in a cycle of `parent`, which only a
-    broken search leaves, and raises :class:`InvariantViolation`
+    `parent` reaches the origin (parent 0) within len(queue) steps.  Only
+    a broken search leaves a cycle in `parent`; the step budget is there
+    for that case alone, and raises :class:`InvariantViolation`
     ("work budget") instead of looping forever.
     """
     parent[target] = u
@@ -462,18 +451,20 @@ class ResidualGraph:
     `r[u][v]` is a residual capacity in units of ``1/scale``: ``c - x`` on
     an arc (u, v) with capacity c and flow x, and ``x`` on its reverse
     (v, u).  ``scale`` is the LCM of the network's scale and the flow's.
-    Each row `r[u]` holds every out- and in-neighbour of u, in increasing
-    index order, read off ``net.arcs``.  `caps` holds the arc capacities
-    in the same units, in arc order, so the flow on arc i is
-    ``caps[i] - r(u, v)``: the network's own `ints` and `scale` when no
-    flow is given.  `push` and `augment` work in these units, and `flow`
-    reads the flow back as a :class:`ScaledFlow`.  A pair of the given flow
-    that is not an arc of `net`, its reverse included, raises
+    `adj[u]` lists every out- and in-neighbour of u, in increasing index
+    order, read off ``net.arcs`` (``adj[0]`` is empty); the row `r[u]`
+    holds them in that order, and a scan that keeps its place in a row
+    indexes `adj`.
+    `caps` holds the arc capacities in the same units, in arc order, so the
+    flow on arc i is ``caps[i] - r(u, v)``: the network's own `ints` and
+    `scale` when no flow is given.  `push` and `augment` work in these units,
+    and `flow` reads the flow back as a :class:`ScaledFlow`.  A pair of the
+    given flow that is not an arc of `net`, its reverse included, raises
     :class:`InvalidFlow` with the "capacity" violation :func:`validate`
     reports for it; nothing else about the flow is checked here.
     """
 
-    __slots__ = ("net", "scale", "caps", "r")
+    __slots__ = ("net", "scale", "caps", "adj", "r")
 
     def __init__(self, net, flow=None):
         self.net = net
@@ -485,11 +476,12 @@ class ResidualGraph:
                 k = scale // net.scale
                 caps = tuple([c * k for c in caps])
         self.caps, self.scale = caps, scale
-        ends = {v: [] for v in net.vertices()}
+        ends = [[] for _ in range(net.n + 1)]
         for (u, v) in net.arcs:
             ends[u].append(v)
             ends[v].append(u)
-        r = {v: dict.fromkeys(sorted(ws), 0) for v, ws in ends.items()}
+        self.adj = adj = [tuple(sorted(ws)) for ws in ends]
+        r = {v: dict.fromkeys(adj[v], 0) for v in net.vertices()}
         for (u, v), c in zip(net.arcs, caps):
             r[u][v] = c
         if flow is not None:
@@ -511,6 +503,25 @@ class ResidualGraph:
     def search(self, origin, target):
         """Lowest-index breadth-first residual search; see :func:`_bfs`."""
         return _bfs(origin, target, self.r)
+
+    def distances(self, d, root, stop=None):
+        """Reverse breadth-first search from `root`: label in place, in
+        the list `d` (negative for unlabelled; ``d[root]`` is set), each
+        unlabelled vertex u with a residual arc (u, w) into the last layer
+        ``d[w] + 1``.  So an unlabelled vertex gets ``d[root]`` plus its
+        residual distance to `root` through unlabelled vertices, or stays
+        unlabelled.  With `stop`, the search ends once the layer that holds
+        `stop` is complete, and the vertices beyond it stay unlabelled."""
+        adj, r = self.adj, self.r
+        frontier = [root]
+        while frontier and (stop is None or d[stop] < 0):
+            ahead = []
+            for w in frontier:
+                for u in adj[w]:
+                    if d[u] < 0 and r[u][w] > 0:
+                        d[u] = d[w] + 1
+                        ahead.append(u)
+            frontier = ahead
 
     def augment(self, path, limit=None):
         """Push the bottleneck (at most `limit`) along the path.

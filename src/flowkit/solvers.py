@@ -3,18 +3,17 @@
 * :func:`edmonds_karp` — augmenting paths, always choosing the
   lowest-index breadth-first shortest path in the residual graph, from
   the zero flow or from a given valid flow.  It finds the paths of one
-  length in one phase: a reverse breadth-first search labels each vertex
-  with its residual distance to t, and a walk along the arcs whose label
-  falls by one, keeping a current arc per vertex, meets them in the
-  order that fresh textbook searches would.  Matching and segmentation
-  start it from the flow its first phase would reach, written down
-  directly.
+  length in one phase: the reverse labelling gives each vertex its
+  residual distance to t, and a walk along the arcs whose label falls by
+  one, keeping a current arc per vertex, meets them in the order that
+  fresh textbook searches would.  Matching and segmentation start it
+  from the flow its first phase would reach, written down directly.
 * :func:`push_relabel` — FIFO preflow-push with distance labels, the gap
-  heuristic and a two-sided global relabel (from t, then from s offset by
-  n) at the start and after every n relabels.  Its discharge loop pushes
-  on the residual rows in place, with no call per push, and stops at
-  Goldberg and Tarjan's bound on pushes and relabels.  It is the
-  default solver of ``flowkit mincut``.
+  heuristic and a two-sided global relabel (the reverse labelling from
+  t, then from s offset by n) at the start and after every n relabels.
+  Its discharge loop pushes on the residual rows in place, with no call
+  per push, and stops at Goldberg and Tarjan's bound on pushes and
+  relabels.  It is the default solver of ``flowkit mincut``.
 * :func:`hochbaum_maxflow` — the lowest-label pseudoflow algorithm on a
   normalized tree, solving the maximum blocking cut problem first and
   recovering a flow from its residual graph.  Strong roots are served
@@ -23,32 +22,33 @@
   residual arc leads from a strong to a weak vertex.
 
 All solvers are exact over the rationals and return identical optimal
-values.  Every solver works on :class:`flowkit.network.ResidualGraph`,
-whose residual capacities are ints in units of ``1/scale`` (``scale`` is
-the LCM of the capacity denominators, the network's own), and so are the
-quantities a solver keeps beside it: the push-relabel and pseudoflow
-excesses, pseudoflow's M+ and M- and the amounts :func:`recover_flow`
-reads off the residual graph and drains.  No arc enters s or leaves t, so
-the rows ``r[s]`` and ``r[t]`` list the arcs at s and t.  No graph solve
-builds a capacity Fraction.  The flow comes back as those ints,
-``MaxflowResult.scaled``.  Fractions come back only in
-``MaxflowResult.value`` and ``stats["value"]``, in the ``NormalizedTree``
-that instrumented runs return, and in ``MaxflowResult.flow``, the
-certified ints as per-arc Fractions, built when it is first read.
-Nothing in flowkit reads that view; it is kept for the span tracer in
-`perfbench/`.
+values.  Every solver works on :class:`flowkit.network.ResidualGraph` and
+on its one search of each direction: the forward search from s
+(``ResidualGraph.search``) and the reverse labelling
+(``ResidualGraph.distances``).  Its residual capacities are ints in units
+of ``1/scale`` (``scale`` is the LCM of the capacity denominators, the
+network's own), and so are the quantities a solver keeps beside them:
+the push-relabel and pseudoflow excesses, pseudoflow's M+ and M- and the
+amounts :func:`recover_flow` reads off the residual graph and drains.  No
+arc enters s or leaves t, so the rows ``r[s]`` and ``r[t]`` list the
+arcs at s and t.  No graph solve builds a capacity Fraction.  The flow
+comes back as those ints, ``MaxflowResult.scaled``.  Fractions come back
+only in ``MaxflowResult.value`` and ``stats["value"]``, in the
+``NormalizedTree`` that instrumented runs return, and in
+``MaxflowResult.flow``, the certified ints as per-arc Fractions, built
+when it is first read.  Nothing in flowkit reads that view; it is kept
+for the span tracer in `perfbench/`.
 
 Every solver ends in one certificate, read off its final residual graph
 in a single scaled-int pass over the arcs.  ``MaxflowResult.cut`` is the
-source side reached by a residual search from the source: Edmonds-Karp
-and push-relabel search their final residual once; pseudoflow searches
-its core's residual after :func:`recover_flow` drains it in place and,
-when it solved the reversed network, after it is re-read on the one
-given.  The pass checks 0 <= f
-<= c on every arc, conservation off s and t, s inside and t outside the
-cut, and that the value |f| equals the cut capacity (for pseudoflow, the
-only check of the recovered flow); this proves the flow maximal and the
-cut minimal, and is the same source side
+source side reached by the forward search from the source, which the
+certificate runs itself on the final residual: for pseudoflow, its
+core's residual after :func:`recover_flow` drains it in place and, when
+it solved the reversed network, after it is re-read on the one given.
+The pass checks 0 <= f <= c on every arc, conservation off s and t, s
+inside and t outside the cut, and that the value |f| equals the cut
+capacity (for pseudoflow, the only check of the recovered flow); this
+proves the flow maximal and the cut minimal, and is the same source side
 :func:`flowkit.decompose.min_cut_from_flow` finds.  A failed check raises
 :class:`InvariantViolation` with the invariant ``"certificate"``.
 Instrumented mode also re-checks the per-step invariants (valid
@@ -61,7 +61,6 @@ from __future__ import annotations
 
 import functools
 import heapq
-import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -100,17 +99,19 @@ class MaxflowResult:
         return FlowAssignment({a: Fraction(x, scale) for a, x in self.scaled.pairs})
 
 
-def _certified(net, res, reached, stats):
+def _certified(net, res, stats):
     """The flow, value and minimum cut of a final residual graph, checked.
 
-    One pass over the arcs, in units of ``1/res.scale``: f = c - r(u, v)
-    lies in [0, c], the excess is zero off s and t, s is in and t is out
-    of `reached`, and the outflow of s equals the capacity of the arcs
-    leaving `reached`.  The flow stays ints, a :class:`ScaledFlow`.  Sets
-    ``stats["value"]``; raises :class:`InvariantViolation`
-    ("certificate") listing every failed check.
+    The cut's source side, `reached`, is what the residual search from s
+    reaches.  One pass over the arcs, in units of ``1/res.scale``: f =
+    c - r(u, v) lies in [0, c], the excess is zero off s and t, s is in
+    and t is out of `reached`, and the outflow of s equals the capacity of
+    the arcs leaving `reached`.  The flow stays ints, a
+    :class:`ScaledFlow`.  Sets ``stats["value"]``; raises
+    :class:`InvariantViolation` ("certificate") listing every failed check.
     """
     s, t, scale, r = net.source, net.sink, res.scale, res.r
+    _, reached = res.search(s, t)
     side = frozenset(reached)
     excess = dict.fromkeys(net.vertices(), 0)
     pairs = []
@@ -160,9 +161,10 @@ def edmonds_karp(net, instrumented=False, flow=None):
     but the paths of one length are found in one phase (Dinic, Soviet
     Math. Dokl. 11 (1970); Ahuja & Orlin, Naval Res. Logist. 38 (1991)):
 
-    * A reverse breadth-first search labels each vertex v with d(v), its
-      residual distance to t, and stops once the layer that holds s is
-      complete; the run ends when it does not reach s.
+    * The reverse labelling, :meth:`ResidualGraph.distances`, labels each
+      vertex v with d(v), its residual distance to t, and stops once the
+      layer that holds s is complete; the run ends when it does not reach
+      s.
     * A walk starts at s and follows only admissible arcs, residual arcs
       (u, w) with d(w) = d(u) - 1.  It scans each row in index order from
       the vertex's current arc, which only moves forward in a phase.
@@ -180,8 +182,7 @@ def edmonds_karp(net, instrumented=False, flow=None):
       reaches distance 1 in index order, and a vertex w at distance k + 1
       is reached first from the earliest reached u at distance k with an
       arc into w, whose least path followed by w is the least path to w.
-      So the search returns the least shortest s-t path (its look-ahead
-      changes no path, :func:`flowkit.network._bfs`).
+      So the search returns the least shortest s-t path.
     * An augmentation along admissible arcs adds residual room only on
       their reverses, which climb one label.  So in a phase the labels
       stay valid, d(u) <= d(w) + 1 on every residual arc (u, w): every s-t
@@ -209,37 +210,30 @@ def edmonds_karp(net, instrumented=False, flow=None):
     ends, so a phase with k augmentations makes at most n * (k + 1)
     advances.  A scan passes over entries of its row, at most 2m in the
     phase as current arcs only move forward, and ends in one advance or
-    one death: at most 2m + n * (k + 2) steps in all.  One more
-    augmentation, or one more step in a phase, raises
-    :class:`InvariantViolation` ("work budget") instead of looping on.
-    The final search from s gives the cut.
+    one death: at most 2m + n * (k + 2) steps in all.  The labels are
+    exact up to d(s), so the least shortest path is admissible and each
+    phase augments at least once: at most n * m + 1 phases.  One more
+    augmentation, one more step in a phase, or a phase with no
+    augmentation raises :class:`InvariantViolation` ("work budget")
+    instead of looping on.  The certificate's search from s gives the cut.
     """
     if instrumented and flow is not None:
         bad = validate(net, flow, "flow")
         if bad:
             raise InvariantViolation("flow", "start", bad)
     res = ResidualGraph(net, flow)
-    r = res.r
+    r, adj = res.r, res.adj
     n, s, t = net.n, net.source, net.sink
-    rows = [()] + [tuple(r[v]) for v in net.vertices()]
     augmentations, budget = 0, n * net.m
     while True:
         d = [-1] * (n + 1)          # -1: unlabelled, or dead in this phase
         d[t] = 0
-        frontier = [t]
-        while frontier and d[s] < 0:
-            ahead = []
-            for w in frontier:
-                for u in rows[w]:
-                    if d[u] < 0 and r[u][w] > 0:
-                        d[u] = d[w] + 1
-                        ahead.append(u)
-            frontier = ahead
+        res.distances(d, t, stop=s)
         if d[s] < 0:
             break
         current = [0] * (n + 1)
         walk = [s]
-        steps, limit = 0, 2 * net.m + 2 * n
+        steps, limit, first = 0, 2 * net.m + 2 * n, augmentations
         while walk:
             u = walk[-1]
             if u == t:
@@ -255,7 +249,7 @@ def edmonds_karp(net, instrumented=False, flow=None):
                     if bad:
                         raise InvariantViolation("flow", f"augmentation {augmentations}", bad)
                 continue
-            row, ru, below = rows[u], r[u], d[u] - 1
+            row, ru, below = adj[u], r[u], d[u] - 1
             i = start = current[u]
             end = len(row)
             while i < end:
@@ -274,30 +268,29 @@ def edmonds_karp(net, instrumented=False, flow=None):
             else:
                 d[u] = -1           # dead for the rest of the phase
                 walk.pop()
-    _, reached = res.search(s, t)
-    return _certified(net, res, reached, {"augmentations": augmentations})
+        if augmentations == first:
+            raise InvariantViolation("work budget", f"augmentation {first + 1}",
+                                     ["a phase found no augmenting path"])
+    return _certified(net, res, {"augmentations": augmentations})
 
 
 # -- FIFO preflow-push ----------------------------------------------------
 
 
 def labeling_violations(res, labels):
-    """Distance labels d(v) are valid for the residual graph `res` when
-    d(s)=n, d(t)=0 and every residual arc (u, v) satisfies
-    d(u) <= d(v) + 1."""
+    """Distance labels d(v), a list indexed by vertex, are valid for the
+    residual graph `res` when d(s)=n, d(t)=0, no label is negative and
+    every residual arc (u, v) satisfies d(u) <= d(v) + 1."""
     net = res.net
     bad = []
-    if labels.get(net.source) != net.n:
+    if labels[net.source] != net.n:
         bad.append(("source_label", net.source))
-    if labels.get(net.sink) != 0:
+    if labels[net.sink] != 0:
         bad.append(("sink_label", net.sink))
-    for v in net.vertices():
-        d = labels.get(v, math.inf)
-        if d != math.inf and (d < 0 or d != int(d)):
-            bad.append(("label_range", v))
+    bad.extend(("label_range", v) for v in net.vertices() if labels[v] < 0)
     for u in net.vertices():
         for v in res.out_neighbors(u):
-            if labels.get(u, math.inf) > labels.get(v, math.inf) + 1:
+            if labels[u] > labels[v] + 1:
                 bad.append(("residual_edge", (u, v)))
     return bad
 
@@ -313,7 +306,8 @@ def push_relabel(net, instrumented=False):
     lowest residual neighbour when none is left.  A global relabel, at the
     start and after every n relabels, sets each label to the residual
     distance to t, or n plus the distance to s for a vertex that cannot
-    reach t (2n for a vertex that reaches neither; it holds no excess).
+    reach t (2n for a vertex that reaches neither; it holds no excess):
+    :meth:`ResidualGraph.distances` from t with s labelled n, then from s.
     When a relabel empties a label k < n, no vertex labeled between k and
     n can reach t any more, and the gap heuristic lifts them all to n + 1.
 
@@ -360,30 +354,24 @@ def push_relabel(net, instrumented=False):
         res.push(s, v, c)
         excess[v] += c
         excess[s] -= c
-    d = {}
+    d = [-1] * (n + 1)                   # d[v]: the label of vertex v
     layers = [set() for _ in range(n)]   # layers[k]: the vertices labeled k < n
     high = 0                             # no layer above `high` and below n is occupied
 
     def global_relabel():
         nonlocal high
-        d.clear()
+        d[:] = [-1] * (n + 1)
         d[t], d[s] = 0, n
-        for frontier in ([t], [s]):      # reverse breadth-first searches
-            while frontier:
-                ahead = []
-                for w in frontier:
-                    for u in r[w]:
-                        if u not in d and r[u][w] > 0:
-                            d[u] = d[w] + 1
-                            ahead.append(u)
-                frontier = ahead
+        res.distances(d, t)
+        res.distances(d, s)
         for layer in layers:
             layer.clear()
         for v in net.vertices():
-            k = d.setdefault(v, 2 * n)
-            if k < n:
-                layers[k].add(v)
-        high = max(k for k in d.values() if k < n)
+            if d[v] < 0:
+                d[v] = 2 * n
+            elif d[v] < n:
+                layers[d[v]].add(v)
+        high = max(k for k in d if k < n)
 
     def relabel(v):
         nonlocal high
@@ -454,10 +442,9 @@ def push_relabel(net, instrumented=False):
                 checkpoint()
         excess[v] = 0
 
-    _, reached = res.search(s, t)
-    result = _certified(net, res, reached, {"pushes": pushes, "relabels": relabels})
+    result = _certified(net, res, {"pushes": pushes, "relabels": relabels})
     if instrumented:
-        result.debug = {"labels": dict(d)}
+        result.debug = {"labels": list(d)}
     return result
 
 
@@ -621,7 +608,7 @@ def _pseudoflow_core(net, instrumented=False):
     children = {v: set() for v in internal}
     label = {v: int(excess[v] > 0) for v in internal}
     label[s] = label[t] = -2  # never l - 1: no merger arc ends at s or t
-    rows = {v: list(r[v]) for v in internal}
+    adj = res.adj
     current = dict.fromkeys(internal, 0)
     heap = [(1, v) for v in internal if excess[v] > 0]
     iterations = relabels = raises = 0
@@ -658,7 +645,7 @@ def _pseudoflow_core(net, instrumented=False):
         merger = None
         part = [x]
         for v in part:
-            row, rv = rows[v], r[v]
+            row, rv = adj[v], r[v]
             i = current[v]
             while i < len(row):
                 w = row[i]
@@ -769,8 +756,7 @@ def hochbaum_maxflow(net, instrumented=False):
     recover_flow(res)
     if reverse:
         res.reverse(net)
-    _, reached = res.search(net.source, net.sink)
-    result = _certified(net, res, reached, stats)
+    result = _certified(net, res, stats)
     if instrumented:
         result.debug = debug
     return result

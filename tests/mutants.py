@@ -37,11 +37,13 @@ MUTANTS = {
         "lp.py",
         "        if row is not prow:\n            f = row[col]\n",
         "        f = row[col]\n        if row is not prow and f:\n"),
-    "no look-ahead at the search's origin": (
-        "network.py",
-        "    if r[origin].get(target, 0) > 0:\n"
-        "        return _reached(target, origin, parent, queue)\n",
-        ""),
+    "the forward search admits a step with no residual room": (
+        "network.py", "if parent[v] < 0 and x > 0:", "if parent[v] < 0 and x >= 0:"),
+    "the forward search scans each row from its highest index": (
+        "network.py", "        for v, x in r[u].items():\n",
+        "        for v, x in reversed(r[u].items()):\n"),
+    "the reverse labelling admits an arc with no residual room": (
+        "network.py", "if d[u] < 0 and r[u][w] > 0:", "if d[u] < 0 and r[u][w] >= 0:"),
     "read_dimacs leaves a numerator unscaled by scale // q": (
         "network.py", "(u, v, p * (scale // q))", "(u, v, p)"),
     "the flow writer skips its gcd reduction": (
@@ -106,8 +108,8 @@ MUTANTS = {
     "the layout check accepts a zero denominator": (
         "network.py", "(?:/0*[1-9][0-9]*)?", "(?:/[0-9]+)?"),
     "the walk tries a row's highest-index admissible arc first": (
-        "solvers.py", "rows = [()] + [tuple(r[v]) for v in net.vertices()]",
-        "rows = [()] + [tuple(reversed(r[v])) for v in net.vertices()]"),
+        "solvers.py", "row, ru, below = adj[u], r[u], d[u] - 1",
+        "row, ru, below = adj[u][::-1], r[u], d[u] - 1"),
 }
 
 

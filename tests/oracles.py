@@ -17,6 +17,7 @@ augmentation on complexes is rerun in Fractions; it shares the library's
 cycle LP and checks the ints over a growing scale that the library keeps.
 """
 
+from collections import deque
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -397,6 +398,27 @@ def textbook_search(r, origin, target):
                 ahead.append(v)
         frontier = ahead
     return None, set(parent)
+
+
+def residual_distances(r, root):
+    """Each vertex's residual distance to `root`, -1 for a vertex with no
+    residual path to it: a breadth-first search from `root` over the
+    reversed residual arcs, collected from every row of `r`."""
+    into = {v: [] for v in r}
+    for u, row in r.items():
+        for v, x in row.items():
+            if x > 0:
+                into[v].append(u)
+    dist = dict.fromkeys(r, -1)
+    dist[root] = 0
+    queue = deque([root])
+    while queue:
+        w = queue.popleft()
+        for u in into[w]:
+            if dist[u] < 0:
+                dist[u] = dist[w] + 1
+                queue.append(u)
+    return dist
 
 
 def edmonds_karp_fresh(net):

@@ -11,7 +11,9 @@ from flowkit.network import (
     Cut,
     DuplicateArc,
     InvalidFlow,
+    InvalidVertex,
     InvariantViolation,
+    NetworkError,
     ParseError,
     ResidualGraph,
     ScaledFlow,
@@ -37,7 +39,9 @@ from oracles import (
     capacities,
     incidence_by_definition,
     random_network_spec,
+    residual_distances,
     scaled_flow,
+    textbook_search,
 )
 
 TABLE_4X5 = [
@@ -402,6 +406,53 @@ def test_flow_format_rejects_wrong_total(g1):
 def test_float_capacities_refused():
     with pytest.raises(TypeError):
         build_network(2, 1, 2, [(1, 2, 0.1)])
+
+
+@pytest.mark.parametrize("arcs, kwargs, error, at", [
+    ([(1, 2, Fraction(1, 2)), (2, 3, 1)], {"scale": 1}, NetworkError, 0),
+    ([(1, 2, 1), (2, 3, True)], {"scale": 1}, NetworkError, 1),
+    ([(1.0, 2, 1), (2, 3, 1)], {}, InvalidVertex, 0),
+    ([(1, 2, 1), (2, True, 1)], {}, InvalidVertex, 1),
+    ([(1, 2, 1), (2, 3.0, 1)], {"scale": 1}, InvalidVertex, 1),
+], ids=["Fraction over a scale", "bool over a scale", "float endpoint", "bool endpoint",
+        "float endpoint over a scale"])
+def test_build_network_refuses_what_is_not_an_int(arcs, kwargs, error, at):
+    with pytest.raises(error) as err:
+        build_network(3, 1, 3, arcs, **kwargs)
+    assert type(err.value) is error and err.value.at == at
+
+
+def test_one_search_and_one_labelling_against_the_textbook_ones():
+    # at the zero flow and at a maximum one: the reverse labelling gives
+    # each vertex its residual distance to t (-1 when it cannot reach t),
+    # exactly up to the layer of s when it stops there, and the forward
+    # search from s or t finds the textbook path and reached set
+    found = failed = 0
+    for label, net in seeded_networks():
+        n, s, t = net.n, net.source, net.sink
+        for flow in (None, edmonds_karp(net).scaled):
+            res = ResidualGraph(net, flow)
+            want = residual_distances(res.r, t)
+            d = [-1] * (n + 1)
+            d[t] = 0
+            res.distances(d, t)
+            assert d[1:] == [want[v] for v in net.vertices()], label
+            d = [-1] * (n + 1)
+            d[t] = 0
+            res.distances(d, t, stop=s)
+            last = want[s] if want[s] >= 0 else n
+            assert d[1:] == [want[v] if want[v] <= last else -1 for v in net.vertices()], label
+            for origin in (s, t):
+                for target in net.vertices():
+                    if target == origin:
+                        continue
+                    path, queue = res.search(origin, target)
+                    want_path, want_reached = textbook_search(res.r, origin, target)
+                    assert path == want_path, (label, origin, target)
+                    assert len(queue) == len(want_reached) and set(queue) == want_reached
+                    found += path is not None
+                    failed += path is None
+    assert found > 10_000 and failed > 10_000, (found, failed)
 
 
 def test_path_walk_is_bounded_by_the_reached_set():

@@ -367,8 +367,8 @@ def _pinned(result):
             sorted(result.cut.source_side), sorted(result.stats.items()))
 
 
-# sha256 of the push-relabel and pseudoflow results on `seeded_networks()`
-# as their final residual searches gave them with no look-ahead
+# sha256 of the push-relabel and pseudoflow results on `seeded_networks()`:
+# flows, counters, and the cuts of the certificate's forward search from s
 PINNED_PR_HOCH = "8af9556aa9e550ae5e69484533f7b40cc662e112fc04dc811d82847064b8dc5c"
 
 
@@ -411,25 +411,27 @@ def test_exact_at_a_huge_common_denominator():
     assert simplex_solve(primal).value == simplex_solve(build_dual(primal)).value == want
 
 
-def test_certificate_rejects_a_doctored_flow_and_a_doctored_cut():
+def test_certificate_rejects_a_doctored_flow_and_a_doctored_cut(monkeypatch):
     # max flow 11/6; the minimum cut {1, 2} is the reached set, at scale 6
     net = build_network(4, 1, 4, [(1, 2, Fraction(3, 2)), (1, 3, 1), (2, 3, Fraction(1, 3)),
                                   (2, 4, Fraction(1, 2)), (3, 4, 2)])
     result = edmonds_karp(net)
     side = result.cut.source_side
     assert side == {1, 2} and result.value == Fraction(11, 6)
-    again = solvers._certified(net, ResidualGraph(net, result.scaled), side, {})
+    again = solvers._certified(net, ResidualGraph(net, result.scaled), {})
     assert (again.scaled, again.value, again.cut) == (result.scaled, result.value, result.cut)
 
     res = ResidualGraph(net, result.scaled)
     res.push(1, 2, 1)  # one more unit of 1/6 into vertex 2
     with pytest.raises(InvariantViolation) as err:
-        solvers._certified(net, res, side, {})
+        solvers._certified(net, res, {})
     assert err.value.invariant == "certificate"
     assert ("conservation", 2) in err.value.violations
 
+    # a search that reaches {1} alone: the cut it gives is not minimal
+    monkeypatch.setattr(ResidualGraph, "search", lambda self, origin, target: (None, [1]))
     with pytest.raises(InvariantViolation) as err:
-        solvers._certified(net, ResidualGraph(net, result.scaled), side - {2}, {})
+        solvers._certified(net, ResidualGraph(net, result.scaled), {})
     assert err.value.invariant == "certificate"
     assert err.value.violations == [("value_is_not_cut_capacity",
                                      (Fraction(11, 6), Fraction(5, 2)))]
@@ -508,6 +510,20 @@ def test_edmonds_karp_stops_at_its_work_budget(monkeypatch):
     with pytest.raises(InvariantViolation) as info:
         edmonds_karp(net)
     assert info.value.invariant == "work budget" and info.value.step == "augmentation 7"
+
+
+def test_edmonds_karp_refuses_a_phase_that_finds_no_path(monkeypatch):
+    # labels that put s next to t on a path of two arcs admit no s-t walk;
+    # without the refusal every phase would find the same labels again
+    def too_low(self, d, root, stop=None):
+        d[stop] = 1
+
+    monkeypatch.setattr(ResidualGraph, "distances", too_low)
+    net = build_network(3, 1, 3, [(1, 2, 1), (2, 3, 1)])
+    with pytest.raises(InvariantViolation) as info:
+        edmonds_karp(net)
+    assert (info.value.invariant, info.value.step) == ("work budget", "augmentation 1")
+    assert info.value.violations == ["a phase found no augmenting path"]
 
 
 def test_edmonds_karp_stops_at_its_walk_budget():
