@@ -15,13 +15,13 @@ the oriented 1-simplex (v, u), which makes the boundary matrix coincide
 with the vertex/arc incidence matrix, and T plays the role of a
 sink-to-source return arc of unbounded capacity.
 
-The boundary operator has one owner and one stored form, the int rows
-of ∂, one per face, that :class:`OrientedComplex` builds once.  ∂x, ∂ᵀλ
-(:meth:`~OrientedComplex.coboundary`), face signs, cut capacities, the
-cycle checks, the max-flow program and the augmenting-cycle LP read
-them, so int values give ints, and :func:`boundary_matrix` hands out
-copies.  :func:`hmaxflow_lp` hands the simplex the bounded form ∂x = 0,
-0 <= x <= c directly.
+The boundary operator has one owner and one stored form, its nonzeros,
+each facet's signed faces, that :class:`OrientedComplex` builds once.
+∂x, ∂ᵀλ (:meth:`~OrientedComplex.coboundary`), the source condition,
+cut capacities and the cycle checks read them, so int values give ints.
+Only :meth:`~OrientedComplex.boundary_rows` builds ∂'s dense int rows:
+:func:`boundary_matrix`'s, which :func:`hmaxflow_lp` hands the simplex
+as ∂x = 0, 0 <= x <= c, and the augmenting-cycle LP's.
 
 A flow network keeps its finite capacities as ints over one scale, as a
 graph :class:`~flowkit.network.Network` does, and in no other form: a
@@ -36,7 +36,6 @@ Fractions are built only for a result's value and trace.
 from __future__ import annotations
 
 import math
-import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,13 +48,21 @@ from .values import UNBOUNDED, exact, format_ratio, format_value, lowest_terms, 
 
 
 class ComplexError(Exception):
-    pass
+    """A complex or flow network that cannot be built.
+
+    `at` locates the fault when the raiser knows where it is: the index
+    of the facet at fault, or "dimension"; None otherwise.
+    """
+
+    def __init__(self, message, at=None):
+        self.at = at
+        super().__init__(message)
 
 
 class SourceConditionViolated(ComplexError):
     def __init__(self, witnesses):
         self.witnesses = list(witnesses)
-        super().__init__(f"source condition violated at {self.witnesses}")
+        super().__init__(f"source condition violated at {self.witnesses}", self.witnesses[0][0])
 
 
 class NegativeCapacity(ComplexError):
@@ -68,38 +75,35 @@ class OrientedComplex:
     Facets are tuples of d+1 distinct vertices; the tuple order is the
     orientation.  No two facets may coincide as vertex sets.  Lower faces
     are implied; the canonical reference orientation of any face is its
-    sorted vertex order.  ∂ is built and stored once, as int rows in face
-    order, `_rows`, with `_row_of` giving each face's row.
+    sorted vertex order.  ∂ is built and stored once, as its nonzeros:
+    `_columns[j]` maps each face of facet j to its sign in ∂ of facet j.
     """
 
-    __slots__ = ("dimension", "facets", "_facet_sets", "_faces", "_row_of", "_rows")
+    __slots__ = ("dimension", "facets", "_facet_sets", "_faces", "_columns")
 
     def __init__(self, dimension, facets):
         if dimension < 1:
-            raise ComplexError("dimension must be at least 1")
+            raise ComplexError("dimension must be at least 1", "dimension")
         self.dimension = dimension
         self.facets = tuple([tuple(f) for f in facets])
         sets = []
         columns = []
-        face_set = set()
-        for f in self.facets:
+        for j, f in enumerate(self.facets):
             if len(f) != dimension + 1 or len(set(f)) != dimension + 1:
-                raise ComplexError(f"facet {f} is not a {dimension}-simplex")
+                raise ComplexError(f"facet {f} is not a {dimension}-simplex", j)
             sets.append(frozenset(f))
             # f is p times its sorted form ref, where p is the sign of the
             # permutation that sorts f, so ∂f = Σ_k p(-1)^k (ref minus ref[k])
             ref = tuple(sorted(f))
             p = -1 if sum(a > b for a, b in combinations(f, 2)) % 2 else 1
-            column = {ref[:k] + ref[k + 1:]: -p if k % 2 else p for k in range(len(ref))}
-            columns.append(column)
-            face_set.update(column)
-        if len(set(sets)) != len(sets):
-            raise ComplexError("two facets coincide as vertex sets")
+            columns.append({ref[:k] + ref[k + 1:]: -p if k % 2 else p for k in range(len(ref))})
+        first = {}
+        for j, vertex_set in enumerate(sets):
+            if first.setdefault(vertex_set, j) != j:
+                raise ComplexError("two facets coincide as vertex sets", j)
         self._facet_sets = tuple(sets)
-        self._faces = tuple(sorted(face_set))
-        self._row_of = {face: i for i, face in enumerate(self._faces)}
-        self._rows = tuple([tuple([column.get(face, 0) for column in columns])
-                            for face in self._faces])
+        self._columns = tuple(columns)
+        self._faces = tuple(sorted({face for column in columns for face in column}))
 
     def faces(self):
         """Canonical (d-1)-faces: sorted tuples in lexicographic order."""
@@ -108,37 +112,56 @@ class OrientedComplex:
     def facet_set(self, j):
         return self._facet_sets[j]
 
-    def face_sign(self, face_ref, j):
-        """Sign of the canonically-oriented face in the boundary of facet j."""
-        i = self._row_of.get(face_ref)
-        return 0 if i is None else self._rows[i][j]
-
     def boundary(self, values):
         """The boundary operator applied to facet values: {face: (∂x)_face}
-        over every canonical face, read off the int rows; ints for int
+        over every canonical face, summed from the nonzeros; ints for int
         values."""
         if len(values) != len(self.facets):
             raise ValueError(f"{len(values)} values for {len(self.facets)} facets")
-        return {face: sum(map(operator.mul, row, values))
-                for face, row in zip(self._faces, self._rows)}
+        out = dict.fromkeys(self._faces, 0)
+        for column, x in zip(self._columns, values):
+            for face, sign in column.items():
+                out[face] += sign * x
+        return out
 
     def coboundary(self, lam):
         """Its transpose applied to face values {face: λ_face}: (∂ᵀλ)_j per
-        facet j, read down the int rows; ints for int values."""
-        values = [lam[face] for face in self._faces]
-        return [sum(map(operator.mul, column, values)) for column in zip(*self._rows)]
+        facet j, summed over the faces of facet j; ints for int values."""
+        return [sum([lam[face] * sign for face, sign in column.items()])
+                for column in self._columns]
+
+    def boundary_rows(self, copies):
+        """∂'s dense int rows in face order, with one column per copy
+        ``(j, direction)``: facet j's column times the direction, +1 or -1."""
+        row_of = {face: i for i, face in enumerate(self._faces)}
+        rows = [[0] * len(copies) for _ in self._faces]
+        for col, (j, direction) in enumerate(copies):
+            for face, sign in self._columns[j].items():
+                rows[row_of[face]][col] = sign * direction
+        return rows
+
+    def check_source_condition(self, t_index):
+        """Every facet meeting facet T = `t_index` in a (d-1)-face, at most
+        one, must carry the opposite sign there: each facet's signed faces are
+        compared with T's.  Returns (ok, [(facet_index, face), ...])."""
+        t_column = self._columns[t_index]
+        violations = [(j, face) for j, column in enumerate(self._columns) if j != t_index
+                      for face, sign in column.items() if t_column.get(face) == sign]
+        return (not violations, violations)
 
     def is_connected(self):
         if not self.facets:
             return False
-        seen = {0}
-        stack = [0]
+        incident = {}
+        for j, f in enumerate(self.facets):
+            for v in f:
+                incident.setdefault(v, []).append(j)
+        seen, stack = {0}, [0]
         while stack:
-            i = stack.pop()
-            for j in range(len(self.facets)):
-                if j not in seen and self._facet_sets[i] & self._facet_sets[j]:
-                    seen.add(j)
-                    stack.append(j)
+            for v in self.facets[stack.pop()]:
+                fresh = [j for j in incident.pop(v, ()) if j not in seen]
+                seen.update(fresh)
+                stack += fresh
         return len(seen) == len(self.facets)
 
     def __eq__(self, other):
@@ -151,27 +174,13 @@ class OrientedComplex:
 
 
 def boundary_matrix(complex_):
-    """Boundary operator as an integer matrix, a copy of the complex's rows:
-    rows are the canonical (d-1)-faces (sorted tuples, lexicographic
-    order), columns are facets in their given order."""
-    return [list(row) for row in complex_._rows]
+    """Boundary operator as an integer matrix: rows are the canonical
+    (d-1)-faces (sorted tuples, lexicographic order), columns are facets
+    in their given order, each taken forward."""
+    return complex_.boundary_rows([(j, 1) for j in range(len(complex_.facets))])
 
 
-def check_source_condition(complex_, t_index):
-    """Every facet meeting facet `t_index` in a (d-1)-face must carry the
-    opposite sign there.  Returns (ok, [(facet_index, face), ...])."""
-    t_set = complex_.facet_set(t_index)
-    violations = []
-    for j in range(len(complex_.facets)):
-        if j == t_index:
-            continue
-        shared = t_set & complex_.facet_set(j)
-        if len(shared) != complex_.dimension:
-            continue
-        face = tuple(sorted(shared))
-        if complex_.face_sign(face, j) == complex_.face_sign(face, t_index):
-            violations.append((j, face))
-    return (not violations, violations)
+check_source_condition = OrientedComplex.check_source_condition
 
 
 class HNetwork:
@@ -227,7 +236,7 @@ def build_hnetwork(complex_, t_index, capacities, scale=None):
             raise ComplexError(f"missing capacity for facet {j}")
         c = capacities[j] if scale is not None else exact(capacities[j])
         if c < 0:
-            raise NegativeCapacity(f"capacity of facet {j} is negative")
+            raise NegativeCapacity(f"capacity of facet {j} is negative", j)
         caps[j] = c
     extra = set(capacities) - set(caps) - {t_index}
     if extra:
@@ -285,10 +294,10 @@ class HMaxflowResult:
 
 
 def hmaxflow_lp(hnet):
-    """Maximize the amount carried by the source facet, exactly; the bounds
-    are Fractions of `hnet.ints`, and None (no bound) on the source facet.
-    The flow is the optimum through :func:`scaled`."""
-    eq_rows = hnet.complex._rows
+    """Maximize the amount carried by the source facet, exactly: ∂x = 0 on
+    :func:`boundary_matrix`'s rows, bounds that are Fractions of `hnet.ints`
+    (none on the source facet), and the optimum made a flow by :func:`scaled`."""
+    eq_rows = boundary_matrix(hnet.complex)
     objective = [0] * hnet.facet_count()
     objective[hnet.t_index] = 1
     upper = [None if c is None else Fraction(c, hnet.scale) for c in hnet.ints]
@@ -332,16 +341,16 @@ def find_augmenting_cycle(hnet, weights, scale):
 
     Solves an exact LP: unit coefficient on the forward source copy,
     boundary balance, non-negative coefficients supported on the residual
-    complex.  Its rows are the complex's int boundary rows, one column per
-    residual copy, negated for a reversed one; :func:`scaled` turns its
-    vertex into integers.  The reversed source copy is excluded: a cycle
-    using both source copies cancels and cannot increase the carried
-    amount.
+    complex.  Its rows are ∂'s int rows that
+    :meth:`OrientedComplex.boundary_rows` builds, one column per residual
+    copy, negated for a reversed one; :func:`scaled` turns its vertex into
+    integers.  The reversed source copy is excluded: a cycle using both
+    source copies cancels and cannot increase the carried amount.
     """
     t = hnet.t_index
     copies = [copy for copy in residual_complex(hnet, weights, scale) if copy != (t, -1)]
     t_col = copies.index((t, 1))
-    eq_rows = [[row[j] * direction for j, direction in copies] for row in hnet.complex._rows]
+    eq_rows = hnet.complex.boundary_rows(copies)
     pin = [0] * len(copies)
     pin[t_col] = 1
     eq_rows.append(pin)
@@ -595,7 +604,9 @@ def write_hnet(hnet):
 
 
 def read_hnet(text):
-    """Parse the `hnet` format; raises ParseError with a line number.
+    """Parse the `hnet` format; raises ParseError with a line number.  A
+    :class:`ComplexError` names the line of its `at`: the header for the
+    dimension, or the facet's line.
 
     Each capacity token is read as ints ``p/q`` (:func:`parse_ratio`), and
     :func:`build_hnetwork` gets them as the ints ``p * (scale // q)`` over
@@ -605,6 +616,7 @@ def read_hnet(text):
     facets = []
     caps = {}
     t_index = None
+    line_of = {}  # "dimension" and each facet index -> its line
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
@@ -617,6 +629,7 @@ def read_hnet(text):
                 if len(fields) != 3 or fields[1] != "dim":
                     raise ParseError("expected `hnet dim <d>`", line_no)
                 dim = int(fields[2])
+                line_of["dimension"] = line_no
             elif fields[0] == "t":
                 if dim is None:
                     raise ParseError("facet before header", line_no)
@@ -625,6 +638,7 @@ def read_hnet(text):
                 if len(fields) != dim + 2:
                     raise ParseError(f"source facet needs {dim + 1} vertices", line_no)
                 t_index = len(facets)
+                line_of[len(facets)] = line_no
                 facets.append(tuple([int(x) for x in fields[1:]]))
             elif fields[0] == "f":
                 if dim is None:
@@ -632,6 +646,7 @@ def read_hnet(text):
                 if len(fields) != dim + 3:
                     raise ParseError(f"expected `f <{dim + 1} vertices> <cap>`", line_no)
                 caps[len(facets)] = parse_ratio(fields[-1])
+                line_of[len(facets)] = line_no
                 facets.append(tuple([int(x) for x in fields[1:-1]]))
             else:
                 raise ParseError(f"unknown record type {fields[0]!r}", line_no)
@@ -646,7 +661,7 @@ def read_hnet(text):
         return build_hnetwork(OrientedComplex(dim, facets), t_index,
                               {j: p * (scale // q) for j, (p, q) in caps.items()}, scale=scale)
     except ComplexError as exc:
-        raise ParseError(str(exc))
+        raise ParseError(str(exc), line_of.get(exc.at))
 
 
 def write_hflow(hnet, flow):

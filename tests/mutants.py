@@ -90,8 +90,17 @@ MUTANTS = {
     "the residual rows leave each arc's tail out of its head's row": (
         "network.py", "            ends[v].append(u)\n", ""),
     "coboundary pairs each potential with the wrong face": (
-        "simplicial.py", "values = [lam[face] for face in self._faces]",
-        "values = [lam[face] for face in reversed(self._faces)]"),
+        "simplicial.py", "lam[face] * sign for face, sign in column.items()",
+        "lam[face] * sign for face, sign in zip(reversed(column), column.values())"),
+    "the row builder drops a copy's direction": (
+        "simplicial.py", "rows[row_of[face]][col] = sign * direction",
+        "rows[row_of[face]][col] = sign"),
+    "the vertex index skips one vertex of each facet": (
+        "simplicial.py", "            for v in f:\n                incident.setdefault",
+        "            for v in f[1:]:\n                incident.setdefault"),
+    "the source check compares a facet's sign with itself, not with T's": (
+        "simplicial.py", "if t_column.get(face) == sign]",
+        "if face in t_column and column[face] == sign]"),
     "push-relabel's relabel leaves out the + 1 above the lowest residual neighbour": (
         "solvers.py", "        d[v] = new = low + 1\n", "        d[v] = new = low\n"),
     "the greedy start takes a left vertex's highest free neighbour": (

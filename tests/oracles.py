@@ -3,9 +3,10 @@
 Nothing here calls the code path it is used to verify: minimum cuts come
 from raw subset enumeration over the arc list, total unimodularity from
 the row-subset signing criterion, ranks from a local Gaussian
-elimination, boundary signs from the alternating-sum definition, and so
-on; the paths that Edmonds-Karp's phases walk are checked against fresh
-textbook searches.  Segmentation scores and costs are summed from
+elimination, boundary signs from the alternating-sum definition, the
+source condition from those signs, a complex's connectivity by comparing
+every pair of facets, and so on; the paths that Edmonds-Karp's phases
+walk are checked against fresh textbook searches.  Segmentation scores and costs are summed from
 their definitions over the Fraction dicts of an image, and `segment`'s
 output is rebuilt from Fraction capacities, without `PixelImage`'s ints.
 The enumeration oracles at the end take the library's own objects and
@@ -214,6 +215,34 @@ def boundary_by_definition(facets):
             entries[(tuple(sorted(face)), j)] = (-1) ** i * sorting_sign(face)
     faces = sorted({face for face, _ in entries})
     return faces, [[entries.get((face, j), 0) for j in range(len(facets))] for face in faces]
+
+
+def source_condition_by_definition(facets, t_index):
+    """The source condition read off :func:`boundary_by_definition`'s
+    matrix: (ok, [(facet_index, face), ...]) for every facet j other than
+    T and every face where the columns of j and T carry the same nonzero
+    sign, in facet order, then face order."""
+    faces, matrix = boundary_by_definition(facets)
+    witnesses = [(j, face) for j in range(len(facets)) if j != t_index
+                 for face, row in zip(faces, matrix) if row[t_index] != 0 and row[j] == row[t_index]]
+    return (not witnesses, witnesses)
+
+
+def connected_by_pairs(facets):
+    """Whether the facets are connected through shared vertices, searched
+    by comparing the vertex sets of every pair of facets; a complex with
+    no facet is not connected."""
+    sets = [set(f) for f in facets]
+    if not sets:
+        return False
+    seen, stack = {0}, [0]
+    while stack:
+        i = stack.pop()
+        for j in range(len(sets)):
+            if j not in seen and sets[i] & sets[j]:
+                seen.add(j)
+                stack.append(j)
+    return len(seen) == len(sets)
 
 
 def leaf_by_definition(facets, f_index, fp_index):

@@ -505,6 +505,24 @@ def test_hflow_rejects_a_repeated_header(capsys, tmp_path):
     assert err == "error: line 6: duplicate `hnet dim` header\n"
 
 
+@pytest.mark.parametrize("text, err", [
+    ("# none\nhnet dim 0\nt 1\nf 2 1\n", "line 2: dimension must be at least 1"),
+    ("hnet dim 2\nf 2 3 4 1\nf 2 3 3 1\nf 1 4 3 1\nt 1 3 2\n",
+     "line 3: facet (2, 3, 3) is not a 2-simplex"),
+    (TETRA + "\nf 4 3 2 1\nf 2 1 4 1\n", "line 7: two facets coincide as vertex sets"),
+    ("hnet dim 2\nf 2 3 4 1\n\nf 1 2 4 -1\nf 1 4 3 1\nt 1 3 2\n",
+     "line 4: capacity of facet 1 is negative"),
+    ("hnet dim 2\nf 2 3 4 1\nf 1 2 4 1\nf 4 1 3 1\nf 3 5 4 1\nt 1 3 2\n",
+     "line 4: source condition violated at [(2, (1, 3))]"),
+], ids=["dimension", "not a simplex", "coinciding facets", "negative capacity",
+        "source condition"])
+def test_hflow_names_the_line_of_a_complex_error(capsys, tmp_path, text, err):
+    path = tmp_path / "bad.hnet"
+    path.write_text(text)
+    code, out, got = run(capsys, "hflow", str(path))
+    assert (code, out, got) == (2, "", f"error: {err}\n")
+
+
 def test_hcut_sweep_and_explicit(capsys, tetra_file):
     code, out, _ = run(capsys, "hcut", tetra_file)
     assert code == 0

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -55,9 +56,11 @@ from flowkit.values import UNBOUNDED, format_value
 from oracles import (
     all_cuts,
     boundary_by_definition,
+    connected_by_pairs,
     hmaxflow_augment_by_fractions,
     leaf_by_definition,
     random_network_spec,
+    source_condition_by_definition,
 )
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -165,13 +168,33 @@ def random_complex(rng, dimension, max_facets=8):
     return OrientedComplex(dimension, facets)
 
 
-def test_boundary_products_match_the_matrix(tetra, double):
-    # the matrix comes from the definition, not from the complex's rows
-    rng = random.Random(41)
+def torus(k):
+    """The consistently oriented triangulated k x k torus (k >= 3): the grid
+    point (i, j) is vertex i * k + j + 1, and each square gives two
+    triangles, 2 * k * k facets in all."""
+    def vertex(i, j):
+        return i % k * k + j % k + 1
+    facets = []
+    for i in range(k):
+        for j in range(k):
+            a, b, c, d = vertex(i, j), vertex(i + 1, j), vertex(i, j + 1), vertex(i + 1, j + 1)
+            facets += [(a, b, d), (a, d, c)]
+    return OrientedComplex(2, facets)
+
+
+def seeded_complexes(rng, tetra, double):
+    """The fixtures, the torsion sample, random complexes of dimensions 1
+    to 4 drawn from `rng` and the 8 x 8 torus."""
     torsion = read_hnet(SAMPLES.joinpath("torsion.hnet").read_text()).complex
     complexes = [tetra, double, torsion] + [random_hnetwork(rng).complex for _ in range(40)]
     complexes += [random_complex(rng, d) for d in (1, 3, 4) for _ in range(40)]
-    for cx in complexes:
+    return complexes + [torus(8)]
+
+
+def test_boundary_products_match_the_matrix(tetra, double):
+    # the matrix comes from the definition, not from the complex's rows
+    rng = random.Random(41)
+    for cx in seeded_complexes(rng, tetra, double):
         faces, matrix = boundary_by_definition(cx.facets)
         assert cx.faces() == tuple(faces)
         assert boundary_matrix(cx) == matrix
@@ -183,6 +206,37 @@ def test_boundary_products_match_the_matrix(tetra, double):
         assert cx.coboundary(lam) == [sum(matrix[i][j] * lam[face]
                                           for i, face in enumerate(faces))
                                       for j in range(k)]
+
+
+def test_connectivity_and_source_condition_against_the_oracles(tetra, double):
+    # the seeded complexes above, disjoint unions of two random complexes
+    # with their facets shuffled, and the 8 x 8 torus with one facet
+    # flipped; the source condition is checked at every facet of a complex
+    # of at most 8 facets, and at 5 facets, 3 around the flip, of a larger one
+    rng = random.Random(43)
+    complexes = seeded_complexes(rng, tetra, double)
+    for _ in range(150):
+        d = rng.randint(1, 3)
+        a, b = random_complex(rng, d, max_facets=4), random_complex(rng, d, max_facets=4)
+        shift = max(max(f) for f in a.facets)
+        facets = list(a.facets) + [tuple([v + shift for v in f]) for f in b.facets]
+        rng.shuffle(facets)
+        complexes.append(OrientedComplex(d, facets))
+    flipped = list(torus(8).facets)
+    flipped[9] = flipped[9][::-1]
+    complexes.append(OrientedComplex(2, flipped))
+    answers = Counter()
+    for cx in complexes:
+        connected = cx.is_connected()
+        assert connected == connected_by_pairs(cx.facets)
+        answers["connected" if connected else "disconnected"] += 1
+        k = len(cx.facets)
+        for t in (range(k) if k <= 8 else (0, 8, 9, 10, k - 1)):
+            got = check_source_condition(cx, t)
+            assert got == source_condition_by_definition(cx.facets, t)
+            answers["holds" if got[0] else "violated"] += 1
+    assert min(answers[a] for a in ("connected", "disconnected", "holds", "violated")) >= 100, \
+        answers
 
 
 def test_dimension_one_matches_incidence(g1):
